@@ -11,7 +11,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import BsDominoError, EnumerationTooLarge, ParseError
+from .errors import BsDominoError, ParseError
 from .group import BsParams, element_from_text, lambda_val, parse_word, phi
 from .pam import (
     CycleDetected,
@@ -85,8 +85,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as bad input (exit 3), not argparse's exit 2,
+    which is the budget-exceeded code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bsdomino",
         description="Wang tilesets on BS(m,n) from rational piecewise affine maps",
     )
@@ -313,14 +322,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
         return _COMMANDS[cfg.command](cfg)
-    except EnumerationTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
     except (BsDominoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

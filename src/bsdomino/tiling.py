@@ -18,8 +18,10 @@ encoded map.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import OrbitTooShort, OutsidePiece
 from .group import (
@@ -220,7 +222,7 @@ def row_bottom_reading(
 
 
 # ---------------------------------------------------------------------------
-# backtracking search
+# search: bitset domains kept arc consistent
 
 @dataclass(frozen=True)
 class Found:
@@ -241,34 +243,58 @@ class BudgetExceeded:
 SearchResult = Found | ExhaustedNoTiling | BudgetExceeded
 
 
-class _Indexes:
-    def __init__(self, tiles: tuple[Tile, ...]):
-        self.by_left: dict[Vec2, list[int]] = {}
-        self.by_right: dict[Vec2, list[int]] = {}
-        self.by_piece: dict[int, list[int]] = {}
-        self.by_top: dict[tuple[int, IntVec2], list[int]] = {}
-        self.by_bottom: dict[tuple[int, IntVec2], list[int]] = {}
-        for tid, tile in enumerate(tiles):
-            self.by_left.setdefault(tile.left, []).append(tid)
-            self.by_right.setdefault(tile.right, []).append(tid)
-            self.by_piece.setdefault(tile.piece, []).append(tid)
-            for pos, color in enumerate(tile.top, start=1):
-                self.by_top.setdefault((pos, color), []).append(tid)
-            for pos, color in enumerate(tile.bottom, start=1):
-                self.by_bottom.setdefault((pos, color), []).append(tid)
+def _color_key(v: Vec2) -> tuple[int, int, int, int]:
+    # integers hash much faster than Fractions
+    return (v.x1.numerator, v.x1.denominator, v.x2.numerator, v.x2.denominator)
 
 
-def _filter_for(con: Constraint, other_tile: Tile, cell_is_a: bool):
-    """(index name, key) pinning this cell's tile given the other side's."""
-    if con.kind == "H":
-        if cell_is_a:
-            return ("by_right", other_tile.left)
-        return ("by_left", other_tile.right)
-    if con.kind == "V":
-        if cell_is_a:
-            return ("by_top", (con.top_pos, other_tile.bottom[con.bottom_pos - 1]))
-        return ("by_bottom", (con.bottom_pos, other_tile.top[con.top_pos - 1]))
-    return ("by_piece", other_tile.piece)
+class _EdgeMasks:
+    """One bitset per edge key of a tileset; bit i stands for tile i.
+
+    Keys are the left color, the right color, the piece, and the top
+    and bottom colors, one dict per kind and position.
+    """
+
+    def __init__(self, params: BsParams, tiles: tuple[Tile, ...]):
+        groups = [{} for _ in range(3 + params.m + params.n)]
+        nbytes = (len(tiles) + 7) // 8
+        for i, tile in enumerate(tiles):
+            byte, bit = i >> 3, 1 << (i & 7)
+            keys = (
+                _color_key(tile.left),
+                _color_key(tile.right),
+                tile.piece,
+                *tile.top,
+                *tile.bottom,
+            )
+            for by_key, key in zip(groups, keys):
+                buf = by_key.get(key)
+                if buf is None:
+                    buf = by_key[key] = bytearray(nbytes)
+                buf[byte] |= bit
+        for by_key in groups:
+            for key, buf in by_key.items():
+                by_key[key] = int.from_bytes(buf, "little")
+        self.left, self.right, self.piece = groups[:3]
+        self.top = groups[3 : 3 + params.m]
+        self.bottom = groups[3 + params.m :]
+
+    def sides(self, con: Constraint) -> tuple[dict, dict]:
+        """The masks of the colors con compares, on cell a and on cell b."""
+        if con.kind == "H":
+            return self.right, self.left
+        if con.kind == "V":
+            return self.top[con.top_pos - 1], self.bottom[con.bottom_pos - 1]
+        return self.piece, self.piece
+
+
+def _pairs(x_side: dict, y_side: dict) -> tuple[tuple[int, int], ...]:
+    """(x mask, y mask) for every key both sides share: the tiles of a
+    cell x that some tile of a domain on the other side supports are
+    the union of the x masks whose y mask meets that domain."""
+    return tuple(
+        (x_mask, y_side[key]) for key, x_mask in x_side.items() if key in y_side
+    )
 
 
 def search_patch(
@@ -276,31 +302,28 @@ def search_patch(
 ) -> SearchResult:
     """Depth-first search for a constraint-satisfying tile assignment.
 
-    Cells are chosen most-constrained first (most assigned neighbors,
-    canonical order breaking ties), candidates come from hash indexes on
-    the pinned edge color, and each tentative assignment forward-checks
-    that every unassigned neighbor keeps at least one candidate.  A
-    Found result is re-validated against the full constraint list; an
-    ExhaustedNoTiling result means the search tree was explored
-    completely.
+    Each cell keeps a domain, the tile ids still possible there, as the
+    bits of an int.  Assigning a tile to a cell runs AC-3 (Mackworth
+    1977) over the H/V/I rules: a neighbor loses every tile that no
+    tile left in the cell's domain matches, each narrowed domain is
+    propagated in turn, and an emptied domain means backtrack.  The next
+    cell is the unassigned one with the smallest narrowed domain
+    (canonical order breaking ties; the first unassigned cell when no
+    domain has narrowed), and its tiles are tried in ascending id, one
+    node each, so the search is deterministic.  Propagation only drops
+    tiles that no tiling extending the current assignment can use, so an
+    ExhaustedNoTiling result is a complete refutation; a Found result is
+    re-validated against the full constraint list.
     """
     params = tileset.params
     cells = patch.cells
     if not cells:
         return Found(TilingAssignment(()), 0)
-    if not tileset.tiles:
+    tiles = tileset.tiles
+    if not tiles:
         return ExhaustedNoTiling(0)
 
     constraints = constraints_for(params, patch)
-    neighbors: dict[GroupElement, list[tuple[Constraint, bool]]] = {
-        g: [] for g in cells
-    }
-    for con in constraints:
-        # partners differ from the base: a and t have infinite order
-        neighbors[con.a].append((con, True))
-        neighbors[con.b].append((con, False))
-
-    tiles = tileset.tiles
 
     # box-level filter: when the top and bottom label boxes of all pieces
     # are disjoint, no V constraint is satisfiable by any pair of tiles,
@@ -324,105 +347,119 @@ def search_patch(
         if not top_box_colors & bottom_box_colors:
             return ExhaustedNoTiling(0)
 
-    idx = _Indexes(tiles)
+    masks = _EdgeMasks(params, tiles)
+    index = {g: i for i, g in enumerate(cells)}
+    # arcs[y]: (x, pairs) for every cell x to revise when domain[y] narrows
+    arcs: list[list[tuple[int, tuple]]] = [[] for _ in cells]
+    relations: dict[tuple, tuple] = {}
+    for con in constraints:
+        kind = (con.kind, con.top_pos, con.bottom_pos)
+        if kind not in relations:
+            a_side, b_side = masks.sides(con)
+            relations[kind] = (_pairs(a_side, b_side), _pairs(b_side, a_side))
+        to_a, to_b = relations[kind]
+        a, b = index[con.a], index[con.b]
+        arcs[b].append((a, to_a))
+        arcs[a].append((b, to_b))
 
-    order_index = {g: i for i, g in enumerate(cells)}
-    assigned: dict[GroupElement, int] = {}
+    ncells = len(cells)
+    domain = [(1 << len(tiles)) - 1] * ncells
+    size = [len(tiles)] * ncells
+    assigned = [False] * ncells
+    trail: list[tuple[int, int, int]] = []  # (cell, old domain, old size)
+    # (size, cell) entries, stale once the cell is assigned or resized;
+    # every unassigned cell always has a current entry
+    heap = [(len(tiles), i) for i in range(ncells)]
 
-    def candidate_ids(cell: GroupElement):
-        filters = []
-        for con, is_a in neighbors[cell]:
-            other = con.b if is_a else con.a
-            if other in assigned:
-                filters.append((con, is_a, tiles[assigned[other]]))
-        if not filters:
-            return range(len(tiles)), []
-        lists = []
-        for con, is_a, other_tile in filters:
-            name, key = _filter_for(con, other_tile, is_a)
-            lists.append(getattr(idx, name).get(key, []))
-        smallest = min(lists, key=len)
-        return smallest, filters
+    def narrow(x: int, dom: int) -> None:
+        trail.append((x, domain[x], size[x]))
+        domain[x] = dom
+        size[x] = dom.bit_count()
+        heappush(heap, (size[x], x))
 
-    def consistent(tid: int, filters) -> bool:
-        tile = tiles[tid]
-        for con, is_a, other_tile in filters:
-            ok = (
-                constraint_satisfied(con, tile, other_tile)
-                if is_a
-                else constraint_satisfied(con, other_tile, tile)
-            )
-            if not ok:
-                return False
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            x, dom, count = trail.pop()
+            domain[x] = dom
+            size[x] = count
+            heappush(heap, (count, x))
+
+    def propagate(start: int) -> bool:
+        """AC-3 from a newly assigned cell; False on an emptied domain.
+        Assigned cells are skipped: their neighbors were revised
+        against them when they were assigned."""
+        queue = deque([start])
+        queued = {start}
+        while queue:
+            y = queue.popleft()
+            queued.discard(y)
+            dom_y = domain[y]
+            for x, pairs in arcs[y]:
+                if assigned[x]:
+                    continue
+                support = 0
+                for x_mask, y_mask in pairs:
+                    if y_mask & dom_y:
+                        support |= x_mask
+                dom_x = domain[x]
+                revised = dom_x & support
+                if revised != dom_x:
+                    if not revised:
+                        return False
+                    narrow(x, revised)
+                    if x not in queued:
+                        queued.add(x)
+                        queue.append(x)
         return True
 
-    def has_candidate(cell: GroupElement) -> bool:
-        ids, filters = candidate_ids(cell)
-        for tid in ids:
-            if consistent(tid, filters):
-                return True
-        return False
-
-    def pick_cell() -> GroupElement:
-        best = None
-        best_key = None
-        for g in cells:
-            if g in assigned:
-                continue
-            count = sum(
-                1
-                for con, is_a in neighbors[g]
-                if (con.b if is_a else con.a) in assigned
-            )
-            key = (-count, order_index[g])
-            if best_key is None or key < best_key:
-                best, best_key = g, key
-        return best
+    def pick() -> int:
+        nonlocal heap
+        if len(heap) > 4 * ncells:  # drop stale entries, amortized O(1)
+            heap = [(size[x], x) for x in range(ncells) if not assigned[x]]
+            heapify(heap)
+        while True:
+            count, x = heappop(heap)
+            if count == size[x] and not assigned[x]:
+                return x
 
     nodes = 0
-    stack: list[tuple[GroupElement, object, list]] = []
-
-    def open_frame():
-        cell = pick_cell()
-        ids, filters = candidate_ids(cell)
-        stack.append((cell, iter(ids), filters))
-
-    open_frame()
-    while stack:
-        cell, ids_iter, filters = stack[-1]
-        advanced = False
-        for tid in ids_iter:
-            nodes += 1
-            if nodes > budget:
-                return BudgetExceeded(nodes)
-            if not consistent(tid, filters):
-                continue
-            assigned[cell] = tid
-            fail = False
-            for con, is_a in neighbors[cell]:
-                other = con.b if is_a else con.a
-                if other not in assigned and not has_candidate(other):
-                    fail = True
-                    break
-            if fail:
-                del assigned[cell]
-                continue
-            if len(assigned) == len(cells):
-                assignment = TilingAssignment(
-                    tuple((g, tiles[assigned[g]]) for g in cells)
+    first = pick()
+    frames = [[first, domain[first], 0]]  # [cell, untried tiles, trail mark]
+    while frames:
+        frame = frames[-1]
+        cell, untried, mark = frame
+        if not untried:
+            frames.pop()
+            heappush(heap, (size[cell], cell))
+            if frames:
+                parent, _, parent_mark = frames[-1]
+                undo(parent_mark)
+                assigned[parent] = False
+            continue
+        tile_bit = untried & -untried
+        frame[1] = untried ^ tile_bit
+        nodes += 1
+        if nodes > budget:
+            return BudgetExceeded(nodes)
+        assigned[cell] = True
+        if domain[cell] != tile_bit:
+            narrow(cell, tile_bit)
+        if not propagate(cell):
+            undo(mark)
+            assigned[cell] = False
+            continue
+        if len(frames) == ncells:
+            assignment = TilingAssignment(
+                tuple(
+                    (g, tiles[domain[i].bit_length() - 1])
+                    for i, g in enumerate(cells)
                 )
-                if check_assignment(params, patch, assignment):
-                    raise AssertionError("search produced an invalid assignment")
-                return Found(assignment, nodes)
-            open_frame()
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            if stack:
-                prev_cell = stack[-1][0]
-                if prev_cell in assigned:
-                    del assigned[prev_cell]
+            )
+            if check_assignment(params, patch, assignment):
+                raise AssertionError("search produced an invalid assignment")
+            return Found(assignment, nodes)
+        nxt = pick()
+        frames.append([nxt, domain[nxt], len(trail)])
     return ExhaustedNoTiling(nodes)
 
 

@@ -50,6 +50,14 @@ def test_bad_mn(capsys):
     assert main(["phi", "--mn", "2", "a"]) == 3
 
 
+def test_usage_errors_are_input_errors(capsys, identity_map):
+    # argparse's own exit code 2 would read as "budget exceeded"
+    assert main(["search"]) == 3
+    assert main(["search", identity_map, "--radius", "x"]) == 3
+    assert main([]) == 3
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_compile_verify_round_trip(tmp_path, capsys, identity_map):
     out = str(tmp_path / "identity.tiles")
     assert main(["compile", identity_map, "--out", out]) == 0

@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction
+from functools import lru_cache
+from random import Random
 
 import pytest
 
 from bsdomino import balrep
 from bsdomino.errors import OrbitTooShort
-from bsdomino.group import BsParams, IDENTITY_ELEMENT, element_from_text
+from bsdomino.group import BsParams, IDENTITY_ELEMENT, element_from_text, multiply
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, orbit
 from bsdomino.rationals import IDENTITY2, mat2, vec2
 from bsdomino.tileset import Tileset, edge_colors, enumerate_tileset
@@ -16,6 +19,7 @@ from bsdomino.tiling import (
     build_ball_patch,
     build_patch,
     check_assignment,
+    constraint_satisfied,
     constraints_for,
     export_dot,
     export_tiling_text,
@@ -232,3 +236,111 @@ def test_export_dot_and_tiling_text():
     lines = listing.strip().splitlines()
     assert len(lines) == len(patch.cells)
     assert all(" -> " in line for line in lines)
+
+
+@lru_cache(maxsize=None)
+def compiled(name):
+    if name == "identity-23":
+        return enumerate_tileset(P23, IDENTITY_MAP)
+    return enumerate_tileset(*rotation_setup())
+
+
+@pytest.mark.parametrize("radius", [5, 6])
+def test_search_rotation_finds_witnessed_balls(radius):
+    # an orbit witness tiles these balls; the node budget bounds the effort
+    ts = compiled("rotation-22")
+    patch = build_ball_patch(ts.params, radius)
+    result = search_patch(ts, patch, budget=100_000)
+    assert isinstance(result, Found)
+    assert not check_assignment(ts.params, patch, result.assignment)
+
+
+def test_search_identity_radius_8():
+    ts = compiled("identity-23")
+    patch = build_ball_patch(P23, 8)
+    result = search_patch(ts, patch, budget=100_000)
+    assert isinstance(result, Found)
+    assert not check_assignment(P23, patch, result.assignment)
+
+
+@lru_cache(maxsize=None)
+def edge_index(name):
+    """Tiles of a compiled tileset grouped by (edge, color)."""
+    index = {}
+    for tile in compiled(name).tiles:
+        keys = [("left", tile.left), ("right", tile.right), ("piece", tile.piece)]
+        keys += [("top", j, c) for j, c in enumerate(tile.top)]
+        keys += [("bottom", k, c) for k, c in enumerate(tile.bottom)]
+        for key in keys:
+            index.setdefault(key, []).append(tile)
+    return index
+
+
+def related_tiles(rng, name, count):
+    """Up to count tiles, each after the first matching an edge of an
+    earlier one, so that small patches are sometimes tileable."""
+    tiles = compiled(name).tiles
+    params = compiled(name).params
+    index = edge_index(name)
+    chosen = [rng.choice(tiles)]
+    while len(chosen) < count:
+        base = rng.choice(chosen)
+        j, k = rng.randrange(params.m), rng.randrange(params.n)
+        key = rng.choice(
+            [
+                ("left", base.right),
+                ("right", base.left),
+                ("piece", base.piece),
+                ("bottom", k, base.top[j]),
+                ("top", j, base.bottom[k]),
+            ]
+        )
+        chosen.append(rng.choice(index[key]))
+    return tuple(sorted(set(chosen)))
+
+
+def random_small_patch(rng, params):
+    """At most four cells, each added as an H, V or I partner of one
+    already in the patch (or the ball of radius 0 or 1)."""
+    if rng.random() < 0.25:
+        return build_ball_patch(params, rng.randrange(2))
+    steps = ["a" * params.m, "A" * params.m, "a", "A"]
+    for shift in range(1 - params.n, params.m):
+        up, down = ("a", "A") if shift > 0 else ("A", "a")
+        steps += [up * abs(shift) + "T", "t" + down * abs(shift)]
+    cells = [IDENTITY_ELEMENT]
+    for _ in range(rng.randrange(1, 4)):
+        cells.append(multiply(params, rng.choice(cells), rng.choice(steps)))
+    return build_patch(params, cells)
+
+
+def brute_force_tileable(params, patch, tiles) -> bool:
+    constraints = constraints_for(params, patch)
+    position = {g: i for i, g in enumerate(patch.cells)}
+    return any(
+        all(
+            constraint_satisfied(con, choice[position[con.a]], choice[position[con.b]])
+            for con in constraints
+        )
+        for choice in itertools.product(tiles, repeat=len(patch.cells))
+    )
+
+
+@pytest.mark.parametrize("name", ["identity-23", "rotation-22"])
+def test_search_agrees_with_brute_force(name):
+    full = compiled(name)
+    params = full.params
+    verdicts = set()
+    for seed in range(150):
+        rng = Random(seed)
+        tiles = related_tiles(rng, name, rng.randint(1, 6))
+        patch = random_small_patch(rng, params)
+        subset = Tileset(params, full.pam, full.piece_meta, tiles)
+        result = search_patch(subset, patch)
+        expected = brute_force_tileable(params, patch, tiles)
+        assert isinstance(result, Found if expected else ExhaustedNoTiling), seed
+        if expected:
+            assert not check_assignment(params, patch, result.assignment)
+            assert {tile for _, tile in result.assignment.pairs} <= set(tiles)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
