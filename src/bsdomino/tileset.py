@@ -29,6 +29,13 @@ right.  Interval arithmetic over the unit cube therefore gives finite
 bounds, and every value lies on the grid (1/q) Z^2 for the common
 denominator q = lcm(m, n * den(M), n * den(b)).  That is what makes the
 enumerated tileset finite.
+
+verify_tileset checks the transport equation in integers: multiplied
+through by d = lcm(m, n * den(M), den(b)), every coefficient of a piece
+is an integer, and only the error colors need a larger common
+denominator when they are off the lattice.  parse_tileset rejects a
+file whose headers disagree with its pieces (grid box, piece count,
+tile count).
 """
 
 from __future__ import annotations
@@ -105,10 +112,72 @@ def tile_residual(params: BsParams, piece: AffinePiece, tile: Tile) -> Vec2:
     return lhs - rhs
 
 
+class _Transport(NamedTuple):
+    """The transport equation of one piece multiplied through by d:
+
+        d (right - left) = (d M / n) sum(bottom) + d b - (d / m) sum(top)
+
+    with d = lcm(m, n * den(M), den(b)), so every coefficient is an
+    integer.  It depends on m, n, M and b only, never on a file header.
+    """
+
+    d: int
+    top_weight: int                         # d / m
+    matrix: tuple[int, int, int, int]       # d M / n, row-major
+    offset: IntVec2                         # d b
+
+
+def _transport(params: BsParams, piece: AffinePiece) -> _Transport:
+    m, n = params.m, params.n
+    b = piece.offset
+    entries = piece.matrix.entries()
+    den_m = lcm_all(e.denominator for e in entries)
+    d = lcm_all([m, n * den_m, b.x1.denominator, b.x2.denominator])
+    scale = Fraction(d, n)
+    k11, k12, k21, k22 = ((e * scale).numerator for e in entries)
+    return _Transport(
+        d, d // m, (k11, k12, k21, k22), ((b.x1 * d).numerator, (b.x2 * d).numerator)
+    )
+
+
+def _transport_holds(eq: _Transport, tile: Tile) -> bool:
+    """Exact transport check in integers, for any rational error colors.
+
+    Both sides are scaled by big = lcm(d, the four error-color
+    denominators); s = big / d is 1 when the colors lie on (1/d) Z^2.
+    """
+    bx = by = tx = ty = 0
+    for c1, c2 in tile.bottom:
+        bx += c1
+        by += c2
+    for c1, c2 in tile.top:
+        tx += c1
+        ty += c2
+    k11, k12, k21, k22 = eq.matrix
+    w = eq.top_weight
+    r1 = k11 * bx + k12 * by + eq.offset[0] - w * tx
+    r2 = k21 * bx + k22 * by + eq.offset[1] - w * ty
+    left, right = tile.left, tile.right
+    ln1, ld1 = left.x1.numerator, left.x1.denominator
+    ln2, ld2 = left.x2.numerator, left.x2.denominator
+    rn1, rd1 = right.x1.numerator, right.x1.denominator
+    rn2, rd2 = right.x2.numerator, right.x2.denominator
+    big = math.lcm(eq.d, ld1, ld2, rd1, rd2)
+    s = big // eq.d
+    return (
+        rn1 * (big // rd1) - ln1 * (big // ld1) == s * r1
+        and rn2 * (big // rd2) - ln2 * (big // ld2) == s * r2
+    )
+
+
 def verify_tile_computes(params: BsParams, piece: AffinePiece, tile: Tile) -> bool:
-    zero = Fraction(0)
-    res = tile_residual(params, piece, tile)
-    return res.x1 == zero and res.x2 == zero
+    """True when the tile has n bottom and m top colors and satisfies the
+    transport equation of the piece exactly."""
+    return (
+        len(tile.bottom) == params.n
+        and len(tile.top) == params.m
+        and _transport_holds(_transport(params, piece), tile)
+    )
 
 
 def floor_half_identity_check(z) -> bool:
@@ -197,12 +266,13 @@ class EllBounds:
     q: int
 
     def holds_for(self, v: Vec2) -> bool:
-        on_grid = (v.x1 * self.q).denominator == 1 and (v.x2 * self.q).denominator == 1
-        if not on_grid:
-            return False
+        q = self.q
+        d1, d2 = v.x1.denominator, v.x2.denominator
         return (
-            self.p1[0] <= v.x1 * self.q <= self.p2[0]
-            and self.p1[1] <= v.x2 * self.q <= self.p2[1]
+            q % d1 == 0
+            and q % d2 == 0
+            and self.p1[0] <= v.x1.numerator * (q // d1) <= self.p2[0]
+            and self.p1[1] <= v.x2.numerator * (q // d2) <= self.p2[1]
         )
 
 
@@ -429,6 +499,10 @@ def _parse_vec_pair(text: str) -> Vec2:
     return vec2(a, b)
 
 
+def _parse_colors(text: str) -> tuple[IntVec2, ...]:
+    return tuple(_parse_ivec(tok) for tok in text.split())
+
+
 def _header_fields(line: str) -> dict[str, str]:
     fields = {}
     for token in line.split()[1:]:
@@ -438,11 +512,54 @@ def _header_fields(line: str) -> dict[str, str]:
     return fields
 
 
+def _interned(memo: dict, part: str, label: str, parse):
+    """parse(part without its label), computed once per distinct part.
+
+    The labels are prefix-free and checked on every call, so a memo hit
+    always comes from a part with the same label.
+    """
+    if not part.startswith(label):
+        raise ValueError(f"expected {label!r} in {part!r}")
+    value = memo.get(part)
+    if value is None:
+        value = memo[part] = parse(part[len(label):])
+    return value
+
+
+def _parse_piece(
+    params: BsParams, fields: dict[str, str]
+) -> tuple[AffinePiece, EllBounds]:
+    """The piece of a header line, after checking its grid box against it."""
+    square = _parse_ivec(fields["square"])
+    rows = fields["M"][1:-1].split(";")
+    piece = AffinePiece(
+        UnitSquare(*square),
+        mat2([r.split(",") for r in rows]),
+        _parse_vec_pair(fields["b"][1:-1]),
+    )
+    ell = ell_bounds(params, piece)
+    declared = EllBounds(
+        _parse_ivec(fields["p1"]), _parse_ivec(fields["p2"]), int(fields["q"])
+    )
+    if declared != ell:
+        raise ParseError(
+            f"header has q={declared.q} p1={_fmt_ivec(declared.p1)}"
+            f" p2={_fmt_ivec(declared.p2)}, the piece gives q={ell.q}"
+            f" p1={_fmt_ivec(ell.p1)} p2={_fmt_ivec(ell.p2)}"
+        )
+    return piece, ell
+
+
 def parse_tileset(text: str) -> Tileset:
+    """Read an exported tileset, rejecting malformed lines and any header
+    that disagrees with its pieces: a grid box other than ell_bounds
+    gives, or a pieces=/tiles= count other than the lines that follow."""
     params = None
+    counts = None  # (line number, declared pieces, declared tiles)
     pieces: list[AffinePiece] = []
     metas: list[PieceMeta] = []
     tiles: list[Tile] = []
+    memo: dict[str, object] = {}  # tile line part -> its parsed value
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -452,51 +569,41 @@ def parse_tileset(text: str) -> Tileset:
                 fields = _header_fields(line)
                 if "m" in fields and "n" in fields:
                     params = BsParams(int(fields["m"]), int(fields["n"]))
+                    counts = (lineno, int(fields["pieces"]), int(fields["tiles"]))
                 if line.startswith("# piece "):
                     idx = int(line.split()[2])
-                    square = _parse_ivec(fields["square"])
-                    rows = fields["M"][1:-1].split(";")
-                    matrix = mat2([r.split(",") for r in rows])
-                    offset = _parse_vec_pair(fields["b"][1:-1])
-                    piece = AffinePiece(UnitSquare(*square), matrix, offset)
                     if idx != len(pieces):
                         raise ParseError(f"piece {idx} out of order")
-                    pieces.append(piece)
                     if params is None:
                         raise ParseError("piece header before m/n header")
+                    piece, ell = _parse_piece(params, fields)
+                    pieces.append(piece)
                     metas.append(
                         PieceMeta(
-                            idx,
-                            bottom_label_box(piece),
-                            top_label_box(piece),
-                            EllBounds(
-                                _parse_ivec(fields["p1"]),
-                                _parse_ivec(fields["p2"]),
-                                int(fields["q"]),
-                            ),
+                            idx, bottom_label_box(piece), top_label_box(piece), ell
                         )
                     )
                 continue
             head, bottom_part, top_part, l_part, r_part = line.split(" | ")
-            bottom = tuple(
-                _parse_ivec(tok) for tok in bottom_part.removeprefix("bottom: ").split()
-            )
-            top = tuple(
-                _parse_ivec(tok) for tok in top_part.removeprefix("top: ").split()
-            )
             tiles.append(
                 Tile(
                     int(head),
-                    bottom,
-                    top,
-                    _parse_vec_pair(l_part.removeprefix("l: ")),
-                    _parse_vec_pair(r_part.removeprefix("r: ")),
+                    _interned(memo, bottom_part, "bottom: ", _parse_colors),
+                    _interned(memo, top_part, "top: ", _parse_colors),
+                    _interned(memo, l_part, "l: ", _parse_vec_pair),
+                    _interned(memo, r_part, "r: ", _parse_vec_pair),
                 )
             )
-        except (ValueError, KeyError, IndexError) as exc:
+        except (ValueError, KeyError, IndexError, ParseError) as exc:
             raise ParseError(f"tileset line {lineno}: {exc}") from None
     if params is None or not pieces:
         raise ParseError("tileset file lacks m/n or piece headers")
+    lineno, n_pieces, n_tiles = counts
+    if (n_pieces, n_tiles) != (len(pieces), len(tiles)):
+        raise ParseError(
+            f"tileset line {lineno}: header says pieces={n_pieces} tiles={n_tiles},"
+            f" the file has {len(pieces)} pieces and {len(tiles)} tiles"
+        )
     return Tileset(
         params, PiecewiseAffineMap(tuple(pieces)), tuple(metas), tuple(tiles)
     )
@@ -509,38 +616,49 @@ class TileFault:
     reason: str
 
 
+def _in_box(colors: tuple[IntVec2, ...], box: tuple[IntVec2, IntVec2]) -> bool:
+    (lo1, lo2), (hi1, hi2) = box
+    for c1, c2 in colors:
+        if not (lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2):
+            return False
+    return True
+
+
+def _tile_order(tile: Tile):
+    """The order of the tiles themselves, flattened so that sorting skips
+    Vec2's Python-level comparisons."""
+    left, right = tile.left, tile.right
+    return (tile.piece, tile.bottom, tile.top, left.x1, left.x2, right.x1, right.x2)
+
+
 def verify_tileset(ts: Tileset) -> list[TileFault]:
     """Recheck every tile: transport equation, label boxes, grid boxes.
 
+    The transport equation is checked in integers over each piece's
+    denominator d (see _Transport), exactly for any rational colors.
     Line numbers refer to the canonical export layout (header lines
     first, tiles in sorted order).
     """
     faults = []
+    m, n = ts.params.m, ts.params.n
+    equations = [_transport(ts.params, piece) for piece in ts.pam.pieces]
     header_lines = 2 + len(ts.pam.pieces)
-    for offset, tile in enumerate(sorted(ts.tiles)):
+    for offset, tile in enumerate(sorted(ts.tiles, key=_tile_order)):
         lineno = header_lines + offset + 1
-        if not 0 <= tile.piece < len(ts.pam.pieces):
+        if not 0 <= tile.piece < len(equations):
             faults.append(TileFault(lineno, tile, f"unknown piece {tile.piece}"))
             continue
-        piece = ts.pam.pieces[tile.piece]
         meta = ts.piece_meta[tile.piece]
-        if len(tile.bottom) != ts.params.n or len(tile.top) != ts.params.m:
+        if len(tile.bottom) != n or len(tile.top) != m:
             faults.append(TileFault(lineno, tile, "wrong number of edge colors"))
             continue
-        if not verify_tile_computes(ts.params, piece, tile):
+        if not _transport_holds(equations[tile.piece], tile):
             faults.append(TileFault(lineno, tile, "transport equation violated"))
             continue
-        (blo, bhi) = meta.bottom_box
-        if not all(
-            blo[0] <= c[0] <= bhi[0] and blo[1] <= c[1] <= bhi[1]
-            for c in tile.bottom
-        ):
+        if not _in_box(tile.bottom, meta.bottom_box):
             faults.append(TileFault(lineno, tile, "bottom color outside box"))
             continue
-        (tlo, thi) = meta.top_box
-        if not all(
-            tlo[0] <= c[0] <= thi[0] and tlo[1] <= c[1] <= thi[1] for c in tile.top
-        ):
+        if not _in_box(tile.top, meta.top_box):
             faults.append(TileFault(lineno, tile, "top color outside box"))
             continue
         if not meta.ell.holds_for(tile.left):

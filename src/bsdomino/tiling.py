@@ -134,9 +134,15 @@ def check_assignment(
     params: BsParams, patch: Patch, assignment: TilingAssignment
 ) -> list[Constraint]:
     """Constraints the assignment violates (empty list means valid)."""
+    return _violations(constraints_for(params, patch), assignment)
+
+
+def _violations(
+    constraints: tuple[Constraint, ...], assignment: TilingAssignment
+) -> list[Constraint]:
     tiles = assignment.as_dict()
     bad = []
-    for con in constraints_for(params, patch):
+    for con in constraints:
         if not constraint_satisfied(con, tiles[con.a], tiles[con.b]):
             bad.append(con)
     return bad
@@ -455,7 +461,7 @@ def search_patch(
                     for i, g in enumerate(cells)
                 )
             )
-            if check_assignment(params, patch, assignment):
+            if _violations(constraints, assignment):
                 raise AssertionError("search produced an invalid assignment")
             return Found(assignment, nodes)
         nxt = pick()

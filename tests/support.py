@@ -6,6 +6,7 @@ from random import Random
 from bsdomino.group import ALPHABET, BsParams
 from bsdomino.pam import AffinePiece, UnitSquare
 from bsdomino.rationals import Mat2, Vec2
+from bsdomino.tileset import EllBounds, TileFault, Tileset, tile_residual
 
 
 def random_word(rng: Random, max_len: int = 24) -> tuple[str, ...]:
@@ -53,3 +54,49 @@ def random_point_in(rng: Random, square: UnitSquare, max_den: int = 16) -> Vec2:
         square.c1 + Fraction(rng.randint(0, den1 - 1), den1),
         square.c2 + Fraction(rng.randint(0, den2 - 1), den2),
     )
+
+
+def _on_grid_box(ell: EllBounds, v: Vec2) -> bool:
+    scaled = (v.x1 * ell.q, v.x2 * ell.q)
+    if any(c.denominator != 1 for c in scaled):
+        return False
+    return all(ell.p1[i] <= scaled[i] <= ell.p2[i] for i in range(2))
+
+
+def reference_verify(ts: Tileset) -> list[TileFault]:
+    """verify_tileset written directly in Fractions: the exact residual
+    of the transport equation and the grid box as multiples of 1/q."""
+    faults = []
+    header_lines = 2 + len(ts.pam.pieces)
+    zero = Vec2(Fraction(0), Fraction(0))
+    for offset, tile in enumerate(sorted(ts.tiles)):
+        lineno = header_lines + offset + 1
+        if not 0 <= tile.piece < len(ts.pam.pieces):
+            faults.append(TileFault(lineno, tile, f"unknown piece {tile.piece}"))
+            continue
+        piece = ts.pam.pieces[tile.piece]
+        meta = ts.piece_meta[tile.piece]
+        if len(tile.bottom) != ts.params.n or len(tile.top) != ts.params.m:
+            reason = "wrong number of edge colors"
+        elif tile_residual(ts.params, piece, tile) != zero:
+            reason = "transport equation violated"
+        elif not all(
+            meta.bottom_box[0][i] <= c[i] <= meta.bottom_box[1][i]
+            for c in tile.bottom
+            for i in range(2)
+        ):
+            reason = "bottom color outside box"
+        elif not all(
+            meta.top_box[0][i] <= c[i] <= meta.top_box[1][i]
+            for c in tile.top
+            for i in range(2)
+        ):
+            reason = "top color outside box"
+        elif not _on_grid_box(meta.ell, tile.left):
+            reason = "left color off the grid box"
+        elif not _on_grid_box(meta.ell, tile.right):
+            reason = "right color off the grid box"
+        else:
+            continue
+        faults.append(TileFault(lineno, tile, reason))
+    return faults

@@ -92,6 +92,49 @@ def test_verify_names_corrupted_tile(tmp_path, capsys, identity_map):
     assert "999/1" in output
 
 
+def _set_q_zero(lines):
+    lines[2] = lines[2].replace(" q=6 ", " q=0 ")
+
+
+def _widen_grid_box(lines):
+    head, _, _ = lines[2].partition(" p1=")
+    lines[2] = head + " p1=(-999,-999) p2=(999,999)"
+
+
+def _delete_tile(lines):
+    del lines[100]
+
+
+def _duplicate_tile(lines):
+    lines.insert(100, lines[100])
+
+
+@pytest.fixture(scope="module")
+def identity_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiles") / "identity.map"
+    path.write_text(json.dumps(IDENTITY_SPEC))
+    out = str(path.with_suffix(".tiles"))
+    assert main(["compile", str(path), "--out", out]) == 0
+    with open(out) as handle:
+        return handle.read().splitlines()
+
+
+@pytest.mark.parametrize(
+    "probe", [_set_q_zero, _widen_grid_box, _delete_tile, _duplicate_tile]
+)
+def test_verify_rejects_inconsistent_header(tmp_path, capsys, identity_lines, probe):
+    lines = list(identity_lines)
+    probe(lines)
+    broken = str(tmp_path / "broken.tiles")
+    with open(broken, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", broken]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tileset line" in captured.err
+
+
 def test_search_exit_codes(tmp_path, capsys, identity_map, escape_map):
     assert main(["search", identity_map, "--radius", "2"]) == 0
     assert "result=found" in capsys.readouterr().out

@@ -2,13 +2,16 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bsdomino.balrep import b_k
-from bsdomino.errors import EnumerationTooLarge, OutsidePiece
+from bsdomino.errors import EnumerationTooLarge, OutsidePiece, ParseError
 from bsdomino.group import BsParams
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare
-from bsdomino.rationals import IDENTITY2, Vec2, vec2
+from bsdomino.rationals import IDENTITY2, Vec2, mat2, vec2
 from bsdomino.tileset import (
+    Tileset,
     affine_scaled_difference_check,
     bottom_label_box,
     edge_colors,
@@ -23,13 +26,22 @@ from bsdomino.tileset import (
     verify_tile_computes,
     verify_tileset,
 )
-from support import random_piece, random_point_in, random_rational
+from support import random_piece, random_point_in, random_rational, reference_verify
 
 P23 = BsParams(2, 3)
 IDENTITY_PIECE = AffinePiece(UnitSquare(0, 0), IDENTITY2, vec2(0, 0))
 IDENTITY_MAP = PiecewiseAffineMap((IDENTITY_PIECE,))
 
 PARAM_GRID = [BsParams(1, 2), BsParams(2, 3), BsParams(3, 2), BsParams(2, 2)]
+
+# perfbench/maps/half2-23.map: two pieces with denominator-2 entries
+HALF = mat2([["1/2", "0"], ["0", "1/2"]])
+HALF2_MAP = PiecewiseAffineMap(
+    (
+        AffinePiece(UnitSquare(0, 0), HALF, vec2("1/2", "1/2")),
+        AffinePiece(UnitSquare(1, 0), HALF, vec2("-1/2", "1/2")),
+    )
+)
 
 
 def test_worked_tile():
@@ -225,6 +237,26 @@ def test_export_round_trip():
     assert export_tileset(again) == text
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (" | r: ", " | r: 1/0,"),        # bad rational
+        (" | l: ", " | x: "),            # unknown label
+        ("bottom: ", "top: "),           # labels out of place
+        (" | r: ", " | l: "),
+        (" | top: ", " top: "),          # a missing separator
+    ],
+)
+def test_parse_names_malformed_line(old, new):
+    lines = export_tileset(enumerate_tileset(BsParams(1, 2), IDENTITY_MAP)).splitlines()
+    # the victim repeats the parts of the line before it, so those parts
+    # are already interned when the victim is read
+    victim = len(lines) - 1
+    lines[victim] = lines[victim - 1].replace(old, new, 1)
+    with pytest.raises(ParseError, match=f"tileset line {victim + 1}:"):
+        parse_tileset("\n".join(lines) + "\n")
+
+
 def test_residual_stage_chain():
     rng = Random(49)
     zero = Vec2(Fraction(0), Fraction(0))
@@ -246,3 +278,73 @@ def test_affine_scaled_difference_lemma():
         y = Vec2(random_rational(rng), random_rational(rng))
         z = Vec2(random_rational(rng), random_rational(rng))
         assert affine_scaled_difference_check(piece, c, y, z)
+
+
+@pytest.fixture(scope="module")
+def lattice_tilesets():
+    return [enumerate_tileset(P23, IDENTITY_MAP), enumerate_tileset(P23, HALF2_MAP)]
+
+
+LATTICE_D = 6  # lcm(m, n den(M), den(b)) of every piece of both maps
+
+
+def _rational(draw) -> Fraction:
+    return Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 48)))
+
+
+def _off_lattice(draw) -> Fraction:
+    value = _rational(draw)
+    assume(LATTICE_D % value.denominator != 0)
+    return value
+
+
+def _perturb(draw, ts: Tileset, tile):
+    """The tile broken in one drawn way that makes it invalid."""
+    kind = draw(st.sampled_from(["both sides", "right side", "bottom", "top"]))
+    if kind == "both sides":
+        # right - left keeps its value: only the grid check can fail
+        second = _off_lattice(draw) if draw(st.booleans()) else Fraction(0)
+        shift = Vec2(_off_lattice(draw), second)
+        return tile._replace(left=tile.left + shift, right=tile.right + shift)
+    if kind == "right side":
+        shift = Vec2(_rational(draw), _rational(draw))
+        assume(shift.max_abs() != 0)
+        return tile._replace(right=tile.right + shift)
+    meta = ts.piece_meta[tile.piece]
+    (lo, hi) = meta.bottom_box if kind == "bottom" else meta.top_box
+    colors = list(getattr(tile, kind))
+    k = draw(st.integers(0, len(colors) - 1))
+    axis = draw(st.integers(0, 1))
+    step = draw(st.integers(1, 3))
+    moved = list(colors[k])
+    moved[axis] = draw(st.sampled_from([hi[axis] + step, lo[axis] - step]))
+    delta = Vec2(Fraction(moved[0] - colors[k][0]), Fraction(moved[1] - colors[k][1]))
+    colors[k] = tuple(moved)
+    tile = tile._replace(**{kind: tuple(colors)})
+    if draw(st.booleans()):
+        # keep the transport equation so that the box check is what fails
+        if kind == "bottom":
+            piece = ts.pam.pieces[tile.piece]
+            fix = piece.matrix.apply(delta).scale(Fraction(1, ts.params.n))
+        else:
+            fix = -delta.scale(Fraction(1, ts.params.m))
+        tile = tile._replace(right=tile.right + fix)
+    return tile
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_matches_fraction_oracle(lattice_tilesets, data):
+    ts = lattice_tilesets[data.draw(st.integers(0, len(lattice_tilesets) - 1))]
+    picks = data.draw(
+        st.lists(st.integers(0, len(ts.tiles) - 1), min_size=1, max_size=12)
+    )
+    broken = [
+        _perturb(data.draw, ts, ts.tiles[i])
+        for i in data.draw(st.lists(st.sampled_from(picks), min_size=1, max_size=4))
+    ]
+    tiles = tuple(ts.tiles[i] for i in picks) + tuple(broken)
+    sub = Tileset(ts.params, ts.pam, ts.piece_meta, tiles)
+    faults = verify_tileset(sub)
+    assert faults == reference_verify(sub)
+    assert {fault.tile for fault in faults} == set(broken)
