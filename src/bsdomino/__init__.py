@@ -16,7 +16,6 @@ from .group import (
     alpha,
     beta,
     britton_reduce,
-    compose_alpha_check,
     contribution,
     element_from_text,
     inverse,
@@ -51,7 +50,6 @@ from .tileset import (
     ell_bounds,
     enumerate_tileset,
     export_tileset,
-    floor_half_identity_check,
     parse_tileset,
     verify_tile_computes,
     verify_tileset,

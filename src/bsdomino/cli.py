@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import BsDominoError, ParseError
 from .group import BsParams, element_from_text, lambda_val, parse_word, phi
@@ -45,44 +44,39 @@ from . import balrep
 OK, FAIL, BUDGET, BAD_INPUT = 0, 1, 2, 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    map_path: str | None = None
-    word: str | None = None
-    tileset_path: str | None = None
-    mn: tuple[int, int] | None = None
-    radius: int = 2
-    horizon: int = 100
-    budget: int = 1_000_000
-    seed: int = 0
-    out: str | None = None
-    point: str | None = None
-    piece: int | None = None
-    g0: str = ""
-    k_range: tuple[int, int] = (-5, 5)
-    dot: str | None = None
-    out_tiling: str | None = None
+def _int_pair(text: str, form: str) -> tuple[int, int]:
+    try:
+        first, second = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects '{form}', got {text!r}") from None
+    return first, second
 
 
 def _parse_mn(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"--mn expects 'm,n', got {text!r}")
-    m, n = int(parts[0]), int(parts[1])
+    m, n = _int_pair(text, "m,n")
     if m < 1 or n < 1:
-        raise ParseError(f"--mn needs positive integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"needs positive integers, got {text!r}")
     return m, n
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"--range expects 'lo,hi', got {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
+    lo, hi = _int_pair(text, "lo,hi")
     if lo > hi:
-        raise ParseError(f"--range lower bound above upper bound: {text!r}")
+        raise argparse.ArgumentTypeError(f"lower bound above upper bound: {text!r}")
     return lo, hi
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,101 +96,74 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phi", help="print the plane embedding of a word")
+    p.set_defaults(run=cmd_phi)
     p.add_argument("word")
-    p.add_argument("--mn", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mn", type=_parse_mn, required=True)
 
     p = sub.add_parser("compile", help="enumerate the tileset of a map spec")
+    p.set_defaults(run=cmd_compile)
     p.add_argument("map")
-    p.add_argument("--mn")
+    p.add_argument("--mn", type=_parse_mn)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", help="recheck an exported tileset file")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("tileset")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("orbit", help="iterate a map spec from a point")
+    p.set_defaults(run=cmd_orbit)
     p.add_argument("map")
-    p.add_argument("--mn")
+    p.add_argument("--mn", type=_parse_mn)
     p.add_argument("--point", required=True)
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--horizon", type=_int_at_least(0), default=100)
 
     p = sub.add_parser("simulate-row", help="row of tiles along a coset of a")
+    p.set_defaults(run=cmd_simulate_row)
     p.add_argument("map")
-    p.add_argument("--mn")
+    p.add_argument("--mn", type=_parse_mn)
     p.add_argument("--point", required=True)
     p.add_argument("--piece", type=int)
     p.add_argument("--g0", default="")
-    p.add_argument("--range", dest="k_range", default="-5,5")
+    p.add_argument("--range", dest="k_range", type=_parse_range, default=(-5, 5))
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("search", help="tile a ball patch with the compiled tileset")
+    p.set_defaults(run=cmd_search)
     p.add_argument("map")
-    p.add_argument("--mn")
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--mn", type=_parse_mn)
+    p.add_argument("--radius", type=_int_at_least(0), default=2)
+    p.add_argument("--budget", type=_int_at_least(1), default=1_000_000)
     p.add_argument("--dot")
     p.add_argument("--out-tiling", dest="out_tiling")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("export-dot", help="DOT graph of a ball patch")
+    p.set_defaults(run=cmd_export_dot)
     p.add_argument("map")
-    p.add_argument("--mn")
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--mn", type=_parse_mn)
+    p.add_argument("--radius", type=_int_at_least(0), default=2)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, seed=getattr(args, "seed", 0))
-    cfg.map_path = getattr(args, "map", None)
-    cfg.word = getattr(args, "word", None)
-    cfg.tileset_path = getattr(args, "tileset", None)
-    if getattr(args, "mn", None):
-        cfg.mn = _parse_mn(args.mn)
-    cfg.radius = getattr(args, "radius", 2)
-    cfg.horizon = getattr(args, "horizon", 100)
-    cfg.budget = getattr(args, "budget", 1_000_000)
-    cfg.out = getattr(args, "out", None)
-    cfg.point = getattr(args, "point", None)
-    cfg.piece = getattr(args, "piece", None)
-    cfg.g0 = getattr(args, "g0", "")
-    if getattr(args, "k_range", None):
-        cfg.k_range = _parse_range(args.k_range)
-    cfg.dot = getattr(args, "dot", None)
-    cfg.out_tiling = getattr(args, "out_tiling", None)
-    if cfg.radius < 0:
-        raise ParseError("--radius must be nonnegative")
-    if cfg.horizon < 0:
-        raise ParseError("--horizon must be nonnegative")
-    if cfg.budget < 1:
-        raise ParseError("--budget must be positive")
-    return cfg
-
-
-def _load(cfg: RunConfig):
-    params, pam = load_map(cfg.map_path)
-    if cfg.mn is not None:
-        params = BsParams(*cfg.mn)
+def _load(args: argparse.Namespace):
+    params, pam = load_map(args.map)
+    if args.mn is not None:
+        params = BsParams(*args.mn)
     return params, pam
 
 
-def cmd_phi(cfg: RunConfig) -> int:
-    params = BsParams(*cfg.mn)
-    a_val, b_val = phi(params, parse_word(cfg.word))
+def cmd_phi(args: argparse.Namespace) -> int:
+    params = BsParams(*args.mn)
+    a_val, b_val = phi(params, parse_word(args.word))
     print(f"({fmt_rat(a_val)}, {b_val})")
     return OK
 
 
-def cmd_compile(cfg: RunConfig) -> int:
-    params, pam = _load(cfg)
+def cmd_compile(args: argparse.Namespace) -> int:
+    params, pam = _load(args)
     ts = enumerate_tileset(params, pam)
-    out = cfg.out or (os.path.splitext(cfg.map_path)[0] + ".tiles")
+    out = args.out or (os.path.splitext(args.map)[0] + ".tiles")
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(export_tileset(ts))
     print(
@@ -206,8 +173,8 @@ def cmd_compile(cfg: RunConfig) -> int:
     return OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    with open(cfg.tileset_path, "r", encoding="utf-8") as handle:
+def cmd_verify(args: argparse.Namespace) -> int:
+    with open(args.tileset, "r", encoding="utf-8") as handle:
         ts = parse_tileset(handle.read())
     faults = verify_tileset(ts)
     if not faults:
@@ -219,9 +186,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return FAIL
 
 
-def cmd_orbit(cfg: RunConfig) -> int:
-    params, pam = _load(cfg)
-    report = orbit(pam, parse_point(cfg.point), cfg.horizon)
+def cmd_orbit(args: argparse.Namespace) -> int:
+    params, pam = _load(args)
+    report = orbit(pam, parse_point(args.point), args.horizon)
     outcome = report.outcome
     if isinstance(outcome, EscapedAfter):
         print(f"outcome=escaped after={outcome.steps} states={len(report.states)}")
@@ -236,17 +203,17 @@ def cmd_orbit(cfg: RunConfig) -> int:
     return OK
 
 
-def cmd_simulate_row(cfg: RunConfig) -> int:
-    params, pam = _load(cfg)
-    x = parse_point(cfg.point)
-    piece_index = cfg.piece
+def cmd_simulate_row(args: argparse.Namespace) -> int:
+    params, pam = _load(args)
+    x = parse_point(args.point)
+    piece_index = args.piece
     if piece_index is None:
         piece_index = locate_piece(pam, x)
         if piece_index is None:
-            raise ParseError(f"point {cfg.point} is outside the domain")
-    g0 = element_from_text(params, cfg.g0)
-    tiles = simulate_row(params, pam, piece_index, x, g0, cfg.k_range)
-    k_lo, _ = cfg.k_range
+            raise ParseError(f"point {args.point} is outside the domain")
+    g0 = element_from_text(params, args.g0)
+    tiles = simulate_row(params, pam, piece_index, x, g0, args.k_range)
+    k_lo, _ = args.k_range
 
     lam0 = lambda_val(params, g0)
     fx = pam.pieces[piece_index].apply(x)
@@ -263,28 +230,28 @@ def cmd_simulate_row(cfg: RunConfig) -> int:
         f"tiles={len(tiles)} piece={piece_index}"
         f" bottom_ok={str(bottom_ok).lower()} top_ok={str(top_ok).lower()}"
     )
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             for tile in tiles:
                 handle.write(tile_to_line(tile) + "\n")
     return OK if (bottom_ok and top_ok) else FAIL
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    params, pam = _load(cfg)
+def cmd_search(args: argparse.Namespace) -> int:
+    params, pam = _load(args)
     ts = enumerate_tileset(params, pam)
-    patch = build_ball_patch(params, cfg.radius)
-    result = search_patch(ts, patch, budget=cfg.budget)
+    patch = build_ball_patch(params, args.radius)
+    result = search_patch(ts, patch, budget=args.budget)
     if isinstance(result, Found):
         print(
             f"result=found cells={len(patch.cells)} tiles={len(ts.tiles)}"
             f" nodes={result.nodes}"
         )
-        if cfg.dot:
-            with open(cfg.dot, "w", encoding="utf-8") as handle:
+        if args.dot:
+            with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(export_dot(params, patch, result.assignment, ts))
-        if cfg.out_tiling:
-            with open(cfg.out_tiling, "w", encoding="utf-8") as handle:
+        if args.out_tiling:
+            with open(args.out_tiling, "w", encoding="utf-8") as handle:
                 handle.write(export_tiling_text(result.assignment, ts))
         return OK
     if isinstance(result, ExhaustedNoTiling):
@@ -297,34 +264,23 @@ def cmd_search(cfg: RunConfig) -> int:
     return BUDGET
 
 
-def cmd_export_dot(cfg: RunConfig) -> int:
-    params, _ = _load(cfg)
-    patch = build_ball_patch(params, cfg.radius)
+def cmd_export_dot(args: argparse.Namespace) -> int:
+    params, _ = _load(args)
+    patch = build_ball_patch(params, args.radius)
     text = export_dot(params, patch)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(f"cells={len(patch.cells)} out={cfg.out}")
+        print(f"cells={len(patch.cells)} out={args.out}")
     else:
         print(text, end="")
     return OK
 
 
-_COMMANDS = {
-    "phi": cmd_phi,
-    "compile": cmd_compile,
-    "verify": cmd_verify,
-    "orbit": cmd_orbit,
-    "simulate-row": cmd_simulate_row,
-    "search": cmd_search,
-    "export-dot": cmd_export_dot,
-}
-
-
 def main(argv=None) -> int:
     try:
-        cfg = config_from_args(build_parser().parse_args(argv))
-        return _COMMANDS[cfg.command](cfg)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (BsDominoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

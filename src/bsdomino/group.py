@@ -55,10 +55,6 @@ class BsParams:
         return Fraction(self.m, self.n)
 
 
-def inverse_letter(x: str) -> str:
-    return _INVERSE[x]
-
-
 def parse_word(text: str) -> GroupWord:
     """Parse the compact word syntax into a tuple of letters."""
     letters: list[str] = []
@@ -168,14 +164,6 @@ def phi(params: BsParams, w) -> tuple[Fraction, int]:
 
 def alpha(params: BsParams, w) -> Fraction:
     return phi(params, w)[0]
-
-
-def compose_alpha_check(params: BsParams, u, v) -> bool:
-    """alpha(u v) == alpha(u) + (m/n)^(-beta(u)) alpha(v), exactly."""
-    u, v = coerce_word(u), coerce_word(v)
-    lhs = alpha(params, u + v)
-    rhs = alpha(params, u) + params.ratio ** (-beta(u)) * alpha(params, v)
-    return lhs == rhs
 
 
 def lambda_val(params: BsParams, w) -> Fraction:

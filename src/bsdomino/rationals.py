@@ -67,9 +67,6 @@ class Vec2:
         return f"({fmt_rat(self.x1)}, {fmt_rat(self.x2)})"
 
 
-ZERO2 = Vec2(Fraction(0), Fraction(0))
-
-
 def vec2(a, b) -> Vec2:
     return Vec2(as_rat(a), as_rat(b))
 

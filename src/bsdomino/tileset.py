@@ -35,7 +35,7 @@ through by d = lcm(m, n * den(M), den(b)), every coefficient of a piece
 is an integer, and only the error colors need a larger common
 denominator when they are off the lattice.  parse_tileset rejects a
 file whose headers disagree with its pieces (grid box, piece count,
-tile count).
+tile count) or whose tile lines are not strictly sorted.
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ class Tile(NamedTuple):
     top: tuple[IntVec2, ...]     # m colors
     left: Vec2
     right: Vec2
+
+
+def _tile_order(tile: Tile):
+    """The canonical order of tile lines: the order of the tiles themselves,
+    flattened so that comparing skips Vec2's Python-level comparisons."""
+    left, right = tile.left, tile.right
+    return (tile.piece, tile.bottom, tile.top, left.x1, left.x2, right.x1, right.x2)
 
 
 def _avg(colors: tuple[IntVec2, ...]) -> Vec2:
@@ -178,80 +185,6 @@ def verify_tile_computes(params: BsParams, piece: AffinePiece, tile: Tile) -> bo
         and len(tile.top) == params.m
         and _transport_holds(_transport(params, piece), tile)
     )
-
-
-def floor_half_identity_check(z) -> bool:
-    """floor(z + 1/2) - floor(z - 1/2) == 1; holds for every rational z."""
-    z = as_rat(z)
-    half = Fraction(1, 2)
-    return math.floor(z + half) - math.floor(z - half) == 1
-
-
-def affine_scaled_difference_check(piece: AffinePiece, c, y: Vec2, z: Vec2) -> bool:
-    """f(c y - c z) == c f(y) - c f(z) + b, the lemma behind the residual chain."""
-    c = as_rat(c)
-    lhs = piece.apply(y.scale(c) - z.scale(c))
-    rhs = piece.apply(y).scale(c) - piece.apply(z).scale(c) + piece.offset
-    return lhs == rhs
-
-
-def residual_stages(params: BsParams, piece: AffinePiece, lam, x: Vec2):
-    """The transport residual and its successive simplifications.
-
-    Stage 0 evaluates the tile equation directly; stages 1-3 are the
-    telescoped, cancelled, and affine-expanded forms; stage 4 is
-    floor(lam + 1/2) b - b - floor(lam - 1/2) b.  All five agree exactly
-    and vanish, which is the regression this function exists for.
-    """
-    lam = as_rat(lam)
-    m, n = params.m, params.n
-    half = Fraction(1, 2)
-    fx = piece.apply(x)
-    f = piece.apply
-    b = piece.offset
-
-    lo_x = ivec_to_vec2(x.scale(n * lam).floor())          # floor(n lam x)
-    hi_x = ivec_to_vec2(x.scale(n * lam + n).floor())      # floor((n lam + n) x)
-    lo_f = ivec_to_vec2(fx.scale(m * lam).floor())         # floor(m lam f(x))
-    hi_f = ivec_to_vec2(fx.scale(m * lam + m).floor())     # floor((m lam + m) f(x))
-    wl = math.floor(lam - half)
-    wr = math.floor(lam + half)
-
-    tile = edge_colors(params, piece, lam, x)
-    s0 = tile_residual(params, piece, tile)
-
-    s1 = (
-        hi_f.scale(Fraction(1, m))
-        - lo_f.scale(Fraction(1, m))
-        + f(hi_x).scale(Fraction(1, n))
-        - hi_f.scale(Fraction(1, m))
-        + b.scale(wr)
-        - f(hi_x.scale(Fraction(1, n)) - lo_x.scale(Fraction(1, n)))
-        - f(lo_x).scale(Fraction(1, n))
-        + lo_f.scale(Fraction(1, m))
-        - b.scale(wl)
-    )
-
-    s2 = (
-        f(hi_x).scale(Fraction(1, n))
-        + b.scale(wr)
-        - f(hi_x.scale(Fraction(1, n)) - lo_x.scale(Fraction(1, n)))
-        - f(lo_x).scale(Fraction(1, n))
-        - b.scale(wl)
-    )
-
-    s3 = (
-        f(hi_x).scale(Fraction(1, n))
-        + b.scale(wr)
-        - f(hi_x).scale(Fraction(1, n))
-        + f(lo_x).scale(Fraction(1, n))
-        - b
-        - f(lo_x).scale(Fraction(1, n))
-        - b.scale(wl)
-    )
-
-    s4 = b.scale(wr) - b - b.scale(wl)
-    return (s0, s1, s2, s3, s4)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +374,7 @@ def enumerate_tileset(
                         left = Vec2(left1, grid_frac(e2, q))
                         right = Vec2(right1, grid_frac(e2 + bq2.numerator, q))
                         tiles.append(Tile(index, bottom, top, left, right))
-    tiles.sort()
+    # the loops run in _tile_order and right follows from left: no sort needed
     return Tileset(params, f, tuple(metas), tuple(tiles))
 
 
@@ -482,7 +415,7 @@ def export_tileset(ts: Tileset) -> str:
             f" p1=({meta.ell.p1[0]},{meta.ell.p1[1]})"
             f" p2=({meta.ell.p2[0]},{meta.ell.p2[1]})"
         )
-    for tile in sorted(ts.tiles):
+    for tile in sorted(ts.tiles, key=_tile_order):
         lines.append(tile_to_line(tile))
     return "\n".join(lines) + "\n"
 
@@ -551,14 +484,16 @@ def _parse_piece(
 
 
 def parse_tileset(text: str) -> Tileset:
-    """Read an exported tileset, rejecting malformed lines and any header
-    that disagrees with its pieces: a grid box other than ell_bounds
-    gives, or a pieces=/tiles= count other than the lines that follow."""
+    """Read an exported tileset, rejecting malformed lines, tile lines out
+    of canonical order or repeated, and any header that disagrees with its
+    pieces: a grid box other than ell_bounds gives, or a pieces=/tiles=
+    count other than the lines that follow."""
     params = None
     counts = None  # (line number, declared pieces, declared tiles)
     pieces: list[AffinePiece] = []
     metas: list[PieceMeta] = []
     tiles: list[Tile] = []
+    last_key = None  # _tile_order of the previous tile line
     memo: dict[str, object] = {}  # tile line part -> its parsed value
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -585,15 +520,18 @@ def parse_tileset(text: str) -> Tileset:
                     )
                 continue
             head, bottom_part, top_part, l_part, r_part = line.split(" | ")
-            tiles.append(
-                Tile(
-                    int(head),
-                    _interned(memo, bottom_part, "bottom: ", _parse_colors),
-                    _interned(memo, top_part, "top: ", _parse_colors),
-                    _interned(memo, l_part, "l: ", _parse_vec_pair),
-                    _interned(memo, r_part, "r: ", _parse_vec_pair),
-                )
+            tile = Tile(
+                int(head),
+                _interned(memo, bottom_part, "bottom: ", _parse_colors),
+                _interned(memo, top_part, "top: ", _parse_colors),
+                _interned(memo, l_part, "l: ", _parse_vec_pair),
+                _interned(memo, r_part, "r: ", _parse_vec_pair),
             )
+            key = _tile_order(tile)
+            if tiles and key <= last_key:
+                raise ParseError("tile line out of order or repeated")
+            tiles.append(tile)
+            last_key = key
         except (ValueError, KeyError, IndexError, ParseError) as exc:
             raise ParseError(f"tileset line {lineno}: {exc}") from None
     if params is None or not pieces:
@@ -622,13 +560,6 @@ def _in_box(colors: tuple[IntVec2, ...], box: tuple[IntVec2, IntVec2]) -> bool:
         if not (lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2):
             return False
     return True
-
-
-def _tile_order(tile: Tile):
-    """The order of the tiles themselves, flattened so that sorting skips
-    Vec2's Python-level comparisons."""
-    left, right = tile.left, tile.right
-    return (tile.piece, tile.bottom, tile.top, left.x1, left.x2, right.x1, right.x2)
 
 
 def verify_tileset(ts: Tileset) -> list[TileFault]:

@@ -33,7 +33,7 @@ from .group import (
 )
 from .pam import CycleDetected, OrbitReport, PiecewiseAffineMap
 from .rationals import IntVec2, Vec2
-from .tileset import Tile, Tileset, edge_colors
+from .tileset import Tile, Tileset, _color_range, edge_colors
 
 GENERATOR_WORDS = ("a", "A", "t", "T")
 
@@ -338,18 +338,8 @@ def search_patch(
         top_box_colors = set()
         bottom_box_colors = set()
         for meta in tileset.piece_meta:
-            (tlo, thi) = meta.top_box
-            top_box_colors.update(
-                (v1, v2)
-                for v1 in range(tlo[0], thi[0] + 1)
-                for v2 in range(tlo[1], thi[1] + 1)
-            )
-            (blo, bhi) = meta.bottom_box
-            bottom_box_colors.update(
-                (v1, v2)
-                for v1 in range(blo[0], bhi[0] + 1)
-                for v2 in range(blo[1], bhi[1] + 1)
-            )
+            top_box_colors.update(_color_range(meta.top_box))
+            bottom_box_colors.update(_color_range(meta.bottom_box))
         if not top_box_colors & bottom_box_colors:
             return ExhaustedNoTiling(0)
 

@@ -1,12 +1,20 @@
-"""Shared generators for the randomized checks."""
+"""Shared generators for the randomized checks, and the proof-step
+helpers the tests check exactly."""
 
+import math
 from fractions import Fraction
 from random import Random
 
-from bsdomino.group import ALPHABET, BsParams
+from bsdomino.group import ALPHABET, BsParams, alpha, beta, coerce_word
 from bsdomino.pam import AffinePiece, UnitSquare
-from bsdomino.rationals import Mat2, Vec2
-from bsdomino.tileset import EllBounds, TileFault, Tileset, tile_residual
+from bsdomino.rationals import Mat2, Vec2, as_rat, ivec_to_vec2
+from bsdomino.tileset import (
+    EllBounds,
+    TileFault,
+    Tileset,
+    edge_colors,
+    tile_residual,
+)
 
 
 def random_word(rng: Random, max_len: int = 24) -> tuple[str, ...]:
@@ -100,3 +108,85 @@ def reference_verify(ts: Tileset) -> list[TileFault]:
             continue
         faults.append(TileFault(lineno, tile, reason))
     return faults
+
+
+def compose_alpha_check(params: BsParams, u, v) -> bool:
+    """alpha(u v) == alpha(u) + (m/n)^(-beta(u)) alpha(v), exactly."""
+    u, v = coerce_word(u), coerce_word(v)
+    lhs = alpha(params, u + v)
+    rhs = alpha(params, u) + params.ratio ** (-beta(u)) * alpha(params, v)
+    return lhs == rhs
+
+
+def floor_half_identity_check(z) -> bool:
+    """floor(z + 1/2) - floor(z - 1/2) == 1; holds for every rational z."""
+    z = as_rat(z)
+    half = Fraction(1, 2)
+    return math.floor(z + half) - math.floor(z - half) == 1
+
+
+def affine_scaled_difference_check(piece: AffinePiece, c, y: Vec2, z: Vec2) -> bool:
+    """f(c y - c z) == c f(y) - c f(z) + b, the lemma behind the residual chain."""
+    c = as_rat(c)
+    lhs = piece.apply(y.scale(c) - z.scale(c))
+    rhs = piece.apply(y).scale(c) - piece.apply(z).scale(c) + piece.offset
+    return lhs == rhs
+
+
+def residual_stages(params: BsParams, piece: AffinePiece, lam, x: Vec2):
+    """The transport residual and its successive simplifications.
+
+    Stage 0 evaluates the tile equation directly; stages 1-3 are the
+    telescoped, cancelled, and affine-expanded forms; stage 4 is
+    floor(lam + 1/2) b - b - floor(lam - 1/2) b.  All five agree exactly
+    and vanish, which is the regression this function exists for.
+    """
+    lam = as_rat(lam)
+    m, n = params.m, params.n
+    half = Fraction(1, 2)
+    fx = piece.apply(x)
+    f = piece.apply
+    b = piece.offset
+
+    lo_x = ivec_to_vec2(x.scale(n * lam).floor())          # floor(n lam x)
+    hi_x = ivec_to_vec2(x.scale(n * lam + n).floor())      # floor((n lam + n) x)
+    lo_f = ivec_to_vec2(fx.scale(m * lam).floor())         # floor(m lam f(x))
+    hi_f = ivec_to_vec2(fx.scale(m * lam + m).floor())     # floor((m lam + m) f(x))
+    wl = math.floor(lam - half)
+    wr = math.floor(lam + half)
+
+    tile = edge_colors(params, piece, lam, x)
+    s0 = tile_residual(params, piece, tile)
+
+    s1 = (
+        hi_f.scale(Fraction(1, m))
+        - lo_f.scale(Fraction(1, m))
+        + f(hi_x).scale(Fraction(1, n))
+        - hi_f.scale(Fraction(1, m))
+        + b.scale(wr)
+        - f(hi_x.scale(Fraction(1, n)) - lo_x.scale(Fraction(1, n)))
+        - f(lo_x).scale(Fraction(1, n))
+        + lo_f.scale(Fraction(1, m))
+        - b.scale(wl)
+    )
+
+    s2 = (
+        f(hi_x).scale(Fraction(1, n))
+        + b.scale(wr)
+        - f(hi_x.scale(Fraction(1, n)) - lo_x.scale(Fraction(1, n)))
+        - f(lo_x).scale(Fraction(1, n))
+        - b.scale(wl)
+    )
+
+    s3 = (
+        f(hi_x).scale(Fraction(1, n))
+        + b.scale(wr)
+        - f(hi_x).scale(Fraction(1, n))
+        + f(lo_x).scale(Fraction(1, n))
+        - b
+        - f(lo_x).scale(Fraction(1, n))
+        - b.scale(wl)
+    )
+
+    s4 = b.scale(wr) - b - b.scale(wl)
+    return (s0, s1, s2, s3, s4)

@@ -14,7 +14,6 @@ from bsdomino.balrep import average_error, b_k, window, window_sum
 from bsdomino.group import (
     BsParams,
     IDENTITY_ELEMENT,
-    compose_alpha_check,
     element_from_text,
     lambda_val,
     parse_word,
@@ -34,6 +33,7 @@ from bsdomino.tiling import (
     row_top_reading,
 )
 from support import (
+    compose_alpha_check,
     insert_relator,
     random_piece,
     random_point_in,

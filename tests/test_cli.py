@@ -50,6 +50,26 @@ def test_bad_mn(capsys):
     assert main(["phi", "--mn", "2", "a"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi", "--mn", "", "a"],
+        ["search", "{map}", "--mn", ""],
+        ["simulate-row", "{map}", "--point", "1/2,1/2", "--range", ""],
+        ["simulate-row", "{map}", "--point", "1/2,1/2", "--range", "3,1"],
+        ["search", "{map}", "--radius", "-1"],
+        ["orbit", "{map}", "--point", "1/2,1/2", "--horizon", "-1"],
+        ["search", "{map}", "--budget", "0"],
+        ["search", "{map}", "--seed", "1"],
+    ],
+)
+def test_malformed_option_values(capsys, identity_map, argv):
+    assert main([arg.format(map=identity_map) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
 def test_usage_errors_are_input_errors(capsys, identity_map):
     # argparse's own exit code 2 would read as "budget exceeded"
     assert main(["search"]) == 3
@@ -109,6 +129,16 @@ def _duplicate_tile(lines):
     lines.insert(100, lines[100])
 
 
+def _duplicate_and_delete(lines):
+    # keeps the tiles= count
+    lines.insert(100, lines[100])
+    del lines[200]
+
+
+def _swap_adjacent(lines):
+    lines[100], lines[101] = lines[101], lines[100]
+
+
 @pytest.fixture(scope="module")
 def identity_lines(tmp_path_factory):
     path = tmp_path_factory.mktemp("tiles") / "identity.map"
@@ -120,7 +150,15 @@ def identity_lines(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "probe", [_set_q_zero, _widen_grid_box, _delete_tile, _duplicate_tile]
+    "probe",
+    [
+        _set_q_zero,
+        _widen_grid_box,
+        _delete_tile,
+        _duplicate_tile,
+        _duplicate_and_delete,
+        _swap_adjacent,
+    ],
 )
 def test_verify_rejects_inconsistent_header(tmp_path, capsys, identity_lines, probe):
     lines = list(identity_lines)

@@ -10,7 +10,6 @@ from bsdomino.group import (
     alpha,
     beta,
     britton_reduce,
-    compose_alpha_check,
     contribution,
     element_from_text,
     inverse,
@@ -21,7 +20,7 @@ from bsdomino.group import (
     phi,
     word_to_text,
 )
-from support import insert_relator, random_word
+from support import compose_alpha_check, insert_relator, random_word
 
 WITNESS_32 = "taT a2 t A T A-2"
 WITNESS_ALL = "taT at A T A"

@@ -12,21 +12,26 @@ from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare
 from bsdomino.rationals import IDENTITY2, Vec2, mat2, vec2
 from bsdomino.tileset import (
     Tileset,
-    affine_scaled_difference_check,
     bottom_label_box,
     edge_colors,
     ell_bounds,
     enumerate_tileset,
     export_tileset,
-    floor_half_identity_check,
     parse_tileset,
-    residual_stages,
     tile_residual,
     top_label_box,
     verify_tile_computes,
     verify_tileset,
 )
-from support import random_piece, random_point_in, random_rational, reference_verify
+from support import (
+    affine_scaled_difference_check,
+    floor_half_identity_check,
+    random_piece,
+    random_point_in,
+    random_rational,
+    reference_verify,
+    residual_stages,
+)
 
 P23 = BsParams(2, 3)
 IDENTITY_PIECE = AffinePiece(UnitSquare(0, 0), IDENTITY2, vec2(0, 0))
