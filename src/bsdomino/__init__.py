@@ -44,6 +44,7 @@ from .pam import (
 )
 from .tileset import (
     EllBounds,
+    RowColors,
     Tile,
     Tileset,
     edge_colors,

@@ -7,6 +7,9 @@ For a point x and a phase z, the bi-infinite integer sequence
 is a balanced representation of x: every term lies in
 {floor(x1), floor(x1)+1} x {floor(x2), floor(x2)+1}, partial sums
 telescope, and sliding averages converge to x at rate 1/(2K+1).
+
+Every floor is one integer floor division: for z = a/c and a component
+p/q of x, floor((z + k) p/q) = ((a + k c) p) // (c q).
 """
 
 from __future__ import annotations
@@ -18,12 +21,34 @@ from .errors import BadRange
 from .rationals import IntVec2, Vec2, as_rat
 
 
+def scaled_floors(x: Vec2, a: int, c: int, k_lo: int, k_hi: int) -> list[IntVec2]:
+    """floor((a/c + k) x) componentwise for k = k_lo .. k_hi, with c > 0.
+
+    a/c need not be in lowest terms.
+    """
+    p1, q1 = x.x1.numerator, x.x1.denominator
+    p2, q2 = x.x2.numerator, x.x2.denominator
+    d1, d2 = c * q1, c * q2
+    out = []
+    for k in range(k_lo, k_hi + 1):
+        s = a + k * c
+        out.append(((s * p1) // d1, (s * p2) // d2))
+    return out
+
+
+def differences(floors: list[IntVec2]) -> tuple[IntVec2, ...]:
+    """Consecutive differences: the terms B_k from the floors at k - 1 and k."""
+    return tuple(
+        (hi1 - lo1, hi2 - lo2)
+        for (lo1, lo2), (hi1, hi2) in zip(floors, floors[1:])
+    )
+
+
 def b_k(x: Vec2, z, k: int) -> IntVec2:
-    """The k-th term of the balanced representation of x with phase z."""
+    """The k-th term of the balanced representation of x with phase z,
+    the difference of two integer floor divisions."""
     z = as_rat(z)
-    hi = x.scale(z + k).floor()
-    lo = x.scale(z + k - 1).floor()
-    return (hi[0] - lo[0], hi[1] - lo[1])
+    return differences(scaled_floors(x, z.numerator, z.denominator, k - 1, k))[0]
 
 
 @dataclass(frozen=True)
@@ -41,8 +66,8 @@ def window(x: Vec2, z, k_lo: int, k_hi: int) -> BalancedWindow:
     if k_lo > k_hi:
         raise BadRange(f"k_lo={k_lo} exceeds k_hi={k_hi}")
     z = as_rat(z)
-    values = tuple(b_k(x, z, k) for k in range(k_lo, k_hi + 1))
-    return BalancedWindow(x, z, k_lo, k_hi, values)
+    floors = scaled_floors(x, z.numerator, z.denominator, k_lo - 1, k_hi)
+    return BalancedWindow(x, z, k_lo, k_hi, differences(floors))
 
 
 def window_sum(w: BalancedWindow) -> IntVec2:

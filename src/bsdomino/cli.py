@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import BsDominoError, ParseError
@@ -77,6 +78,33 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+_NEGATIVE_VALUE = re.compile(r"-[0-9]")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join '--option -3,2' into '--option=-3,2'.
+
+    argparse reads a separate value such as -3,2 or -1/2,1/2 as an
+    option of its own, since only plain numbers like -3 count as
+    negative; the joined form is its documented way to pass one.  Every
+    long option here but --help (or an abbreviation of it) takes a
+    value; nothing after '--' is touched.
+    """
+    out: list[str] = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        prev = out[-1] if out else ""
+        takes_value = (
+            prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+        )
+        if takes_value and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,7 +307,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser().parse_args(_attach_negative_values(argv))
         return args.run(args)
     except (BsDominoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

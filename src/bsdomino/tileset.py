@@ -30,11 +30,21 @@ bounds, and every value lies on the grid (1/q) Z^2 for the common
 denominator q = lcm(m, n * den(M), n * den(b)).  That is what makes the
 enumerated tileset finite.
 
-verify_tileset checks the transport equation in integers: multiplied
-through by d = lcm(m, n * den(M), den(b)), every coefficient of a piece
-is an integer, and only the error colors need a larger common
-denominator when they are off the lattice.  parse_tileset rejects a
-file whose headers disagree with its pieces (grid box, piece count,
+Colors and checks work in integers over one per-piece denominator
+d = lcm(m, n * den(M), den(b)), which makes d/m, d M / n and d b
+integers (_Transport).  Every floor above is one integer floor
+division: for lam = a/c and a component p/q of x,
+floor((j lam + k) p/q) = ((j a + k c) p) // (c q).  Each error color is
+an integer pair over n d; with F = floor(n lam x), G = floor(m lam f(x))
+and floor(lam - 1/2) = (2a - c) // (2c),
+
+    n d left = n (d M / n) F + d b - n (d / m) G + n floor(lam - 1/2) d b,
+
+and right likewise from floor((n lam + n) x), floor((m lam + m) f(x))
+and floor(lam + 1/2) = (2a + c) // (2c).  verify_tileset checks the
+transport equation multiplied through by d; only error colors off the
+lattice need a larger common denominator there.  parse_tileset rejects
+a file whose headers disagree with its pieces (grid box, piece count,
 tile count) or whose tile lines are not strictly sorted.
 """
 
@@ -48,14 +58,13 @@ from typing import NamedTuple
 
 from .errors import EnumerationTooLarge, OutsidePiece, ParseError
 from .group import BsParams
-from .balrep import b_k
+from .balrep import differences, scaled_floors
 from .pam import AffinePiece, PiecewiseAffineMap, UnitSquare
 from .rationals import (
     IntVec2,
     Vec2,
     as_rat,
     fmt_rat,
-    ivec_to_vec2,
     lcm_all,
     mat2,
     vec2,
@@ -91,25 +100,67 @@ def _avg(colors: tuple[IntVec2, ...]) -> Vec2:
 def edge_colors(
     params: BsParams, piece: AffinePiece, lam, x: Vec2, piece_index: int = 0
 ) -> Tile:
-    """Tile of the given piece at scale value lam and point x."""
+    """Tile of the given piece at scale value lam and point x.
+
+    Every floor is an integer floor division and each error color a pair
+    of integer numerators over n d (module docstring); the tile equals
+    the one the Fraction formulas give, color for color.
+    """
     lam = as_rat(lam)
-    if not piece.square.contains_closed(x):
-        raise OutsidePiece(f"{x} is not in square {piece.square}")
-    m, n = params.m, params.n
-    fx = piece.apply(x)
-    bottom = tuple(b_k(x, n * lam, k) for k in range(1, n + 1))
-    top = tuple(b_k(fx, m * lam, k) for k in range(1, m + 1))
-    left = (
-        piece.apply(ivec_to_vec2(x.scale(n * lam).floor())).scale(Fraction(1, n))
-        - ivec_to_vec2(fx.scale(m * lam).floor()).scale(Fraction(1, m))
-        + piece.offset.scale(math.floor(lam - Fraction(1, 2)))
-    )
-    right = (
-        piece.apply(ivec_to_vec2(x.scale(n * lam + n).floor())).scale(Fraction(1, n))
-        - ivec_to_vec2(fx.scale(m * lam + m).floor()).scale(Fraction(1, m))
-        + piece.offset.scale(math.floor(lam + Fraction(1, 2)))
-    )
-    return Tile(piece_index, bottom, top, left, right)
+    return RowColors(params, piece, x, piece_index).tile(lam.numerator, lam.denominator)
+
+
+class RowColors:
+    """The tiles of one piece at one point x, for any scale value.
+
+    All tiles of a row share the piece and x and differ only in lam, so
+    the piece's _Transport and f(x) are built once, here; tile(a, c) is
+    the color kernel.
+    """
+
+    def __init__(
+        self, params: BsParams, piece: AffinePiece, x: Vec2, piece_index: int = 0
+    ):
+        if not piece.square.contains_closed(x):
+            raise OutsidePiece(f"{x} is not in square {piece.square}")
+        self.params = params
+        self.piece_index = piece_index
+        self.x = x
+        self.fx = piece.apply(x)
+        self.eq = _transport(params, piece)
+
+    def tile(self, a: int, c: int) -> Tile:
+        """Tile at lam = a/c, c > 0, not necessarily in lowest terms.
+
+        The bottom and top colors are differences of the floors
+        floor((n lam + j) x), j = 0..n, and floor((m lam + j) f(x)),
+        j = 0..m; the error colors are integer numerators over n d, as in
+        the module docstring.
+        """
+        m, n = self.params.m, self.params.n
+        floors_x = scaled_floors(self.x, n * a, c, 0, n)
+        floors_f = scaled_floors(self.fx, m * a, c, 0, m)
+        k11, k12, k21, k22 = self.eq.matrix
+        o1, o2 = self.eq.offset
+        nw = n * self.eq.top_weight
+        den = n * self.eq.d
+
+        def error(floor_x: IntVec2, floor_f: IntVec2, w: int) -> Vec2:
+            f1, f2 = floor_x
+            g1, g2 = floor_f
+            scale = 1 + n * w
+            return Vec2(
+                Fraction(n * (k11 * f1 + k12 * f2) + scale * o1 - nw * g1, den),
+                Fraction(n * (k21 * f1 + k22 * f2) + scale * o2 - nw * g2, den),
+            )
+
+        return Tile(
+            self.piece_index,
+            differences(floors_x),
+            differences(floors_f),
+            error(floors_x[0], floors_f[0], (2 * a - c) // (2 * c)),
+            error(floors_x[n], floors_f[m], (2 * a + c) // (2 * c)),
+        )
 
 
 def tile_residual(params: BsParams, piece: AffinePiece, tile: Tile) -> Vec2:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .errors import OrbitTooShort, OutsidePiece
+from .errors import OrbitTooShort
 from .group import (
     BsParams,
     GroupElement,
@@ -33,7 +33,7 @@ from .group import (
 )
 from .pam import CycleDetected, OrbitReport, PiecewiseAffineMap
 from .rationals import IntVec2, Vec2
-from .tileset import Tile, Tileset, _color_range, edge_colors
+from .tileset import RowColors, Tile, Tileset, _color_range
 
 GENERATOR_WORDS = ("a", "A", "t", "T")
 
@@ -167,14 +167,11 @@ def simulate_row(
     k_lo, k_hi = k_range
     if not 0 <= piece_index < len(f.pieces):
         raise ValueError(f"piece index {piece_index} out of range")
-    piece = f.pieces[piece_index]
-    if not piece.square.contains_closed(x):
-        raise OutsidePiece(f"{x} is not in square {piece.square}")
+    row = RowColors(params, f.pieces[piece_index], x, piece_index)
     lam0 = lambda_val(params, g0)
-    return [
-        edge_colors(params, piece, lam0 + Fraction(k, params.m), x, piece_index)
-        for k in range(k_lo, k_hi + 1)
-    ]
+    # lam0 + k/m over the common denominator m c
+    m, a, c = params.m, lam0.numerator, lam0.denominator
+    return [row.tile(m * a + k * c, m * c) for k in range(k_lo, k_hi + 1)]
 
 
 def row_top_reading(
@@ -493,13 +490,15 @@ def assignment_from_orbit(
             f"patch spans {depth + 1} levels, orbit provides {len(states)}"
         )
 
+    rows: dict[int, RowColors] = {}  # level -> colors of its orbit state
     pairs = []
     for g in patch.cells:
         level = betas[g] - base_level
-        piece_idx, point = state_at(level)
+        if level not in rows:
+            piece_idx, point = state_at(level)
+            rows[level] = RowColors(params, f.pieces[piece_idx], point, piece_idx)
         lam = lambda_val(params, g)
-        tile = edge_colors(params, f.pieces[piece_idx], lam, point, piece_idx)
-        pairs.append((g, tile))
+        pairs.append((g, rows[level].tile(lam.numerator, lam.denominator)))
     assignment = TilingAssignment(tuple(pairs))
     bad = check_assignment(params, patch, assignment)
     if bad:

@@ -10,6 +10,7 @@ from bsdomino.pam import AffinePiece, UnitSquare
 from bsdomino.rationals import Mat2, Vec2, as_rat, ivec_to_vec2
 from bsdomino.tileset import (
     EllBounds,
+    Tile,
     TileFault,
     Tileset,
     edge_colors,
@@ -108,6 +109,37 @@ def reference_verify(ts: Tileset) -> list[TileFault]:
             continue
         faults.append(TileFault(lineno, tile, reason))
     return faults
+
+
+def reference_b_k(x: Vec2, z, k: int) -> tuple[int, int]:
+    """balrep.b_k written directly in Fractions."""
+    z = as_rat(z)
+    hi = x.scale(z + k).floor()
+    lo = x.scale(z + k - 1).floor()
+    return (hi[0] - lo[0], hi[1] - lo[1])
+
+
+def reference_edge_colors(
+    params: BsParams, piece: AffinePiece, lam, x: Vec2, piece_index: int = 0
+) -> Tile:
+    """tileset.edge_colors written directly in Fractions, formula by
+    formula as in the tileset module docstring (no containment check)."""
+    lam = as_rat(lam)
+    m, n = params.m, params.n
+    fx = piece.apply(x)
+    bottom = tuple(reference_b_k(x, n * lam, k) for k in range(1, n + 1))
+    top = tuple(reference_b_k(fx, m * lam, k) for k in range(1, m + 1))
+    left = (
+        piece.apply(ivec_to_vec2(x.scale(n * lam).floor())).scale(Fraction(1, n))
+        - ivec_to_vec2(fx.scale(m * lam).floor()).scale(Fraction(1, m))
+        + piece.offset.scale(math.floor(lam - Fraction(1, 2)))
+    )
+    right = (
+        piece.apply(ivec_to_vec2(x.scale(n * lam + n).floor())).scale(Fraction(1, n))
+        - ivec_to_vec2(fx.scale(m * lam + m).floor()).scale(Fraction(1, m))
+        + piece.offset.scale(math.floor(lam + Fraction(1, 2)))
+    )
+    return Tile(piece_index, bottom, top, left, right)
 
 
 def compose_alpha_check(params: BsParams, u, v) -> bool:

@@ -2,11 +2,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdomino.balrep import average_error, b_k, window, window_sum
 from bsdomino.errors import BadRange
 from bsdomino.rationals import Vec2, vec2
-from support import random_rational
+from support import random_rational, reference_b_k
 
 
 def test_b_k_examples():
@@ -67,3 +69,19 @@ def test_average_error_bound():
         z = random_rational(rng)
         k = rng.choice([0, 1, 2, 5, 17])
         assert average_error(x, z, k) < Fraction(1, 2 * k + 1)
+
+
+def _rational(draw) -> Fraction:
+    return Fraction(draw(st.integers(-200, 200)), draw(st.integers(1, 64)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_b_k_and_window_match_fraction_oracle(data):
+    x = Vec2(_rational(data.draw), _rational(data.draw))
+    z = _rational(data.draw)
+    k_lo = data.draw(st.integers(-60, 60))
+    k_hi = k_lo + data.draw(st.integers(0, 12))
+    want = tuple(reference_b_k(x, z, k) for k in range(k_lo, k_hi + 1))
+    assert b_k(x, z, k_lo) == want[0]
+    assert window(x, z, k_lo, k_hi).values == want

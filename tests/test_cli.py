@@ -9,6 +9,14 @@ IDENTITY_SPEC = {
     "n": 3,
     "pieces": [{"square": [0, 0], "M": [["1", "0"], ["0", "1"]], "b": ["0", "0"]}],
 }
+ROTATION_SPEC = {
+    "m": 2,
+    "n": 2,
+    "pieces": [
+        {"square": square, "M": [["0", "-1"], ["1", "0"]], "b": ["0", "0"]}
+        for square in ([0, 0], [-1, 0], [-1, -1], [0, -1])
+    ],
+}
 ESCAPE_SPEC = {
     "m": 2,
     "n": 3,
@@ -234,6 +242,29 @@ def test_simulate_row(capsys, identity_map):
     assert code == 0
     out = capsys.readouterr().out
     assert "bottom_ok=true" in out and "top_ok=true" in out
+
+
+@pytest.mark.parametrize(
+    "spec, point, k_range, first_line",
+    [
+        (IDENTITY_SPEC, "1/2,1/2", ["--range", "-3,2"], "tiles=6 piece=0"),
+        (IDENTITY_SPEC, "1/2,1/2", ["--range=-3,2"], "tiles=6 piece=0"),
+        (ROTATION_SPEC, "-1/2,1/2", ["--range", "-4,-1"], "tiles=4 piece=1"),
+    ],
+)
+def test_simulate_row_negative_values(tmp_path, capsys, spec, point, k_range, first_line):
+    path = tmp_path / "spec.map"
+    path.write_text(json.dumps(spec))
+    assert main(["simulate-row", str(path), "--point", point, *k_range]) == 0
+    out = capsys.readouterr().out
+    assert out == f"{first_line} bottom_ok=true top_ok=true\n"
+
+
+def test_help_abbreviation_keeps_negative_value_apart(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate-row", "--he", "-3,2"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 def test_export_dot_stdout(capsys, identity_map):

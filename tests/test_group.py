@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdomino.errors import ParseError
 from bsdomino.group import (
@@ -20,7 +22,12 @@ from bsdomino.group import (
     phi,
     word_to_text,
 )
-from support import compose_alpha_check, insert_relator, random_word
+from support import (
+    compose_alpha_check,
+    insert_relator,
+    random_word,
+    relator_variants,
+)
 
 WITNESS_32 = "taT a2 t A T A-2"
 WITNESS_ALL = "taT at A T A"
@@ -190,3 +197,51 @@ def test_bad_params_rejected():
         BsParams(0, 3)
     with pytest.raises(ValueError):
         BsParams(2, -1)
+
+
+# The identities simulate_row and assignment_from_orbit rely on for lambda,
+# and the group laws behind them, over the parameters of every example map
+# and a few more.
+PARAMS = st.sampled_from(
+    [BsParams(m, n) for m, n in [(2, 3), (2, 2), (3, 2), (1, 2), (3, 5)]]
+)
+WORDS = st.lists(st.sampled_from("aAtT"), max_size=16).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=PARAMS, u=WORDS, v=WORDS, w=WORDS)
+def test_multiply_is_associative(params, u, v, w):
+    g, h, k = (britton_reduce(params, x) for x in (u, v, w))
+    assert multiply(params, multiply(params, g, h), k) == multiply(
+        params, g, multiply(params, h, k)
+    )
+    assert multiply(params, g, h) == britton_reduce(params, u + v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=PARAMS, u=WORDS)
+def test_inverse_is_two_sided(params, u):
+    g = britton_reduce(params, u)
+    assert multiply(params, g, inverse(params, g)) == IDENTITY_ELEMENT
+    assert multiply(params, inverse(params, g), g) == IDENTITY_ELEMENT
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=PARAMS, u=WORDS, data=st.data())
+def test_relator_insertion_keeps_britton_form_and_phi(params, u, data):
+    relator = data.draw(st.sampled_from(relator_variants(params)))
+    cut = data.draw(st.integers(0, len(u)))
+    padded = u[:cut] + relator + u[cut:]
+    assert britton_reduce(params, padded) == britton_reduce(params, u)
+    assert phi(params, padded) == phi(params, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=PARAMS, u=WORDS)
+def test_lambda_steps_on_elements(params, u):
+    g = britton_reduce(params, u)
+    lam = lambda_val(params, g)
+    assert lambda_val(params, multiply(params, g, "a")) == lam + Fraction(1, params.m)
+    step_t = multiply(params, g, "t")
+    assert lambda_val(params, step_t) == Fraction(params.n, params.m) * lam
+    assert lam == lambda_val(params, u)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from bsdomino.balrep import b_k
 from bsdomino.errors import EnumerationTooLarge, OutsidePiece, ParseError
 from bsdomino.group import BsParams
-from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare
+from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, load_map
 from bsdomino.rationals import IDENTITY2, Vec2, mat2, vec2
 from bsdomino.tileset import (
     Tileset,
@@ -29,6 +30,7 @@ from support import (
     random_piece,
     random_point_in,
     random_rational,
+    reference_edge_colors,
     reference_verify,
     residual_stages,
 )
@@ -78,6 +80,40 @@ def test_corrupted_tile_fails():
 def test_edge_colors_outside_piece():
     with pytest.raises(OutsidePiece):
         edge_colors(P23, IDENTITY_PIECE, 0, vec2(3, 3))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# every map of the repository: rotation-32 has m > n, half2-23 has
+# denominator-2 entries, the rotations have pieces in the negative squares
+MAP_FILES = sorted(ROOT.glob("maps/*.map")) + sorted(ROOT.glob("perfbench/maps/*.map"))
+MAP_PIECES = [
+    (params, index, piece)
+    for params, pam in (load_map(str(path)) for path in MAP_FILES)
+    for index, piece in enumerate(pam.pieces)
+]
+
+
+def _unit_offset(draw) -> Fraction:
+    # a corner or edge of the square as often as a point inside it
+    den = draw(st.integers(1, 40))
+    return Fraction(draw(st.integers(0, den)), den)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_edge_colors_match_fraction_oracle(data):
+    params, index, piece = data.draw(st.sampled_from(MAP_PIECES))
+    sq = piece.square
+    x = Vec2(sq.c1 + _unit_offset(data.draw), sq.c2 + _unit_offset(data.draw))
+    lam = Fraction(data.draw(st.integers(-300, 300)), data.draw(st.integers(1, 60)))
+    tile = edge_colors(params, piece, lam, x, index)
+    assert tile == reference_edge_colors(params, piece, lam, x, index)
+
+
+def test_oracle_covers_every_map():
+    assert {(p.m, p.n) for p, _, _ in MAP_PIECES} >= {(2, 3), (2, 2), (3, 2)}
+    entries = [e for _, _, piece in MAP_PIECES for e in piece.matrix.entries()]
+    assert any(e.denominator == 2 for e in entries)
 
 
 def test_floor_half_identity():

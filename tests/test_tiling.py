@@ -10,7 +10,7 @@ from bsdomino.errors import OrbitTooShort
 from bsdomino.group import BsParams, IDENTITY_ELEMENT, element_from_text, multiply
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, orbit
 from bsdomino.rationals import IDENTITY2, mat2, vec2
-from bsdomino.tileset import Tileset, edge_colors, enumerate_tileset
+from bsdomino.tileset import RowColors, Tileset, edge_colors, enumerate_tileset
 from bsdomino.tiling import (
     BudgetExceeded,
     ExhaustedNoTiling,
@@ -28,6 +28,7 @@ from bsdomino.tiling import (
     search_patch,
     simulate_row,
 )
+from support import reference_edge_colors
 
 P23 = BsParams(2, 3)
 IDENTITY_PIECE = AffinePiece(UnitSquare(0, 0), IDENTITY2, vec2(0, 0))
@@ -215,6 +216,30 @@ def test_assignment_cycle_reuses_states():
     tiles = assignment.as_dict()
     top_cell = element_from_text(params, "T" * 4)
     assert tiles[top_cell].piece == report.states[0][0]
+
+
+def test_assignment_recheck_catches_corrupted_witness(monkeypatch):
+    params, pam = rotation_setup()
+    report = orbit(pam, vec2("1/2", "1/2"), 8)
+    patch = build_ball_patch(params, 2)
+    victim = patch.cells.index(IDENTITY_ELEMENT) + 1
+    honest = RowColors.tile
+    calls = []
+
+    def corrupted(row, a, c):
+        calls.append(row.piece_index)
+        if len(calls) != victim:
+            return honest(row, a, c)
+        # the tile of the next piece, at the centre of its square
+        other = (row.piece_index + 1) % len(pam.pieces)
+        piece = pam.pieces[other]
+        y = vec2(piece.square.c1, piece.square.c2) + vec2("1/2", "1/2")
+        return reference_edge_colors(params, piece, Fraction(a, c), y, other)
+
+    monkeypatch.setattr(RowColors, "tile", corrupted)
+    with pytest.raises(AssertionError, match="violates"):
+        assignment_from_orbit(params, pam, report, patch)
+    assert len(calls) == len(patch.cells)
 
 
 def test_assignment_orbit_too_short():
