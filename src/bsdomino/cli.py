@@ -12,7 +12,7 @@ import re
 import sys
 
 from .errors import BsDominoError, ParseError
-from .group import BsParams, element_from_text, lambda_val, parse_word, phi
+from .group import BsParams, element_from_text, lambda_val, phi
 from .pam import (
     CycleDetected,
     EscapedAfter,
@@ -183,7 +183,7 @@ def _load(args: argparse.Namespace):
 
 def cmd_phi(args: argparse.Namespace) -> int:
     params = BsParams(*args.mn)
-    a_val, b_val = phi(params, parse_word(args.word))
+    a_val, b_val = phi(params, args.word)
     print(f"({fmt_rat(a_val)}, {b_val})")
     return OK
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .errors import ParseError
 
@@ -55,9 +56,9 @@ class BsParams:
         return Fraction(self.m, self.n)
 
 
-def parse_word(text: str) -> GroupWord:
-    """Parse the compact word syntax into a tuple of letters."""
-    letters: list[str] = []
+def _text_runs(text: str):
+    """Parse the compact word syntax into runs: one ('a', exponent) per
+    a-run, one ('t', +-1) per t, as each t is a stable letter."""
     i, size = 0, len(text)
     while i < size:
         ch = text[i]
@@ -67,7 +68,7 @@ def parse_word(text: str) -> GroupWord:
         if ch not in _INVERSE:
             raise ParseError(f"unexpected character {ch!r}", position=i)
         i += 1
-        exp = None
+        exp = 1
         if i < size and (text[i].isdigit() or text[i] == "-"):
             j = i + 1 if text[i] == "-" else i
             while j < size and text[j].isdigit():
@@ -76,14 +77,19 @@ def parse_word(text: str) -> GroupWord:
                 raise ParseError("dangling '-' after letter", position=i)
             exp = int(text[i:j])
             i = j
-        if exp is None:
-            letters.append(ch)
-            continue
-        base = ch.lower()
-        inverted = ch.isupper() or exp < 0
-        letter = _INVERSE[base] if inverted else base
-        letters.extend(letter * abs(exp))
-    return tuple(letters)
+        sign = -1 if ch.isupper() or exp < 0 else 1
+        if ch in "aA":
+            yield ("a", sign * abs(exp))
+        else:
+            yield from repeat(("t", sign), abs(exp))
+
+
+def parse_word(text: str) -> GroupWord:
+    """Parse the compact word syntax into a tuple of letters."""
+    return tuple(chain.from_iterable(
+        (kind if value > 0 else _INVERSE[kind]) * abs(value)
+        for kind, value in _text_runs(text)
+    ))
 
 
 def word_to_text(word) -> str:
@@ -122,20 +128,16 @@ def contribution(w, x: str) -> int:
     return w.count(x) - w.count(_INVERSE[x])
 
 
+_LETTER_RUNS = {"a": ("a", 1), "A": ("a", -1), "t": ("t", 1), "T": ("t", -1)}
+
+
 def _runs(w):
     """Collapse a word into ('a', exponent) / ('t', +-1) run pairs."""
     if isinstance(w, GroupElement):
-        yield from w.runs()
-        return
-    for letter in coerce_word(w):
-        if letter == "a":
-            yield ("a", 1)
-        elif letter == "A":
-            yield ("a", -1)
-        elif letter == "t":
-            yield ("t", 1)
-        else:
-            yield ("t", -1)
+        return w.runs()
+    if isinstance(w, str):
+        return _text_runs(w)
+    return (_LETTER_RUNS[letter] for letter in w)
 
 
 def beta(w) -> int:
@@ -166,10 +168,25 @@ def alpha(params: BsParams, w) -> Fraction:
     return phi(params, w)[0]
 
 
+def lambda_parts(params: BsParams, w) -> tuple[int, int]:
+    """lambda(w) = N / (m D) as the unreduced pair (N, m D), in one walk:
+    a^e adds e D to N, t multiplies N by n and D by m, t^-1 N by m and D
+    by n (lambda(g a) = lambda(g) + 1/m, lambda(g t) = (n/m) lambda(g))."""
+    m, n = params.m, params.n
+    num, den = 0, 1
+    for kind, value in _runs(w):
+        if kind == "a":
+            num += value * den
+        elif value > 0:
+            num, den = num * n, den * m
+        else:
+            num, den = num * m, den * n
+    return num, m * den
+
+
 def lambda_val(params: BsParams, w) -> Fraction:
     """(1/m) (n/m)^(-beta) alpha, the scale parameter of the tile rows."""
-    a_val, b_val = phi(params, w)
-    return Fraction(1, params.m) * Fraction(params.n, params.m) ** (-b_val) * a_val
+    return Fraction(*lambda_parts(params, w))
 
 
 @dataclass(frozen=True)
@@ -224,35 +241,44 @@ class GroupElement:
 IDENTITY_ELEMENT = GroupElement((0,), ())
 
 
-def _push_a(exps: list[int], e: int) -> None:
-    exps[-1] += e
-
-
-def _push_stable(exps: list[int], stables: list[int], sign: int, m: int, n: int) -> None:
-    # a^e t  = a^(e mod m) t a^(n floor(e/m));  a^e t^-1 symmetrically mod n.
+def _stable_step(e: int, last: int, sign: int, m: int, n: int) -> tuple[int | None, int]:
+    """a^e t^sign after t^last (0: none) as a^r t^sign a^carry, by
+    a^e t = a^(e mod m) t a^(n floor(e/m)) and a^e t^-1 = a^(e mod n)
+    t^-1 a^(m floor(e/n)).  r is None on a pinch (t^-1 a^(m q) t ->
+    a^(n q), t a^(n q) t^-1 -> a^(m q)): t^sign cancels t^last, and
+    a^carry joins the exponent before it."""
     mod, out = (m, n) if sign > 0 else (n, m)
-    q, r = divmod(exps[-1], mod)
-    if r == 0 and stables and stables[-1] == -sign:
-        # pinch: t^-1 a^(m q) t -> a^(n q), or t a^(n q) t^-1 -> a^(m q)
-        stables.pop()
-        exps.pop()
-        exps[-1] += q * out
-    else:
-        exps[-1] = r
-        stables.append(sign)
-        exps.append(q * out)
+    q, r = divmod(e, mod)
+    return (None if r == 0 and last == -sign else r), q * out
+
+
+def form_step(exps: tuple, stables: tuple, shift: int, sign: int, m: int, n: int):
+    """Canonical form (exps, stables) of g a^shift t^sign (sign 0: no
+    t) for g = (exps, stables): only the tail changes, in closed form."""
+    e = exps[-1] + shift
+    if not sign:
+        return exps[:-1] + (e,), stables
+    r, carry = _stable_step(e, stables[-1] if stables else 0, sign, m, n)
+    if r is None:
+        return exps[:-2] + (exps[-2] + carry,), stables[:-1]
+    return exps[:-1] + (r, carry), stables + (sign,)
 
 
 def _reduce_runs(run_iter, m: int, n: int) -> GroupElement:
+    # form_step's step on lists, so each letter costs O(1)
     exps: list[int] = [0]
     stables: list[int] = []
     for kind, value in run_iter:
         if kind == "a":
-            _push_a(exps, value)
+            exps[-1] += value
+            continue
+        r, carry = _stable_step(exps[-1], stables[-1] if stables else 0, value, m, n)
+        if r is None:
+            del stables[-1], exps[-1]
+            exps[-1] += carry
         else:
-            step = 1 if value > 0 else -1
-            for _ in range(abs(value)):
-                _push_stable(exps, stables, step, m, n)
+            exps[-1:] = r, carry
+            stables.append(value)
     return GroupElement(tuple(exps), tuple(stables))
 
 
@@ -263,14 +289,8 @@ def britton_reduce(params: BsParams, w) -> GroupElement:
 
 def multiply(params: BsParams, g: GroupElement, h) -> GroupElement:
     """Product g * h on canonical forms; h may be an element or a word."""
-    exps = list(g.exps)
-    stables = list(g.stables)
-    for kind, value in _runs(h):
-        if kind == "a":
-            _push_a(exps, value)
-        else:
-            _push_stable(exps, stables, value, params.m, params.n)
-    return GroupElement(tuple(exps), tuple(stables))
+    # g's runs reduce to g itself, so the product is one reduction
+    return _reduce_runs(chain(g.runs(), _runs(h)), params.m, params.n)
 
 
 def inverse(params: BsParams, g: GroupElement) -> GroupElement:
@@ -284,4 +304,4 @@ def inverse(params: BsParams, g: GroupElement) -> GroupElement:
 
 
 def element_from_text(params: BsParams, text: str) -> GroupElement:
-    return britton_reduce(params, parse_word(text))
+    return britton_reduce(params, text)

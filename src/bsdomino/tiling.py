@@ -13,7 +13,9 @@ color.  Working out which cells share edges gives three local rules:
 The V rule is forced by the corner computation
 (g a^(j-1-k) t^-1) t a^k = g a^(j-1): both tiles color the edge from
 g a^(j-1) to g a^j.  Moving up (t^-1) is one forward application of the
-encoded map.
+encoded map.  All of this runs on canonical forms in integers: partners
+come in closed form from group.form_step (g a^e moves the last exponent,
+g a^s t^-1 is one divmod), and lambda(g) from group.lambda_parts.
 """
 
 from __future__ import annotations
@@ -28,14 +30,12 @@ from .group import (
     BsParams,
     GroupElement,
     IDENTITY_ELEMENT,
-    lambda_val,
-    multiply,
+    form_step,
+    lambda_parts,
 )
 from .pam import CycleDetected, OrbitReport, PiecewiseAffineMap
 from .rationals import IntVec2, Vec2
 from .tileset import RowColors, Tile, Tileset, _color_range
-
-GENERATOR_WORDS = ("a", "A", "t", "T")
 
 
 @dataclass(frozen=True)
@@ -52,34 +52,43 @@ def build_patch(params: BsParams, elements) -> Patch:
     """Deduplicate, sort, and sanity-check a set of cell base elements."""
     members = frozenset(elements)
     cells = tuple(sorted(members, key=lambda g: g.sort_key()))
-    ratio = Fraction(params.n, params.m)
+    m, n = params.m, params.n
     for g in cells:
-        # relator closure of the cell boundary
-        via_top = multiply(params, g, "a" * params.m + "t")
-        via_side = multiply(params, g, "t" + "a" * params.n)
-        if via_top != via_side:
+        g_t = form_step(g.exps, g.stables, 0, 1, m, n)
+        # relator closure of the cell boundary: g a^m t = g t a^n
+        if form_step(g.exps, g.stables, m, 1, m, n) != form_step(*g_t, n, 0, m, n):
             raise ValueError(f"cell boundary does not close at {g.to_text()}")
-        if lambda_val(params, multiply(params, g, "t")) != ratio * lambda_val(params, g):
+        # lambda(g t) = (n/m) lambda(g), cross-multiplied
+        num, den = lambda_parts(params, g)
+        num_t, den_t = lambda_parts(params, GroupElement(*g_t))
+        if num_t * m * den != n * num * den_t:
             raise ValueError(f"scale bookkeeping broken at {g.to_text()}")
     return Patch(params, cells, members)
+
+
+# a, a^-1, t, t^-1 as (shift, sign) steps of form_step
+_GENERATOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def build_ball_patch(params: BsParams, radius: int) -> Patch:
     """All cells whose base has canonical word length at most radius."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    seen = {IDENTITY_ELEMENT}
-    frontier = [IDENTITY_ELEMENT]
+    m, n = params.m, params.n
+    start = (IDENTITY_ELEMENT.exps, IDENTITY_ELEMENT.stables)
+    seen = {start}
+    frontier = [start]
     for _ in range(radius):
         new_frontier = []
-        for g in frontier:
-            for gen in GENERATOR_WORDS:
-                h = multiply(params, g, gen)
+        for exps, stables in frontier:
+            for shift, sign in _GENERATOR_STEPS:
+                h = form_step(exps, stables, shift, sign, m, n)
                 if h not in seen:
                     seen.add(h)
                     new_frontier.append(h)
         frontier = new_frontier
-    return build_patch(params, (g for g in seen if g.length() <= radius))
+    reached = (GroupElement(*form) for form in seen)
+    return build_patch(params, (g for g in reached if g.length() <= radius))
 
 
 @dataclass(frozen=True)
@@ -95,21 +104,28 @@ class Constraint:
 
 
 def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
+    """The H, I and V constraints between cells, cell by cell; partners
+    are looked up by the canonical form that form_step gives, and the V
+    partner g a^(j-1-k) t^-1 is one step per shift j-1-k."""
     m, n = params.m, params.n
+    by_form = {(g.exps, g.stables): g for g in patch.cells}
     out = []
     for g in patch.cells:
-        h = multiply(params, g, "a" * m)
-        if h in patch:
+        exps, stables = g.exps, g.stables
+        h = by_form.get(form_step(exps, stables, m, 0, m, n))
+        if h is not None:
             out.append(Constraint("H", g, h))
-        h = multiply(params, g, "a")
-        if h in patch:
+        h = by_form.get(form_step(exps, stables, 1, 0, m, n))
+        if h is not None:
             out.append(Constraint("I", g, h))
+        uppers = [  # uppers[shift + n - 1]: the cell g a^shift t^-1, or None
+            by_form.get(form_step(exps, stables, shift, -1, m, n))
+            for shift in range(1 - n, m)
+        ]
         for j in range(1, m + 1):
             for k in range(n):
-                shift = j - 1 - k
-                word = ("a" if shift > 0 else "A") * abs(shift) + "T"
-                upper = multiply(params, g, word)
-                if upper in patch:
+                upper = uppers[j - 1 - k + n - 1]
+                if upper is not None:
                     out.append(Constraint("V", g, upper, top_pos=j, bottom_pos=k + 1))
     return tuple(out)
 
@@ -168,9 +184,8 @@ def simulate_row(
     if not 0 <= piece_index < len(f.pieces):
         raise ValueError(f"piece index {piece_index} out of range")
     row = RowColors(params, f.pieces[piece_index], x, piece_index)
-    lam0 = lambda_val(params, g0)
-    # lam0 + k/m over the common denominator m c
-    m, a, c = params.m, lam0.numerator, lam0.denominator
+    # lambda(g0) + k/m over the common denominator m c
+    m, (a, c) = params.m, lambda_parts(params, g0)
     return [row.tile(m * a + k * c, m * c) for k in range(k_lo, k_hi + 1)]
 
 
@@ -490,16 +505,19 @@ def assignment_from_orbit(
             f"patch spans {depth + 1} levels, orbit provides {len(states)}"
         )
 
-    rows: dict[int, RowColors] = {}  # level -> colors of its orbit state
-    pairs = []
-    for g in patch.cells:
-        level = betas[g] - base_level
-        if level not in rows:
-            piece_idx, point = state_at(level)
-            rows[level] = RowColors(params, f.pieces[piece_idx], point, piece_idx)
-        lam = lambda_val(params, g)
-        pairs.append((g, rows[level].tile(lam.numerator, lam.denominator)))
-    assignment = TilingAssignment(tuple(pairs))
+    colors: dict[tuple[int, Vec2], RowColors] = {}  # one per distinct state
+    rows = []  # rows[level]: the colors of that level's orbit state
+    for level in range(depth + 1):
+        piece_idx, point = state = state_at(level)
+        if state not in colors:
+            colors[state] = RowColors(params, f.pieces[piece_idx], point, piece_idx)
+        rows.append(colors[state])
+    assignment = TilingAssignment(
+        tuple(
+            (g, rows[betas[g] - base_level].tile(*lambda_parts(params, g)))
+            for g in patch.cells
+        )
+    )
     bad = check_assignment(params, patch, assignment)
     if bad:
         raise AssertionError(f"orbit assignment violates {len(bad)} constraints")

@@ -5,7 +5,18 @@ import math
 from fractions import Fraction
 from random import Random
 
-from bsdomino.group import ALPHABET, BsParams, alpha, beta, coerce_word
+from hypothesis import strategies as st
+
+from bsdomino.group import (
+    ALPHABET,
+    IDENTITY_ELEMENT,
+    BsParams,
+    alpha,
+    beta,
+    coerce_word,
+    multiply,
+    phi,
+)
 from bsdomino.pam import AffinePiece, UnitSquare
 from bsdomino.rationals import Mat2, Vec2, as_rat, ivec_to_vec2
 from bsdomino.tileset import (
@@ -16,6 +27,12 @@ from bsdomino.tileset import (
     edge_colors,
     tile_residual,
 )
+from bsdomino.tiling import Constraint, Patch, build_patch
+
+
+# (m, n) over [1, 4]^2, so that BS(1, n), BS(m, 1) and pinches of both
+# stable letters all occur.
+ALL_PARAMS = st.builds(BsParams, st.integers(1, 4), st.integers(1, 4))
 
 
 def random_word(rng: Random, max_len: int = 24) -> tuple[str, ...]:
@@ -222,3 +239,60 @@ def residual_stages(params: BsParams, piece: AffinePiece, lam, x: Vec2):
 
     s4 = b.scale(wr) - b - b.scale(wl)
     return (s0, s1, s2, s3, s4)
+
+
+def reference_lambda(params: BsParams, w) -> Fraction:
+    """lambda_val from the phi formula, (1/m) (n/m)^(-beta) alpha."""
+    a_val, b_val = phi(params, w)
+    return Fraction(1, params.m) * Fraction(params.n, params.m) ** (-b_val) * a_val
+
+
+def is_britton_reduced(params: BsParams, exps, stables) -> bool:
+    """(exps, stables) is a canonical form: each exponent before a t is
+    in [0, m), each before a t^-1 in [0, n), and no t^-1 a^0 t or
+    t a^0 t^-1 is left to pinch."""
+    if len(exps) != len(stables) + 1:
+        return False
+    for i, sign in enumerate(stables):
+        if not 0 <= exps[i] < (params.m if sign > 0 else params.n):
+            return False
+        if i and exps[i] == 0 and stables[i - 1] == -sign:
+            return False
+    return True
+
+
+def reference_ball(params: BsParams, radius: int) -> Patch:
+    """build_ball_patch as a breadth-first search of multiply steps."""
+    seen = {IDENTITY_ELEMENT}
+    frontier = [IDENTITY_ELEMENT]
+    for _ in range(radius):
+        new_frontier = []
+        for g in frontier:
+            for gen in ALPHABET:
+                h = multiply(params, g, gen)
+                if h not in seen:
+                    seen.add(h)
+                    new_frontier.append(h)
+        frontier = new_frontier
+    return build_patch(params, (g for g in seen if g.length() <= radius))
+
+
+def reference_constraints(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
+    """constraints_for with every neighbor multiplied out from a word."""
+    m, n = params.m, params.n
+    out = []
+    for g in patch.cells:
+        h = multiply(params, g, "a" * m)
+        if h in patch:
+            out.append(Constraint("H", g, h))
+        h = multiply(params, g, "a")
+        if h in patch:
+            out.append(Constraint("I", g, h))
+        for j in range(1, m + 1):
+            for k in range(n):
+                shift = j - 1 - k
+                word = ("a" if shift > 0 else "A") * abs(shift) + "T"
+                upper = multiply(params, g, word)
+                if upper in patch:
+                    out.append(Constraint("V", g, upper, top_pos=j, bottom_pos=k + 1))
+    return tuple(out)

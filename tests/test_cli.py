@@ -47,6 +47,11 @@ def test_phi_outputs(capsys):
     assert capsys.readouterr().out.strip() == "(2/3, -1)"
 
 
+def test_phi_large_exponent(capsys):
+    assert main(["phi", "--mn", "3,2", "a1000000000"]) == 0
+    assert capsys.readouterr().out.strip() == "(1000000000/1, 0)"
+
+
 def test_phi_parse_error(capsys):
     assert main(["phi", "--mn", "2,3", "a?b"]) == 3
     err = capsys.readouterr().err

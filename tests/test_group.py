@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from bsdomino.errors import ParseError
 from bsdomino.group import (
     BsParams,
+    GroupElement,
     IDENTITY_ELEMENT,
     alpha,
     beta,
     britton_reduce,
     contribution,
     element_from_text,
+    form_step,
     inverse,
     invert_word,
+    lambda_parts,
     lambda_val,
     multiply,
     parse_word,
@@ -23,9 +26,12 @@ from bsdomino.group import (
     word_to_text,
 )
 from support import (
+    ALL_PARAMS,
     compose_alpha_check,
     insert_relator,
+    is_britton_reduced,
     random_word,
+    reference_lambda,
     relator_variants,
 )
 
@@ -245,3 +251,58 @@ def test_lambda_steps_on_elements(params, u):
     step_t = multiply(params, g, "t")
     assert lambda_val(params, step_t) == Fraction(params.n, params.m) * lam
     assert lam == lambda_val(params, u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=ALL_PARAMS,
+    u=WORDS,
+    shift=st.integers(-5, 5),
+    sign=st.sampled_from((-1, 0, 1)),
+)
+def test_form_step_matches_multiply_and_phi(params, u, shift, sign):
+    g = britton_reduce(params, u)
+    assert is_britton_reduced(params, g.exps, g.stables)
+    step = ("a" if shift > 0 else "A") * abs(shift) + {1: "t", 0: "", -1: "T"}[sign]
+    exps, stables = form_step(g.exps, g.stables, shift, sign, params.m, params.n)
+    assert is_britton_reduced(params, exps, stables)
+    assert GroupElement(exps, stables) == multiply(params, g, step)
+    # phi of the letters involves no reduction step at all
+    assert phi(params, GroupElement(exps, stables)) == phi(params, u + tuple(step))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=ALL_PARAMS, u=WORDS)
+def test_lambda_matches_phi_formula(params, u):
+    g = britton_reduce(params, u)
+    for w in (u, g, word_to_text(u)):
+        assert lambda_val(params, w) == reference_lambda(params, w)
+    num, den = lambda_parts(params, g)
+    assert Fraction(num, den) == reference_lambda(params, g)
+
+
+RUNS = st.lists(
+    st.tuples(st.sampled_from("aAtT"), st.integers(-3, 12)), max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=ALL_PARAMS, runs=RUNS)
+def test_text_runs_match_letters(params, runs):
+    text = " ".join(f"{letter}{exp}" for letter, exp in runs)
+    word = ()
+    for letter, exp in runs:
+        inverted = letter.isupper() or exp < 0
+        word += (letter.upper() if inverted else letter.lower(),) * abs(exp)
+    assert parse_word(text) == word
+    assert element_from_text(params, text) == britton_reduce(params, word)
+    assert phi(params, text) == phi(params, word)
+    assert lambda_val(params, text) == reference_lambda(params, word)
+
+
+def test_large_exponent_costs_its_digits():
+    p = BsParams(3, 2)
+    g = element_from_text(p, "a1000000000")
+    assert g.exps == (10**9,) and g.stables == ()
+    assert phi(p, "a1000000000") == (10**9, 0)
+    assert lambda_val(p, g) == Fraction(10**9, 3)

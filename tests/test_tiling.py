@@ -4,10 +4,19 @@ from functools import lru_cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bsdomino import balrep
+from bsdomino import balrep, group
 from bsdomino.errors import OrbitTooShort
-from bsdomino.group import BsParams, IDENTITY_ELEMENT, element_from_text, multiply
+from bsdomino.group import (
+    BsParams,
+    IDENTITY_ELEMENT,
+    britton_reduce,
+    element_from_text,
+    lambda_val,
+    multiply,
+)
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, orbit
 from bsdomino.rationals import IDENTITY2, mat2, vec2
 from bsdomino.tileset import RowColors, Tileset, edge_colors, enumerate_tileset
@@ -28,7 +37,13 @@ from bsdomino.tiling import (
     search_patch,
     simulate_row,
 )
-from support import reference_edge_colors
+from support import (
+    ALL_PARAMS,
+    is_britton_reduced,
+    reference_ball,
+    reference_constraints,
+    reference_edge_colors,
+)
 
 P23 = BsParams(2, 3)
 IDENTITY_PIECE = AffinePiece(UnitSquare(0, 0), IDENTITY2, vec2(0, 0))
@@ -98,6 +113,63 @@ def test_constraints_vertical_pair():
     # partner e a^(j-1-k) T lands on T exactly when k = j - 1
     assert {(c.top_pos, c.bottom_pos) for c in vs} == {(1, 1), (2, 2)}
     assert all(c.a == IDENTITY_ELEMENT and c.b == upper for c in vs)
+
+
+WORDS = st.lists(st.sampled_from("aAtT"), max_size=12).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=ALL_PARAMS, radius=st.integers(0, 5))
+def test_ball_and_constraints_match_reference(params, radius):
+    patch = build_ball_patch(params, radius)
+    assert patch == reference_ball(params, radius)
+    assert all(is_britton_reduced(params, g.exps, g.stables) for g in patch.cells)
+    assert constraints_for(params, patch) == reference_constraints(params, patch)
+
+
+def neighbor_words(params):
+    """The steps to a cell's H, I and V partners, and t and t^-1."""
+    m, n = params.m, params.n
+    partners = [("a" if s > 0 else "A") * abs(s) + "T" for s in range(1 - n, m)]
+    return ["a", "a" * m, "t", "T", *partners]
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=ALL_PARAMS, words=st.lists(WORDS, min_size=1, max_size=5), data=st.data())
+def test_constraints_match_reference_on_random_patches(params, words, data):
+    cells = set()
+    for word in words:
+        g = britton_reduce(params, word)
+        steps = data.draw(st.sets(st.sampled_from(neighbor_words(params))))
+        cells.add(g)
+        cells.update(multiply(params, g, step) for step in steps)
+    patch = build_patch(params, cells)
+    constraints = constraints_for(params, patch)
+    assert constraints == reference_constraints(params, patch)
+    # each partner's scale, from the runs of its canonical form alone:
+    # lambda(g a^m) = lambda(g) + 1, lambda(g a) = lambda(g) + 1/m and
+    # lambda(g a^(j-1-k) t^-1) = (m/n) (lambda(g) + (j-1-k)/m)
+    m, n = params.m, params.n
+    for con in constraints:
+        lam = lambda_val(params, con.a)
+        want = {
+            "H": lam + 1,
+            "I": lam + Fraction(1, m),
+            "V": Fraction(m, n) * (lam + Fraction(con.top_pos - con.bottom_pos, m)),
+        }[con.kind]
+        assert lambda_val(params, con.b) == want
+
+
+def test_patch_geometry_parses_no_word(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"parse_word({text!r}) called")
+
+    monkeypatch.setattr(group, "parse_word", refuse)
+    patch = build_ball_patch(P23, 3)
+    assert constraints_for(P23, patch)
+    report = orbit(IDENTITY_MAP, vec2("1/2", "1/2"), 10)
+    assignment = assignment_from_orbit(P23, IDENTITY_MAP, report, patch)
+    assert len(assignment.pairs) == len(patch.cells)
 
 
 def test_row_readings_match_balanced_windows():
