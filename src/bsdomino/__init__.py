@@ -47,12 +47,12 @@ from .tileset import (
     RowColors,
     Tile,
     Tileset,
+    color_denominator,
     edge_colors,
     ell_bounds,
     enumerate_tileset,
     export_tileset,
     parse_tileset,
-    verify_tile_computes,
     verify_tileset,
 )
 from .tiling import (

@@ -23,6 +23,7 @@ from .pam import (
 )
 from .rationals import fmt_rat
 from .tileset import (
+    color_denominator,
     enumerate_tileset,
     export_tileset,
     parse_tileset,
@@ -210,7 +211,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return OK
     first = faults[0]
     print(f"ok=false faults={len(faults)} line={first.line} reason={first.reason}")
-    print(f"tile: {tile_to_line(first.tile)}")
+    print(f"tile: {tile_to_line(first.tile, ts.denominator)}")
     return FAIL
 
 
@@ -259,9 +260,10 @@ def cmd_simulate_row(args: argparse.Namespace) -> int:
         f" bottom_ok={str(bottom_ok).lower()} top_ok={str(top_ok).lower()}"
     )
     if args.out:
+        den = color_denominator(params, pam.pieces)
         with open(args.out, "w", encoding="utf-8") as handle:
             for tile in tiles:
-                handle.write(tile_to_line(tile) + "\n")
+                handle.write(tile_to_line(tile, den) + "\n")
     return OK if (bottom_ok and top_ok) else FAIL
 
 

@@ -71,10 +71,6 @@ def vec2(a, b) -> Vec2:
     return Vec2(as_rat(a), as_rat(b))
 
 
-def ivec_to_vec2(v: IntVec2) -> Vec2:
-    return Vec2(Fraction(v[0]), Fraction(v[1]))
-
-
 @dataclass(frozen=True)
 class Mat2:
     """A 2x2 matrix of exact rationals, stored row-major."""

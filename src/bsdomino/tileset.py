@@ -30,22 +30,24 @@ bounds, and every value lies on the grid (1/q) Z^2 for the common
 denominator q = lcm(m, n * den(M), n * den(b)).  That is what makes the
 enumerated tileset finite.
 
-Colors and checks work in integers over one per-piece denominator
-d = lcm(m, n * den(M), den(b)), which makes d/m, d M / n and d b
-integers (_Transport).  Every floor above is one integer floor
+Error colors are integer pairs: numerators over one denominator per
+map, D = lcm of its pieces' q, so that equal colors of different pieces
+are equal tuples.  D / m, D M / n and D b / n are integers, and so is
+everything below (_Transport).  Every floor above is one integer floor
 division: for lam = a/c and a component p/q of x,
-floor((j lam + k) p/q) = ((j a + k c) p) // (c q).  Each error color is
-an integer pair over n d; with F = floor(n lam x), G = floor(m lam f(x))
-and floor(lam - 1/2) = (2a - c) // (2c),
+floor((j lam + k) p/q) = ((j a + k c) p) // (c q).  With
+F = floor(n lam x), G = floor(m lam f(x)) and
+floor(lam - 1/2) = (2a - c) // (2c),
 
-    n d left = n (d M / n) F + d b - n (d / m) G + n floor(lam - 1/2) d b,
+    D left = (D M / n) F + (1 + n floor(lam - 1/2)) (D b / n) - (D / m) G,
 
 and right likewise from floor((n lam + n) x), floor((m lam + m) f(x))
-and floor(lam + 1/2) = (2a + c) // (2c).  verify_tileset checks the
-transport equation multiplied through by d; only error colors off the
-lattice need a larger common denominator there.  parse_tileset rejects
-a file whose headers disagree with its pieces (grid box, piece count,
-tile count) or whose tile lines are not strictly sorted.
+and floor(lam + 1/2) = (2a + c) // (2c).  A tile file prints each color
+as its reduced p/q; parse_tileset reads it back over D, rejecting a
+color off (1/D) Z^2, headers that disagree with their pieces (grid box,
+piece count, tile count) and tile lines not strictly sorted.
+verify_tileset checks the transport equation multiplied through by D
+and each piece's grid box, all in integers.
 """
 
 from __future__ import annotations
@@ -54,7 +56,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cache
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from .errors import EnumerationTooLarge, OutsidePiece, ParseError
 from .group import BsParams
@@ -78,80 +83,94 @@ class Tile(NamedTuple):
     piece: int
     bottom: tuple[IntVec2, ...]  # n colors
     top: tuple[IntVec2, ...]     # m colors
-    left: Vec2
-    right: Vec2
+    left: IntVec2                # error colors: numerators over the map's D
+    right: IntVec2
 
 
-def _tile_order(tile: Tile):
-    """The canonical order of tile lines: the order of the tiles themselves,
-    flattened so that comparing skips Vec2's Python-level comparisons."""
-    left, right = tile.left, tile.right
-    return (tile.piece, tile.bottom, tile.top, left.x1, left.x2, right.x1, right.x2)
+def grid_q(params: BsParams, piece: AffinePiece) -> int:
+    """q = lcm(m, n den(M), n den(b)): the piece's error colors lie on
+    (1/q) Z^2."""
+    dens = [e.denominator for e in piece.matrix.entries()]
+    dens += [piece.offset.x1.denominator, piece.offset.x2.denominator]
+    return lcm_all([params.m, *(params.n * d for d in dens)])
 
 
-def _avg(colors: tuple[IntVec2, ...]) -> Vec2:
-    count = len(colors)
-    return Vec2(
-        Fraction(sum(c[0] for c in colors), count),
-        Fraction(sum(c[1] for c in colors), count),
-    )
+def color_denominator(params: BsParams, pieces: Iterable[AffinePiece]) -> int:
+    """D, the lcm of the pieces' q: the tiles of a map carry their error
+    colors as integer numerators over the D of its pieces."""
+    return lcm_all(grid_q(params, piece) for piece in pieces)
 
 
 def edge_colors(
-    params: BsParams, piece: AffinePiece, lam, x: Vec2, piece_index: int = 0
+    params: BsParams,
+    piece: AffinePiece,
+    lam,
+    x: Vec2,
+    piece_index: int = 0,
+    denominator: int | None = None,
 ) -> Tile:
     """Tile of the given piece at scale value lam and point x.
 
-    Every floor is an integer floor division and each error color a pair
-    of integer numerators over n d (module docstring); the tile equals
-    the one the Fraction formulas give, color for color.
+    The error colors are numerators over denominator, by default the
+    piece's own q (the D of a one-piece map); the tile stands for the
+    one the Fraction formulas give, color for color.
     """
     lam = as_rat(lam)
-    return RowColors(params, piece, x, piece_index).tile(lam.numerator, lam.denominator)
+    if denominator is None:
+        denominator = grid_q(params, piece)
+    row = RowColors(params, piece, x, piece_index, denominator)
+    return row.tile(lam.numerator, lam.denominator)
 
 
 class RowColors:
     """The tiles of one piece at one point x, for any scale value.
 
     All tiles of a row share the piece and x and differ only in lam, so
-    the piece's _Transport and f(x) are built once, here; tile(a, c) is
-    the color kernel.
+    the piece's _Transport over the map's D and f(x) are built once,
+    here; tile(a, c) is the color kernel.
     """
 
     def __init__(
-        self, params: BsParams, piece: AffinePiece, x: Vec2, piece_index: int = 0
+        self,
+        params: BsParams,
+        piece: AffinePiece,
+        x: Vec2,
+        piece_index: int,
+        denominator: int,
     ):
         if not piece.square.contains_closed(x):
             raise OutsidePiece(f"{x} is not in square {piece.square}")
+        if denominator % grid_q(params, piece):
+            raise ValueError(f"{denominator} is not a multiple of the piece's q")
         self.params = params
         self.piece_index = piece_index
         self.x = x
         self.fx = piece.apply(x)
-        self.eq = _transport(params, piece)
+        self.eq = _transport(params, piece, denominator)
+        self.offset = tuple(o // params.n for o in self.eq.offset)  # D b / n
 
     def tile(self, a: int, c: int) -> Tile:
         """Tile at lam = a/c, c > 0, not necessarily in lowest terms.
 
         The bottom and top colors are differences of the floors
         floor((n lam + j) x), j = 0..n, and floor((m lam + j) f(x)),
-        j = 0..m; the error colors are integer numerators over n d, as in
+        j = 0..m; the error colors are integer numerators over D, as in
         the module docstring.
         """
         m, n = self.params.m, self.params.n
         floors_x = scaled_floors(self.x, n * a, c, 0, n)
         floors_f = scaled_floors(self.fx, m * a, c, 0, m)
         k11, k12, k21, k22 = self.eq.matrix
-        o1, o2 = self.eq.offset
-        nw = n * self.eq.top_weight
-        den = n * self.eq.d
+        o1, o2 = self.offset
+        w = self.eq.top_weight
 
-        def error(floor_x: IntVec2, floor_f: IntVec2, w: int) -> Vec2:
+        def error(floor_x: IntVec2, floor_f: IntVec2, half: int) -> IntVec2:
             f1, f2 = floor_x
             g1, g2 = floor_f
-            scale = 1 + n * w
-            return Vec2(
-                Fraction(n * (k11 * f1 + k12 * f2) + scale * o1 - nw * g1, den),
-                Fraction(n * (k21 * f1 + k22 * f2) + scale * o2 - nw * g2, den),
+            scale = 1 + n * half
+            return (
+                k11 * f1 + k12 * f2 + scale * o1 - w * g1,
+                k21 * f1 + k22 * f2 + scale * o2 - w * g2,
             )
 
         return Tile(
@@ -163,78 +182,42 @@ class RowColors:
         )
 
 
-def tile_residual(params: BsParams, piece: AffinePiece, tile: Tile) -> Vec2:
-    """Left-hand side minus right-hand side of the transport equation."""
-    lhs = _avg(tile.top) + tile.right
-    rhs = piece.apply(_avg(tile.bottom)) + tile.left
-    return lhs - rhs
-
-
 class _Transport(NamedTuple):
     """The transport equation of one piece multiplied through by d:
 
         d (right - left) = (d M / n) sum(bottom) + d b - (d / m) sum(top)
 
-    with d = lcm(m, n * den(M), den(b)), so every coefficient is an
-    integer.  It depends on m, n, M and b only, never on a file header.
+    with d a multiple of the piece's q, so every coefficient is an
+    integer.  It depends on m, n, M, b and d, never on a file header.
     """
 
-    d: int
     top_weight: int                         # d / m
     matrix: tuple[int, int, int, int]       # d M / n, row-major
     offset: IntVec2                         # d b
 
 
-def _transport(params: BsParams, piece: AffinePiece) -> _Transport:
-    m, n = params.m, params.n
+def _transport(params: BsParams, piece: AffinePiece, d: int) -> _Transport:
     b = piece.offset
-    entries = piece.matrix.entries()
-    den_m = lcm_all(e.denominator for e in entries)
-    d = lcm_all([m, n * den_m, b.x1.denominator, b.x2.denominator])
-    scale = Fraction(d, n)
-    k11, k12, k21, k22 = ((e * scale).numerator for e in entries)
-    return _Transport(
-        d, d // m, (k11, k12, k21, k22), ((b.x1 * d).numerator, (b.x2 * d).numerator)
-    )
+    scale = Fraction(d, params.n)
+    k11, k12, k21, k22 = ((e * scale).numerator for e in piece.matrix.entries())
+    offset = ((b.x1 * d).numerator, (b.x2 * d).numerator)
+    return _Transport(d // params.m, (k11, k12, k21, k22), offset)
 
 
-def _transport_holds(eq: _Transport, tile: Tile) -> bool:
-    """Exact transport check in integers, for any rational error colors.
-
-    Both sides are scaled by big = lcm(d, the four error-color
-    denominators); s = big / d is 1 when the colors lie on (1/d) Z^2.
-    """
+def _transport_rhs(eq: _Transport, bottom, top) -> IntVec2:
+    """d (right - left) as the transport equation fixes it, in integers."""
     bx = by = tx = ty = 0
-    for c1, c2 in tile.bottom:
+    for c1, c2 in bottom:
         bx += c1
         by += c2
-    for c1, c2 in tile.top:
+    for c1, c2 in top:
         tx += c1
         ty += c2
     k11, k12, k21, k22 = eq.matrix
     w = eq.top_weight
-    r1 = k11 * bx + k12 * by + eq.offset[0] - w * tx
-    r2 = k21 * bx + k22 * by + eq.offset[1] - w * ty
-    left, right = tile.left, tile.right
-    ln1, ld1 = left.x1.numerator, left.x1.denominator
-    ln2, ld2 = left.x2.numerator, left.x2.denominator
-    rn1, rd1 = right.x1.numerator, right.x1.denominator
-    rn2, rd2 = right.x2.numerator, right.x2.denominator
-    big = math.lcm(eq.d, ld1, ld2, rd1, rd2)
-    s = big // eq.d
     return (
-        rn1 * (big // rd1) - ln1 * (big // ld1) == s * r1
-        and rn2 * (big // rd2) - ln2 * (big // ld2) == s * r2
-    )
-
-
-def verify_tile_computes(params: BsParams, piece: AffinePiece, tile: Tile) -> bool:
-    """True when the tile has n bottom and m top colors and satisfies the
-    transport equation of the piece exactly."""
-    return (
-        len(tile.bottom) == params.n
-        and len(tile.top) == params.m
-        and _transport_holds(_transport(params, piece), tile)
+        k11 * bx + k12 * by + eq.offset[0] - w * tx,
+        k21 * bx + k22 * by + eq.offset[1] - w * ty,
     )
 
 
@@ -249,14 +232,13 @@ class EllBounds:
     p2: IntVec2
     q: int
 
-    def holds_for(self, v: Vec2) -> bool:
-        q = self.q
-        d1, d2 = v.x1.denominator, v.x2.denominator
+    def holds_for(self, color: IntVec2, step: int = 1) -> bool:
+        """color, as numerators over step * q, lies on the grid and in the box."""
+        c1, c2 = color
         return (
-            q % d1 == 0
-            and q % d2 == 0
-            and self.p1[0] <= v.x1.numerator * (q // d1) <= self.p2[0]
-            and self.p1[1] <= v.x2.numerator * (q // d2) <= self.p2[1]
+            self.p1[0] * step <= c1 <= self.p2[0] * step
+            and self.p1[1] * step <= c2 <= self.p2[1] * step
+            and not (c1 % step or c2 % step)
         )
 
 
@@ -273,9 +255,7 @@ def ell_bounds(params: BsParams, piece: AffinePiece) -> EllBounds:
     """
     m, n = params.m, params.n
     matrix, b = piece.matrix, piece.offset
-    dens = [e.denominator for e in matrix.entries()]
-    db = [piece.offset.x1.denominator, piece.offset.x2.denominator]
-    q = lcm_all([m, n * lcm_all(dens), n * lcm_all(db)])
+    q = grid_q(params, piece)
 
     one = Fraction(1)
     p1 = []
@@ -342,6 +322,11 @@ class Tileset:
     piece_meta: tuple[PieceMeta, ...]
     tiles: tuple[Tile, ...]
 
+    @property
+    def denominator(self) -> int:
+        """D: every error color is an integer pair over it."""
+        return color_denominator(self.params, self.pam.pieces)
+
 
 def _color_range(box: tuple[IntVec2, IntVec2]):
     (lo1, lo2), (hi1, hi2) = box
@@ -387,45 +372,34 @@ def enumerate_tileset(
         raise EnumerationTooLarge(total, max_candidates)
 
     m, n = params.m, params.n
+    den = color_denominator(params, f.pieces)
     metas = []
     tiles: list[Tile] = []
-    frac_cache: dict[tuple[int, int], Fraction] = {}
-
-    def grid_frac(p: int, q: int) -> Fraction:
-        key = (p, q)
-        if key not in frac_cache:
-            frac_cache[key] = Fraction(p, q)
-        return frac_cache[key]
-
     for index, piece in enumerate(f.pieces):
         bbox = bottom_label_box(piece)
         tbox = top_label_box(piece)
         eb = ell_bounds(params, piece)
         metas.append(PieceMeta(index, bbox, tbox, eb))
-        q = eb.q
-
-        bottoms = _sequences(_color_range(bbox), n)
+        # over q the transport equation has integer coefficients; grid[i][j]
+        # is the color (p1 + (i, j)) / q over D, one tuple for all its tiles
+        eq = _transport(params, piece, eb.q)
+        step = den // eb.q
+        (p11, p12), (p21, p22) = eb.p1, eb.p2
+        w1, w2 = p21 - p11, p22 - p12
+        grid = [
+            [((p11 + i) * step, (p12 + j) * step) for j in range(w2 + 1)]
+            for i in range(w1 + 1)
+        ]
         tops = _sequences(_color_range(tbox), m)
-        for bottom in bottoms:
-            shift = piece.apply(_avg(bottom))  # f(average of bottoms)
+        for bottom in _sequences(_color_range(bbox), n):
             for top in tops:
-                base = shift - _avg(top)       # right = base + left
-                bq1 = base.x1 * q
-                bq2 = base.x2 * q
-                if bq1.denominator != 1 or bq2.denominator != 1:
-                    continue
-                lo1 = max(eb.p1[0], eb.p1[0] - bq1.numerator)
-                hi1 = min(eb.p2[0], eb.p2[0] - bq1.numerator)
-                lo2 = max(eb.p1[1], eb.p1[1] - bq2.numerator)
-                hi2 = min(eb.p2[1], eb.p2[1] - bq2.numerator)
-                for e1 in range(lo1, hi1 + 1):
-                    left1 = grid_frac(e1, q)
-                    right1 = grid_frac(e1 + bq1.numerator, q)
-                    for e2 in range(lo2, hi2 + 1):
-                        left = Vec2(left1, grid_frac(e2, q))
-                        right = Vec2(right1, grid_frac(e2 + bq2.numerator, q))
-                        tiles.append(Tile(index, bottom, top, left, right))
-    # the loops run in _tile_order and right follows from left: no sort needed
+                # right = left + b, both in the grid box
+                b1, b2 = _transport_rhs(eq, bottom, top)
+                for i in range(max(0, -b1), min(w1, w1 - b1) + 1):
+                    lefts, rights = grid[i], grid[i + b1]
+                    for j in range(max(0, -b2), min(w2, w2 - b2) + 1):
+                        tiles.append(Tile(index, bottom, top, lefts[j], rights[j + b2]))
+    # the loops run in tile order and right follows from left: no sort needed
     return Tileset(params, f, tuple(metas), tuple(tiles))
 
 
@@ -436,17 +410,29 @@ def _fmt_ivec(v: IntVec2) -> str:
     return f"({v[0]},{v[1]})"
 
 
-def _fmt_vec_pair(v: Vec2) -> str:
-    return f"{fmt_rat(v.x1)},{fmt_rat(v.x2)}"
+def _fmt_over(p: int, denominator: int) -> str:
+    """p / denominator in lowest terms, as fmt_rat prints it."""
+    g = math.gcd(p, denominator)
+    return f"{p // g}/{denominator // g}"
 
 
-def tile_to_line(tile: Tile) -> str:
-    bottom = " ".join(_fmt_ivec(c) for c in tile.bottom)
-    top = " ".join(_fmt_ivec(c) for c in tile.top)
-    return (
-        f"{tile.piece} | bottom: {bottom} | top: {top}"
-        f" | l: {_fmt_vec_pair(tile.left)} | r: {_fmt_vec_pair(tile.right)}"
-    )
+def _line_writer(denominator: int):
+    """tile_to_line over one denominator, each distinct part formatted once."""
+    labels = cache(lambda colors: " ".join(_fmt_ivec(c) for c in colors))
+    errors = cache(lambda color: ",".join(_fmt_over(p, denominator) for p in color))
+
+    def line(tile: Tile) -> str:
+        return (
+            f"{tile.piece} | bottom: {labels(tile.bottom)} | top: {labels(tile.top)}"
+            f" | l: {errors(tile.left)} | r: {errors(tile.right)}"
+        )
+
+    return line
+
+
+def tile_to_line(tile: Tile, denominator: int) -> str:
+    """The tile's line in a tileset file, its error colors over denominator."""
+    return _line_writer(denominator)(tile)
 
 
 def export_tileset(ts: Tileset) -> str:
@@ -466,9 +452,9 @@ def export_tileset(ts: Tileset) -> str:
             f" p1=({meta.ell.p1[0]},{meta.ell.p1[1]})"
             f" p2=({meta.ell.p2[0]},{meta.ell.p2[1]})"
         )
-    for tile in sorted(ts.tiles, key=_tile_order):
-        lines.append(tile_to_line(tile))
-    return "\n".join(lines) + "\n"
+    lines.extend(map(_line_writer(ts.denominator), sorted(ts.tiles)))
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def _parse_ivec(text: str) -> IntVec2:
@@ -487,6 +473,38 @@ def _parse_colors(text: str) -> tuple[IntVec2, ...]:
     return tuple(_parse_ivec(tok) for tok in text.split())
 
 
+def _parse_error(text: str, denominator: int) -> IntVec2:
+    """An error color p/q,p/q as numerators over denominator."""
+    x1, x2 = (as_rat(part) * denominator for part in text.split(","))
+    if x1.denominator != 1 or x2.denominator != 1:
+        raise ParseError(f"error color {text} is off the grid (1/{denominator}) Z^2")
+    return (x1.numerator, x2.numerator)
+
+
+def _unlabel(part: str, label: str) -> str:
+    if not part.startswith(label):
+        raise ValueError(f"expected {label!r} in {part!r}")
+    return part[len(label):]
+
+
+def _line_reader(denominator: int):
+    """The tile of a tile line, each distinct part parsed once.
+
+    A memo hit is a part whose text, label included, was already parsed
+    and checked.
+    """
+    bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
+    tops = cache(lambda part: _parse_colors(_unlabel(part, "top: ")))
+    lefts = cache(lambda part: _parse_error(_unlabel(part, "l: "), denominator))
+    rights = cache(lambda part: _parse_error(_unlabel(part, "r: "), denominator))
+
+    def read(line: str) -> Tile:
+        head, bottom, top, left, right = line.split(" | ")
+        return Tile(int(head), bottoms(bottom), tops(top), lefts(left), rights(right))
+
+    return read
+
+
 def _header_fields(line: str) -> dict[str, str]:
     fields = {}
     for token in line.split()[1:]:
@@ -494,20 +512,6 @@ def _header_fields(line: str) -> dict[str, str]:
             key, value = token.split("=", 1)
             fields[key] = value
     return fields
-
-
-def _interned(memo: dict, part: str, label: str, parse):
-    """parse(part without its label), computed once per distinct part.
-
-    The labels are prefix-free and checked on every call, so a memo hit
-    always comes from a part with the same label.
-    """
-    if not part.startswith(label):
-        raise ValueError(f"expected {label!r} in {part!r}")
-    value = memo.get(part)
-    if value is None:
-        value = memo[part] = parse(part[len(label):])
-    return value
 
 
 def _parse_piece(
@@ -535,17 +539,18 @@ def _parse_piece(
 
 
 def parse_tileset(text: str) -> Tileset:
-    """Read an exported tileset, rejecting malformed lines, tile lines out
-    of canonical order or repeated, and any header that disagrees with its
-    pieces: a grid box other than ell_bounds gives, or a pieces=/tiles=
-    count other than the lines that follow."""
+    """Read an exported tileset, rejecting malformed lines, error colors
+    off the grid (1/D) Z^2, tile lines out of canonical order or
+    repeated, and any header that disagrees with its pieces: a grid box
+    other than ell_bounds gives, or a pieces=/tiles= count other than
+    the lines that follow.  Piece headers come before the tile lines,
+    which are read over the D of those pieces."""
     params = None
     counts = None  # (line number, declared pieces, declared tiles)
     pieces: list[AffinePiece] = []
     metas: list[PieceMeta] = []
     tiles: list[Tile] = []
-    last_key = None  # _tile_order of the previous tile line
-    memo: dict[str, object] = {}  # tile line part -> its parsed value
+    read = None  # the tile line reader, made at the first tile line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -562,6 +567,8 @@ def parse_tileset(text: str) -> Tileset:
                         raise ParseError(f"piece {idx} out of order")
                     if params is None:
                         raise ParseError("piece header before m/n header")
+                    if read is not None:
+                        raise ParseError("piece header after tile lines")
                     piece, ell = _parse_piece(params, fields)
                     pieces.append(piece)
                     metas.append(
@@ -570,19 +577,14 @@ def parse_tileset(text: str) -> Tileset:
                         )
                     )
                 continue
-            head, bottom_part, top_part, l_part, r_part = line.split(" | ")
-            tile = Tile(
-                int(head),
-                _interned(memo, bottom_part, "bottom: ", _parse_colors),
-                _interned(memo, top_part, "top: ", _parse_colors),
-                _interned(memo, l_part, "l: ", _parse_vec_pair),
-                _interned(memo, r_part, "r: ", _parse_vec_pair),
-            )
-            key = _tile_order(tile)
-            if tiles and key <= last_key:
+            if read is None:
+                if not pieces:
+                    raise ParseError("tile line before the piece headers")
+                read = _line_reader(color_denominator(params, pieces))
+            tile = read(line)
+            if tiles and tile <= tiles[-1]:
                 raise ParseError("tile line out of order or repeated")
             tiles.append(tile)
-            last_key = key
         except (ValueError, KeyError, IndexError, ParseError) as exc:
             raise ParseError(f"tileset line {lineno}: {exc}") from None
     if params is None or not pieces:
@@ -607,45 +609,52 @@ class TileFault:
 
 def _in_box(colors: tuple[IntVec2, ...], box: tuple[IntVec2, IntVec2]) -> bool:
     (lo1, lo2), (hi1, hi2) = box
-    for c1, c2 in colors:
-        if not (lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2):
-            return False
-    return True
+    return all(lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2 for c1, c2 in colors)
 
 
 def verify_tileset(ts: Tileset) -> list[TileFault]:
     """Recheck every tile: transport equation, label boxes, grid boxes.
 
-    The transport equation is checked in integers over each piece's
-    denominator d (see _Transport), exactly for any rational colors.
-    Line numbers refer to the canonical export layout (header lines
-    first, tiles in sorted order).
+    All in integers over the tileset's D: the transport equation
+    multiplied through by D (see _Transport), and each error color as a
+    multiple of D / q inside its piece's grid box.  The checks of piece,
+    bottom and top run once per run of tiles that share them.  Line
+    numbers refer to the canonical export layout (header lines first,
+    tiles in sorted order).
     """
     faults = []
     m, n = ts.params.m, ts.params.n
-    equations = [_transport(ts.params, piece) for piece in ts.pam.pieces]
-    header_lines = 2 + len(ts.pam.pieces)
-    for offset, tile in enumerate(sorted(ts.tiles, key=_tile_order)):
-        lineno = header_lines + offset + 1
-        if not 0 <= tile.piece < len(equations):
-            faults.append(TileFault(lineno, tile, f"unknown piece {tile.piece}"))
-            continue
-        meta = ts.piece_meta[tile.piece]
-        if len(tile.bottom) != n or len(tile.top) != m:
-            faults.append(TileFault(lineno, tile, "wrong number of edge colors"))
-            continue
-        if not _transport_holds(equations[tile.piece], tile):
-            faults.append(TileFault(lineno, tile, "transport equation violated"))
-            continue
-        if not _in_box(tile.bottom, meta.bottom_box):
-            faults.append(TileFault(lineno, tile, "bottom color outside box"))
-            continue
-        if not _in_box(tile.top, meta.top_box):
-            faults.append(TileFault(lineno, tile, "top color outside box"))
-            continue
-        if not meta.ell.holds_for(tile.left):
-            faults.append(TileFault(lineno, tile, "left color off the grid box"))
-            continue
-        if not meta.ell.holds_for(tile.right):
-            faults.append(TileFault(lineno, tile, "right color off the grid box"))
+    den = ts.denominator
+    equations = [_transport(ts.params, piece, den) for piece in ts.pam.pieces]
+    lineno = 2 + len(ts.pam.pieces)
+    for (piece, bottom, top), run in groupby(sorted(ts.tiles), itemgetter(0, 1, 2)):
+        before = after = None  # the reasons of faults before and after transport
+        if not 0 <= piece < len(equations):
+            before = f"unknown piece {piece}"
+        elif len(bottom) != n or len(top) != m:
+            before = "wrong number of edge colors"
+        else:
+            r1, r2 = _transport_rhs(equations[piece], bottom, top)
+            meta = ts.piece_meta[piece]
+            ell, step = meta.ell, den // meta.ell.q
+            if not _in_box(bottom, meta.bottom_box):
+                after = "bottom color outside box"
+            elif not _in_box(top, meta.top_box):
+                after = "top color outside box"
+        for tile in run:
+            lineno += 1
+            left, right = tile.left, tile.right
+            if before:
+                reason = before
+            elif right[0] - left[0] != r1 or right[1] - left[1] != r2:
+                reason = "transport equation violated"
+            elif after:
+                reason = after
+            elif not ell.holds_for(left, step):
+                reason = "left color off the grid box"
+            elif not ell.holds_for(right, step):
+                reason = "right color off the grid box"
+            else:
+                continue
+            faults.append(TileFault(lineno, tile, reason))
     return faults

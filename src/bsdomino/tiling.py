@@ -35,7 +35,7 @@ from .group import (
 )
 from .pam import CycleDetected, OrbitReport, PiecewiseAffineMap
 from .rationals import IntVec2, Vec2
-from .tileset import RowColors, Tile, Tileset, _color_range
+from .tileset import RowColors, Tile, Tileset, _color_range, color_denominator
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,8 @@ def simulate_row(
     k_lo, k_hi = k_range
     if not 0 <= piece_index < len(f.pieces):
         raise ValueError(f"piece index {piece_index} out of range")
-    row = RowColors(params, f.pieces[piece_index], x, piece_index)
+    den = color_denominator(params, f.pieces)
+    row = RowColors(params, f.pieces[piece_index], x, piece_index, den)
     # lambda(g0) + k/m over the common denominator m c
     m, (a, c) = params.m, lambda_parts(params, g0)
     return [row.tile(m * a + k * c, m * c) for k in range(k_lo, k_hi + 1)]
@@ -261,11 +262,6 @@ class BudgetExceeded:
 SearchResult = Found | ExhaustedNoTiling | BudgetExceeded
 
 
-def _color_key(v: Vec2) -> tuple[int, int, int, int]:
-    # integers hash much faster than Fractions
-    return (v.x1.numerator, v.x1.denominator, v.x2.numerator, v.x2.denominator)
-
-
 class _EdgeMasks:
     """One bitset per edge key of a tileset; bit i stands for tile i.
 
@@ -278,13 +274,7 @@ class _EdgeMasks:
         nbytes = (len(tiles) + 7) // 8
         for i, tile in enumerate(tiles):
             byte, bit = i >> 3, 1 << (i & 7)
-            keys = (
-                _color_key(tile.left),
-                _color_key(tile.right),
-                tile.piece,
-                *tile.top,
-                *tile.bottom,
-            )
+            keys = (tile.left, tile.right, tile.piece, *tile.top, *tile.bottom)
             for by_key, key in zip(groups, keys):
                 buf = by_key.get(key)
                 if buf is None:
@@ -505,12 +495,14 @@ def assignment_from_orbit(
             f"patch spans {depth + 1} levels, orbit provides {len(states)}"
         )
 
+    den = color_denominator(params, f.pieces)
     colors: dict[tuple[int, Vec2], RowColors] = {}  # one per distinct state
     rows = []  # rows[level]: the colors of that level's orbit state
     for level in range(depth + 1):
         piece_idx, point = state = state_at(level)
         if state not in colors:
-            colors[state] = RowColors(params, f.pieces[piece_idx], point, piece_idx)
+            piece = f.pieces[piece_idx]
+            colors[state] = RowColors(params, piece, point, piece_idx, den)
         rows.append(colors[state])
     assignment = TilingAssignment(
         tuple(

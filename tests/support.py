@@ -17,15 +17,15 @@ from bsdomino.group import (
     multiply,
     phi,
 )
-from bsdomino.pam import AffinePiece, UnitSquare
-from bsdomino.rationals import Mat2, Vec2, as_rat, ivec_to_vec2
+from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare
+from bsdomino.rationals import IDENTITY2, IntVec2, Mat2, Vec2, as_rat
 from bsdomino.tileset import (
     EllBounds,
     Tile,
     TileFault,
     Tileset,
     edge_colors,
-    tile_residual,
+    grid_q,
 )
 from bsdomino.tiling import Constraint, Patch, build_patch
 
@@ -82,7 +82,57 @@ def random_point_in(rng: Random, square: UnitSquare, max_den: int = 16) -> Vec2:
     )
 
 
-def _on_grid_box(ell: EllBounds, v: Vec2) -> bool:
+def ivec_to_vec2(v: IntVec2) -> Vec2:
+    return Vec2(Fraction(v[0]), Fraction(v[1]))
+
+
+def color_value(color: IntVec2, denominator: int) -> Vec2:
+    """The rational pair an error color over denominator stands for."""
+    return Vec2(Fraction(color[0], denominator), Fraction(color[1], denominator))
+
+
+def scaled_color(v: Vec2, denominator: int) -> IntVec2:
+    """The numerators of v over denominator; v must lie on (1/denominator) Z^2."""
+    s1, s2 = v.x1 * denominator, v.x2 * denominator
+    assert s1.denominator == s2.denominator == 1, f"{v} is off the 1/{denominator} grid"
+    return (s1.numerator, s2.numerator)
+
+
+def _avg(colors: tuple[IntVec2, ...]) -> Vec2:
+    count = len(colors)
+    return Vec2(
+        Fraction(sum(c[0] for c in colors), count),
+        Fraction(sum(c[1] for c in colors), count),
+    )
+
+
+def tile_residual(
+    params: BsParams, piece: AffinePiece, tile: Tile, denominator: int | None = None
+) -> Vec2:
+    """Left-hand side minus right-hand side of the transport equation, in
+    Fractions, the error colors over denominator (by default the piece's q)."""
+    if denominator is None:
+        denominator = grid_q(params, piece)
+    lhs = _avg(tile.top) + color_value(tile.right, denominator)
+    rhs = piece.apply(_avg(tile.bottom)) + color_value(tile.left, denominator)
+    return lhs - rhs
+
+
+def verify_tile_computes(
+    params: BsParams, piece: AffinePiece, tile: Tile, denominator: int | None = None
+) -> bool:
+    """True when the tile has n bottom and m top colors and satisfies the
+    transport equation of the piece exactly."""
+    zero = Vec2(Fraction(0), Fraction(0))
+    return (
+        len(tile.bottom) == params.n
+        and len(tile.top) == params.m
+        and tile_residual(params, piece, tile, denominator) == zero
+    )
+
+
+def on_grid_box(ell: EllBounds, v: Vec2) -> bool:
+    """v is a multiple of 1/q inside [p1/q, p2/q]."""
     scaled = (v.x1 * ell.q, v.x2 * ell.q)
     if any(c.denominator != 1 for c in scaled):
         return False
@@ -91,10 +141,12 @@ def _on_grid_box(ell: EllBounds, v: Vec2) -> bool:
 
 def reference_verify(ts: Tileset) -> list[TileFault]:
     """verify_tileset written directly in Fractions: the exact residual
-    of the transport equation and the grid box as multiples of 1/q."""
+    of the transport equation and the grid box as multiples of 1/q, each
+    error color taken as its value over the tileset's D."""
     faults = []
     header_lines = 2 + len(ts.pam.pieces)
     zero = Vec2(Fraction(0), Fraction(0))
+    den = ts.denominator
     for offset, tile in enumerate(sorted(ts.tiles)):
         lineno = header_lines + offset + 1
         if not 0 <= tile.piece < len(ts.pam.pieces):
@@ -104,7 +156,7 @@ def reference_verify(ts: Tileset) -> list[TileFault]:
         meta = ts.piece_meta[tile.piece]
         if len(tile.bottom) != ts.params.n or len(tile.top) != ts.params.m:
             reason = "wrong number of edge colors"
-        elif tile_residual(ts.params, piece, tile) != zero:
+        elif tile_residual(ts.params, piece, tile, den) != zero:
             reason = "transport equation violated"
         elif not all(
             meta.bottom_box[0][i] <= c[i] <= meta.bottom_box[1][i]
@@ -118,9 +170,9 @@ def reference_verify(ts: Tileset) -> list[TileFault]:
             for i in range(2)
         ):
             reason = "top color outside box"
-        elif not _on_grid_box(meta.ell, tile.left):
+        elif not on_grid_box(meta.ell, color_value(tile.left, den)):
             reason = "left color off the grid box"
-        elif not _on_grid_box(meta.ell, tile.right):
+        elif not on_grid_box(meta.ell, color_value(tile.right, den)):
             reason = "right color off the grid box"
         else:
             continue
@@ -137,10 +189,19 @@ def reference_b_k(x: Vec2, z, k: int) -> tuple[int, int]:
 
 
 def reference_edge_colors(
-    params: BsParams, piece: AffinePiece, lam, x: Vec2, piece_index: int = 0
+    params: BsParams,
+    piece: AffinePiece,
+    lam,
+    x: Vec2,
+    piece_index: int = 0,
+    denominator: int | None = None,
 ) -> Tile:
     """tileset.edge_colors written directly in Fractions, formula by
-    formula as in the tileset module docstring (no containment check)."""
+    formula as in the tileset module docstring (no containment check),
+    then each error color scaled to its numerators over denominator (by
+    default the piece's q), which must be integers."""
+    if denominator is None:
+        denominator = grid_q(params, piece)
     lam = as_rat(lam)
     m, n = params.m, params.n
     fx = piece.apply(x)
@@ -156,7 +217,13 @@ def reference_edge_colors(
         - ivec_to_vec2(fx.scale(m * lam + m).floor()).scale(Fraction(1, m))
         + piece.offset.scale(math.floor(lam + Fraction(1, 2)))
     )
-    return Tile(piece_index, bottom, top, left, right)
+    return Tile(
+        piece_index,
+        bottom,
+        top,
+        scaled_color(left, denominator),
+        scaled_color(right, denominator),
+    )
 
 
 def compose_alpha_check(params: BsParams, u, v) -> bool:
@@ -296,3 +363,17 @@ def reference_constraints(params: BsParams, patch: Patch) -> tuple[Constraint, .
                 if upper in patch:
                     out.append(Constraint("V", g, upper, top_pos=j, bottom_pos=k + 1))
     return tuple(out)
+
+
+# two pieces on BS(2,3) with different grids: q = 6 for the identity on
+# (0,0), q = 12 for (1/4) x on (1,0); D = 12
+MIXED_Q_MAP = PiecewiseAffineMap(
+    (
+        AffinePiece(UnitSquare(0, 0), IDENTITY2, Vec2(Fraction(0), Fraction(0))),
+        AffinePiece(
+            UnitSquare(1, 0),
+            Mat2(Fraction(1, 4), Fraction(0), Fraction(0), Fraction(1, 4)),
+            Vec2(Fraction(0), Fraction(0)),
+        ),
+    )
+)

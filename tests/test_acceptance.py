@@ -21,7 +21,7 @@ from bsdomino.group import (
 )
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare
 from bsdomino.rationals import IDENTITY2, Vec2, vec2
-from bsdomino.tileset import edge_colors, enumerate_tileset, verify_tile_computes
+from bsdomino.tileset import edge_colors, enumerate_tileset
 from bsdomino.tiling import (
     ExhaustedNoTiling,
     Found,
@@ -39,6 +39,7 @@ from support import (
     random_point_in,
     random_rational,
     random_word,
+    verify_tile_computes,
 )
 
 P23 = BsParams(2, 3)

@@ -152,6 +152,15 @@ def _swap_adjacent(lines):
     lines[100], lines[101] = lines[101], lines[100]
 
 
+def _shift_off_grid(lines):
+    # both colors by +1/7: the transport equation still holds, but the
+    # colors leave the grid (1/6) Z^2 of the file's only piece
+    head, _, colors = lines[-1].partition(" | l: ")
+    assert colors == "1/2,1/2 | r: 1/2,1/2"
+    lines[-1] = head + " | l: 9/14,9/14 | r: 9/14,9/14"
+    return len(lines)
+
+
 @pytest.fixture(scope="module")
 def identity_lines(tmp_path_factory):
     path = tmp_path_factory.mktemp("tiles") / "identity.map"
@@ -171,11 +180,12 @@ def identity_lines(tmp_path_factory):
         _duplicate_tile,
         _duplicate_and_delete,
         _swap_adjacent,
+        _shift_off_grid,
     ],
 )
 def test_verify_rejects_inconsistent_header(tmp_path, capsys, identity_lines, probe):
     lines = list(identity_lines)
-    probe(lines)
+    where = probe(lines)  # the line the probe breaks, when it names one
     broken = str(tmp_path / "broken.tiles")
     with open(broken, "w") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -184,6 +194,8 @@ def test_verify_rejects_inconsistent_header(tmp_path, capsys, identity_lines, pr
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: tileset line" in captured.err
+    if where is not None:
+        assert f"error: tileset line {where}:" in captured.err
 
 
 def test_search_exit_codes(tmp_path, capsys, identity_map, escape_map):

@@ -3,7 +3,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsdomino.balrep import b_k
@@ -14,18 +14,20 @@ from bsdomino.rationals import IDENTITY2, Vec2, mat2, vec2
 from bsdomino.tileset import (
     Tileset,
     bottom_label_box,
+    color_denominator,
     edge_colors,
     ell_bounds,
     enumerate_tileset,
     export_tileset,
     parse_tileset,
-    tile_residual,
+    tile_to_line,
     top_label_box,
-    verify_tile_computes,
     verify_tileset,
 )
 from support import (
+    MIXED_Q_MAP,
     affine_scaled_difference_check,
+    color_value,
     floor_half_identity_check,
     random_piece,
     random_point_in,
@@ -33,6 +35,9 @@ from support import (
     reference_edge_colors,
     reference_verify,
     residual_stages,
+    scaled_color,
+    tile_residual,
+    verify_tile_computes,
 )
 
 P23 = BsParams(2, 3)
@@ -55,24 +60,33 @@ def test_worked_tile():
     tile = edge_colors(P23, IDENTITY_PIECE, 0, vec2("1/2", "1/2"))
     assert tile.bottom == ((0, 0), (1, 1), (0, 0))
     assert tile.top == ((0, 0), (1, 1))
-    assert tile.left == vec2(0, 0)
-    assert tile.right == vec2("-1/6", "-1/6")
+    # error colors over D = q = 6: left 0, right -1/6
+    assert tile.left == (0, 0)
+    assert tile.right == (-1, -1)
     assert verify_tile_computes(P23, IDENTITY_PIECE, tile)
     # both sides of the transport equation equal (1/3, 1/3)
     avg_top = vec2("1/2", "1/2")
-    assert avg_top + tile.right == vec2("1/3", "1/3")
+    assert avg_top + color_value(tile.right, 6) == vec2("1/3", "1/3")
+    # a line prints the values, whatever the denominator
+    line = (
+        "0 | bottom: (0,0) (1,1) (0,0) | top: (0,0) (1,1) | l: 0/1,0/1 | r: -1/6,-1/6"
+    )
+    assert tile_to_line(tile, 6) == line
+    over_12 = edge_colors(P23, IDENTITY_PIECE, 0, vec2("1/2", "1/2"), 0, 12)
+    assert over_12.right == (-2, -2)
+    assert tile_to_line(over_12, 12) == line
 
 
 def test_zero_point_tile_is_all_zero():
     for params in PARAM_GRID:
         tile = edge_colors(params, IDENTITY_PIECE, 0, vec2(0, 0))
         assert all(c == (0, 0) for c in tile.bottom + tile.top)
-        assert tile.left == vec2(0, 0) and tile.right == vec2(0, 0)
+        assert tile.left == (0, 0) and tile.right == (0, 0)
 
 
 def test_corrupted_tile_fails():
     tile = edge_colors(P23, IDENTITY_PIECE, 0, vec2("1/2", "1/2"))
-    broken = tile._replace(right=vec2(0, 0))
+    broken = tile._replace(right=(0, 0))
     assert not verify_tile_computes(P23, IDENTITY_PIECE, broken)
     assert tile_residual(P23, IDENTITY_PIECE, broken) == vec2("1/6", "1/6")
 
@@ -87,7 +101,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # denominator-2 entries, the rotations have pieces in the negative squares
 MAP_FILES = sorted(ROOT.glob("maps/*.map")) + sorted(ROOT.glob("perfbench/maps/*.map"))
 MAP_PIECES = [
-    (params, index, piece)
+    (params, index, piece, color_denominator(params, pam.pieces))
     for params, pam in (load_map(str(path)) for path in MAP_FILES)
     for index, piece in enumerate(pam.pieces)
 ]
@@ -102,17 +116,17 @@ def _unit_offset(draw) -> Fraction:
 @settings(max_examples=600, deadline=None)
 @given(data=st.data())
 def test_edge_colors_match_fraction_oracle(data):
-    params, index, piece = data.draw(st.sampled_from(MAP_PIECES))
+    params, index, piece, den = data.draw(st.sampled_from(MAP_PIECES))
     sq = piece.square
     x = Vec2(sq.c1 + _unit_offset(data.draw), sq.c2 + _unit_offset(data.draw))
     lam = Fraction(data.draw(st.integers(-300, 300)), data.draw(st.integers(1, 60)))
-    tile = edge_colors(params, piece, lam, x, index)
-    assert tile == reference_edge_colors(params, piece, lam, x, index)
+    tile = edge_colors(params, piece, lam, x, index, den)
+    assert tile == reference_edge_colors(params, piece, lam, x, index, den)
 
 
 def test_oracle_covers_every_map():
-    assert {(p.m, p.n) for p, _, _ in MAP_PIECES} >= {(2, 3), (2, 2), (3, 2)}
-    entries = [e for _, _, piece in MAP_PIECES for e in piece.matrix.entries()]
+    assert {(p.m, p.n) for p, _, _, _ in MAP_PIECES} >= {(2, 3), (2, 2), (3, 2)}
+    entries = [e for _, _, piece, _ in MAP_PIECES for e in piece.matrix.entries()]
     assert any(e.denominator == 2 for e in entries)
 
 
@@ -188,8 +202,12 @@ def test_vertical_transfer_identity():
 def test_ell_bounds_identity_box():
     eb = ell_bounds(P23, IDENTITY_PIECE)
     assert eb.q == 6
-    assert eb.holds_for(vec2(0, 0))
-    assert eb.holds_for(vec2("-1/6", "-1/6"))
+    assert eb.holds_for((0, 0))
+    assert eb.holds_for((-1, -1))
+    assert not eb.holds_for((-3, 0))
+    # over D = 2 q: even numerators only
+    assert eb.holds_for((-2, -2), 2)
+    assert not eb.holds_for((-1, -1), 2)
 
 
 def test_ell_bounds_zero_offset_tight_in_lambda():
@@ -282,6 +300,8 @@ def test_export_round_trip():
     "old, new",
     [
         (" | r: ", " | r: 1/0,"),        # bad rational
+        (" | r: ", " | r: 1/-6,"),       # bad rational
+        (" | r: ", " | r: 1/7,"),        # off the grid (1/D) Z^2
         (" | l: ", " | x: "),            # unknown label
         ("bottom: ", "top: "),           # labels out of place
         (" | r: ", " | l: "),
@@ -296,6 +316,14 @@ def test_parse_names_malformed_line(old, new):
     lines[victim] = lines[victim - 1].replace(old, new, 1)
     with pytest.raises(ParseError, match=f"tileset line {victim + 1}:"):
         parse_tileset("\n".join(lines) + "\n")
+
+
+def test_parse_reads_colors_by_value():
+    # 2/12 is -1/6 spelled over a larger denominator
+    text = export_tileset(enumerate_tileset(P23, IDENTITY_MAP))
+    line = next(line for line in text.splitlines() if " | r: -1/6," in line)
+    spelled = line.replace(" | r: -1/6,", " | r: -2/12,")
+    assert parse_tileset(text.replace(line, spelled)).tiles == parse_tileset(text).tiles
 
 
 def test_residual_stage_chain():
@@ -321,55 +349,77 @@ def test_affine_scaled_difference_lemma():
         assert affine_scaled_difference_check(piece, c, y, z)
 
 
+def test_mixed_q_map_round_trips():
+    ts = enumerate_tileset(P23, MIXED_Q_MAP)
+    assert [meta.ell.q for meta in ts.piece_meta] == [6, 12]
+    assert ts.denominator == 12
+    text = export_tileset(ts)
+    again = parse_tileset(text)
+    assert again.tiles == ts.tiles
+    assert export_tileset(again) == text
+    assert not verify_tileset(again)
+
+
 @pytest.fixture(scope="module")
 def lattice_tilesets():
-    return [enumerate_tileset(P23, IDENTITY_MAP), enumerate_tileset(P23, HALF2_MAP)]
+    return [
+        enumerate_tileset(P23, IDENTITY_MAP),
+        enumerate_tileset(P23, HALF2_MAP),
+        enumerate_tileset(P23, MIXED_Q_MAP),  # D = 12: piece 0 on every other numerator
+    ]
 
 
-LATTICE_D = 6  # lcm(m, n den(M), den(b)) of every piece of both maps
+def _add(color, delta):
+    return (color[0] + delta[0], color[1] + delta[1])
 
 
-def _rational(draw) -> Fraction:
-    return Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 48)))
+KINDS = ["grid", "right side", "bottom", "top", "piece", "count"]
 
 
-def _off_lattice(draw) -> Fraction:
-    value = _rational(draw)
-    assume(LATTICE_D % value.denominator != 0)
-    return value
-
-
-def _perturb(draw, ts: Tileset, tile):
-    """The tile broken in one drawn way that makes it invalid."""
-    kind = draw(st.sampled_from(["both sides", "right side", "bottom", "top"]))
-    if kind == "both sides":
-        # right - left keeps its value: only the grid check can fail
-        second = _off_lattice(draw) if draw(st.booleans()) else Fraction(0)
-        shift = Vec2(_off_lattice(draw), second)
-        return tile._replace(left=tile.left + shift, right=tile.right + shift)
-    if kind == "right side":
-        shift = Vec2(_rational(draw), _rational(draw))
-        assume(shift.max_abs() != 0)
-        return tile._replace(right=tile.right + shift)
+def _perturb(pick, ts: Tileset, tile):
+    """The tile broken in one way that makes it invalid; pick(values)
+    chooses one of the values."""
+    kind = pick(KINDS)
+    if kind == "piece":
+        return tile._replace(piece=len(ts.pam.pieces))
+    if kind == "count":
+        return tile._replace(bottom=tile.bottom[:-1])
+    den = ts.denominator
     meta = ts.piece_meta[tile.piece]
+    step = den // meta.ell.q
+    if kind == "grid":
+        # right - left keeps its value: only the grid check can fail, by a
+        # numerator off the piece's grid or out of its box
+        axis = pick([0, 1])
+        if step > 1 and pick([True, False]):
+            shift = pick([s for s in range(-40, 41) if s % step])
+        else:
+            k = pick([1, 2, 3])
+            bound = step * pick([meta.ell.p2[axis] + k, meta.ell.p1[axis] - k])
+            shift = bound - getattr(tile, pick(["left", "right"]))[axis]
+        delta = (shift, 0) if axis == 0 else (0, shift)
+        return tile._replace(left=_add(tile.left, delta), right=_add(tile.right, delta))
+    if kind == "right side":
+        delta = pick([(a, b) for a in range(-8, 9) for b in range(-8, 9) if a or b])
+        return tile._replace(right=_add(tile.right, delta))
     (lo, hi) = meta.bottom_box if kind == "bottom" else meta.top_box
     colors = list(getattr(tile, kind))
-    k = draw(st.integers(0, len(colors) - 1))
-    axis = draw(st.integers(0, 1))
-    step = draw(st.integers(1, 3))
+    k = pick(range(len(colors)))
+    axis = pick([0, 1])
     moved = list(colors[k])
-    moved[axis] = draw(st.sampled_from([hi[axis] + step, lo[axis] - step]))
+    outside = [hi[axis] + s for s in (1, 2, 3)] + [lo[axis] - s for s in (1, 2, 3)]
+    moved[axis] = pick(outside)
     delta = Vec2(Fraction(moved[0] - colors[k][0]), Fraction(moved[1] - colors[k][1]))
     colors[k] = tuple(moved)
     tile = tile._replace(**{kind: tuple(colors)})
-    if draw(st.booleans()):
+    if pick([True, False]):
         # keep the transport equation so that the box check is what fails
         if kind == "bottom":
             piece = ts.pam.pieces[tile.piece]
             fix = piece.matrix.apply(delta).scale(Fraction(1, ts.params.n))
         else:
             fix = -delta.scale(Fraction(1, ts.params.m))
-        tile = tile._replace(right=tile.right + fix)
+        tile = tile._replace(right=_add(tile.right, scaled_color(fix, den)))
     return tile
 
 
@@ -380,8 +430,12 @@ def test_verify_matches_fraction_oracle(lattice_tilesets, data):
     picks = data.draw(
         st.lists(st.integers(0, len(ts.tiles) - 1), min_size=1, max_size=12)
     )
+
+    def pick(values):
+        return data.draw(st.sampled_from(values))
+
     broken = [
-        _perturb(data.draw, ts, ts.tiles[i])
+        _perturb(pick, ts, ts.tiles[i])
         for i in data.draw(st.lists(st.sampled_from(picks), min_size=1, max_size=4))
     ]
     tiles = tuple(ts.tiles[i] for i in picks) + tuple(broken)
@@ -389,3 +443,24 @@ def test_verify_matches_fraction_oracle(lattice_tilesets, data):
     faults = verify_tileset(sub)
     assert faults == reference_verify(sub)
     assert {fault.tile for fault in faults} == set(broken)
+
+
+def test_perturbations_draw_every_fault_reason(lattice_tilesets):
+    rng = Random(51)
+    reasons = set()
+    for _ in range(400):
+        ts = rng.choice(lattice_tilesets)
+        broken = _perturb(rng.choice, ts, rng.choice(ts.tiles))
+        sub = Tileset(ts.params, ts.pam, ts.piece_meta, (broken,))
+        faults = verify_tileset(sub)
+        assert len(faults) == 1 and faults == reference_verify(sub)
+        reasons.add(faults[0].reason.rstrip("0123456789"))
+    assert reasons == {
+        "unknown piece ",
+        "wrong number of edge colors",
+        "transport equation violated",
+        "bottom color outside box",
+        "top color outside box",
+        "left color off the grid box",
+        "right color off the grid box",
+    }

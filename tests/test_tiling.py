@@ -19,7 +19,13 @@ from bsdomino.group import (
 )
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, orbit
 from bsdomino.rationals import IDENTITY2, mat2, vec2
-from bsdomino.tileset import RowColors, Tileset, edge_colors, enumerate_tileset
+from bsdomino.tileset import (
+    RowColors,
+    Tileset,
+    color_denominator,
+    edge_colors,
+    enumerate_tileset,
+)
 from bsdomino.tiling import (
     BudgetExceeded,
     ExhaustedNoTiling,
@@ -39,7 +45,11 @@ from bsdomino.tiling import (
 )
 from support import (
     ALL_PARAMS,
+    MIXED_Q_MAP,
+    color_value,
     is_britton_reduced,
+    random_point_in,
+    random_rational,
     reference_ball,
     reference_constraints,
     reference_edge_colors,
@@ -306,7 +316,8 @@ def test_assignment_recheck_catches_corrupted_witness(monkeypatch):
         other = (row.piece_index + 1) % len(pam.pieces)
         piece = pam.pieces[other]
         y = vec2(piece.square.c1, piece.square.c2) + vec2("1/2", "1/2")
-        return reference_edge_colors(params, piece, Fraction(a, c), y, other)
+        den = color_denominator(params, pam.pieces)
+        return reference_edge_colors(params, piece, Fraction(a, c), y, other, den)
 
     monkeypatch.setattr(RowColors, "tile", corrupted)
     with pytest.raises(AssertionError, match="violates"):
@@ -339,6 +350,8 @@ def test_export_dot_and_tiling_text():
 def compiled(name):
     if name == "identity-23":
         return enumerate_tileset(P23, IDENTITY_MAP)
+    if name == "mixed-q":
+        return enumerate_tileset(P23, MIXED_Q_MAP)
     return enumerate_tileset(*rotation_setup())
 
 
@@ -383,15 +396,15 @@ def related_tiles(rng, name, count):
     while len(chosen) < count:
         base = rng.choice(chosen)
         j, k = rng.randrange(params.m), rng.randrange(params.n)
-        key = rng.choice(
-            [
-                ("left", base.right),
-                ("right", base.left),
-                ("piece", base.piece),
-                ("bottom", k, base.top[j]),
-                ("top", j, base.bottom[k]),
-            ]
-        )
+        keys = [
+            ("left", base.right),
+            ("right", base.left),
+            ("piece", base.piece),
+            ("bottom", k, base.top[j]),
+            ("top", j, base.bottom[k]),
+        ]
+        # a color of one piece's box may be on no tile of the other side
+        key = rng.choice([key for key in keys if key in index])
         chosen.append(rng.choice(index[key]))
     return tuple(sorted(set(chosen)))
 
@@ -423,7 +436,7 @@ def brute_force_tileable(params, patch, tiles) -> bool:
     )
 
 
-@pytest.mark.parametrize("name", ["identity-23", "rotation-22"])
+@pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q"])
 def test_search_agrees_with_brute_force(name):
     full = compiled(name)
     params = full.params
@@ -441,3 +454,43 @@ def test_search_agrees_with_brute_force(name):
             assert {tile for _, tile in result.assignment.pairs} <= set(tiles)
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def test_mixed_q_row_tiles_are_enumerated():
+    # D = 12 for both pieces, so a tile from either piece's row is the
+    # very tuple the enumeration lists
+    members = set(compiled("mixed-q").tiles)
+    den = color_denominator(P23, MIXED_Q_MAP.pieces)
+    rng = Random(52)
+    for index, piece in enumerate(MIXED_Q_MAP.pieces):
+        for _ in range(100):
+            x = random_point_in(rng, piece.square)
+            row = RowColors(P23, piece, x, index, den)
+            for lam in (random_rational(rng, 20, 15) for _ in range(3)):
+                assert row.tile(lam.numerator, lam.denominator) in members
+
+
+def test_mixed_q_h_rule_joins_pieces():
+    # g and g a^m with g a outside the patch: only the H rule joins them,
+    # so a piece-0 tile may sit beside a piece-1 tile whose left color has
+    # the value of its right color
+    ts = compiled("mixed-q")
+    patch = build_patch(P23, [IDENTITY_ELEMENT, element_from_text(P23, "a2")])
+    # neither tile matches itself, so a tiling must use both
+    by_left = {
+        color_value(tile.left, 12): tile
+        for tile in ts.tiles
+        if tile.piece == 1 and tile.left != tile.right
+    }
+    pair = next(
+        (tile, by_left[color_value(tile.right, 12)])
+        for tile in ts.tiles
+        if tile.piece == 0
+        and tile.left != tile.right
+        and color_value(tile.right, 12) in by_left
+    )
+    subset = Tileset(P23, MIXED_Q_MAP, ts.piece_meta, pair)
+    result = search_patch(subset, patch)
+    assert isinstance(result, Found)
+    assert {tile.piece for _, tile in result.assignment.pairs} == {0, 1}
+    assert brute_force_tileable(P23, patch, pair)
