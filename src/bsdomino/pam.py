@@ -146,9 +146,17 @@ def orbit(f: PiecewiseAffineMap, x: Vec2, max_steps: int) -> OrbitReport:
 # ---------------------------------------------------------------------------
 # map-spec files (JSON)
 
+def _json_int(value) -> int:
+    """value itself when it is a JSON integer; bools, floats and strings
+    are not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def map_from_dict(data: dict) -> tuple[BsParams, PiecewiseAffineMap]:
     try:
-        params = BsParams(int(data["m"]), int(data["n"]))
+        params = BsParams(_json_int(data["m"]), _json_int(data["n"]))
         raw_pieces = data["pieces"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad map spec: {exc}") from None
@@ -158,11 +166,12 @@ def map_from_dict(data: dict) -> tuple[BsParams, PiecewiseAffineMap]:
     for entry in raw_pieces:
         try:
             c1, c2 = entry["square"]
+            square = UnitSquare(_json_int(c1), _json_int(c2))
             matrix = mat2(entry["M"])
             offset = vec2(*entry["b"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad piece {entry!r}: {exc}") from None
-        pieces.append(AffinePiece(UnitSquare(int(c1), int(c2)), matrix, offset))
+        pieces.append(AffinePiece(square, matrix, offset))
     try:
         pam = PiecewiseAffineMap(tuple(pieces))
     except ValueError as exc:

@@ -20,10 +20,12 @@ g a^s t^-1 is one divmod), and lambda(g) from group.lambda_parts.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import OrbitTooShort
 from .group import (
@@ -262,30 +264,61 @@ class BudgetExceeded:
 SearchResult = Found | ExhaustedNoTiling | BudgetExceeded
 
 
+_labels = itemgetter(0, 1, 2)  # a tile's (piece, bottom, top)
+
+
+def _span_mask(spans: list[list[int]], ntiles: int) -> int:
+    """The bitset of the tiles in the [start, stop) spans: '1's set into
+    a binary numeral with tile 0 as its last digit, read once."""
+    digits = bytearray(b"0") * ntiles
+    for start, stop in spans:
+        digits[ntiles - stop : ntiles - start] = b"1" * (stop - start)
+    return int(digits, 2)
+
+
 class _EdgeMasks:
     """One bitset per edge key of a tileset; bit i stands for tile i.
 
     Keys are the left color, the right color, the piece, and the top
-    and bottom colors, one dict per kind and position.
+    and bottom colors, one dict per kind and position.  The masks are
+    built in one pass over the tiles.  Left and right colors change from
+    tile to tile and get one bit each; the labels (piece, top, bottom)
+    are shared by a run of consecutive tiles, so each run adds one
+    [start, stop) span per label key, and each label mask is made once
+    from its spans.  The masks are the same for any tile order; sorted
+    tilesets have the longest runs.
     """
 
     def __init__(self, params: BsParams, tiles: tuple[Tile, ...]):
-        groups = [{} for _ in range(3 + params.m + params.n)]
-        nbytes = (len(tiles) + 7) // 8
-        for i, tile in enumerate(tiles):
-            byte, bit = i >> 3, 1 << (i & 7)
-            keys = (tile.left, tile.right, tile.piece, *tile.top, *tile.bottom)
-            for by_key, key in zip(groups, keys):
-                buf = by_key.get(key)
-                if buf is None:
-                    buf = by_key[key] = bytearray(nbytes)
-                buf[byte] |= bit
-        for by_key in groups:
-            for key, buf in by_key.items():
-                by_key[key] = int.from_bytes(buf, "little")
-        self.left, self.right, self.piece = groups[:3]
-        self.top = groups[3 : 3 + params.m]
-        self.bottom = groups[3 + params.m :]
+        ntiles = len(tiles)
+        nbytes = (ntiles + 7) // 8
+        left = defaultdict(lambda: bytearray(nbytes))
+        right = defaultdict(lambda: bytearray(nbytes))
+        # spans[0]: the piece, then top_1..top_m, then bottom_1..bottom_n
+        spans = [defaultdict(list) for _ in range(1 + params.m + params.n)]
+        start = i = 0
+        for (piece, bottom, top), run in groupby(tiles, _labels):
+            for _, _, _, left_key, right_key in run:
+                byte, bit = i >> 3, 1 << (i & 7)
+                left[left_key][byte] |= bit
+                right[right_key][byte] |= bit
+                i += 1
+            for by_key, key in zip(spans, (piece, *top, *bottom)):
+                key_spans = by_key[key]
+                if key_spans and key_spans[-1][1] == start:  # adjacent: merge
+                    key_spans[-1][1] = i
+                else:
+                    key_spans.append([start, i])
+            start = i
+        self.left = {key: int.from_bytes(buf, "little") for key, buf in left.items()}
+        self.right = {key: int.from_bytes(buf, "little") for key, buf in right.items()}
+        labels = [
+            {key: _span_mask(key_spans, ntiles) for key, key_spans in by_key.items()}
+            for by_key in spans
+        ]
+        self.piece = labels[0]
+        self.top = labels[1 : 1 + params.m]
+        self.bottom = labels[1 + params.m :]
 
     def sides(self, con: Constraint) -> tuple[dict, dict]:
         """The masks of the colors con compares, on cell a and on cell b."""

@@ -377,3 +377,24 @@ MIXED_Q_MAP = PiecewiseAffineMap(
         ),
     )
 )
+
+
+def reference_edge_masks(params: BsParams, tiles: tuple[Tile, ...]):
+    """(left, right, piece, top, bottom) edge masks, tile by tile: bit i
+    of a key's mask is set when tile i carries that key."""
+    groups = [{} for _ in range(3 + params.m + params.n)]
+    nbytes = (len(tiles) + 7) // 8
+    for i, tile in enumerate(tiles):
+        byte, bit = i >> 3, 1 << (i & 7)
+        keys = (tile.left, tile.right, tile.piece, *tile.top, *tile.bottom)
+        for by_key, key in zip(groups, keys):
+            buf = by_key.get(key)
+            if buf is None:
+                buf = by_key[key] = bytearray(nbytes)
+            buf[byte] |= bit
+    groups = [
+        {key: int.from_bytes(buf, "little") for key, buf in by_key.items()}
+        for by_key in groups
+    ]
+    left, right, piece = groups[:3]
+    return left, right, piece, groups[3 : 3 + params.m], groups[3 + params.m :]

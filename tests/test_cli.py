@@ -295,6 +295,17 @@ def test_missing_file_is_input_error(capsys):
     assert main(["compile", "/nonexistent/map"]) == 3
 
 
+def test_non_integer_map_spec_is_input_error(tmp_path, capsys):
+    # "m": true once loaded as BS(1,3) and searched with exit 0
+    path = tmp_path / "bool.map"
+    path.write_text(json.dumps({**IDENTITY_SPEC, "m": True}))
+    assert main(["search", str(path), "--radius", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_mn_override(capsys, identity_map):
     # override map params from the command line
     assert main(["search", identity_map, "--mn", "1,2", "--radius", "1"]) == 0

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from bsdomino.errors import OutsideDomain, ParseError
+from bsdomino.group import BsParams
 from bsdomino.pam import (
     AffinePiece,
     AliveUpTo,
@@ -161,6 +162,22 @@ def test_map_spec_round_trip():
 def test_map_spec_rejects_bad_input():
     with pytest.raises(ParseError):
         map_from_dict({"m": 2, "n": 3, "pieces": []})
+    # only JSON integers for m, n and the square: int() would read 2.7
+    # as 2, true as 1 and 0.9 as 0
+    piece = {"square": [0, 0], "M": [["1", "0"], ["0", "1"]], "b": ["0", "0"]}
+    for m, n, square in [
+        (2.7, 3, [0, 0]),
+        (True, 3, [0, 0]),
+        (2, "3", [0, 0]),
+        (2, 3.0, [0, 0]),
+        (2, 3, [0.9, 0]),
+        (2, 3, [0, False]),
+        (2, 3, ["0", 0]),
+        (2, 3, "00"),
+    ]:
+        with pytest.raises(ParseError):
+            map_from_dict({"m": m, "n": n, "pieces": [{**piece, "square": square}]})
+    assert map_from_dict({"m": 2, "n": 3, "pieces": [piece]})[0] == BsParams(2, 3)
     with pytest.raises(ParseError):
         map_from_dict({"m": 2, "pieces": [{}]})
     with pytest.raises(ParseError):

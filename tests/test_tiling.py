@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -17,7 +18,7 @@ from bsdomino.group import (
     lambda_val,
     multiply,
 )
-from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, orbit
+from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, load_map, orbit
 from bsdomino.rationals import IDENTITY2, mat2, vec2
 from bsdomino.tileset import (
     RowColors,
@@ -30,6 +31,7 @@ from bsdomino.tiling import (
     BudgetExceeded,
     ExhaustedNoTiling,
     Found,
+    _EdgeMasks,
     assignment_from_orbit,
     build_ball_patch,
     build_patch,
@@ -53,8 +55,10 @@ from support import (
     reference_ball,
     reference_constraints,
     reference_edge_colors,
+    reference_edge_masks,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 P23 = BsParams(2, 3)
 IDENTITY_PIECE = AffinePiece(UnitSquare(0, 0), IDENTITY2, vec2(0, 0))
 IDENTITY_MAP = PiecewiseAffineMap((IDENTITY_PIECE,))
@@ -352,6 +356,8 @@ def compiled(name):
         return enumerate_tileset(P23, IDENTITY_MAP)
     if name == "mixed-q":
         return enumerate_tileset(P23, MIXED_Q_MAP)
+    if name == "shift3-23":
+        return enumerate_tileset(*load_map(str(ROOT / "maps" / "shift3-23.map")))
     return enumerate_tileset(*rotation_setup())
 
 
@@ -371,6 +377,55 @@ def test_search_identity_radius_8():
     result = search_patch(ts, patch, budget=100_000)
     assert isinstance(result, Found)
     assert not check_assignment(P23, patch, result.assignment)
+
+
+def test_search_backtracks_on_mortal_map():
+    # shift3-23: x -> x + (1,0) on three squares in a row, so every orbit
+    # leaves the domain within three steps; the radius-1 ball is still
+    # tileable, but the search reaches a tiling only after backtracking
+    ts = compiled("shift3-23")
+    assert len(ts.tiles) == 112_320
+    patch = build_ball_patch(ts.params, 1)
+    result = search_patch(ts, patch)
+    assert isinstance(result, Found)
+    assert result.nodes == 23_525
+    assert not check_assignment(ts.params, patch, result.assignment)
+
+
+def edge_masks(params, tiles):
+    masks = _EdgeMasks(params, tiles)
+    return masks.left, masks.right, masks.piece, masks.top, masks.bottom
+
+
+@pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q", "shift3-23"])
+def test_edge_masks_match_reference(name):
+    ts = compiled(name)
+    assert edge_masks(ts.params, ts.tiles) == reference_edge_masks(ts.params, ts.tiles)
+
+
+@pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q"])
+def test_edge_masks_match_reference_in_any_order(name):
+    # shuffled, the label keys (piece, bottom, top) recur far apart and
+    # most runs of shared labels are one tile long
+    full = compiled(name)
+    params = full.params
+    for seed in range(40):
+        rng = Random(seed)
+        tiles = list(related_tiles(rng, name, rng.randint(1, 12)))
+        rng.shuffle(tiles)
+        assert edge_masks(params, tuple(tiles)) == reference_edge_masks(params, tiles)
+    tiles = list(full.tiles)
+    Random(7).shuffle(tiles)
+    labels = [tile[:3] for tile in tiles]
+    assert sum(a != b for a, b in zip(labels, labels[1:])) > len(tiles) // 2
+    assert edge_masks(params, tuple(tiles)) == reference_edge_masks(params, tiles)
+
+
+def test_edge_masks_one_tile():
+    tile = compiled("identity-23").tiles[7]
+    masks = edge_masks(P23, (tile,))
+    assert masks == reference_edge_masks(P23, (tile,))
+    assert masks[2] == {tile.piece: 1}
 
 
 @lru_cache(maxsize=None)
