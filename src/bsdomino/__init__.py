@@ -16,14 +16,11 @@ from .group import (
     alpha,
     beta,
     britton_reduce,
-    contribution,
     element_from_text,
     inverse,
     lambda_val,
     multiply,
-    parse_word,
     phi,
-    word_to_text,
 )
 from .rationals import Mat2, Rat, Vec2, mat2, vec2
 from .balrep import BalancedWindow, average_error, b_k, window

@@ -1,6 +1,9 @@
 """Words and exact valuations for BS(m,n) = <a, t | t^-1 a^m t = a^n>.
 
-Words over the alphabet {a, t, a^-1, t^-1} carry two exact valuations:
+A word is either text or a canonical GroupElement; both are read as runs,
+('a', exponent) per a-run and ('t', +-1) per stable letter, so an
+exponent costs its digits, not its value.  Words carry two exact
+valuations:
 
 * ``beta(w)``  = -(#t - #t^-1), the (negated) stable-letter height;
 * ``alpha(w)`` accumulates +-(m/n)^(-beta(prefix)) for each a^(+-1).
@@ -29,15 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 
 from .errors import ParseError
 
 ALPHABET = ("a", "A", "t", "T")
-
-_INVERSE = {"a": "A", "A": "a", "t": "T", "T": "t"}
-
-GroupWord = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def _text_runs(text: str):
         if ch.isspace() or ch == "e":  # 'e' spells the empty word
             i += 1
             continue
-        if ch not in _INVERSE:
+        if ch not in ALPHABET:
             raise ParseError(f"unexpected character {ch!r}", position=i)
         i += 1
         exp = 1
@@ -84,64 +84,17 @@ def _text_runs(text: str):
             yield from repeat(("t", sign), abs(exp))
 
 
-def parse_word(text: str) -> GroupWord:
-    """Parse the compact word syntax into a tuple of letters."""
-    return tuple(chain.from_iterable(
-        (kind if value > 0 else _INVERSE[kind]) * abs(value)
-        for kind, value in _text_runs(text)
-    ))
-
-
-def word_to_text(word) -> str:
-    """Render letters as space-separated runs, ``A``/``T`` marking inverses."""
-    word = coerce_word(word)
-    if not word:
-        return "e"
-    parts: list[str] = []
-    idx = 0
-    while idx < len(word):
-        letter = word[idx]
-        run = 1
-        while idx + run < len(word) and word[idx + run] == letter:
-            run += 1
-        parts.append(letter if run == 1 else f"{letter}{run}")
-        idx += run
-    return " ".join(parts)
-
-
-def coerce_word(w) -> GroupWord:
-    """Accept a word tuple, a text form, or a GroupElement."""
-    if isinstance(w, GroupElement):
-        return w.to_word()
-    if isinstance(w, str):
-        return parse_word(w)
-    return tuple(w)
-
-
-def invert_word(w) -> GroupWord:
-    return tuple(_INVERSE[x] for x in reversed(coerce_word(w)))
-
-
-def contribution(w, x: str) -> int:
-    """Number of occurrences of the letter x minus those of its inverse."""
-    w = coerce_word(w)
-    return w.count(x) - w.count(_INVERSE[x])
-
-
-_LETTER_RUNS = {"a": ("a", 1), "A": ("a", -1), "t": ("t", 1), "T": ("t", -1)}
-
-
 def _runs(w):
-    """Collapse a word into ('a', exponent) / ('t', +-1) run pairs."""
+    """The ('a', exponent) / ('t', +-1) runs of an element or of text."""
     if isinstance(w, GroupElement):
         return w.runs()
     if isinstance(w, str):
         return _text_runs(w)
-    return (_LETTER_RUNS[letter] for letter in w)
+    raise TypeError(f"a word is text or a GroupElement, not {type(w).__name__}")
 
 
 def beta(w) -> int:
-    """Negated contribution of t; decreases by 1 for each trailing t."""
+    """Minus the net count of t over t^-1; decreases by 1 for each trailing t."""
     total = 0
     for kind, value in _runs(w):
         if kind == "t":
@@ -217,19 +170,19 @@ class GroupElement:
             yield ("t", sign)
             yield ("a", e)
 
-    def to_word(self) -> GroupWord:
-        letters: list[str] = []
-        for kind, value in self.runs():
-            if kind == "a":
-                letters.extend(("a" if value > 0 else "A") * abs(value))
-            elif value > 0:
-                letters.append("t")
-            else:
-                letters.append("T")
-        return tuple(letters)
-
     def to_text(self) -> str:
-        return word_to_text(self.to_word())
+        """Space-separated runs of equal letters, ``A``/``T`` marking
+        inverses and ``e`` the identity, as in ``T A2 t2``."""
+        letters = (
+            (kind if value > 0 else kind.upper(), abs(value))
+            for kind, value in self.runs()
+            if value
+        )
+        parts = []
+        for letter, run in groupby(letters, itemgetter(0)):
+            count = sum(c for _, c in run)
+            parts.append(letter if count == 1 else f"{letter}{count}")
+        return " ".join(parts) or "e"
 
     def sort_key(self):
         return (self.length(), len(self.stables), self.stables, self.exps)

@@ -19,10 +19,11 @@ IntVec2 = tuple[int, int]
 
 
 def as_rat(value) -> Fraction:
-    """Coerce ints, Fractions and strings like ``-3/4`` to a Fraction."""
+    """Coerce ints, Fractions and strings like ``-3/4`` to a Fraction;
+    bools are not numbers here."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -57,7 +57,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -335,13 +335,6 @@ def _color_range(box: tuple[IntVec2, IntVec2]):
     ]
 
 
-def _sequences(colors, length):
-    if length == 0:
-        return [()]
-    shorter = _sequences(colors, length - 1)
-    return [seq + (c,) for seq in shorter for c in colors]
-
-
 def candidate_count(params: BsParams, f: PiecewiseAffineMap) -> int:
     total = 0
     for piece in f.pieces:
@@ -390,8 +383,8 @@ def enumerate_tileset(
             [((p11 + i) * step, (p12 + j) * step) for j in range(w2 + 1)]
             for i in range(w1 + 1)
         ]
-        tops = _sequences(_color_range(tbox), m)
-        for bottom in _sequences(_color_range(bbox), n):
+        tops = list(product(_color_range(tbox), repeat=m))
+        for bottom in product(_color_range(bbox), repeat=n):
             for top in tops:
                 # right = left + b, both in the grid box
                 b1, b2 = _transport_rhs(eq, bottom, top)

@@ -15,17 +15,21 @@ The V rule is forced by the corner computation
 g a^(j-1) to g a^j.  Moving up (t^-1) is one forward application of the
 encoded map.  All of this runs on canonical forms in integers: partners
 come in closed form from group.form_step (g a^e moves the last exponent,
-g a^s t^-1 is one divmod), and lambda(g) from group.lambda_parts.
+g a^s t^-1 is one divmod), and lambda(g) from group.lambda_parts.  A
+cell is named by its position in the patch: constraints, search domains
+and re-checks index cells by position, and the patch maps each
+canonical form to its position once.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import OrbitTooShort
 from .group import (
@@ -42,18 +46,20 @@ from .tileset import RowColors, Tile, Tileset, _color_range, color_denominator
 
 @dataclass(frozen=True)
 class Patch:
+    """Cells sorted canonically; a cell is named by its position in cells."""
+
     params: BsParams
-    cells: tuple[GroupElement, ...]  # sorted canonically
-    members: frozenset[GroupElement]
+    cells: tuple[GroupElement, ...]
+    # canonical form (exps, stables) -> position in cells
+    index: dict[tuple, int] = field(compare=False, repr=False)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self.members
+        return (g.exps, g.stables) in self.index
 
 
 def build_patch(params: BsParams, elements) -> Patch:
     """Deduplicate, sort, and sanity-check a set of cell base elements."""
-    members = frozenset(elements)
-    cells = tuple(sorted(members, key=lambda g: g.sort_key()))
+    cells = tuple(sorted(set(elements), key=GroupElement.sort_key))
     m, n = params.m, params.n
     for g in cells:
         g_t = form_step(g.exps, g.stables, 0, 1, m, n)
@@ -65,7 +71,8 @@ def build_patch(params: BsParams, elements) -> Patch:
         num_t, den_t = lambda_parts(params, GroupElement(*g_t))
         if num_t * m * den != n * num * den_t:
             raise ValueError(f"scale bookkeeping broken at {g.to_text()}")
-    return Patch(params, cells, members)
+    index = {(g.exps, g.stables): i for i, g in enumerate(cells)}
+    return Patch(params, cells, index)
 
 
 # a, a^-1, t, t^-1 as (shift, sign) steps of form_step
@@ -93,14 +100,14 @@ def build_ball_patch(params: BsParams, radius: int) -> Patch:
     return build_patch(params, (g for g in reached if g.length() <= radius))
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """kind 'H': right(a) = left(b); 'V': top_j(a) = bottom_k(b) with
-    j = top_pos, k = bottom_pos (1-based); 'I': piece(a) = piece(b)."""
+    j = top_pos, k = bottom_pos (1-based); 'I': piece(a) = piece(b).
+    a and b are cell positions in the patch."""
 
     kind: str
-    a: GroupElement
-    b: GroupElement
+    a: int
+    b: int
     top_pos: int = 0
     bottom_pos: int = 0
 
@@ -110,25 +117,25 @@ def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
     are looked up by the canonical form that form_step gives, and the V
     partner g a^(j-1-k) t^-1 is one step per shift j-1-k."""
     m, n = params.m, params.n
-    by_form = {(g.exps, g.stables): g for g in patch.cells}
+    index = patch.index
     out = []
-    for g in patch.cells:
+    for i, g in enumerate(patch.cells):
         exps, stables = g.exps, g.stables
-        h = by_form.get(form_step(exps, stables, m, 0, m, n))
+        h = index.get(form_step(exps, stables, m, 0, m, n))
         if h is not None:
-            out.append(Constraint("H", g, h))
-        h = by_form.get(form_step(exps, stables, 1, 0, m, n))
+            out.append(Constraint("H", i, h))
+        h = index.get(form_step(exps, stables, 1, 0, m, n))
         if h is not None:
-            out.append(Constraint("I", g, h))
+            out.append(Constraint("I", i, h))
         uppers = [  # uppers[shift + n - 1]: the cell g a^shift t^-1, or None
-            by_form.get(form_step(exps, stables, shift, -1, m, n))
+            index.get(form_step(exps, stables, shift, -1, m, n))
             for shift in range(1 - n, m)
         ]
         for j in range(1, m + 1):
             for k in range(n):
                 upper = uppers[j - 1 - k + n - 1]
                 if upper is not None:
-                    out.append(Constraint("V", g, upper, top_pos=j, bottom_pos=k + 1))
+                    out.append(Constraint("V", i, upper, top_pos=j, bottom_pos=k + 1))
     return tuple(out)
 
 
@@ -144,26 +151,21 @@ def constraint_satisfied(con: Constraint, tile_a: Tile, tile_b: Tile) -> bool:
 class TilingAssignment:
     pairs: tuple[tuple[GroupElement, Tile], ...]
 
-    def as_dict(self) -> dict[GroupElement, Tile]:
-        return dict(self.pairs)
-
 
 def check_assignment(
     params: BsParams, patch: Patch, assignment: TilingAssignment
 ) -> list[Constraint]:
     """Constraints the assignment violates (empty list means valid)."""
-    return _violations(constraints_for(params, patch), assignment)
+    tiles = {patch.index[g.exps, g.stables]: tile for g, tile in assignment.pairs}
+    return _violations(constraints_for(params, patch), tiles)
 
 
-def _violations(
-    constraints: tuple[Constraint, ...], assignment: TilingAssignment
-) -> list[Constraint]:
-    tiles = assignment.as_dict()
-    bad = []
-    for con in constraints:
-        if not constraint_satisfied(con, tiles[con.a], tiles[con.b]):
-            bad.append(con)
-    return bad
+def _violations(constraints: tuple[Constraint, ...], tiles) -> list[Constraint]:
+    """The constraints that tiles, indexed by cell position, violate."""
+    return [
+        con for con in constraints
+        if not constraint_satisfied(con, tiles[con.a], tiles[con.b])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +381,6 @@ def search_patch(
             return ExhaustedNoTiling(0)
 
     masks = _EdgeMasks(params, tiles)
-    index = {g: i for i, g in enumerate(cells)}
     # arcs[y]: (x, pairs) for every cell x to revise when domain[y] narrows
     arcs: list[list[tuple[int, tuple]]] = [[] for _ in cells]
     relations: dict[tuple, tuple] = {}
@@ -389,9 +390,8 @@ def search_patch(
             a_side, b_side = masks.sides(con)
             relations[kind] = (_pairs(a_side, b_side), _pairs(b_side, a_side))
         to_a, to_b = relations[kind]
-        a, b = index[con.a], index[con.b]
-        arcs[b].append((a, to_a))
-        arcs[a].append((b, to_b))
+        arcs[con.b].append((con.a, to_a))
+        arcs[con.a].append((con.b, to_b))
 
     ncells = len(cells)
     domain = [(1 << len(tiles)) - 1] * ncells
@@ -480,15 +480,10 @@ def search_patch(
             assigned[cell] = False
             continue
         if len(frames) == ncells:
-            assignment = TilingAssignment(
-                tuple(
-                    (g, tiles[domain[i].bit_length() - 1])
-                    for i, g in enumerate(cells)
-                )
-            )
-            if _violations(constraints, assignment):
+            chosen = [tiles[dom.bit_length() - 1] for dom in domain]
+            if _violations(constraints, chosen):
                 raise AssertionError("search produced an invalid assignment")
-            return Found(assignment, nodes)
+            return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)
         nxt = pick()
         frames.append([nxt, domain[nxt], len(trail)])
     return ExhaustedNoTiling(nodes)
@@ -511,9 +506,9 @@ def assignment_from_orbit(
     """
     if not patch.cells:
         return TilingAssignment(())
-    betas = {g: g.beta() for g in patch.cells}
-    base_level = min(betas.values())
-    depth = max(betas.values()) - base_level
+    betas = [g.beta() for g in patch.cells]
+    base_level = min(betas)
+    depth = max(betas) - base_level
 
     states = list(report.states)
 
@@ -537,16 +532,14 @@ def assignment_from_orbit(
             piece = f.pieces[piece_idx]
             colors[state] = RowColors(params, piece, point, piece_idx, den)
         rows.append(colors[state])
-    assignment = TilingAssignment(
-        tuple(
-            (g, rows[betas[g] - base_level].tile(*lambda_parts(params, g)))
-            for g in patch.cells
-        )
-    )
-    bad = check_assignment(params, patch, assignment)
+    tiles = [
+        rows[beta - base_level].tile(*lambda_parts(params, g))
+        for g, beta in zip(patch.cells, betas)
+    ]
+    bad = _violations(constraints_for(params, patch), tiles)
     if bad:
         raise AssertionError(f"orbit assignment violates {len(bad)} constraints")
-    return assignment
+    return TilingAssignment(tuple(zip(patch.cells, tiles)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +552,19 @@ def export_dot(
     tileset: Tileset | None = None,
 ) -> str:
     """DOT graph of the patch: one node per cell, one edge per constraint."""
-    tile_ids = {}
+    names = [g.to_text() for g in patch.cells]
+    tile_ids = [None] * len(names)
     if assignment is not None and tileset is not None:
         index_of = {tile: i for i, tile in enumerate(tileset.tiles)}
-        tile_ids = {g: index_of.get(tile) for g, tile in assignment.pairs}
+        for g, tile in assignment.pairs:
+            tile_ids[patch.index[g.exps, g.stables]] = index_of.get(tile)
     lines = ["graph patch {", "  node [shape=box];"]
-    for g in patch.cells:
-        label = g.to_text()
-        if g in tile_ids and tile_ids[g] is not None:
-            label += f"\\ntile {tile_ids[g]}"
-        lines.append(f'  "{g.to_text()}" [label="{label}"];')
+    for name, tile_id in zip(names, tile_ids):
+        label = name if tile_id is None else f"{name}\\ntile {tile_id}"
+        lines.append(f'  "{name}" [label="{label}"];')
     edge_labels: dict[tuple[str, str], list[str]] = {}
     for con in constraints_for(params, patch):
-        key = (con.a.to_text(), con.b.to_text())
+        key = (names[con.a], names[con.b])
         if con.kind == "V":
             edge_labels.setdefault(key, []).append(
                 f"V {con.top_pos}->{con.bottom_pos}"

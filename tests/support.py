@@ -11,9 +11,9 @@ from bsdomino.group import (
     ALPHABET,
     IDENTITY_ELEMENT,
     BsParams,
+    GroupElement,
     alpha,
     beta,
-    coerce_word,
     multiply,
     phi,
 )
@@ -27,7 +27,7 @@ from bsdomino.tileset import (
     edge_colors,
     grid_q,
 )
-from bsdomino.tiling import Constraint, Patch, build_patch
+from bsdomino.tiling import Patch, build_patch
 
 
 # (m, n) over [1, 4]^2, so that BS(1, n), BS(m, 1) and pinches of both
@@ -35,23 +35,23 @@ from bsdomino.tiling import Constraint, Patch, build_patch
 ALL_PARAMS = st.builds(BsParams, st.integers(1, 4), st.integers(1, 4))
 
 
-def random_word(rng: Random, max_len: int = 24) -> tuple[str, ...]:
-    return tuple(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
+def random_word(rng: Random, max_len: int = 24) -> str:
+    """A string of up to max_len letters, one per generator step."""
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
 
 
-def relator_variants(params: BsParams) -> list[tuple[str, ...]]:
-    base = tuple("T" + "a" * params.m + "t" + "A" * params.n)
-    inv = tuple("a" * params.n + "T" + "A" * params.m + "t")
+def relator_variants(params: BsParams) -> list[str]:
+    base = "T" + "a" * params.m + "t" + "A" * params.n
+    inv = "a" * params.n + "T" + "A" * params.m + "t"
     variants = []
     for word in (base, inv):
         for cut in range(len(word)):
             variants.append(word[cut:] + word[:cut])
-    variants.extend([("a", "A"), ("A", "a"), ("t", "T"), ("T", "t")])
+    variants.extend(["aA", "Aa", "tT", "Tt"])
     return variants
 
 
-def insert_relator(rng: Random, params: BsParams, word) -> tuple[str, ...]:
-    word = tuple(word)
+def insert_relator(rng: Random, params: BsParams, word: str) -> str:
     piece = rng.choice(relator_variants(params))
     pos = rng.randint(0, len(word))
     return word[:pos] + piece + word[pos:]
@@ -227,9 +227,9 @@ def reference_edge_colors(
 
 
 def compose_alpha_check(params: BsParams, u, v) -> bool:
-    """alpha(u v) == alpha(u) + (m/n)^(-beta(u)) alpha(v), exactly."""
-    u, v = coerce_word(u), coerce_word(v)
-    lhs = alpha(params, u + v)
+    """alpha(u v) == alpha(u) + (m/n)^(-beta(u)) alpha(v), exactly, for
+    words u and v in text."""
+    lhs = alpha(params, f"{u} {v}")
     rhs = alpha(params, u) + params.ratio ** (-beta(u)) * alpha(params, v)
     return lhs == rhs
 
@@ -344,25 +344,56 @@ def reference_ball(params: BsParams, radius: int) -> Patch:
     return build_patch(params, (g for g in seen if g.length() <= radius))
 
 
-def reference_constraints(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
-    """constraints_for with every neighbor multiplied out from a word."""
+def reference_constraints(params: BsParams, patch: Patch) -> tuple[tuple, ...]:
+    """constraints_for with every neighbor multiplied out from a word, each
+    constraint as (kind, cell a, cell b, top_pos, bottom_pos) on elements."""
     m, n = params.m, params.n
     out = []
     for g in patch.cells:
         h = multiply(params, g, "a" * m)
         if h in patch:
-            out.append(Constraint("H", g, h))
+            out.append(("H", g, h, 0, 0))
         h = multiply(params, g, "a")
         if h in patch:
-            out.append(Constraint("I", g, h))
+            out.append(("I", g, h, 0, 0))
         for j in range(1, m + 1):
             for k in range(n):
                 shift = j - 1 - k
                 word = ("a" if shift > 0 else "A") * abs(shift) + "T"
                 upper = multiply(params, g, word)
                 if upper in patch:
-                    out.append(Constraint("V", g, upper, top_pos=j, bottom_pos=k + 1))
+                    out.append(("V", g, upper, j, k + 1))
     return tuple(out)
+
+
+def constraints_on_cells(patch: Patch, constraints) -> tuple[tuple, ...]:
+    """Positional constraints mapped back through patch.cells, in the
+    form reference_constraints gives."""
+    cells = patch.cells
+    return tuple(
+        (con.kind, cells[con.a], cells[con.b], con.top_pos, con.bottom_pos)
+        for con in constraints
+    )
+
+
+def reference_text(g: GroupElement) -> str:
+    """GroupElement.to_text by way of letters: g spelled out one letter
+    per generator, then printed as runs of equal letters."""
+    word = []
+    for kind, value in g.runs():
+        word.extend((kind if value > 0 else kind.upper()) * abs(value))
+    if not word:
+        return "e"
+    parts: list[str] = []
+    idx = 0
+    while idx < len(word):
+        letter = word[idx]
+        run = 1
+        while idx + run < len(word) and word[idx + run] == letter:
+            run += 1
+        parts.append(letter if run == 1 else f"{letter}{run}")
+        idx += run
+    return " ".join(parts)
 
 
 # two pieces on BS(2,3) with different grids: q = 6 for the identity on

@@ -1,9 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from bsdomino.cli import main
 
+MAPS = Path(__file__).resolve().parents[1] / "maps"
 IDENTITY_SPEC = {
     "m": 2,
     "n": 3,
@@ -304,6 +307,44 @@ def test_non_integer_map_spec_is_input_error(tmp_path, capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ")
+
+
+def test_bool_matrix_map_spec_is_input_error(tmp_path, capsys):
+    # true and false once loaded as 1 and 0: the identity map
+    piece = {**IDENTITY_SPEC["pieces"][0], "M": [[True, False], [0, 1]]}
+    path = tmp_path / "bool-matrix.map"
+    path.write_text(json.dumps({**IDENTITY_SPEC, "pieces": [piece]}))
+    assert main(["search", str(path), "--radius", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_export_dot_output_is_pinned(capsys):
+    assert main(["export-dot", str(MAPS / "rotation-22.map"), "--radius", "3"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 125
+    assert sha256(out.encode()) == (
+        "b184e92eab0b9855560a5e659628046bb5baed0586029a2f47880bad234a0f91"
+    )
+
+
+def test_search_outputs_are_pinned(tmp_path, capsys):
+    dot, tiling = tmp_path / "patch.dot", tmp_path / "patch.tiling"
+    argv = ["search", str(MAPS / "identity-23.map"), "--radius", "2"]
+    assert main(argv + ["--dot", str(dot), "--out-tiling", str(tiling)]) == 0
+    assert capsys.readouterr().out == "result=found cells=15 tiles=14400 nodes=15\n"
+    assert sha256(dot.read_bytes()) == (
+        "087965ab260b66dd51982294eb827310dadb2cdd945586ebae050e42f9c01352"
+    )
+    assert sha256(tiling.read_bytes()) == (
+        "29df86fe9f257257abd8b762df324549754b6add67e0cf489688844a4dd5ad37"
+    )
 
 
 def test_mn_override(capsys, identity_map):

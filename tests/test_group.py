@@ -12,18 +12,15 @@ from bsdomino.group import (
     IDENTITY_ELEMENT,
     alpha,
     beta,
+    _text_runs,
     britton_reduce,
-    contribution,
     element_from_text,
     form_step,
     inverse,
-    invert_word,
     lambda_parts,
     lambda_val,
     multiply,
-    parse_word,
     phi,
-    word_to_text,
 )
 from support import (
     ALL_PARAMS,
@@ -32,6 +29,7 @@ from support import (
     is_britton_reduced,
     random_word,
     reference_lambda,
+    reference_text,
     relator_variants,
 )
 
@@ -39,60 +37,66 @@ WITNESS_32 = "taT a2 t A T A-2"
 WITNESS_ALL = "taT at A T A"
 
 
+def text_runs(text):
+    return list(_text_runs(text))
+
+
 def test_parse_word_syntax():
-    assert parse_word("taT a2 t A T A-2") == tuple("taTaatATAA")
-    assert parse_word("") == ()
-    assert parse_word("  a3  T2 ") == tuple("aaaTT")
-    assert parse_word("a-2") == ("A", "A")
-    assert parse_word("A2") == ("A", "A")
-    assert parse_word("t0") == ()
+    # one ('a', exponent) per a-run, one ('t', +-1) per stable letter
+    assert text_runs("taT a2 t A T A-2") == [
+        ("t", 1), ("a", 1), ("t", -1), ("a", 2),
+        ("t", 1), ("a", -1), ("t", -1), ("a", -2),
+    ]
+    assert text_runs("") == [] and text_runs("e") == []
+    assert text_runs("  a3  T2 ") == [("a", 3), ("t", -1), ("t", -1)]
+    assert text_runs("a-2") == [("a", -2)]
+    assert text_runs("A2") == [("a", -2)]
+    assert text_runs("t0") == []
 
 
 def test_parse_word_rejects_garbage():
     with pytest.raises(ParseError):
-        parse_word("a b")
+        text_runs("a b")
     with pytest.raises(ParseError):
-        parse_word("a-")
+        text_runs("a-")
+    with pytest.raises(TypeError):
+        beta(("a", "t"))
 
 
 def test_word_text_round_trip():
     rng = Random(11)
-    for _ in range(200):
-        word = random_word(rng)
-        assert parse_word(word_to_text(word)) == word
-
-
-def test_contribution():
-    assert contribution((), "a") == 0
-    assert contribution(parse_word("a a A"), "a") == 1
-    assert contribution(parse_word(WITNESS_32), "t") == 0
+    for m, n in [(2, 3), (3, 2), (1, 2), (2, 2)]:
+        p = BsParams(m, n)
+        for _ in range(200):
+            g = britton_reduce(p, random_word(rng))
+            assert element_from_text(p, g.to_text()) == g
 
 
 def test_beta():
-    assert beta(()) == 0
-    assert beta(("t",)) == -1
-    assert beta(parse_word("T T a t")) == 1
+    assert beta("") == 0
+    assert beta("t") == -1
+    assert beta("T T a t") == 1
 
 
 def test_alpha_examples():
-    assert alpha(BsParams(5, 7), ()) == 0
-    assert alpha(BsParams(2, 3), ("a",)) == 1
-    assert alpha(BsParams(2, 3), parse_word("ta")) == Fraction(2, 3)
+    assert alpha(BsParams(5, 7), "") == 0
+    assert alpha(BsParams(2, 3), "a") == 1
+    assert alpha(BsParams(2, 3), "ta") == Fraction(2, 3)
 
 
 def test_alpha_composition_examples():
     p = BsParams(2, 3)
-    assert compose_alpha_check(p, (), ("a",))
-    assert compose_alpha_check(p, ("t",), ("a",))
-    assert alpha(p, parse_word("ta")) == 0 + Fraction(2, 3) * 1
+    assert compose_alpha_check(p, "", "a")
+    assert compose_alpha_check(p, "t", "a")
+    assert alpha(p, "ta") == 0 + Fraction(2, 3) * 1
 
 
 def test_alpha_composition_random():
     rng = Random(5)
     p = BsParams(3, 2)
     for _ in range(500):
-        u = tuple(rng.choice("aAtT") for _ in range(20))
-        v = tuple(rng.choice("aAtT") for _ in range(20))
+        u = "".join(rng.choice("aAtT") for _ in range(20))
+        v = "".join(rng.choice("aAtT") for _ in range(20))
         assert compose_alpha_check(p, u, v)
 
 
@@ -104,17 +108,17 @@ def test_beta_is_a_homomorphism():
 
 
 def test_witness_words_map_to_origin():
-    assert phi(BsParams(3, 2), parse_word(WITNESS_32)) == (0, 0)
+    assert phi(BsParams(3, 2), WITNESS_32) == (0, 0)
     for m, n in [(2, 3), (3, 2), (2, 2), (3, 5)]:
-        assert phi(BsParams(m, n), parse_word(WITNESS_ALL)) == (0, 0)
-    assert phi(BsParams(4, 9), ()) == (0, 0)
+        assert phi(BsParams(m, n), WITNESS_ALL) == (0, 0)
+    assert phi(BsParams(4, 9), "") == (0, 0)
 
 
 def test_lambda_examples():
     p = BsParams(2, 3)
-    assert lambda_val(p, ()) == 0
-    assert lambda_val(p, ("a",)) == Fraction(1, 2)
-    assert lambda_val(p, parse_word("at")) == Fraction(3, 4)
+    assert lambda_val(p, "") == 0
+    assert lambda_val(p, "a") == Fraction(1, 2)
+    assert lambda_val(p, "at") == Fraction(3, 4)
 
 
 def test_lambda_step_identities():
@@ -124,18 +128,18 @@ def test_lambda_step_identities():
         for _ in range(200):
             w = random_word(rng)
             lam = lambda_val(p, w)
-            assert lambda_val(p, w + ("a",)) == lam + Fraction(1, m)
-            assert lambda_val(p, w + ("t",)) == Fraction(n, m) * lam
+            assert lambda_val(p, w + "a") == lam + Fraction(1, m)
+            assert lambda_val(p, w + "t") == Fraction(n, m) * lam
 
 
 def test_britton_reduce_examples():
     for m, n in [(2, 3), (3, 2), (1, 4)]:
         p = BsParams(m, n)
-        relator_side = britton_reduce(p, ("T",) + ("a",) * m + ("t",))
-        assert relator_side == britton_reduce(p, ("a",) * n)
+        relator_side = britton_reduce(p, "T" + "a" * m + "t")
+        assert relator_side == britton_reduce(p, "a" * n)
     p = BsParams(2, 3)
-    assert britton_reduce(p, ("a", "A")) == IDENTITY_ELEMENT
-    nontrivial = britton_reduce(BsParams(3, 2), parse_word(WITNESS_32))
+    assert britton_reduce(p, "aA") == IDENTITY_ELEMENT
+    nontrivial = britton_reduce(BsParams(3, 2), WITNESS_32)
     assert not nontrivial.is_identity()
     assert phi(BsParams(3, 2), nontrivial) == (0, 0)
 
@@ -166,7 +170,8 @@ def test_canonical_equality_matches_word_problem():
     for _ in range(400):
         u, v = random_word(rng, 14), random_word(rng, 14)
         same_form = britton_reduce(p, u) == britton_reduce(p, v)
-        trivial_quotient = britton_reduce(p, u + invert_word(v)).is_identity()
+        # the inverse of a word of single letters: reversed, case swapped
+        trivial_quotient = britton_reduce(p, u + v[::-1].swapcase()).is_identity()
         assert same_form == trivial_quotient
 
 
@@ -194,7 +199,8 @@ def test_element_word_round_trip():
     p = BsParams(3, 2)
     for _ in range(200):
         g = britton_reduce(p, random_word(rng))
-        assert britton_reduce(p, g.to_word()) == g
+        assert britton_reduce(p, g) == g
+        assert britton_reduce(p, reference_text(g)) == g
         assert element_from_text(p, g.to_text()) == g
 
 
@@ -211,7 +217,7 @@ def test_bad_params_rejected():
 PARAMS = st.sampled_from(
     [BsParams(m, n) for m, n in [(2, 3), (2, 2), (3, 2), (1, 2), (3, 5)]]
 )
-WORDS = st.lists(st.sampled_from("aAtT"), max_size=16).map(tuple)
+WORDS = st.lists(st.sampled_from("aAtT"), max_size=16).map("".join)
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,14 +274,14 @@ def test_form_step_matches_multiply_and_phi(params, u, shift, sign):
     assert is_britton_reduced(params, exps, stables)
     assert GroupElement(exps, stables) == multiply(params, g, step)
     # phi of the letters involves no reduction step at all
-    assert phi(params, GroupElement(exps, stables)) == phi(params, u + tuple(step))
+    assert phi(params, GroupElement(exps, stables)) == phi(params, u + step)
 
 
 @settings(max_examples=300, deadline=None)
 @given(params=ALL_PARAMS, u=WORDS)
 def test_lambda_matches_phi_formula(params, u):
     g = britton_reduce(params, u)
-    for w in (u, g, word_to_text(u)):
+    for w in (u, g, g.to_text()):
         assert lambda_val(params, w) == reference_lambda(params, w)
     num, den = lambda_parts(params, g)
     assert Fraction(num, den) == reference_lambda(params, g)
@@ -290,11 +296,15 @@ RUNS = st.lists(
 @given(params=ALL_PARAMS, runs=RUNS)
 def test_text_runs_match_letters(params, runs):
     text = " ".join(f"{letter}{exp}" for letter, exp in runs)
-    word = ()
+    word = ""
     for letter, exp in runs:
         inverted = letter.isupper() or exp < 0
-        word += (letter.upper() if inverted else letter.lower(),) * abs(exp)
-    assert parse_word(text) == word
+        word += (letter.upper() if inverted else letter.lower()) * abs(exp)
+    letters = "".join(
+        (kind if value > 0 else kind.upper()) * abs(value)
+        for kind, value in text_runs(text)
+    )
+    assert letters == word
     assert element_from_text(params, text) == britton_reduce(params, word)
     assert phi(params, text) == phi(params, word)
     assert lambda_val(params, text) == reference_lambda(params, word)
@@ -306,3 +316,23 @@ def test_large_exponent_costs_its_digits():
     assert g.exps == (10**9,) and g.stables == ()
     assert phi(p, "a1000000000") == (10**9, 0)
     assert lambda_val(p, g) == Fraction(10**9, 3)
+    assert g.to_text() == "a1000000000"
+    assert element_from_text(p, "T a2 t a-1000000000").to_text() == "T a2 t A1000000000"
+
+
+# a-runs of up to two digits, t-runs short enough that the letters stay few
+LONG_RUNS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from("aA"), st.integers(-40, 40)),
+        st.tuples(st.sampled_from("tT"), st.integers(-2, 2)),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=ALL_PARAMS, u=WORDS, runs=LONG_RUNS)
+def test_to_text_matches_letter_rendering(params, u, runs):
+    text = " ".join(f"{letter}{exp}" for letter, exp in runs)
+    for g in (britton_reduce(params, u), element_from_text(params, text)):
+        assert g.to_text() == reference_text(g)

@@ -178,6 +178,10 @@ def test_map_spec_rejects_bad_input():
         with pytest.raises(ParseError):
             map_from_dict({"m": m, "n": n, "pieces": [{**piece, "square": square}]})
     assert map_from_dict({"m": 2, "n": 3, "pieces": [piece]})[0] == BsParams(2, 3)
+    # nor bools in the matrix and offset, which would read true as 1
+    for bad in [{"M": [[True, False], [0, 1]]}, {"b": [False, "0"]}]:
+        with pytest.raises(ParseError):
+            map_from_dict({"m": 2, "n": 3, "pieces": [{**piece, **bad}]})
     with pytest.raises(ParseError):
         map_from_dict({"m": 2, "pieces": [{}]})
     with pytest.raises(ParseError):

@@ -12,6 +12,7 @@ from bsdomino import balrep, group
 from bsdomino.errors import OrbitTooShort
 from bsdomino.group import (
     BsParams,
+    GroupElement,
     IDENTITY_ELEMENT,
     britton_reduce,
     element_from_text,
@@ -31,6 +32,7 @@ from bsdomino.tiling import (
     BudgetExceeded,
     ExhaustedNoTiling,
     Found,
+    TilingAssignment,
     _EdgeMasks,
     assignment_from_orbit,
     build_ball_patch,
@@ -49,6 +51,7 @@ from support import (
     ALL_PARAMS,
     MIXED_Q_MAP,
     color_value,
+    constraints_on_cells,
     is_britton_reduced,
     random_point_in,
     random_rational,
@@ -115,7 +118,8 @@ def test_constraints_horizontal_pair():
     assert len(cons) == 1
     (con,) = cons
     assert con.kind == "H"
-    assert con.a == IDENTITY_ELEMENT
+    assert patch.cells[con.a] == IDENTITY_ELEMENT
+    assert patch.cells[con.b] == element_from_text(P23, "a2")
 
 
 def test_constraints_vertical_pair():
@@ -126,10 +130,12 @@ def test_constraints_vertical_pair():
     assert len(cons) == len(vs) == 2
     # partner e a^(j-1-k) T lands on T exactly when k = j - 1
     assert {(c.top_pos, c.bottom_pos) for c in vs} == {(1, 1), (2, 2)}
-    assert all(c.a == IDENTITY_ELEMENT and c.b == upper for c in vs)
+    assert all(
+        patch.cells[c.a] == IDENTITY_ELEMENT and patch.cells[c.b] == upper for c in vs
+    )
 
 
-WORDS = st.lists(st.sampled_from("aAtT"), max_size=12).map(tuple)
+WORDS = st.lists(st.sampled_from("aAtT"), max_size=12).map("".join)
 
 
 @settings(max_examples=100, deadline=None)
@@ -138,7 +144,8 @@ def test_ball_and_constraints_match_reference(params, radius):
     patch = build_ball_patch(params, radius)
     assert patch == reference_ball(params, radius)
     assert all(is_britton_reduced(params, g.exps, g.stables) for g in patch.cells)
-    assert constraints_for(params, patch) == reference_constraints(params, patch)
+    constraints = constraints_for(params, patch)
+    assert constraints_on_cells(patch, constraints) == reference_constraints(params, patch)
 
 
 def neighbor_words(params):
@@ -159,31 +166,54 @@ def test_constraints_match_reference_on_random_patches(params, words, data):
         cells.update(multiply(params, g, step) for step in steps)
     patch = build_patch(params, cells)
     constraints = constraints_for(params, patch)
-    assert constraints == reference_constraints(params, patch)
+    assert constraints_on_cells(patch, constraints) == reference_constraints(params, patch)
     # each partner's scale, from the runs of its canonical form alone:
     # lambda(g a^m) = lambda(g) + 1, lambda(g a) = lambda(g) + 1/m and
     # lambda(g a^(j-1-k) t^-1) = (m/n) (lambda(g) + (j-1-k)/m)
     m, n = params.m, params.n
     for con in constraints:
-        lam = lambda_val(params, con.a)
+        lam = lambda_val(params, patch.cells[con.a])
         want = {
             "H": lam + 1,
             "I": lam + Fraction(1, m),
             "V": Fraction(m, n) * (lam + Fraction(con.top_pos - con.bottom_pos, m)),
         }[con.kind]
-        assert lambda_val(params, con.b) == want
+        assert lambda_val(params, patch.cells[con.b]) == want
 
 
 def test_patch_geometry_parses_no_word(monkeypatch):
     def refuse(text):
-        raise AssertionError(f"parse_word({text!r}) called")
+        raise AssertionError(f"_text_runs({text!r}) called")
 
-    monkeypatch.setattr(group, "parse_word", refuse)
+    monkeypatch.setattr(group, "_text_runs", refuse)
     patch = build_ball_patch(P23, 3)
     assert constraints_for(P23, patch)
     report = orbit(IDENTITY_MAP, vec2("1/2", "1/2"), 10)
     assignment = assignment_from_orbit(P23, IDENTITY_MAP, report, patch)
     assert len(assignment.pairs) == len(patch.cells)
+
+
+def test_patch_work_hashes_no_element(monkeypatch):
+    # cells are named by position: once the patch is built, no step keys
+    # a dict or set by a GroupElement
+    ts = compiled("identity-23")
+    patch = build_ball_patch(P23, 3)
+    report = orbit(IDENTITY_MAP, vec2("1/2", "1/2"), 10)
+
+    def refuse(g):
+        raise AssertionError(f"hashed {g}")
+
+    monkeypatch.setattr(GroupElement, "__hash__", refuse)
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(IDENTITY_ELEMENT)
+    constraints = constraints_for(P23, patch)
+    assert len(constraints) > len(patch.cells)
+    result = search_patch(ts, patch)
+    assert isinstance(result, Found)
+    assignment = assignment_from_orbit(P23, IDENTITY_MAP, report, patch)
+    assert [g for g, _ in assignment.pairs] == list(patch.cells)
+    dot = export_dot(P23, patch, result.assignment, ts)
+    assert dot.count(" -- ") > 0 and dot.count("\\ntile ") == len(patch.cells)
 
 
 def test_row_readings_match_balanced_windows():
@@ -283,6 +313,9 @@ def test_assignment_from_fixed_point():
     assignment = assignment_from_orbit(P23, IDENTITY_MAP, report, patch)
     assert len(assignment.pairs) == len(patch.cells)
     assert not check_assignment(P23, patch, assignment)
+    # the re-check finds each cell's tile by its cell, not by its place
+    reordered = TilingAssignment(tuple(reversed(assignment.pairs)))
+    assert not check_assignment(P23, patch, reordered)
 
 
 def test_assignment_single_cell():
@@ -299,9 +332,9 @@ def test_assignment_cycle_reuses_states():
     patch = build_patch(params, stack)
     assignment = assignment_from_orbit(params, pam, report, patch)
     assert not check_assignment(params, patch, assignment)
-    tiles = assignment.as_dict()
     top_cell = element_from_text(params, "T" * 4)
-    assert tiles[top_cell].piece == report.states[0][0]
+    [top_tile] = [tile for g, tile in assignment.pairs if g == top_cell]
+    assert top_tile.piece == report.states[0][0]
 
 
 def test_assignment_recheck_catches_corrupted_witness(monkeypatch):
@@ -348,6 +381,16 @@ def test_export_dot_and_tiling_text():
     lines = listing.strip().splitlines()
     assert len(lines) == len(patch.cells)
     assert all(" -> " in line for line in lines)
+    # each node is labelled with its own cell's tile, listed in any order
+    report = orbit(IDENTITY_MAP, vec2("1/3", "2/7"), 10)
+    witness = assignment_from_orbit(P23, IDENTITY_MAP, report, patch)
+    ids = {tile: i for i, tile in enumerate(ts.tiles)}
+    assert len({ids[tile] for _, tile in witness.pairs}) > 1
+    shuffled = TilingAssignment(tuple(reversed(witness.pairs)))
+    dot = export_dot(P23, patch, shuffled, ts)
+    for g, tile in witness.pairs:
+        name = g.to_text()
+        assert f'  "{name}" [label="{name}\\ntile {ids[tile]}"];' in dot.splitlines()
 
 
 @lru_cache(maxsize=None)
@@ -481,12 +524,8 @@ def random_small_patch(rng, params):
 
 def brute_force_tileable(params, patch, tiles) -> bool:
     constraints = constraints_for(params, patch)
-    position = {g: i for i, g in enumerate(patch.cells)}
     return any(
-        all(
-            constraint_satisfied(con, choice[position[con.a]], choice[position[con.b]])
-            for con in constraints
-        )
+        all(constraint_satisfied(con, choice[con.a], choice[con.b]) for con in constraints)
         for choice in itertools.product(tiles, repeat=len(patch.cells))
     )
 
