@@ -142,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate a map spec from a point")
     p.set_defaults(run=cmd_orbit)
     p.add_argument("map")
-    p.add_argument("--mn", type=_parse_mn)
     p.add_argument("--point", required=True)
     p.add_argument("--horizon", type=_int_at_least(0), default=100)
 
@@ -216,7 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    params, pam = _load(args)
+    _, pam = load_map(args.map)
     report = orbit(pam, parse_point(args.point), args.horizon)
     outcome = report.outcome
     if isinstance(outcome, EscapedAfter):

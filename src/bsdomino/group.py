@@ -14,6 +14,9 @@ is the derived scale parameter the tile construction runs on; it obeys
 
     lambda(g a) = lambda(g) + 1/m        lambda(g t) = (n/m) lambda(g)
 
+so it is one integer walk over the runs (lambda_parts), and phi is
+read back from it as alpha = m lambda (n/m)^beta.
+
 Group elements get a decidable canonical form by Britton reduction for
 the HNN presentation: pinches t^-1 a^(m j) t -> a^(n j) and
 t a^(n j) t^-1 -> a^(m j) are removed, and a-exponents are normalised to
@@ -50,10 +53,6 @@ class BsParams:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError(f"require m >= 1 and n >= 1, got ({self.m}, {self.n})")
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.m, self.n)
 
 
 def _text_runs(text: str):
@@ -103,18 +102,11 @@ def beta(w) -> int:
 
 
 def phi(params: BsParams, w) -> tuple[Fraction, int]:
-    """The exact plane embedding (alpha(w), beta(w))."""
-    ratio = params.ratio
-    power = Fraction(1)  # (m/n) ** (-beta(prefix))
-    a_val = Fraction(0)
-    b_val = 0
-    for kind, value in _runs(w):
-        if kind == "a":
-            a_val += value * power
-        else:
-            b_val -= value
-            power = power * ratio if value > 0 else power / ratio
-    return a_val, b_val
+    """The exact plane embedding (alpha(w), beta(w)), from the integer
+    lambda walk: alpha = m lambda (n/m)^beta."""
+    num, den = lambda_parts(params, w)
+    b_val = beta(w)
+    return Fraction(params.m * num, den) * Fraction(params.n, params.m) ** b_val, b_val
 
 
 def alpha(params: BsParams, w) -> Fraction:

@@ -42,8 +42,10 @@ floor(lam - 1/2) = (2a - c) // (2c),
     D left = (D M / n) F + (1 + n floor(lam - 1/2)) (D b / n) - (D / m) G,
 
 and right likewise from floor((n lam + n) x), floor((m lam + m) f(x))
-and floor(lam + 1/2) = (2a + c) // (2c).  A tile file prints each color
-as its reduced p/q; parse_tileset reads it back over D, rejecting a
+and floor(lam + 1/2) = (2a + c) // (2c).  A tile file is the title, the
+m= n= pieces= tiles= header, one header per piece and one line per tile
+in tile order, each color as its reduced p/q; parse_tileset reads
+exactly that layout back over D, rejecting any line out of place, a
 color off (1/D) Z^2, headers that disagree with their pieces (grid box,
 piece count, tile count) and tile lines not strictly sorted.
 verify_tileset checks the transport equation multiplied through by D
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, product
@@ -77,6 +79,7 @@ from .rationals import (
 
 DEFAULT_CANDIDATE_CAP = 5_000_000
 CAP_ENV_VAR = "BSDOMINO_MAX_TILES"
+TITLE = "# bsdomino tileset v1"  # line 1 of every tileset file
 
 
 class Tile(NamedTuple):
@@ -309,23 +312,33 @@ def top_label_box(piece: AffinePiece) -> tuple[IntVec2, IntVec2]:
 
 @dataclass(frozen=True)
 class PieceMeta:
-    index: int
     bottom_box: tuple[IntVec2, IntVec2]
     top_box: tuple[IntVec2, IntVec2]
     ell: EllBounds
 
 
+def piece_meta(params: BsParams, piece: AffinePiece) -> PieceMeta:
+    """The piece's label boxes and grid box, the bounds its tiles lie in."""
+    return PieceMeta(
+        bottom_label_box(piece), top_label_box(piece), ell_bounds(params, piece)
+    )
+
+
 @dataclass(frozen=True)
 class Tileset:
+    """The tiles of a map; each piece's meta and D are derived from it once."""
+
     params: BsParams
     pam: PiecewiseAffineMap
-    piece_meta: tuple[PieceMeta, ...]
     tiles: tuple[Tile, ...]
+    piece_meta: tuple[PieceMeta, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def denominator(self) -> int:
-        """D: every error color is an integer pair over it."""
-        return color_denominator(self.params, self.pam.pieces)
+    def __post_init__(self):
+        metas = tuple(piece_meta(self.params, piece) for piece in self.pam.pieces)
+        object.__setattr__(self, "piece_meta", metas)
+        # D, the lcm of the pieces' q: every error color is an integer pair over it
+        object.__setattr__(self, "denominator", lcm_all(meta.ell.q for meta in metas))
 
 
 def _color_range(box: tuple[IntVec2, IntVec2]):
@@ -338,9 +351,8 @@ def _color_range(box: tuple[IntVec2, IntVec2]):
 def candidate_count(params: BsParams, f: PiecewiseAffineMap) -> int:
     total = 0
     for piece in f.pieces:
-        blo, bhi = bottom_label_box(piece)
-        tlo, thi = top_label_box(piece)
-        eb = ell_bounds(params, piece)
+        meta = piece_meta(params, piece)
+        (blo, bhi), (tlo, thi), eb = meta.bottom_box, meta.top_box, meta.ell
         n_bottom = ((bhi[0] - blo[0] + 1) * (bhi[1] - blo[1] + 1)) ** params.n
         n_top = ((thi[0] - tlo[0] + 1) * (thi[1] - tlo[1] + 1)) ** params.m
         n_ell = (eb.p2[0] - eb.p1[0] + 1) * (eb.p2[1] - eb.p1[1] + 1)
@@ -366,13 +378,10 @@ def enumerate_tileset(
 
     m, n = params.m, params.n
     den = color_denominator(params, f.pieces)
-    metas = []
     tiles: list[Tile] = []
     for index, piece in enumerate(f.pieces):
-        bbox = bottom_label_box(piece)
-        tbox = top_label_box(piece)
-        eb = ell_bounds(params, piece)
-        metas.append(PieceMeta(index, bbox, tbox, eb))
+        meta = piece_meta(params, piece)
+        eb = meta.ell
         # over q the transport equation has integer coefficients; grid[i][j]
         # is the color (p1 + (i, j)) / q over D, one tuple for all its tiles
         eq = _transport(params, piece, eb.q)
@@ -383,8 +392,8 @@ def enumerate_tileset(
             [((p11 + i) * step, (p12 + j) * step) for j in range(w2 + 1)]
             for i in range(w1 + 1)
         ]
-        tops = list(product(_color_range(tbox), repeat=m))
-        for bottom in product(_color_range(bbox), repeat=n):
+        tops = list(product(_color_range(meta.top_box), repeat=m))
+        for bottom in product(_color_range(meta.bottom_box), repeat=n):
             for top in tops:
                 # right = left + b, both in the grid box
                 b1, b2 = _transport_rhs(eq, bottom, top)
@@ -393,7 +402,7 @@ def enumerate_tileset(
                     for j in range(max(0, -b2), min(w2, w2 - b2) + 1):
                         tiles.append(Tile(index, bottom, top, lefts[j], rights[j + b2]))
     # the loops run in tile order and right follows from left: no sort needed
-    return Tileset(params, f, tuple(metas), tuple(tiles))
+    return Tileset(params, f, tuple(tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +438,15 @@ def tile_to_line(tile: Tile, denominator: int) -> str:
 
 
 def export_tileset(ts: Tileset) -> str:
-    lines = ["# bsdomino tileset v1"]
+    lines = [TITLE]
     lines.append(
         f"# m={ts.params.m} n={ts.params.n} pieces={len(ts.pam.pieces)}"
         f" tiles={len(ts.tiles)}"
     )
-    for meta, piece in zip(ts.piece_meta, ts.pam.pieces):
+    for index, (meta, piece) in enumerate(zip(ts.piece_meta, ts.pam.pieces)):
         mx = piece.matrix
         lines.append(
-            f"# piece {meta.index}"
+            f"# piece {index}"
             f" square=({piece.square.c1},{piece.square.c2})"
             f" M=({fmt_rat(mx.a11)},{fmt_rat(mx.a12)};{fmt_rat(mx.a21)},{fmt_rat(mx.a22)})"
             f" b=({fmt_rat(piece.offset.x1)},{fmt_rat(piece.offset.x2)})"
@@ -450,16 +459,16 @@ def export_tileset(ts: Tileset) -> str:
     return "\n".join(lines)
 
 
-def _parse_ivec(text: str) -> IntVec2:
+def _inner(text: str) -> str:
+    """The text inside the parentheses that enclose it."""
     if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"bad integer vector {text!r}")
-    a, b = text[1:-1].split(",")
+        raise ParseError(f"expected a value in parentheses, got {text!r}")
+    return text[1:-1]
+
+
+def _parse_ivec(text: str) -> IntVec2:
+    a, b = _inner(text).split(",")
     return (int(a), int(b))
-
-
-def _parse_vec_pair(text: str) -> Vec2:
-    a, b = text.split(",")
-    return vec2(a, b)
 
 
 def _parse_colors(text: str) -> tuple[IntVec2, ...]:
@@ -492,105 +501,88 @@ def _line_reader(denominator: int):
     rights = cache(lambda part: _parse_error(_unlabel(part, "r: "), denominator))
 
     def read(line: str) -> Tile:
-        head, bottom, top, left, right = line.split(" | ")
+        try:
+            head, bottom, top, left, right = line.split(" | ")
+        except ValueError:
+            raise ParseError(f"expected a tile line, got {line!r}") from None
         return Tile(int(head), bottoms(bottom), tops(top), lefts(left), rights(right))
 
     return read
 
 
-def _header_fields(line: str) -> dict[str, str]:
-    fields = {}
-    for token in line.split()[1:]:
-        if "=" in token:
-            key, value = token.split("=", 1)
-            fields[key] = value
-    return fields
+def _header_values(line: str, head: str, keys: str) -> list[str]:
+    """The values of header line head + 'k1=v1 k2=v2 ...', keys in export's order."""
+    if not line.startswith(head):
+        raise ParseError(f"expected a line starting {head!r}")
+    pairs = [token.partition("=") for token in line[len(head):].split(" ")]
+    if [key for key, _, _ in pairs] != keys.split():
+        raise ParseError(f"expected the fields {keys}")
+    return [value for _, _, value in pairs]
 
 
-def _parse_piece(
-    params: BsParams, fields: dict[str, str]
-) -> tuple[AffinePiece, EllBounds]:
-    """The piece of a header line, after checking its grid box against it."""
-    square = _parse_ivec(fields["square"])
-    rows = fields["M"][1:-1].split(";")
+def _parse_piece(params: BsParams, line: str, index: int) -> AffinePiece:
+    """The piece of the header line of piece index, after checking the
+    line's grid box against the one the piece gives."""
+    square, matrix, offset, q, p1, p2 = _header_values(
+        line, f"# piece {index} ", "square M b q p1 p2"
+    )
+    b1, b2 = _inner(offset).split(",")
     piece = AffinePiece(
-        UnitSquare(*square),
-        mat2([r.split(",") for r in rows]),
-        _parse_vec_pair(fields["b"][1:-1]),
+        UnitSquare(*_parse_ivec(square)),
+        mat2([row.split(",") for row in _inner(matrix).split(";")]),
+        vec2(b1, b2),
     )
-    ell = ell_bounds(params, piece)
-    declared = EllBounds(
-        _parse_ivec(fields["p1"]), _parse_ivec(fields["p2"]), int(fields["q"])
-    )
+    ell = piece_meta(params, piece).ell
+    declared = EllBounds(_parse_ivec(p1), _parse_ivec(p2), int(q))
     if declared != ell:
         raise ParseError(
             f"header has q={declared.q} p1={_fmt_ivec(declared.p1)}"
             f" p2={_fmt_ivec(declared.p2)}, the piece gives q={ell.q}"
             f" p1={_fmt_ivec(ell.p1)} p2={_fmt_ivec(ell.p2)}"
         )
-    return piece, ell
+    return piece
 
 
 def parse_tileset(text: str) -> Tileset:
-    """Read an exported tileset, rejecting malformed lines, error colors
-    off the grid (1/D) Z^2, tile lines out of canonical order or
-    repeated, and any header that disagrees with its pieces: a grid box
-    other than ell_bounds gives, or a pieces=/tiles= count other than
-    the lines that follow.  Piece headers come before the tile lines,
-    which are read over the D of those pieces."""
-    params = None
-    counts = None  # (line number, declared pieces, declared tiles)
-    pieces: list[AffinePiece] = []
-    metas: list[PieceMeta] = []
-    tiles: list[Tile] = []
-    read = None  # the tile line reader, made at the first tile line
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
-                fields = _header_fields(line)
-                if "m" in fields and "n" in fields:
-                    params = BsParams(int(fields["m"]), int(fields["n"]))
-                    counts = (lineno, int(fields["pieces"]), int(fields["tiles"]))
-                if line.startswith("# piece "):
-                    idx = int(line.split()[2])
-                    if idx != len(pieces):
-                        raise ParseError(f"piece {idx} out of order")
-                    if params is None:
-                        raise ParseError("piece header before m/n header")
-                    if read is not None:
-                        raise ParseError("piece header after tile lines")
-                    piece, ell = _parse_piece(params, fields)
-                    pieces.append(piece)
-                    metas.append(
-                        PieceMeta(
-                            idx, bottom_label_box(piece), top_label_box(piece), ell
-                        )
-                    )
-                continue
-            if read is None:
-                if not pieces:
-                    raise ParseError("tile line before the piece headers")
-                read = _line_reader(color_denominator(params, pieces))
-            tile = read(line)
+    """Read a tileset file in the layout export_tileset writes, each line
+    in its place: the title, the m= n= pieces= tiles= header, one
+    '# piece i' header per piece in order, then only tile lines, read
+    over the D of the pieces.  Any other line, a blank one included, is
+    malformed; so are colors off the grid (1/D) Z^2, tile lines out of
+    canonical order or repeated, and a header that disagrees with its
+    pieces: a grid box other than ell_bounds gives, or a pieces=/tiles=
+    count other than the lines that follow (reported at line 2)."""
+    lines = text.splitlines()
+    i = 0  # the index of the line being read
+    try:
+        if lines[:1] != [TITLE]:
+            raise ParseError(f"expected {TITLE!r}")
+        i = 1
+        line = lines[1] if len(lines) > 1 else ""
+        counts = _header_values(line, "# ", "m n pieces tiles")
+        m, n, n_pieces, n_tiles = map(int, counts)
+        params = BsParams(m, n)
+        pieces: list[AffinePiece] = []
+        i = 2
+        while i < len(lines) and lines[i].startswith("#"):
+            pieces.append(_parse_piece(params, lines[i], len(pieces)))
+            i += 1
+        pam = PiecewiseAffineMap(tuple(pieces))
+        read = _line_reader(color_denominator(params, pieces))
+        tiles: list[Tile] = []
+        for i in range(2 + len(pieces), len(lines)):
+            tile = read(lines[i])
             if tiles and tile <= tiles[-1]:
                 raise ParseError("tile line out of order or repeated")
             tiles.append(tile)
-        except (ValueError, KeyError, IndexError, ParseError) as exc:
-            raise ParseError(f"tileset line {lineno}: {exc}") from None
-    if params is None or not pieces:
-        raise ParseError("tileset file lacks m/n or piece headers")
-    lineno, n_pieces, n_tiles = counts
+    except (ValueError, IndexError, ParseError) as exc:
+        raise ParseError(f"tileset line {i + 1}: {exc}") from None
     if (n_pieces, n_tiles) != (len(pieces), len(tiles)):
         raise ParseError(
-            f"tileset line {lineno}: header says pieces={n_pieces} tiles={n_tiles},"
+            f"tileset line 2: header says pieces={n_pieces} tiles={n_tiles},"
             f" the file has {len(pieces)} pieces and {len(tiles)} tiles"
         )
-    return Tileset(
-        params, PiecewiseAffineMap(tuple(pieces)), tuple(metas), tuple(tiles)
-    )
+    return Tileset(params, pam, tuple(tiles))
 
 
 @dataclass(frozen=True)
@@ -612,8 +604,8 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
     multiplied through by D (see _Transport), and each error color as a
     multiple of D / q inside its piece's grid box.  The checks of piece,
     bottom and top run once per run of tiles that share them.  Line
-    numbers refer to the canonical export layout (header lines first,
-    tiles in sorted order).
+    numbers follow the export layout, the only one parse_tileset
+    accepts: the tile at sorted position k is on line 2 + pieces + k.
     """
     faults = []
     m, n = ts.params.m, ts.params.n

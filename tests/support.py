@@ -12,10 +12,10 @@ from bsdomino.group import (
     IDENTITY_ELEMENT,
     BsParams,
     GroupElement,
+    _runs,
     alpha,
     beta,
     multiply,
-    phi,
 )
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare
 from bsdomino.rationals import IDENTITY2, IntVec2, Mat2, Vec2, as_rat
@@ -230,7 +230,8 @@ def compose_alpha_check(params: BsParams, u, v) -> bool:
     """alpha(u v) == alpha(u) + (m/n)^(-beta(u)) alpha(v), exactly, for
     words u and v in text."""
     lhs = alpha(params, f"{u} {v}")
-    rhs = alpha(params, u) + params.ratio ** (-beta(u)) * alpha(params, v)
+    ratio = Fraction(params.m, params.n)
+    rhs = alpha(params, u) + ratio ** (-beta(u)) * alpha(params, v)
     return lhs == rhs
 
 
@@ -308,9 +309,25 @@ def residual_stages(params: BsParams, piece: AffinePiece, lam, x: Vec2):
     return (s0, s1, s2, s3, s4)
 
 
+def reference_phi(params: BsParams, w) -> tuple[Fraction, int]:
+    """(alpha(w), beta(w)) by their definition, in one Fraction walk:
+    each a-run adds its exponent times (m/n)^(-beta(prefix))."""
+    ratio = Fraction(params.m, params.n)
+    power = Fraction(1)  # (m/n) ** (-beta(prefix))
+    a_val = Fraction(0)
+    b_val = 0
+    for kind, value in _runs(w):
+        if kind == "a":
+            a_val += value * power
+        else:
+            b_val -= value
+            power = power * ratio if value > 0 else power / ratio
+    return a_val, b_val
+
+
 def reference_lambda(params: BsParams, w) -> Fraction:
     """lambda_val from the phi formula, (1/m) (n/m)^(-beta) alpha."""
-    a_val, b_val = phi(params, w)
+    a_val, b_val = reference_phi(params, w)
     return Fraction(1, params.m) * Fraction(params.n, params.m) ** (-b_val) * a_val
 
 

@@ -53,6 +53,8 @@ def test_phi_outputs(capsys):
 def test_phi_large_exponent(capsys):
     assert main(["phi", "--mn", "3,2", "a1000000000"]) == 0
     assert capsys.readouterr().out.strip() == "(1000000000/1, 0)"
+    assert main(["phi", "--mn", "3,2", "t60000"]) == 0
+    assert capsys.readouterr().out.strip() == "(0/1, -60000)"
 
 
 def test_phi_parse_error(capsys):
@@ -130,29 +132,35 @@ def test_verify_names_corrupted_tile(tmp_path, capsys, identity_map):
 
 def _set_q_zero(lines):
     lines[2] = lines[2].replace(" q=6 ", " q=0 ")
+    return 3
 
 
 def _widen_grid_box(lines):
     head, _, _ = lines[2].partition(" p1=")
     lines[2] = head + " p1=(-999,-999) p2=(999,999)"
+    return 3
 
 
 def _delete_tile(lines):
     del lines[100]
+    return 2  # the tiles= count
 
 
 def _duplicate_tile(lines):
     lines.insert(100, lines[100])
+    return 102
 
 
 def _duplicate_and_delete(lines):
     # keeps the tiles= count
     lines.insert(100, lines[100])
     del lines[200]
+    return 102
 
 
 def _swap_adjacent(lines):
     lines[100], lines[101] = lines[101], lines[100]
+    return 102
 
 
 def _shift_off_grid(lines):
@@ -162,6 +170,40 @@ def _shift_off_grid(lines):
     assert colors == "1/2,1/2 | r: 1/2,1/2"
     lines[-1] = head + " | l: 9/14,9/14 | r: 9/14,9/14"
     return len(lines)
+
+
+def _delete_title(lines):
+    del lines[0]
+    return 1
+
+
+def _count_header_among_tiles(lines):
+    lines.insert(100, lines[1])
+    return 101
+
+
+def _blank_line_among_tiles(lines):
+    lines.insert(100, "")
+    return 101
+
+
+def _note_after_piece_header(lines):
+    # a comment and a blank line, then a corrupted last tile: the tile
+    # lines no longer sit where verify would number them
+    lines[3:3] = ["# a note", ""]
+    head, _, _ = lines[-1].rpartition(" | r: ")
+    lines[-1] = head + " | r: 999/1,999/1"
+    return 4
+
+
+def _piece_header_after_tile(lines):
+    lines.insert(100, lines[2])
+    return 101
+
+
+def _bracketed_offset(lines):
+    lines[2] = lines[2].replace(" b=(0/1,0/1) ", " b=[0/1,0/1] ")
+    return 3
 
 
 @pytest.fixture(scope="module")
@@ -184,11 +226,17 @@ def identity_lines(tmp_path_factory):
         _duplicate_and_delete,
         _swap_adjacent,
         _shift_off_grid,
+        _delete_title,
+        _count_header_among_tiles,
+        _blank_line_among_tiles,
+        _note_after_piece_header,
+        _piece_header_after_tile,
+        _bracketed_offset,
     ],
 )
 def test_verify_rejects_inconsistent_header(tmp_path, capsys, identity_lines, probe):
     lines = list(identity_lines)
-    where = probe(lines)  # the line the probe breaks, when it names one
+    where = probe(lines)  # the line the probe breaks
     broken = str(tmp_path / "broken.tiles")
     with open(broken, "w") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -196,9 +244,7 @@ def test_verify_rejects_inconsistent_header(tmp_path, capsys, identity_lines, pr
     assert main(["verify", broken]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: tileset line" in captured.err
-    if where is not None:
-        assert f"error: tileset line {where}:" in captured.err
+    assert f"error: tileset line {where}:" in captured.err
 
 
 def test_search_exit_codes(tmp_path, capsys, identity_map, escape_map):
@@ -253,6 +299,15 @@ def test_orbit_cycle_output(tmp_path, capsys):
 
 def test_orbit_outside_start_is_input_error(capsys, identity_map):
     assert main(["orbit", identity_map, "--point", "9,9", "--horizon", "5"]) == 3
+
+
+def test_orbit_has_no_mn_option(capsys, identity_map):
+    # orbit iterates the map alone: BS(m,n) plays no part in it
+    args = ["orbit", identity_map, "--point", "1/2,1/2", "--mn", "3,2"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --mn 3,2" in captured.err
 
 
 def test_simulate_row(capsys, identity_map):

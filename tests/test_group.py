@@ -29,6 +29,7 @@ from support import (
     is_britton_reduced,
     random_word,
     reference_lambda,
+    reference_phi,
     reference_text,
     relator_variants,
 )
@@ -283,6 +284,7 @@ def test_lambda_matches_phi_formula(params, u):
     g = britton_reduce(params, u)
     for w in (u, g, g.to_text()):
         assert lambda_val(params, w) == reference_lambda(params, w)
+        assert phi(params, w) == reference_phi(params, w)
     num, den = lambda_parts(params, g)
     assert Fraction(num, den) == reference_lambda(params, g)
 

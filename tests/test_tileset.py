@@ -10,7 +10,7 @@ from bsdomino.balrep import b_k
 from bsdomino.errors import EnumerationTooLarge, OutsidePiece, ParseError
 from bsdomino.group import BsParams
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, load_map
-from bsdomino.rationals import IDENTITY2, Vec2, mat2, vec2
+from bsdomino.rationals import IDENTITY2, Vec2, fmt_rat, mat2, vec2
 from bsdomino.tileset import (
     Tileset,
     bottom_label_box,
@@ -326,6 +326,23 @@ def test_parse_reads_colors_by_value():
     assert parse_tileset(text.replace(line, spelled)).tiles == parse_tileset(text).tiles
 
 
+def test_fault_lines_index_the_file():
+    # several right colors shifted by 1: each stays on the grid and keeps
+    # the sort order, so verify names each corrupted line by its number
+    ts = enumerate_tileset(P23, MIXED_Q_MAP)
+    lines = export_tileset(ts).splitlines()
+    header = 2 + len(MIXED_Q_MAP.pieces)
+    victims = sorted(Random(52).sample(range(header, len(lines)), 12))
+    for victim in victims:
+        head, _, right = lines[victim].rpartition(" | r: ")
+        r1, r2 = (Fraction(part) for part in right.split(","))
+        lines[victim] = f"{head} | r: {fmt_rat(r1 + 1)},{fmt_rat(r2 - 1)}"
+    faults = verify_tileset(parse_tileset("\n".join(lines) + "\n"))
+    assert [fault.line for fault in faults] == [victim + 1 for victim in victims]
+    for fault in faults:
+        assert lines[fault.line - 1] == tile_to_line(fault.tile, ts.denominator)
+
+
 def test_residual_stage_chain():
     rng = Random(49)
     zero = Vec2(Fraction(0), Fraction(0))
@@ -439,7 +456,7 @@ def test_verify_matches_fraction_oracle(lattice_tilesets, data):
         for i in data.draw(st.lists(st.sampled_from(picks), min_size=1, max_size=4))
     ]
     tiles = tuple(ts.tiles[i] for i in picks) + tuple(broken)
-    sub = Tileset(ts.params, ts.pam, ts.piece_meta, tiles)
+    sub = Tileset(ts.params, ts.pam, tiles)
     faults = verify_tileset(sub)
     assert faults == reference_verify(sub)
     assert {fault.tile for fault in faults} == set(broken)
@@ -451,7 +468,7 @@ def test_perturbations_draw_every_fault_reason(lattice_tilesets):
     for _ in range(400):
         ts = rng.choice(lattice_tilesets)
         broken = _perturb(rng.choice, ts, rng.choice(ts.tiles))
-        sub = Tileset(ts.params, ts.pam, ts.piece_meta, (broken,))
+        sub = Tileset(ts.params, ts.pam, (broken,))
         faults = verify_tileset(sub)
         assert len(faults) == 1 and faults == reference_verify(sub)
         reasons.add(faults[0].reason.rstrip("0123456789"))

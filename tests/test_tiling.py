@@ -281,7 +281,7 @@ def test_search_escape_exhausted():
 
 def test_search_empty_tileset():
     ts = enumerate_tileset(P23, IDENTITY_MAP)
-    empty = Tileset(P23, IDENTITY_MAP, ts.piece_meta, ())
+    empty = Tileset(P23, IDENTITY_MAP, ())
     assert isinstance(
         search_patch(empty, build_ball_patch(P23, 1)), ExhaustedNoTiling
     )
@@ -292,7 +292,7 @@ def test_search_exhausts_by_backtracking():
     ts = enumerate_tileset(P23, IDENTITY_MAP)
     lone = edge_colors(P23, IDENTITY_PIECE, Fraction(1, 2), vec2("1/2", "1/2"))
     assert lone.left != lone.right
-    crippled = Tileset(P23, IDENTITY_MAP, ts.piece_meta, (lone,))
+    crippled = Tileset(P23, IDENTITY_MAP, (lone,))
     patch = build_patch(P23, [IDENTITY_ELEMENT, element_from_text(P23, "a2")])
     result = search_patch(crippled, patch)
     assert isinstance(result, ExhaustedNoTiling)
@@ -539,7 +539,7 @@ def test_search_agrees_with_brute_force(name):
         rng = Random(seed)
         tiles = related_tiles(rng, name, rng.randint(1, 6))
         patch = random_small_patch(rng, params)
-        subset = Tileset(params, full.pam, full.piece_meta, tiles)
+        subset = Tileset(params, full.pam, tiles)
         result = search_patch(subset, patch)
         expected = brute_force_tileable(params, patch, tiles)
         assert isinstance(result, Found if expected else ExhaustedNoTiling), seed
@@ -583,7 +583,7 @@ def test_mixed_q_h_rule_joins_pieces():
         and tile.left != tile.right
         and color_value(tile.right, 12) in by_left
     )
-    subset = Tileset(P23, MIXED_Q_MAP, ts.piece_meta, pair)
+    subset = Tileset(P23, MIXED_Q_MAP, pair)
     result = search_patch(subset, patch)
     assert isinstance(result, Found)
     assert {tile.piece for _, tile in result.assignment.pairs} == {0, 1}
