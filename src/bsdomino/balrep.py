@@ -29,19 +29,18 @@ def scaled_floors(x: Vec2, a: int, c: int, k_lo: int, k_hi: int) -> list[IntVec2
     p1, q1 = x.x1.numerator, x.x1.denominator
     p2, q2 = x.x2.numerator, x.x2.denominator
     d1, d2 = c * q1, c * q2
-    out = []
-    for k in range(k_lo, k_hi + 1):
-        s = a + k * c
-        out.append(((s * p1) // d1, (s * p2) // d2))
-    return out
+    steps = range(a + k_lo * c, a + (k_hi + 1) * c, c)  # a + k c
+    return [((s * p1) // d1, (s * p2) // d2) for s in steps]
 
 
 def differences(floors: list[IntVec2]) -> tuple[IntVec2, ...]:
     """Consecutive differences: the terms B_k from the floors at k - 1 and k."""
-    return tuple(
+    # tuple() of a list, not of a generator: growing a tuple resizes it,
+    # which fragments the heap when rows are long
+    return tuple([
         (hi1 - lo1, hi2 - lo2)
         for (lo1, lo2), (hi1, hi2) in zip(floors, floors[1:])
-    )
+    ])
 
 
 def b_k(x: Vec2, z, k: int) -> IntVec2:

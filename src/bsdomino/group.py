@@ -116,16 +116,24 @@ def alpha(params: BsParams, w) -> Fraction:
 def lambda_parts(params: BsParams, w) -> tuple[int, int]:
     """lambda(w) = N / (m D) as the unreduced pair (N, m D), in one walk:
     a^e adds e D to N, t multiplies N by n and D by m, t^-1 N by m and D
-    by n (lambda(g a) = lambda(g) + 1/m, lambda(g t) = (n/m) lambda(g))."""
+    by n (lambda(g a) = lambda(g) + 1/m, lambda(g t) = (n/m) lambda(g)).
+    The stable letters between two a-runs, u times t and d times t^-1,
+    are applied at once as n^u m^d and m^u n^d, so t^k costs about the
+    k digits of its value, not k big-number steps."""
     m, n = params.m, params.n
     num, den = 0, 1
-    for kind, value in _runs(w):
-        if kind == "a":
-            num += value * den
-        elif value > 0:
-            num, den = num * n, den * m
-        else:
-            num, den = num * m, den * n
+    up = down = 0
+    for kind, value in chain(_runs(w), [("a", 0)]):
+        if kind == "t":
+            if value > 0:
+                up += 1
+            else:
+                down += 1
+            continue
+        if up or down:
+            num, den = num * n**up * m**down, den * m**up * n**down
+            up = down = 0
+        num += value * den
     return num, m * den
 
 

@@ -130,7 +130,7 @@ class RowColors:
 
     All tiles of a row share the piece and x and differ only in lam, so
     the piece's _Transport over the map's D and f(x) are built once,
-    here; tile(a, c) is the color kernel.
+    here; run(a, c, count) is the color kernel.
     """
 
     def __init__(
@@ -153,36 +153,57 @@ class RowColors:
         self.offset = tuple(o // params.n for o in self.eq.offset)  # D b / n
 
     def tile(self, a: int, c: int) -> Tile:
-        """Tile at lam = a/c, c > 0, not necessarily in lowest terms.
+        """Tile at lam = a/c, c > 0, not necessarily in lowest terms."""
+        return self.run(a, c, 1)[0]
 
-        The bottom and top colors are differences of the floors
-        floor((n lam + j) x), j = 0..n, and floor((m lam + j) f(x)),
-        j = 0..m; the error colors are integer numerators over D, as in
-        the module docstring.
+    def run(self, a: int, c: int, count: int) -> list[Tile]:
+        """Tiles at lam_k = a/c + k/m for k = 0 .. count-1, c > 0: the
+        cells g a^k of one a-row when lambda(g) = a/c.
+
+        Tile k's top colors are differences of the floors
+        floor((m lam_k + j) f(x)) = floor((m a/c + k + j) f(x)),
+        j = 0..m, so one sweep over k + j serves the row.  For
+        k = p + s m its bottom floors are floor((n lam_k + j) x) =
+        floor((z_p + s n + j) x), j = 0..n, with z_p = n (a/c + p/m):
+        one sweep per phase p < m.  The error colors are integer
+        numerators over D, as in the module docstring.
         """
+        if count <= 0:
+            return []
         m, n = self.params.m, self.params.n
-        floors_x = scaled_floors(self.x, n * a, c, 0, n)
-        floors_f = scaled_floors(self.fx, m * a, c, 0, m)
+        piece = self.piece_index
         k11, k12, k21, k22 = self.eq.matrix
         o1, o2 = self.offset
         w = self.eq.top_weight
+        mc = m * c
 
-        def error(floor_x: IntVec2, floor_f: IntVec2, half: int) -> IntVec2:
-            f1, f2 = floor_x
-            g1, g2 = floor_f
-            scale = 1 + n * half
+        def error(floor_x: IntVec2, floor_f: IntVec2, scale: int) -> IntVec2:
+            (f1, f2), (g1, g2) = floor_x, floor_f
             return (
                 k11 * f1 + k12 * f2 + scale * o1 - w * g1,
                 k21 * f1 + k22 * f2 + scale * o2 - w * g2,
             )
 
-        return Tile(
-            self.piece_index,
-            differences(floors_x),
-            differences(floors_f),
-            error(floors_x[0], floors_f[0], (2 * a - c) // (2 * c)),
-            error(floors_x[n], floors_f[m], (2 * a + c) // (2 * c)),
-        )
+        floors_f = scaled_floors(self.fx, m * a, c, 0, count - 1 + m)
+        tops = differences(floors_f)
+        tiles = [None] * count
+        for p in range(min(m, count)):
+            rows = (count - 1 - p) // m + 1  # tiles p, p + m, ...
+            floors_x = scaled_floors(self.x, n * (m * a + p * c), mc, 0, rows * n)
+            bottoms = differences(floors_x)
+            for k in range(p, count, m):
+                lo = (k - p) // m * n
+                # 1 + n floor(lam_k - 1/2) for lam_k = (m a + k c) / (m c);
+                # floor(lam_k + 1/2) is one more
+                scale = 1 + n * ((2 * (m * a + k * c) - mc) // (2 * mc))
+                tiles[k] = Tile(
+                    piece,
+                    bottoms[lo : lo + n],
+                    tops[k : k + m],
+                    error(floors_x[lo], floors_f[k], scale),
+                    error(floors_x[lo + n], floors_f[k + m], scale + n),
+                )
+        return tiles
 
 
 class _Transport(NamedTuple):
@@ -200,11 +221,13 @@ class _Transport(NamedTuple):
 
 
 def _transport(params: BsParams, piece: AffinePiece, d: int) -> _Transport:
-    b = piece.offset
-    scale = Fraction(d, params.n)
-    k11, k12, k21, k22 = ((e * scale).numerator for e in piece.matrix.entries())
-    offset = ((b.x1 * d).numerator, (b.x2 * d).numerator)
-    return _Transport(d // params.m, (k11, k12, k21, k22), offset)
+    def times(e: Fraction, scale: int) -> int:  # e d / scale, an integer
+        return e.numerator * (d // (scale * e.denominator))
+
+    n = params.n
+    matrix = tuple(times(e, n) for e in piece.matrix.entries())
+    offset = (times(piece.offset.x1, 1), times(piece.offset.x2, 1))
+    return _Transport(d // params.m, matrix, offset)
 
 
 def _transport_rhs(eq: _Transport, bottom, top) -> IntVec2:

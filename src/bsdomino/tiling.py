@@ -13,12 +13,15 @@ color.  Working out which cells share edges gives three local rules:
 The V rule is forced by the corner computation
 (g a^(j-1-k) t^-1) t a^k = g a^(j-1): both tiles color the edge from
 g a^(j-1) to g a^j.  Moving up (t^-1) is one forward application of the
-encoded map.  All of this runs on canonical forms in integers: partners
-come in closed form from group.form_step (g a^e moves the last exponent,
-g a^s t^-1 is one divmod), and lambda(g) from group.lambda_parts.  A
-cell is named by its position in the patch: constraints, search domains
-and re-checks index cells by position, and the patch maps each
-canonical form to its position once.
+encoded map.  All of this runs on canonical forms in integers, one
+a-row at a time.  The cells h a^e of one head h form a row (an H-chain
+of the reduction); the patch maps each head to {e: position}.  Within a
+row the H and I partners are entries e + m and e + 1, and the V
+partners lie in the rows above h a^r, r < n, one group.form_step each
+(g a^s t^-1 is then one divmod away).  lambda steps by 1/m along a row,
+so one group.lambda_parts and one RowColors.run tile a run of
+consecutive cells.  A cell is named by its position in the patch:
+constraints, search domains and re-checks index cells by position.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -35,7 +38,6 @@ from .errors import OrbitTooShort
 from .group import (
     BsParams,
     GroupElement,
-    IDENTITY_ELEMENT,
     form_step,
     lambda_parts,
 )
@@ -46,22 +48,32 @@ from .tileset import RowColors, Tile, Tileset, _color_range, color_denominator
 
 @dataclass(frozen=True)
 class Patch:
-    """Cells sorted canonically; a cell is named by its position in cells."""
+    """Cells sorted canonically; a cell is named by its position in cells.
+
+    rows groups the cells by a-row: the cells g = h a^e of one head h
+    share (exps[:-1], stables) and differ in e = exps[-1], so rows maps
+    each head to {e: position}.
+    """
 
     params: BsParams
     cells: tuple[GroupElement, ...]
-    # canonical form (exps, stables) -> position in cells
-    index: dict[tuple, int] = field(compare=False, repr=False)
+    rows: dict[tuple, dict[int, int]] = field(compare=False, repr=False)
+
+    def position(self, g: GroupElement) -> int | None:
+        """The position of g in cells, None if g is not a cell."""
+        row = self.rows.get((g.exps[:-1], g.stables))
+        return None if row is None else row.get(g.exps[-1])
 
     def __contains__(self, g: GroupElement) -> bool:
-        return (g.exps, g.stables) in self.index
+        return self.position(g) is not None
 
 
 def build_patch(params: BsParams, elements) -> Patch:
     """Deduplicate, sort, and sanity-check a set of cell base elements."""
     cells = tuple(sorted(set(elements), key=GroupElement.sort_key))
     m, n = params.m, params.n
-    for g in cells:
+    rows: dict[tuple, dict[int, int]] = {}
+    for i, g in enumerate(cells):
         g_t = form_step(g.exps, g.stables, 0, 1, m, n)
         # relator closure of the cell boundary: g a^m t = g t a^n
         if form_step(g.exps, g.stables, m, 1, m, n) != form_step(*g_t, n, 0, m, n):
@@ -71,33 +83,42 @@ def build_patch(params: BsParams, elements) -> Patch:
         num_t, den_t = lambda_parts(params, GroupElement(*g_t))
         if num_t * m * den != n * num * den_t:
             raise ValueError(f"scale bookkeeping broken at {g.to_text()}")
-    index = {(g.exps, g.stables): i for i, g in enumerate(cells)}
-    return Patch(params, cells, index)
-
-
-# a, a^-1, t, t^-1 as (shift, sign) steps of form_step
-_GENERATOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+        rows.setdefault((g.exps[:-1], g.stables), {})[g.exps[-1]] = i
+    return Patch(params, cells, rows)
 
 
 def build_ball_patch(params: BsParams, radius: int) -> Patch:
-    """All cells whose base has canonical word length at most radius."""
+    """All cells whose base has canonical word length at most radius.
+
+    A canonical form is a head a^e_0 s_1 ... a^e_(k-1) s_k followed by
+    a^e; the head's interior exponents are coset representatives
+    (0 <= e_i < m before t, < n before t^-1, never 0 between opposite
+    stable letters, which would be a pinch).  A head of length l carries
+    the row |e| <= radius - l, so the ball is written down row by row.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     m, n = params.m, params.n
-    start = (IDENTITY_ELEMENT.exps, IDENTITY_ELEMENT.stables)
-    seen = {start}
-    frontier = [start]
-    for _ in range(radius):
-        new_frontier = []
-        for exps, stables in frontier:
-            for shift, sign in _GENERATOR_STEPS:
-                h = form_step(exps, stables, shift, sign, m, n)
-                if h not in seen:
-                    seen.add(h)
-                    new_frontier.append(h)
-        frontier = new_frontier
-    reached = (GroupElement(*form) for form in seen)
-    return build_patch(params, (g for g in reached if g.length() <= radius))
+    cells = []
+    heads = [((), (), 0)]  # (interior exponents, stables, length)
+    for exps, stables, length in heads:  # grows as heads are extended
+        span = radius - length
+        cells.extend(GroupElement(exps + (e,), stables) for e in range(-span, span + 1))
+        for sign, mod in ((1, m), (-1, n)):
+            # e = 0 between opposite stable letters would be a pinch
+            first = 1 if stables and stables[-1] == -sign else 0
+            for e in range(first, min(mod, span)):
+                heads.append((exps + (e,), stables + (sign,), length + e + 1))
+    return build_patch(params, cells)
+
+
+def _consecutive(values: list[int]):
+    """(first, count) for each run of consecutive integers in sorted values."""
+    start = 0
+    for stop in range(1, len(values) + 1):
+        if stop == len(values) or values[stop] != values[stop - 1] + 1:
+            yield values[start], stop - start
+            start = stop
 
 
 class Constraint(NamedTuple):
@@ -113,30 +134,47 @@ class Constraint(NamedTuple):
 
 
 def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
-    """The H, I and V constraints between cells, cell by cell; partners
-    are looked up by the canonical form that form_step gives, and the V
-    partner g a^(j-1-k) t^-1 is one step per shift j-1-k."""
+    """The H, I and V constraints between cells, in cell order.
+
+    They are worked out row by row.  For g = h a^e the H and I partners
+    g a^m and g a are entries e + m and e + 1 of g's own row.  The V
+    partner g a^s t^-1 is h a^r t^-1 a^(m q) for (q, r) = divmod(e + s, n),
+    entry offset_r + m q of the row above h a^r; one form_step per
+    residue r < n gives that row and offset_r, the pinch included, and
+    each h a^x t^-1 is looked up once per run of consecutive cells.
+    """
     m, n = params.m, params.n
-    index = patch.index
-    out = []
-    for i, g in enumerate(patch.cells):
-        exps, stables = g.exps, g.stables
-        h = index.get(form_step(exps, stables, m, 0, m, n))
-        if h is not None:
-            out.append(Constraint("H", i, h))
-        h = index.get(form_step(exps, stables, 1, 0, m, n))
-        if h is not None:
-            out.append(Constraint("I", i, h))
-        uppers = [  # uppers[shift + n - 1]: the cell g a^shift t^-1, or None
-            index.get(form_step(exps, stables, shift, -1, m, n))
-            for shift in range(1 - n, m)
-        ]
-        for j in range(1, m + 1):
-            for k in range(n):
-                upper = uppers[j - 1 - k + n - 1]
-                if upper is not None:
-                    out.append(Constraint("V", i, upper, top_pos=j, bottom_pos=k + 1))
-    return tuple(out)
+    rows = patch.rows
+    # (j, k, shift + n - 1) for the V partner top_j(g) = bottom_k(g a^shift t^-1)
+    v_slots = [(j, k + 1, j - 1 - k + n - 1) for j in range(1, m + 1) for k in range(n)]
+    by_cell: list[list[Constraint]] = [[] for _ in patch.cells]
+    for (head, stables), row in rows.items():
+        above = []  # above[r]: (row of h a^r t^-1, its offset)
+        for r in range(n):
+            up_exps, up_stables = form_step(head + (r,), stables, 0, -1, m, n)
+            above.append((rows.get((up_exps[:-1], up_stables), {}), up_exps[-1]))
+        for start, count in _consecutive(sorted(row)):
+            lowest = start + 1 - n
+            uppers = []  # uppers[x - lowest]: the cell h a^x t^-1, or None
+            for x in range(lowest, start + count + m - 1):
+                q, r = divmod(x, n)
+                up_row, offset = above[r]
+                uppers.append(up_row.get(offset + m * q))
+            for e in range(start, start + count):
+                i = row[e]
+                out = by_cell[i]
+                h = row.get(e + m)
+                if h is not None:
+                    out.append(Constraint("H", i, h))
+                h = row.get(e + 1)
+                if h is not None:
+                    out.append(Constraint("I", i, h))
+                base = e - start
+                for j, k, slot in v_slots:
+                    upper = uppers[base + slot]
+                    if upper is not None:
+                        out.append(Constraint("V", i, upper, j, k))
+    return tuple(chain.from_iterable(by_cell))
 
 
 def constraint_satisfied(con: Constraint, tile_a: Tile, tile_b: Tile) -> bool:
@@ -155,9 +193,25 @@ class TilingAssignment:
 def check_assignment(
     params: BsParams, patch: Patch, assignment: TilingAssignment
 ) -> list[Constraint]:
-    """Constraints the assignment violates (empty list means valid)."""
-    tiles = {patch.index[g.exps, g.stables]: tile for g, tile in assignment.pairs}
-    return _violations(constraints_for(params, patch), tiles)
+    """Constraints the assignment violates (empty list means valid).
+    The assignment must give exactly one tile to each cell of the patch;
+    ValueError names the first cell where it does not."""
+    return _violations(constraints_for(params, patch), _tiles_by_position(patch, assignment))
+
+
+def _tiles_by_position(patch: Patch, assignment: TilingAssignment) -> list[Tile]:
+    tiles: list = [None] * len(patch.cells)
+    for g, tile in assignment.pairs:
+        i = patch.position(g)
+        if i is None:
+            raise ValueError(f"assignment cell {g.to_text()} is not in the patch")
+        if tiles[i] is not None:
+            raise ValueError(f"assignment cell {g.to_text()} has two tiles")
+        tiles[i] = tile
+    if None in tiles:
+        g = patch.cells[tiles.index(None)]
+        raise ValueError(f"patch cell {g.to_text()} has no tile in the assignment")
+    return tiles
 
 
 def _violations(constraints: tuple[Constraint, ...], tiles) -> list[Constraint]:
@@ -189,9 +243,9 @@ def simulate_row(
         raise ValueError(f"piece index {piece_index} out of range")
     den = color_denominator(params, f.pieces)
     row = RowColors(params, f.pieces[piece_index], x, piece_index, den)
-    # lambda(g0) + k/m over the common denominator m c
+    # lambda(g0) + k_lo/m over the common denominator m c
     m, (a, c) = params.m, lambda_parts(params, g0)
-    return [row.tile(m * a + k * c, m * c) for k in range(k_lo, k_hi + 1)]
+    return row.run(m * a + k_lo * c, m * c, k_hi - k_lo + 1)
 
 
 def row_top_reading(
@@ -502,40 +556,44 @@ def assignment_from_orbit(
 
     Level 0 is the lowest row of the patch (minimal beta); moving one
     row up applies the map once.  Cyclic orbits repeat their loop, other
-    orbits must reach every level the patch spans.
+    orbits must reach every level the patch spans.  Each run of
+    consecutive cells of an a-row is one RowColors.run from the lambda
+    of its first cell.
     """
     if not patch.cells:
         return TilingAssignment(())
-    betas = [g.beta() for g in patch.cells]
+    betas = [-sum(stables) for _, stables in patch.rows]
     base_level = min(betas)
     depth = max(betas) - base_level
 
-    states = list(report.states)
+    states = report.states
 
-    def state_at(level: int) -> tuple[int, Vec2]:
+    def state_at(level: int) -> int:
+        """The index in states of the orbit state of a level."""
         if level < len(states):
-            return states[level]
+            return level
         if isinstance(report.outcome, CycleDetected):
             j, k = report.outcome.j, report.outcome.k
             period = k - j
-            return states[j + (level - j) % period]
+            return j + (level - j) % period
         raise OrbitTooShort(
             f"patch spans {depth + 1} levels, orbit provides {len(states)}"
         )
 
     den = color_denominator(params, f.pieces)
-    colors: dict[tuple[int, Vec2], RowColors] = {}  # one per distinct state
-    rows = []  # rows[level]: the colors of that level's orbit state
-    for level in range(depth + 1):
-        piece_idx, point = state = state_at(level)
-        if state not in colors:
-            piece = f.pieces[piece_idx]
-            colors[state] = RowColors(params, piece, point, piece_idx, den)
-        rows.append(colors[state])
-    tiles = [
-        rows[beta - base_level].tile(*lambda_parts(params, g))
-        for g, beta in zip(patch.cells, betas)
-    ]
+    levels = [state_at(level) for level in range(depth + 1)]
+    colors: dict[int, RowColors] = {}  # one per distinct state
+    for at in levels:
+        if at not in colors:
+            piece_idx, point = states[at]
+            colors[at] = RowColors(params, f.pieces[piece_idx], point, piece_idx, den)
+    tiles: list = [None] * len(patch.cells)
+    for (head, stables), row in patch.rows.items():
+        colors_at = colors[levels[-sum(stables) - base_level]]
+        for start, count in _consecutive(sorted(row)):
+            lam = lambda_parts(params, GroupElement(head + (start,), stables))
+            for e, tile in enumerate(colors_at.run(*lam, count), start):
+                tiles[row[e]] = tile
     bad = _violations(constraints_for(params, patch), tiles)
     if bad:
         raise AssertionError(f"orbit assignment violates {len(bad)} constraints")
@@ -556,8 +614,7 @@ def export_dot(
     tile_ids = [None] * len(names)
     if assignment is not None and tileset is not None:
         index_of = {tile: i for i, tile in enumerate(tileset.tiles)}
-        for g, tile in assignment.pairs:
-            tile_ids[patch.index[g.exps, g.stables]] = index_of.get(tile)
+        tile_ids = [index_of.get(tile) for tile in _tiles_by_position(patch, assignment)]
     lines = ["graph patch {", "  node [shape=box];"]
     for name, tile_id in zip(names, tile_ids):
         label = name if tile_id is None else f"{name}\\ntile {tile_id}"

@@ -389,6 +389,23 @@ def test_export_dot_output_is_pinned(capsys):
     )
 
 
+def test_m_above_n_outputs_are_pinned(tmp_path, capsys):
+    # rotation-32 (m > n): the radius-3 patch, and a 41-tile row at a
+    # point of a negative square with lambda(g0) off the integers
+    rotation_32 = str(MAPS.parent / "perfbench" / "maps" / "rotation-32.map")
+    assert main(["export-dot", rotation_32, "--radius", "3"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == (
+        "47e705f4755e29f73238e13872982c09b3fd18dcd7cdc816d3c5c4ef8fca8008"
+    )
+    row = tmp_path / "row.tiles"
+    argv = ["simulate-row", rotation_32, "--point=-2/7,3/5", "--g0", "T a2 t A T"]
+    assert main(argv + ["--range=-20,20", "--out", str(row)]) == 0
+    assert capsys.readouterr().out == "tiles=41 piece=1 bottom_ok=true top_ok=true\n"
+    assert sha256(row.read_bytes()) == (
+        "3ebd6ecfcb2554ce84c3eeafec7f5acf37796d65f31556a831ce412c2189e229"
+    )
+
+
 def test_search_outputs_are_pinned(tmp_path, capsys):
     dot, tiling = tmp_path / "patch.dot", tmp_path / "patch.tiling"
     argv = ["search", str(MAPS / "identity-23.map"), "--radius", "2"]

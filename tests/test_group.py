@@ -289,6 +289,30 @@ def test_lambda_matches_phi_formula(params, u):
     assert Fraction(num, den) == reference_lambda(params, g)
 
 
+# t-runs long enough that their letters outnumber everything else
+T_RUNS = st.lists(
+    st.tuples(st.sampled_from("aAtT"), st.integers(-400, 400)), max_size=5
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=ALL_PARAMS, runs=T_RUNS)
+def test_lambda_on_long_t_runs_matches_phi_formula(params, runs):
+    text = " ".join(f"{letter}{exp}" for letter, exp in runs)
+    g = element_from_text(params, text)
+    for w in (text, g):
+        assert Fraction(*lambda_parts(params, w)) == reference_lambda(params, w)
+    assert phi(params, text) == reference_phi(params, text)
+
+
+def test_lambda_of_a_t_run_in_closed_form():
+    # a^5 t^k a^-1: N = 5 n^k - m^k over m D = m m^k, and t^-k swaps n and m
+    p, k = BsParams(3, 2), 60000
+    assert lambda_parts(p, f"a5 t{k} A") == (5 * 2**k - 3**k, 3 ** (k + 1))
+    assert lambda_parts(p, f"a5 T{k} A") == (5 * 3**k - 2**k, 3 * 2**k)
+    assert lambda_parts(p, f"t{k} T{k} a") == (6**k, 3 * 6**k)
+
+
 RUNS = st.lists(
     st.tuples(st.sampled_from("aAtT"), st.integers(-3, 12)), max_size=6
 )

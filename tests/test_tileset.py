@@ -12,6 +12,7 @@ from bsdomino.group import BsParams
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, load_map
 from bsdomino.rationals import IDENTITY2, Vec2, fmt_rat, mat2, vec2
 from bsdomino.tileset import (
+    RowColors,
     Tileset,
     bottom_label_box,
     color_denominator,
@@ -122,6 +123,39 @@ def test_edge_colors_match_fraction_oracle(data):
     lam = Fraction(data.draw(st.integers(-300, 300)), data.draw(st.integers(1, 60)))
     tile = edge_colors(params, piece, lam, x, index, den)
     assert tile == reference_edge_colors(params, piece, lam, x, index, den)
+
+
+def test_row_run_matches_fraction_oracle():
+    # tile k of run(a, c, count) is the tile at lam = a/c + k/m; rows
+    # start at negative and positive lam, run shorter than a phase, one
+    # tile per phase and 41 tiles (the benchmark row), on every map
+    rng = Random(43)
+    for params, index, piece, den in MAP_PIECES:
+        m = params.m
+        for count in (0, 1, m - 1, m, m + 1, 41):
+            for a in (-rng.randint(1, 300), 0, rng.randint(1, 300)):
+                c = rng.randint(1, 60)
+                x = random_point_in(rng, piece.square, 40)
+                tiles = RowColors(params, piece, x, index, den).run(a, c, count)
+                assert len(tiles) == count
+                for k, tile in enumerate(tiles):
+                    lam = Fraction(a, c) + Fraction(k, m)
+                    assert tile == reference_edge_colors(params, piece, lam, x, index, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_run_matches_fraction_oracle_anywhere(data):
+    params, index, piece, den = data.draw(st.sampled_from(MAP_PIECES))
+    sq = piece.square
+    x = Vec2(sq.c1 + _unit_offset(data.draw), sq.c2 + _unit_offset(data.draw))
+    a, c = data.draw(st.integers(-300, 300)), data.draw(st.integers(1, 60))
+    count = data.draw(st.integers(0, 2 * params.m + 3))
+    tiles = RowColors(params, piece, x, index, den).run(a, c, count)
+    lams = [Fraction(a, c) + Fraction(k, params.m) for k in range(count)]
+    assert tiles == [
+        reference_edge_colors(params, piece, lam, x, index, den) for lam in lams
+    ]
 
 
 def test_oracle_covers_every_map():

@@ -148,6 +148,24 @@ def test_ball_and_constraints_match_reference(params, radius):
     assert constraints_on_cells(patch, constraints) == reference_constraints(params, patch)
 
 
+@settings(max_examples=100, deadline=None)
+@given(params=ALL_PARAMS, words=st.lists(WORDS, max_size=8), radius=st.integers(0, 3))
+def test_patch_rows_partition_cells(params, words, radius):
+    random_patch = build_patch(params, (britton_reduce(params, w) for w in words))
+    for patch in (build_ball_patch(params, radius), random_patch):
+        positions = [i for row in patch.rows.values() for i in row.values()]
+        assert sorted(positions) == list(range(len(patch.cells)))
+        for (head, stables), row in patch.rows.items():
+            for e, i in row.items():
+                assert patch.cells[i] == GroupElement(head + (e,), stables)
+        assert [patch.position(g) for g in patch.cells] == list(range(len(patch.cells)))
+    # outside the ball: a missing exponent of a row it has, and a missing row
+    ball = build_ball_patch(params, radius)
+    for text in ("a" * (radius + 1), "t" * (radius + 1)):
+        g = element_from_text(params, text)
+        assert ball.position(g) is None and g not in ball
+
+
 def neighbor_words(params):
     """The steps to a cell's H, I and V partners, and t and t^-1."""
     m, n = params.m, params.n
@@ -318,6 +336,40 @@ def test_assignment_from_fixed_point():
     assert not check_assignment(P23, patch, reordered)
 
 
+def test_assignment_on_rows_with_gaps_restricts_the_ball():
+    # cells dropped at random leave gaps in the rows; each run of
+    # consecutive cells must get the tiles the whole ball gives them
+    params, pam = rotation_setup()
+    report = orbit(pam, vec2("1/3", "2/5"), 12)
+    ball = build_ball_patch(params, 4)
+    whole = dict(assignment_from_orbit(params, pam, report, ball).pairs)
+    rng = Random(44)
+    for _ in range(5):
+        lowest = min(ball.cells, key=GroupElement.beta)  # keeps level 0 in place
+        cells = [g for g in ball.cells if rng.random() < 0.6] + [lowest]
+        patch = build_patch(params, cells)
+        assert any(max(row) - min(row) >= len(row) for row in patch.rows.values())
+        for g, tile in assignment_from_orbit(params, pam, report, patch).pairs:
+            assert tile == whole[g]
+
+
+def test_check_assignment_names_mismatched_cells():
+    report = orbit(IDENTITY_MAP, vec2("1/2", "1/2"), 10)
+    patch = build_ball_patch(P23, 2)
+    pairs = assignment_from_orbit(P23, IDENTITY_MAP, report, patch).pairs
+    last = patch.cells[-1].to_text()
+    with pytest.raises(ValueError, match=f"patch cell {last} has no tile"):
+        check_assignment(P23, patch, TilingAssignment(pairs[:-1]))
+    # a cell outside the patch, in a row the patch has and in one it has not
+    for text in ("A3", "t3"):
+        extra = (element_from_text(P23, text), pairs[0][1])
+        with pytest.raises(ValueError, match=f"cell {text} is not in the patch"):
+            check_assignment(P23, patch, TilingAssignment(pairs + (extra,)))
+    twice = pairs[3][0].to_text()
+    with pytest.raises(ValueError, match=f"cell {twice} has two tiles"):
+        check_assignment(P23, patch, TilingAssignment(pairs + (pairs[3],)))
+
+
 def test_assignment_single_cell():
     report = orbit(IDENTITY_MAP, vec2("1/4", "3/4"), 1)
     patch = build_ball_patch(P23, 0)
@@ -341,25 +393,26 @@ def test_assignment_recheck_catches_corrupted_witness(monkeypatch):
     params, pam = rotation_setup()
     report = orbit(pam, vec2("1/2", "1/2"), 8)
     patch = build_ball_patch(params, 2)
-    victim = patch.cells.index(IDENTITY_ELEMENT) + 1
-    honest = RowColors.tile
-    calls = []
+    honest = RowColors.run
+    made = []  # the tiles each run call makes
+    den = color_denominator(params, pam.pieces)
 
-    def corrupted(row, a, c):
-        calls.append(row.piece_index)
-        if len(calls) != victim:
-            return honest(row, a, c)
-        # the tile of the next piece, at the centre of its square
-        other = (row.piece_index + 1) % len(pam.pieces)
-        piece = pam.pieces[other]
-        y = vec2(piece.square.c1, piece.square.c2) + vec2("1/2", "1/2")
-        den = color_denominator(params, pam.pieces)
-        return reference_edge_colors(params, piece, Fraction(a, c), y, other, den)
+    def corrupted(row, a, c, count):
+        tiles = honest(row, a, c, count)
+        made.append(len(tiles))
+        if count > 1 and len([k for k in made if k > 1]) == 1:
+            # the first tile of the first run with an I partner for it
+            # becomes the tile of the next piece, at the centre of its square
+            other = (row.piece_index + 1) % len(pam.pieces)
+            piece = pam.pieces[other]
+            y = vec2(piece.square.c1, piece.square.c2) + vec2("1/2", "1/2")
+            tiles[0] = reference_edge_colors(params, piece, Fraction(a, c), y, other, den)
+        return tiles
 
-    monkeypatch.setattr(RowColors, "tile", corrupted)
+    monkeypatch.setattr(RowColors, "run", corrupted)
     with pytest.raises(AssertionError, match="violates"):
         assignment_from_orbit(params, pam, report, patch)
-    assert len(calls) == len(patch.cells)
+    assert sum(made) == len(patch.cells)
 
 
 def test_assignment_orbit_too_short():
