@@ -25,7 +25,7 @@ from .rationals import fmt_rat
 from .tileset import (
     color_denominator,
     enumerate_tileset,
-    export_tileset,
+    export_lines,
     parse_tileset,
     tile_to_line,
     verify_tileset,
@@ -193,7 +193,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     ts = enumerate_tileset(params, pam)
     out = args.out or (os.path.splitext(args.map)[0] + ".tiles")
     with open(out, "w", encoding="utf-8") as handle:
-        handle.write(export_tileset(ts))
+        handle.writelines(export_lines(ts))
     print(
         f"m={params.m} n={params.n} pieces={len(pam.pieces)}"
         f" tiles={len(ts.tiles)} out={out}"

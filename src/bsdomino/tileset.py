@@ -1,8 +1,13 @@
 """Wang tiles that compute a rational piecewise affine map on BS(m,n).
 
 A tile carries n bottom colors, m top colors (integer 2-vectors, terms of
-balanced representations) and two rational error colors left/right.  For
-a piece f(x) = M x + b, a scale value lam and a point x in the piece:
+balanced representations) and two rational error colors left/right.  It
+is a plain tuple (piece, bottom, top, left, right), not a class: a map's
+tileset has up to hundreds of thousands of tiles, and a tuple subclass
+would cost one Python frame per construction and stay tracked by the
+garbage collector for good, while an exact tuple of ints and tuples is
+untracked.  For a piece f(x) = M x + b, a scale value lam and a point x
+in the piece:
 
     bottom_k = floor((n lam + k) x)    - floor((n lam + k - 1) x)      k = 1..n
     top_k    = floor((m lam + k) f(x)) - floor((m lam + k - 1) f(x))   k = 1..m
@@ -59,9 +64,9 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EnumerationTooLarge, OutsidePiece, ParseError
 from .group import BsParams
@@ -82,12 +87,12 @@ CAP_ENV_VAR = "BSDOMINO_MAX_TILES"
 TITLE = "# bsdomino tileset v1"  # line 1 of every tileset file
 
 
-class Tile(NamedTuple):
-    piece: int
-    bottom: tuple[IntVec2, ...]  # n colors
-    top: tuple[IntVec2, ...]     # m colors
-    left: IntVec2                # error colors: numerators over the map's D
-    right: IntVec2
+# (piece, bottom, top, left, right): bottom holds n colors, top m, and
+# left/right are the error colors as numerators over the map's D.  A
+# plain tuple, not a class: a NamedTuple runs a Python-level __new__ per
+# tile, and the collector untracks only exact tuples, so each instance
+# would stay tracked and be walked by every full collection.
+Tile = tuple[int, tuple[IntVec2, ...], tuple[IntVec2, ...], IntVec2, IntVec2]
 
 
 def grid_q(params: BsParams, piece: AffinePiece) -> int:
@@ -196,7 +201,7 @@ class RowColors:
                 # 1 + n floor(lam_k - 1/2) for lam_k = (m a + k c) / (m c);
                 # floor(lam_k + 1/2) is one more
                 scale = 1 + n * ((2 * (m * a + k * c) - mc) // (2 * mc))
-                tiles[k] = Tile(
+                tiles[k] = (
                     piece,
                     bottoms[lo : lo + n],
                     tops[k : k + m],
@@ -423,7 +428,7 @@ def enumerate_tileset(
                 for i in range(max(0, -b1), min(w1, w1 - b1) + 1):
                     lefts, rights = grid[i], grid[i + b1]
                     for j in range(max(0, -b2), min(w2, w2 - b2) + 1):
-                        tiles.append(Tile(index, bottom, top, lefts[j], rights[j + b2]))
+                        tiles.append((index, bottom, top, lefts[j], rights[j + b2]))
     # the loops run in tile order and right follows from left: no sort needed
     return Tileset(params, f, tuple(tiles))
 
@@ -442,14 +447,16 @@ def _fmt_over(p: int, denominator: int) -> str:
 
 
 def _line_writer(denominator: int):
-    """tile_to_line over one denominator, each distinct part formatted once."""
+    """The tile's line, newline included, over one denominator, each
+    distinct part formatted once."""
     labels = cache(lambda colors: " ".join(_fmt_ivec(c) for c in colors))
     errors = cache(lambda color: ",".join(_fmt_over(p, denominator) for p in color))
 
     def line(tile: Tile) -> str:
+        piece, bottom, top, left, right = tile
         return (
-            f"{tile.piece} | bottom: {labels(tile.bottom)} | top: {labels(tile.top)}"
-            f" | l: {errors(tile.left)} | r: {errors(tile.right)}"
+            f"{piece} | bottom: {labels(bottom)} | top: {labels(top)}"
+            f" | l: {errors(left)} | r: {errors(right)}\n"
         )
 
     return line
@@ -457,18 +464,21 @@ def _line_writer(denominator: int):
 
 def tile_to_line(tile: Tile, denominator: int) -> str:
     """The tile's line in a tileset file, its error colors over denominator."""
-    return _line_writer(denominator)(tile)
+    return _line_writer(denominator)(tile)[:-1]
 
 
-def export_tileset(ts: Tileset) -> str:
-    lines = [TITLE]
-    lines.append(
+def export_lines(ts: Tileset) -> Iterator[str]:
+    """The lines of the tileset's file, each with its newline: the
+    headers, then one line per tile in sorted order, each formatted only
+    when it is taken, so a writer need not hold the whole text."""
+    headers = [
+        TITLE,
         f"# m={ts.params.m} n={ts.params.n} pieces={len(ts.pam.pieces)}"
-        f" tiles={len(ts.tiles)}"
-    )
+        f" tiles={len(ts.tiles)}",
+    ]
     for index, (meta, piece) in enumerate(zip(ts.piece_meta, ts.pam.pieces)):
         mx = piece.matrix
-        lines.append(
+        headers.append(
             f"# piece {index}"
             f" square=({piece.square.c1},{piece.square.c2})"
             f" M=({fmt_rat(mx.a11)},{fmt_rat(mx.a12)};{fmt_rat(mx.a21)},{fmt_rat(mx.a22)})"
@@ -477,9 +487,14 @@ def export_tileset(ts: Tileset) -> str:
             f" p1=({meta.ell.p1[0]},{meta.ell.p1[1]})"
             f" p2=({meta.ell.p2[0]},{meta.ell.p2[1]})"
         )
-    lines.extend(map(_line_writer(ts.denominator), sorted(ts.tiles)))
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+    return chain(
+        (f"{line}\n" for line in headers),
+        map(_line_writer(ts.denominator), sorted(ts.tiles)),
+    )
+
+
+def export_tileset(ts: Tileset) -> str:
+    return "".join(export_lines(ts))
 
 
 def _inner(text: str) -> str:
@@ -528,7 +543,7 @@ def _line_reader(denominator: int):
             head, bottom, top, left, right = line.split(" | ")
         except ValueError:
             raise ParseError(f"expected a tile line, got {line!r}") from None
-        return Tile(int(head), bottoms(bottom), tops(top), lefts(left), rights(right))
+        return (int(head), bottoms(bottom), tops(top), lefts(left), rights(right))
 
     return read
 
@@ -651,7 +666,7 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
                 after = "top color outside box"
         for tile in run:
             lineno += 1
-            left, right = tile.left, tile.right
+            left, right = tile[3], tile[4]
             if before:
                 reason = before
             elif right[0] - left[0] != r1 or right[1] - left[1] != r2:

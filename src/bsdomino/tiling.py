@@ -178,11 +178,12 @@ def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
 
 
 def constraint_satisfied(con: Constraint, tile_a: Tile, tile_b: Tile) -> bool:
+    # a tile is (piece, bottom, top, left, right)
     if con.kind == "H":
-        return tile_a.right == tile_b.left
+        return tile_a[4] == tile_b[3]
     if con.kind == "V":
-        return tile_a.top[con.top_pos - 1] == tile_b.bottom[con.bottom_pos - 1]
-    return tile_a.piece == tile_b.piece
+        return tile_a[2][con.top_pos - 1] == tile_b[1][con.bottom_pos - 1]
+    return tile_a[0] == tile_b[0]
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def row_top_reading(
     for s in range(k_lo + 1, k_hi + m + 1):
         seen = set()
         for k in range(max(k_lo, s - m), min(k_hi, s - 1) + 1):
-            seen.add(tiles[k - k_lo].top[s - k - 1])
+            seen.add(tiles[k - k_lo][2][s - k - 1])  # top colors
         if len(seen) != 1:
             raise AssertionError(f"overlapping top colors disagree at edge {s}")
         colors.append(seen.pop())
@@ -294,7 +295,7 @@ def row_bottom_reading(
     colors: list[IntVec2] = []
     for s in s_values:
         k = phase + s * m
-        colors.extend(tiles[k - k_lo].bottom)
+        colors.extend(tiles[k - k_lo][1])  # bottom colors
     return colors, z_shift, s_values[0] * n + 1, s_values[-1] * n + n
 
 

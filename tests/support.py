@@ -113,8 +113,9 @@ def tile_residual(
     Fractions, the error colors over denominator (by default the piece's q)."""
     if denominator is None:
         denominator = grid_q(params, piece)
-    lhs = _avg(tile.top) + color_value(tile.right, denominator)
-    rhs = piece.apply(_avg(tile.bottom)) + color_value(tile.left, denominator)
+    _, bottom, top, left, right = tile
+    lhs = _avg(top) + color_value(right, denominator)
+    rhs = piece.apply(_avg(bottom)) + color_value(left, denominator)
     return lhs - rhs
 
 
@@ -124,9 +125,10 @@ def verify_tile_computes(
     """True when the tile has n bottom and m top colors and satisfies the
     transport equation of the piece exactly."""
     zero = Vec2(Fraction(0), Fraction(0))
+    _, bottom, top, _, _ = tile
     return (
-        len(tile.bottom) == params.n
-        and len(tile.top) == params.m
+        len(bottom) == params.n
+        and len(top) == params.m
         and tile_residual(params, piece, tile, denominator) == zero
     )
 
@@ -149,30 +151,31 @@ def reference_verify(ts: Tileset) -> list[TileFault]:
     den = ts.denominator
     for offset, tile in enumerate(sorted(ts.tiles)):
         lineno = header_lines + offset + 1
-        if not 0 <= tile.piece < len(ts.pam.pieces):
-            faults.append(TileFault(lineno, tile, f"unknown piece {tile.piece}"))
+        index, bottom, top, left, right = tile
+        if not 0 <= index < len(ts.pam.pieces):
+            faults.append(TileFault(lineno, tile, f"unknown piece {index}"))
             continue
-        piece = ts.pam.pieces[tile.piece]
-        meta = ts.piece_meta[tile.piece]
-        if len(tile.bottom) != ts.params.n or len(tile.top) != ts.params.m:
+        piece = ts.pam.pieces[index]
+        meta = ts.piece_meta[index]
+        if len(bottom) != ts.params.n or len(top) != ts.params.m:
             reason = "wrong number of edge colors"
         elif tile_residual(ts.params, piece, tile, den) != zero:
             reason = "transport equation violated"
         elif not all(
             meta.bottom_box[0][i] <= c[i] <= meta.bottom_box[1][i]
-            for c in tile.bottom
+            for c in bottom
             for i in range(2)
         ):
             reason = "bottom color outside box"
         elif not all(
             meta.top_box[0][i] <= c[i] <= meta.top_box[1][i]
-            for c in tile.top
+            for c in top
             for i in range(2)
         ):
             reason = "top color outside box"
-        elif not on_grid_box(meta.ell, color_value(tile.left, den)):
+        elif not on_grid_box(meta.ell, color_value(left, den)):
             reason = "left color off the grid box"
-        elif not on_grid_box(meta.ell, color_value(tile.right, den)):
+        elif not on_grid_box(meta.ell, color_value(right, den)):
             reason = "right color off the grid box"
         else:
             continue
@@ -217,7 +220,7 @@ def reference_edge_colors(
         - ivec_to_vec2(fx.scale(m * lam + m).floor()).scale(Fraction(1, m))
         + piece.offset.scale(math.floor(lam + Fraction(1, 2)))
     )
-    return Tile(
+    return (
         piece_index,
         bottom,
         top,
@@ -434,7 +437,8 @@ def reference_edge_masks(params: BsParams, tiles: tuple[Tile, ...]):
     nbytes = (len(tiles) + 7) // 8
     for i, tile in enumerate(tiles):
         byte, bit = i >> 3, 1 << (i & 7)
-        keys = (tile.left, tile.right, tile.piece, *tile.top, *tile.bottom)
+        piece, bottom, top, left, right = tile
+        keys = (left, right, piece, *top, *bottom)
         for by_key, key in zip(groups, keys):
             buf = by_key.get(key)
             if buf is None:

@@ -113,8 +113,8 @@ def test_criterion_4():
         x = random_point_in(rng, piece.square)
         lam = random_rational(rng)
         assert (
-            edge_colors(params, piece, lam + 1, x).left
-            == edge_colors(params, piece, lam, x).right
+            edge_colors(params, piece, lam + 1, x)[3]  # left
+            == edge_colors(params, piece, lam, x)[4]  # right
         )
     for _ in range(1000):
         params = PARAM_GRID[rng.randrange(len(PARAM_GRID))]
@@ -126,14 +126,14 @@ def test_criterion_4():
         base = edge_colors(params, piece, lam, x)
         k = rng.randint(1, params.m - 1)
         shifted = edge_colors(params, piece, lam + Fraction(k, params.m), x)
-        assert shifted.top[0] == base.top[k]
+        assert shifted[2][0] == base[2][k]  # top colors
     for _ in range(1000):
         params = PARAM_GRID[rng.randrange(len(PARAM_GRID))]
         piece = random_piece(rng)
         x = random_point_in(rng, piece.square)
         lam = random_rational(rng)
         after_t = edge_colors(params, piece, Fraction(params.n, params.m) * lam, x)
-        assert after_t.top[0] == b_k(piece.apply(x), params.n * lam, 1)
+        assert after_t[2][0] == b_k(piece.apply(x), params.n * lam, 1)  # top_1
 
 
 @criterion(5, "balanced representations", budget=30.0)
@@ -174,9 +174,9 @@ def test_criterion_6():
         x = random_point_in(rng, IDENTITY_PIECE.square)
         assert edge_colors(P23, IDENTITY_PIECE, lam, x) in members
     bounds = ts.piece_meta[0].ell
-    for tile in ts.tiles:
-        assert bounds.holds_for(tile.left)
-        assert bounds.holds_for(tile.right)
+    for *_, left, right in ts.tiles:
+        assert bounds.holds_for(left)
+        assert bounds.holds_for(right)
 
 
 @criterion(7, "patch search matches mortality", budget=65.0)

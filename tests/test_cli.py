@@ -109,6 +109,10 @@ def test_compile_verify_round_trip(tmp_path, capsys, identity_map):
     capsys.readouterr()
     with open(out) as f1, open(out2) as f2:
         assert f1.read() == f2.read()
+    # the streamed file is the export perfbench/expected.json pins for identity-23
+    with open(out, "rb") as handle:
+        digest = sha256(handle.read())
+    assert digest == "8c16818e11645e23700fceb5524fee3fbfecc03f7ae6ad61dbfaa31551b1167c"
 
 
 def test_verify_names_corrupted_tile(tmp_path, capsys, identity_map):

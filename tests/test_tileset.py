@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from bsdomino.balrep import b_k
 from bsdomino.errors import EnumerationTooLarge, OutsidePiece, ParseError
-from bsdomino.group import BsParams
+from bsdomino.group import BsParams, element_from_text
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, load_map
 from bsdomino.rationals import IDENTITY2, Vec2, fmt_rat, mat2, vec2
 from bsdomino.tileset import (
@@ -25,6 +26,7 @@ from bsdomino.tileset import (
     top_label_box,
     verify_tileset,
 )
+from bsdomino.tiling import simulate_row
 from support import (
     MIXED_Q_MAP,
     affine_scaled_difference_check,
@@ -59,35 +61,37 @@ HALF2_MAP = PiecewiseAffineMap(
 
 def test_worked_tile():
     tile = edge_colors(P23, IDENTITY_PIECE, 0, vec2("1/2", "1/2"))
-    assert tile.bottom == ((0, 0), (1, 1), (0, 0))
-    assert tile.top == ((0, 0), (1, 1))
+    piece, bottom, top, left, right = tile
+    assert piece == 0
+    assert bottom == ((0, 0), (1, 1), (0, 0))
+    assert top == ((0, 0), (1, 1))
     # error colors over D = q = 6: left 0, right -1/6
-    assert tile.left == (0, 0)
-    assert tile.right == (-1, -1)
+    assert left == (0, 0)
+    assert right == (-1, -1)
     assert verify_tile_computes(P23, IDENTITY_PIECE, tile)
     # both sides of the transport equation equal (1/3, 1/3)
     avg_top = vec2("1/2", "1/2")
-    assert avg_top + color_value(tile.right, 6) == vec2("1/3", "1/3")
+    assert avg_top + color_value(right, 6) == vec2("1/3", "1/3")
     # a line prints the values, whatever the denominator
     line = (
         "0 | bottom: (0,0) (1,1) (0,0) | top: (0,0) (1,1) | l: 0/1,0/1 | r: -1/6,-1/6"
     )
     assert tile_to_line(tile, 6) == line
     over_12 = edge_colors(P23, IDENTITY_PIECE, 0, vec2("1/2", "1/2"), 0, 12)
-    assert over_12.right == (-2, -2)
+    assert over_12[4] == (-2, -2)  # right over D = 12
     assert tile_to_line(over_12, 12) == line
 
 
 def test_zero_point_tile_is_all_zero():
     for params in PARAM_GRID:
-        tile = edge_colors(params, IDENTITY_PIECE, 0, vec2(0, 0))
-        assert all(c == (0, 0) for c in tile.bottom + tile.top)
-        assert tile.left == (0, 0) and tile.right == (0, 0)
+        _, bottom, top, left, right = edge_colors(params, IDENTITY_PIECE, 0, vec2(0, 0))
+        assert all(c == (0, 0) for c in bottom + top)
+        assert left == (0, 0) and right == (0, 0)
 
 
 def test_corrupted_tile_fails():
     tile = edge_colors(P23, IDENTITY_PIECE, 0, vec2("1/2", "1/2"))
-    broken = tile._replace(right=(0, 0))
+    broken = (*tile[:4], (0, 0))  # right color 0
     assert not verify_tile_computes(P23, IDENTITY_PIECE, broken)
     assert tile_residual(P23, IDENTITY_PIECE, broken) == vec2("1/6", "1/6")
 
@@ -189,7 +193,7 @@ def test_left_right_stitching():
     lam = Fraction(1, 2)
     t_hi = edge_colors(P23, IDENTITY_PIECE, lam, vec2("1/2", "1/2"))
     t_lo = edge_colors(P23, IDENTITY_PIECE, lam - 1, vec2("1/2", "1/2"))
-    assert t_hi.left == t_lo.right
+    assert t_hi[3] == t_lo[4]
     rng = Random(42)
     for params in PARAM_GRID:
         for _ in range(150):
@@ -197,8 +201,8 @@ def test_left_right_stitching():
             x = random_point_in(rng, piece.square)
             lam = random_rational(rng)
             assert (
-                edge_colors(params, piece, lam + 1, x).left
-                == edge_colors(params, piece, lam, x).right
+                edge_colors(params, piece, lam + 1, x)[3]  # left
+                == edge_colors(params, piece, lam, x)[4]  # right
             )
 
 
@@ -216,7 +220,7 @@ def test_top_shift_identity():
                 shifted = edge_colors(
                     params, piece, lam + Fraction(k, params.m), x
                 )
-                assert shifted.top[0] == base.top[k]
+                assert shifted[2][0] == base[2][k]  # top colors
 
 
 def test_vertical_transfer_identity():
@@ -230,7 +234,7 @@ def test_vertical_transfer_identity():
             lam = random_rational(rng)
             up = edge_colors(params, piece, Fraction(params.n, params.m) * lam, x)
             fx = piece.apply(x)
-            assert up.top[0] == b_k(fx, params.n * lam, 1)
+            assert up[2][0] == b_k(fx, params.n * lam, 1)  # first top color
 
 
 def test_ell_bounds_identity_box():
@@ -253,7 +257,7 @@ def test_ell_bounds_zero_offset_tight_in_lambda():
     for _ in range(200):
         lam = random_rational(rng, 30, 17)
         x = random_point_in(rng, piece.square)
-        values.add(edge_colors(P23, piece, lam, x).left)
+        values.add(edge_colors(P23, piece, lam, x)[3])  # left
     assert all(eb.holds_for(v) for v in values)
 
 
@@ -266,9 +270,9 @@ def test_ell_bounds_sampled_membership():
             for _ in range(40):
                 lam = random_rational(rng, 25, 19)
                 x = random_point_in(rng, piece.square)
-                tile = edge_colors(params, piece, lam, x)
-                assert eb.holds_for(tile.left)
-                assert eb.holds_for(tile.right)
+                *_, left, right = edge_colors(params, piece, lam, x)
+                assert eb.holds_for(left)
+                assert eb.holds_for(right)
 
 
 def test_label_boxes():
@@ -280,12 +284,38 @@ def test_label_boxes():
     assert top_label_box(scaled) == ((0, 0), (2, 1))
 
 
+def test_tiles_are_untracked_plain_tuples():
+    # the collector untracks an exact tuple once its items are untracked;
+    # a tuple subclass such as a NamedTuple stays tracked and is walked by
+    # every full collection
+    ts = enumerate_tileset(P23, HALF2_MAP)
+    x = vec2("2/7", "3/5")
+    sources = {
+        "enumerate_tileset": ts.tiles,
+        "parse_tileset": parse_tileset(export_tileset(ts)).tiles,
+        "edge_colors": [edge_colors(P23, IDENTITY_PIECE, Fraction(-5, 3), x, 0, 6)],
+        "RowColors.run": RowColors(P23, IDENTITY_PIECE, x, 0, 6).run(-7, 4, 9),
+        "simulate_row": simulate_row(
+            P23, HALF2_MAP, 0, x, element_from_text(P23, "tAt"), (-5, 5)
+        ),
+    }
+    # one collection may meet a tile before the tuples inside it: three
+    # cover the three levels (tile, color list, color)
+    for _ in range(3):
+        gc.collect()
+    for source, tiles in sources.items():
+        assert tiles, source
+        for tile in tiles:
+            assert type(tile) is tuple, source
+            assert not gc.is_tracked(tile), source
+
+
 def test_enumerate_identity_23():
     ts = enumerate_tileset(P23, IDENTITY_MAP)
     assert len(ts.tiles) == len(set(ts.tiles))
     worked = edge_colors(P23, IDENTITY_PIECE, 0, vec2("1/2", "1/2"))
     assert worked in set(ts.tiles)
-    assert all(len(t.bottom) == 3 and len(t.top) == 2 for t in ts.tiles)
+    assert all(len(bottom) == 3 and len(top) == 2 for _, bottom, top, _, _ in ts.tiles)
 
 
 def test_enumerate_members_all_compute():
@@ -311,7 +341,7 @@ def test_enumerate_one_two_shapes():
     params = BsParams(1, 2)
     ts = enumerate_tileset(params, IDENTITY_MAP)
     assert ts.tiles
-    assert all(len(t.bottom) == 2 and len(t.top) == 1 for t in ts.tiles)
+    assert all(len(bottom) == 2 and len(top) == 1 for _, bottom, top, _, _ in ts.tiles)
 
 
 def test_enumerate_cap():
@@ -431,12 +461,13 @@ def _perturb(pick, ts: Tileset, tile):
     """The tile broken in one way that makes it invalid; pick(values)
     chooses one of the values."""
     kind = pick(KINDS)
+    piece, bottom, top, left, right = tile
     if kind == "piece":
-        return tile._replace(piece=len(ts.pam.pieces))
+        return (len(ts.pam.pieces), bottom, top, left, right)
     if kind == "count":
-        return tile._replace(bottom=tile.bottom[:-1])
+        return (piece, bottom[:-1], top, left, right)
     den = ts.denominator
-    meta = ts.piece_meta[tile.piece]
+    meta = ts.piece_meta[piece]
     step = den // meta.ell.q
     if kind == "grid":
         # right - left keeps its value: only the grid check can fail, by a
@@ -447,14 +478,14 @@ def _perturb(pick, ts: Tileset, tile):
         else:
             k = pick([1, 2, 3])
             bound = step * pick([meta.ell.p2[axis] + k, meta.ell.p1[axis] - k])
-            shift = bound - getattr(tile, pick(["left", "right"]))[axis]
+            shift = bound - pick([left, right])[axis]
         delta = (shift, 0) if axis == 0 else (0, shift)
-        return tile._replace(left=_add(tile.left, delta), right=_add(tile.right, delta))
+        return (piece, bottom, top, _add(left, delta), _add(right, delta))
     if kind == "right side":
         delta = pick([(a, b) for a in range(-8, 9) for b in range(-8, 9) if a or b])
-        return tile._replace(right=_add(tile.right, delta))
+        return (piece, bottom, top, left, _add(right, delta))
     (lo, hi) = meta.bottom_box if kind == "bottom" else meta.top_box
-    colors = list(getattr(tile, kind))
+    colors = list(bottom if kind == "bottom" else top)
     k = pick(range(len(colors)))
     axis = pick([0, 1])
     moved = list(colors[k])
@@ -462,16 +493,19 @@ def _perturb(pick, ts: Tileset, tile):
     moved[axis] = pick(outside)
     delta = Vec2(Fraction(moved[0] - colors[k][0]), Fraction(moved[1] - colors[k][1]))
     colors[k] = tuple(moved)
-    tile = tile._replace(**{kind: tuple(colors)})
+    if kind == "bottom":
+        bottom = tuple(colors)
+    else:
+        top = tuple(colors)
     if pick([True, False]):
         # keep the transport equation so that the box check is what fails
         if kind == "bottom":
-            piece = ts.pam.pieces[tile.piece]
-            fix = piece.matrix.apply(delta).scale(Fraction(1, ts.params.n))
+            matrix = ts.pam.pieces[piece].matrix
+            fix = matrix.apply(delta).scale(Fraction(1, ts.params.n))
         else:
             fix = -delta.scale(Fraction(1, ts.params.m))
-        tile = tile._replace(right=_add(tile.right, scaled_color(fix, den)))
-    return tile
+        right = _add(right, scaled_color(fix, den))
+    return (piece, bottom, top, left, right)
 
 
 @settings(max_examples=300, deadline=None)

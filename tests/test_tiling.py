@@ -255,15 +255,16 @@ def test_row_constant_at_origin():
     tiles = simulate_row(P23, IDENTITY_MAP, 0, vec2(0, 0), IDENTITY_ELEMENT, (-3, 3))
     zero_tile = tiles[0]
     assert all(t == zero_tile for t in tiles)
-    assert all(c == (0, 0) for c in zero_tile.bottom + zero_tile.top)
+    _, bottom, top, _, _ = zero_tile
+    assert all(c == (0, 0) for c in bottom + top)
 
 
 def test_row_internal_constraints():
     x = vec2("2/7", "3/5")
     tiles = simulate_row(P23, IDENTITY_MAP, 0, x, element_from_text(P23, "ta"), (0, 7))
     for i in range(len(tiles) - P23.m):
-        assert tiles[i].right == tiles[i + P23.m].left
-    assert len({t.piece for t in tiles}) == 1
+        assert tiles[i][4] == tiles[i + P23.m][3]  # right meets left
+    assert len({piece for piece, *_ in tiles}) == 1
 
 
 def test_row_feeds_next_row():
@@ -309,7 +310,7 @@ def test_search_exhausts_by_backtracking():
     # one tile whose right color matches nobody's left color
     ts = enumerate_tileset(P23, IDENTITY_MAP)
     lone = edge_colors(P23, IDENTITY_PIECE, Fraction(1, 2), vec2("1/2", "1/2"))
-    assert lone.left != lone.right
+    assert lone[3] != lone[4]  # left, right
     crippled = Tileset(P23, IDENTITY_MAP, (lone,))
     patch = build_patch(P23, [IDENTITY_ELEMENT, element_from_text(P23, "a2")])
     result = search_patch(crippled, patch)
@@ -386,7 +387,7 @@ def test_assignment_cycle_reuses_states():
     assert not check_assignment(params, patch, assignment)
     top_cell = element_from_text(params, "T" * 4)
     [top_tile] = [tile for g, tile in assignment.pairs if g == top_cell]
-    assert top_tile.piece == report.states[0][0]
+    assert top_tile[0] == report.states[0][0]  # piece
 
 
 def test_assignment_recheck_catches_corrupted_witness(monkeypatch):
@@ -521,7 +522,7 @@ def test_edge_masks_one_tile():
     tile = compiled("identity-23").tiles[7]
     masks = edge_masks(P23, (tile,))
     assert masks == reference_edge_masks(P23, (tile,))
-    assert masks[2] == {tile.piece: 1}
+    assert masks[2] == {tile[0]: 1}  # piece
 
 
 @lru_cache(maxsize=None)
@@ -529,9 +530,10 @@ def edge_index(name):
     """Tiles of a compiled tileset grouped by (edge, color)."""
     index = {}
     for tile in compiled(name).tiles:
-        keys = [("left", tile.left), ("right", tile.right), ("piece", tile.piece)]
-        keys += [("top", j, c) for j, c in enumerate(tile.top)]
-        keys += [("bottom", k, c) for k, c in enumerate(tile.bottom)]
+        piece, bottom, top, left, right = tile
+        keys = [("left", left), ("right", right), ("piece", piece)]
+        keys += [("top", j, c) for j, c in enumerate(top)]
+        keys += [("bottom", k, c) for k, c in enumerate(bottom)]
         for key in keys:
             index.setdefault(key, []).append(tile)
     return index
@@ -545,14 +547,14 @@ def related_tiles(rng, name, count):
     index = edge_index(name)
     chosen = [rng.choice(tiles)]
     while len(chosen) < count:
-        base = rng.choice(chosen)
+        piece, bottom, top, left, right = rng.choice(chosen)
         j, k = rng.randrange(params.m), rng.randrange(params.n)
         keys = [
-            ("left", base.right),
-            ("right", base.left),
-            ("piece", base.piece),
-            ("bottom", k, base.top[j]),
-            ("top", j, base.bottom[k]),
+            ("left", right),
+            ("right", left),
+            ("piece", piece),
+            ("bottom", k, top[j]),
+            ("top", j, bottom[k]),
         ]
         # a color of one piece's box may be on no tile of the other side
         key = rng.choice([key for key in keys if key in index])
@@ -625,19 +627,17 @@ def test_mixed_q_h_rule_joins_pieces():
     patch = build_patch(P23, [IDENTITY_ELEMENT, element_from_text(P23, "a2")])
     # neither tile matches itself, so a tiling must use both
     by_left = {
-        color_value(tile.left, 12): tile
-        for tile in ts.tiles
-        if tile.piece == 1 and tile.left != tile.right
+        color_value(left, 12): (piece, bottom, top, left, right)
+        for piece, bottom, top, left, right in ts.tiles
+        if piece == 1 and left != right
     }
     pair = next(
-        (tile, by_left[color_value(tile.right, 12)])
-        for tile in ts.tiles
-        if tile.piece == 0
-        and tile.left != tile.right
-        and color_value(tile.right, 12) in by_left
+        ((piece, bottom, top, left, right), by_left[color_value(right, 12)])
+        for piece, bottom, top, left, right in ts.tiles
+        if piece == 0 and left != right and color_value(right, 12) in by_left
     )
     subset = Tileset(P23, MIXED_Q_MAP, pair)
     result = search_patch(subset, patch)
     assert isinstance(result, Found)
-    assert {tile.piece for _, tile in result.assignment.pairs} == {0, 1}
+    assert {tile[0] for _, tile in result.assignment.pairs} == {0, 1}  # pieces
     assert brute_force_tileable(P23, patch, pair)
