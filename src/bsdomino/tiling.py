@@ -142,7 +142,11 @@ def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
     entry offset_r + m q of the row above h a^r; one form_step per
     residue r < n gives that row and offset_r, the pinch included, and
     each h a^x t^-1 is looked up once per run of consecutive cells.
+    ValueError when params is not the group the patch was built in.
     """
+    if params != patch.params:
+        own = patch.params
+        raise ValueError(f"patch is in BS({own.m},{own.n}), not BS({params.m},{params.n})")
     m, n = params.m, params.n
     rows = patch.rows
     # (j, k, shift + n - 1) for the V partner top_j(g) = bottom_k(g a^shift t^-1)
@@ -377,13 +381,18 @@ class _EdgeMasks:
         self.top = labels[1 : 1 + params.m]
         self.bottom = labels[1 + params.m :]
 
-    def sides(self, con: Constraint) -> tuple[dict, dict]:
-        """The masks of the colors con compares, on cell a and on cell b."""
+    def sides(self, con: Constraint) -> tuple[tuple, tuple]:
+        """(masks, key of a tile) for the colors con compares, on cell a
+        and on cell b: the key is the tile's color on that side."""
         if con.kind == "H":
-            return self.right, self.left
+            return (self.right, itemgetter(4)), (self.left, itemgetter(3))
         if con.kind == "V":
-            return self.top[con.top_pos - 1], self.bottom[con.bottom_pos - 1]
-        return self.piece, self.piece
+            j, k = con.top_pos - 1, con.bottom_pos - 1
+            return (
+                (self.top[j], lambda tile: tile[2][j]),
+                (self.bottom[k], lambda tile: tile[1][k]),
+            )
+        return (self.piece, itemgetter(0)), (self.piece, itemgetter(0))
 
 
 def _pairs(x_side: dict, y_side: dict) -> tuple[tuple[int, int], ...]:
@@ -404,7 +413,13 @@ def search_patch(
     bits of an int.  Assigning a tile to a cell runs AC-3 (Mackworth
     1977) over the H/V/I rules: a neighbor loses every tile that no
     tile left in the cell's domain matches, each narrowed domain is
-    propagated in turn, and an emptied domain means backtrack.  The next
+    propagated in turn, and an emptied domain means backtrack.  A
+    revision against a one-tile domain is one lookup, the mask of that
+    tile's color on the shared edge; a larger domain's support on the
+    neighbor is the union over the pairs loop, kept in a memo per
+    relation direction keyed by the domain.  A memo is emptied when it
+    holds len(cells) supports, so the memos hold at most
+    2 (2 + m n) len(cells) supports in all.  The next
     cell is the unassigned one with the smallest narrowed domain
     (canonical order breaking ties; the first unassigned cell when no
     domain has narrowed), and its tiles are tried in ascending id, one
@@ -436,17 +451,23 @@ def search_patch(
             return ExhaustedNoTiling(0)
 
     masks = _EdgeMasks(params, tiles)
-    # arcs[y]: (x, pairs) for every cell x to revise when domain[y] narrows
-    arcs: list[list[tuple[int, tuple]]] = [[] for _ in cells]
+    # arcs[y]: (x, x masks, key of a y tile, pairs, memo) for every cell x
+    # to revise when domain[y] narrows; the last four are shared by every
+    # arc of one relation direction, the memo mapping a y domain to its
+    # support on x
+    arcs: list[list[tuple]] = [[] for _ in cells]
     relations: dict[tuple, tuple] = {}
     for con in constraints:
         kind = (con.kind, con.top_pos, con.bottom_pos)
         if kind not in relations:
-            a_side, b_side = masks.sides(con)
-            relations[kind] = (_pairs(a_side, b_side), _pairs(b_side, a_side))
+            (a_side, a_key), (b_side, b_key) = masks.sides(con)
+            relations[kind] = (
+                (a_side, b_key, _pairs(a_side, b_side), {}),
+                (b_side, a_key, _pairs(b_side, a_side), {}),
+            )
         to_a, to_b = relations[kind]
-        arcs[con.b].append((con.a, to_a))
-        arcs[con.a].append((con.b, to_b))
+        arcs[con.b].append((con.a, *to_a))
+        arcs[con.a].append((con.b, *to_b))
 
     ncells = len(cells)
     domain = [(1 << len(tiles)) - 1] * ncells
@@ -480,13 +501,22 @@ def search_patch(
             y = queue.popleft()
             queued.discard(y)
             dom_y = domain[y]
-            for x, pairs in arcs[y]:
+            one = tiles[dom_y.bit_length() - 1] if size[y] == 1 else None
+            for x, x_side, key_y, pairs, memo in arcs[y]:
                 if assigned[x]:
                     continue
-                support = 0
-                for x_mask, y_mask in pairs:
-                    if y_mask & dom_y:
-                        support |= x_mask
+                if one is not None:
+                    support = x_side.get(key_y(one), 0)
+                else:
+                    support = memo.get(dom_y)
+                    if support is None:
+                        if len(memo) == ncells:
+                            memo.clear()
+                        support = 0
+                        for x_mask, y_mask in pairs:
+                            if y_mask & dom_y:
+                                support |= x_mask
+                        memo[dom_y] = support
                 dom_x = domain[x]
                 revised = dom_x & support
                 if revised != dom_x:

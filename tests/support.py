@@ -2,7 +2,9 @@
 helpers the tests check exactly."""
 
 import math
+from collections import deque
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from random import Random
 
 from hypothesis import strategies as st
@@ -24,10 +26,23 @@ from bsdomino.tileset import (
     Tile,
     TileFault,
     Tileset,
+    _color_range,
     edge_colors,
     grid_q,
 )
-from bsdomino.tiling import Patch, build_patch
+from bsdomino.tiling import (
+    BudgetExceeded,
+    ExhaustedNoTiling,
+    Found,
+    Patch,
+    SearchResult,
+    TilingAssignment,
+    _EdgeMasks,
+    _pairs,
+    _violations,
+    build_patch,
+    constraints_for,
+)
 
 
 # (m, n) over [1, 4]^2, so that BS(1, n), BS(m, 1) and pinches of both
@@ -450,3 +465,141 @@ def reference_edge_masks(params: BsParams, tiles: tuple[Tile, ...]):
     ]
     left, right, piece = groups[:3]
     return left, right, piece, groups[3 : 3 + params.m], groups[3 + params.m :]
+
+
+def reference_search(
+    tileset: Tileset, patch: Patch, budget: int = 1_000_000
+) -> SearchResult:
+    """search_patch with every arc revision run as the plain pairs loop:
+    no one-tile lookup and no memo of supports.  The same node order,
+    budget count and re-check, so results must be equal, node counts
+    and assignments included."""
+    params = tileset.params
+    cells = patch.cells
+    if not cells:
+        return Found(TilingAssignment(()), 0)
+    tiles = tileset.tiles
+    if not tiles:
+        return ExhaustedNoTiling(0)
+
+    constraints = constraints_for(params, patch)
+
+    # box-level filter: when the top and bottom label boxes of all pieces
+    # are disjoint, no V constraint is satisfiable by any pair of tiles,
+    # so a patch with a vertical pair is untileable outright
+    if any(con.kind == "V" for con in constraints):
+        top_box_colors = set()
+        bottom_box_colors = set()
+        for meta in tileset.piece_meta:
+            top_box_colors.update(_color_range(meta.top_box))
+            bottom_box_colors.update(_color_range(meta.bottom_box))
+        if not top_box_colors & bottom_box_colors:
+            return ExhaustedNoTiling(0)
+
+    masks = _EdgeMasks(params, tiles)
+    # arcs[y]: (x, pairs) for every cell x to revise when domain[y] narrows
+    arcs: list[list[tuple[int, tuple]]] = [[] for _ in cells]
+    relations: dict[tuple, tuple] = {}
+    for con in constraints:
+        kind = (con.kind, con.top_pos, con.bottom_pos)
+        if kind not in relations:
+            (a_side, _), (b_side, _) = masks.sides(con)
+            relations[kind] = (_pairs(a_side, b_side), _pairs(b_side, a_side))
+        to_a, to_b = relations[kind]
+        arcs[con.b].append((con.a, to_a))
+        arcs[con.a].append((con.b, to_b))
+
+    ncells = len(cells)
+    domain = [(1 << len(tiles)) - 1] * ncells
+    size = [len(tiles)] * ncells
+    assigned = [False] * ncells
+    trail: list[tuple[int, int, int]] = []  # (cell, old domain, old size)
+    # (size, cell) entries, stale once the cell is assigned or resized;
+    # every unassigned cell always has a current entry
+    heap = [(len(tiles), i) for i in range(ncells)]
+
+    def narrow(x: int, dom: int) -> None:
+        trail.append((x, domain[x], size[x]))
+        domain[x] = dom
+        size[x] = dom.bit_count()
+        heappush(heap, (size[x], x))
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            x, dom, count = trail.pop()
+            domain[x] = dom
+            size[x] = count
+            heappush(heap, (count, x))
+
+    def propagate(start: int) -> bool:
+        """AC-3 from a newly assigned cell; False on an emptied domain.
+        Assigned cells are skipped: their neighbors were revised
+        against them when they were assigned."""
+        queue = deque([start])
+        queued = {start}
+        while queue:
+            y = queue.popleft()
+            queued.discard(y)
+            dom_y = domain[y]
+            for x, pairs in arcs[y]:
+                if assigned[x]:
+                    continue
+                support = 0
+                for x_mask, y_mask in pairs:
+                    if y_mask & dom_y:
+                        support |= x_mask
+                dom_x = domain[x]
+                revised = dom_x & support
+                if revised != dom_x:
+                    if not revised:
+                        return False
+                    narrow(x, revised)
+                    if x not in queued:
+                        queued.add(x)
+                        queue.append(x)
+        return True
+
+    def pick() -> int:
+        nonlocal heap
+        if len(heap) > 4 * ncells:  # drop stale entries, amortized O(1)
+            heap = [(size[x], x) for x in range(ncells) if not assigned[x]]
+            heapify(heap)
+        while True:
+            count, x = heappop(heap)
+            if count == size[x] and not assigned[x]:
+                return x
+
+    nodes = 0
+    first = pick()
+    frames = [[first, domain[first], 0]]  # [cell, untried tiles, trail mark]
+    while frames:
+        frame = frames[-1]
+        cell, untried, mark = frame
+        if not untried:
+            frames.pop()
+            heappush(heap, (size[cell], cell))
+            if frames:
+                parent, _, parent_mark = frames[-1]
+                undo(parent_mark)
+                assigned[parent] = False
+            continue
+        tile_bit = untried & -untried
+        frame[1] = untried ^ tile_bit
+        nodes += 1
+        if nodes > budget:
+            return BudgetExceeded(nodes)
+        assigned[cell] = True
+        if domain[cell] != tile_bit:
+            narrow(cell, tile_bit)
+        if not propagate(cell):
+            undo(mark)
+            assigned[cell] = False
+            continue
+        if len(frames) == ncells:
+            chosen = [tiles[dom.bit_length() - 1] for dom in domain]
+            if _violations(constraints, chosen):
+                raise AssertionError("search produced an invalid assignment")
+            return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)
+        nxt = pick()
+        frames.append([nxt, domain[nxt], len(trail)])
+    return ExhaustedNoTiling(nodes)

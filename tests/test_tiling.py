@@ -59,6 +59,7 @@ from support import (
     reference_constraints,
     reference_edge_colors,
     reference_edge_masks,
+    reference_search,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -455,6 +456,9 @@ def compiled(name):
         return enumerate_tileset(P23, MIXED_Q_MAP)
     if name == "shift3-23":
         return enumerate_tileset(*load_map(str(ROOT / "maps" / "shift3-23.map")))
+    if name in ("rotation-32", "half2-23"):
+        path = ROOT / "perfbench" / "maps" / f"{name}.map"
+        return enumerate_tileset(*load_map(str(path)))
     return enumerate_tileset(*rotation_setup())
 
 
@@ -478,15 +482,47 @@ def test_search_identity_radius_8():
 
 def test_search_backtracks_on_mortal_map():
     # shift3-23: x -> x + (1,0) on three squares in a row, so every orbit
-    # leaves the domain within three steps; the radius-1 ball is still
-    # tileable, but the search reaches a tiling only after backtracking
+    # leaves the domain within three steps; the radius-1 and radius-3
+    # balls are still tileable, but the search reaches a tiling only after
+    # backtracking.  At radius 3 a relation's memo of supports fills up
+    # and is cleared during the search.
     ts = compiled("shift3-23")
     assert len(ts.tiles) == 112_320
-    patch = build_ball_patch(ts.params, 1)
-    result = search_patch(ts, patch)
-    assert isinstance(result, Found)
-    assert result.nodes == 23_525
-    assert not check_assignment(ts.params, patch, result.assignment)
+    for radius, nodes in ((1, 23_525), (3, 24_678)):
+        patch = build_ball_patch(ts.params, radius)
+        result = search_patch(ts, patch)
+        assert isinstance(result, Found)
+        assert result.nodes == nodes
+        assert not check_assignment(ts.params, patch, result.assignment)
+
+
+@pytest.mark.parametrize("name", ["identity-23", "rotation-22", "rotation-32", "half2-23"])
+def test_search_matches_reference_on_balls(name):
+    # the one-tile lookup and the memo of supports change no result:
+    # same verdict, node count and assignment as the plain pairs loop
+    ts = compiled(name)
+    for radius in range(4):
+        patch = build_ball_patch(ts.params, radius)
+        assert search_patch(ts, patch) == reference_search(ts, patch), radius
+
+
+def test_search_refuses_a_patch_of_another_group():
+    # the BS(3,2) ball of radius 2 has 36 constraints in its own group; it
+    # must not be searched or checked against the 39 BS(2,3) rules give it
+    ts = compiled("identity-23")
+    patch = build_ball_patch(BsParams(3, 2), 2)
+    assert len(constraints_for(patch.params, patch)) == 36
+    wrong_group = r"patch is in BS\(3,2\), not BS\(2,3\)"
+    with pytest.raises(ValueError, match=wrong_group):
+        search_patch(ts, patch)
+    report = orbit(IDENTITY_MAP, vec2("1/2", "1/2"), 10)
+    witness = assignment_from_orbit(patch.params, IDENTITY_MAP, report, patch)
+    with pytest.raises(ValueError, match=wrong_group):
+        check_assignment(P23, patch, witness)
+    with pytest.raises(ValueError, match=wrong_group):
+        assignment_from_orbit(P23, IDENTITY_MAP, report, patch)
+    with pytest.raises(ValueError, match=wrong_group):
+        export_dot(P23, patch)
 
 
 def edge_masks(params, tiles):
@@ -596,6 +632,7 @@ def test_search_agrees_with_brute_force(name):
         patch = random_small_patch(rng, params)
         subset = Tileset(params, full.pam, tiles)
         result = search_patch(subset, patch)
+        assert result == reference_search(subset, patch), seed
         expected = brute_force_tileable(params, patch, tiles)
         assert isinstance(result, Found if expected else ExhaustedNoTiling), seed
         if expected:
