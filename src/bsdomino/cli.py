@@ -27,6 +27,7 @@ from .tileset import (
     enumerate_tileset,
     export_lines,
     parse_tileset,
+    tile_lines,
     tile_to_line,
     verify_tileset,
 )
@@ -261,8 +262,7 @@ def cmd_simulate_row(args: argparse.Namespace) -> int:
     if args.out:
         den = color_denominator(params, pam.pieces)
         with open(args.out, "w", encoding="utf-8") as handle:
-            for tile in tiles:
-                handle.write(tile_to_line(tile, den) + "\n")
+            handle.writelines(tile_lines(tiles, den))
     return OK if (bottom_ok and top_ok) else FAIL
 
 

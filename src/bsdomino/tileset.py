@@ -54,7 +54,11 @@ exactly that layout back over D, rejecting any line out of place, a
 color off (1/D) Z^2, headers that disagree with their pieces (grid box,
 piece count, tile count) and tile lines not strictly sorted.
 verify_tileset checks the transport equation multiplied through by D
-and each piece's grid box, all in integers.
+and each piece's grid box, all in integers.  Sorted tiles come in runs
+sharing (piece, bottom, top), and a run's lines share their label prefix
+'piece | bottom: ... | top: ... | l: ': export formats it once, parse
+reads it once, and verify bounds it once (the transport equation's
+right side and the grid box over D), leaving two colors per tile.
 """
 
 from __future__ import annotations
@@ -263,15 +267,6 @@ class EllBounds:
     p2: IntVec2
     q: int
 
-    def holds_for(self, color: IntVec2, step: int = 1) -> bool:
-        """color, as numerators over step * q, lies on the grid and in the box."""
-        c1, c2 = color
-        return (
-            self.p1[0] * step <= c1 <= self.p2[0] * step
-            and self.p1[1] * step <= c2 <= self.p2[1] * step
-            and not (c1 % step or c2 % step)
-        )
-
 
 def _interval_mul(c: Fraction, lo: Fraction, hi: Fraction):
     return (c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
@@ -446,25 +441,22 @@ def _fmt_over(p: int, denominator: int) -> str:
     return f"{p // g}/{denominator // g}"
 
 
-def _line_writer(denominator: int):
-    """The tile's line, newline included, over one denominator, each
-    distinct part formatted once."""
+def tile_lines(tiles: Iterable[Tile], denominator: int) -> Iterator[str]:
+    """The tiles' lines in their order, each with its newline, the error
+    colors over denominator.  A run of consecutive tiles sharing (piece,
+    bottom, top) formats its label prefix once, and each distinct color
+    is formatted once."""
     labels = cache(lambda colors: " ".join(_fmt_ivec(c) for c in colors))
     errors = cache(lambda color: ",".join(_fmt_over(p, denominator) for p in color))
-
-    def line(tile: Tile) -> str:
-        piece, bottom, top, left, right = tile
-        return (
-            f"{piece} | bottom: {labels(bottom)} | top: {labels(top)}"
-            f" | l: {errors(left)} | r: {errors(right)}\n"
-        )
-
-    return line
+    for (piece, bottom, top), run in groupby(tiles, itemgetter(0, 1, 2)):
+        prefix = f"{piece} | bottom: {labels(bottom)} | top: {labels(top)} | l: "
+        for _, _, _, left, right in run:
+            yield f"{prefix}{errors(left)} | r: {errors(right)}\n"
 
 
 def tile_to_line(tile: Tile, denominator: int) -> str:
     """The tile's line in a tileset file, its error colors over denominator."""
-    return _line_writer(denominator)(tile)[:-1]
+    return next(tile_lines((tile,), denominator))[:-1]
 
 
 def export_lines(ts: Tileset) -> Iterator[str]:
@@ -489,7 +481,7 @@ def export_lines(ts: Tileset) -> Iterator[str]:
         )
     return chain(
         (f"{line}\n" for line in headers),
-        map(_line_writer(ts.denominator), sorted(ts.tiles)),
+        tile_lines(sorted(ts.tiles), ts.denominator),
     )
 
 
@@ -525,27 +517,6 @@ def _unlabel(part: str, label: str) -> str:
     if not part.startswith(label):
         raise ValueError(f"expected {label!r} in {part!r}")
     return part[len(label):]
-
-
-def _line_reader(denominator: int):
-    """The tile of a tile line, each distinct part parsed once.
-
-    A memo hit is a part whose text, label included, was already parsed
-    and checked.
-    """
-    bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
-    tops = cache(lambda part: _parse_colors(_unlabel(part, "top: ")))
-    lefts = cache(lambda part: _parse_error(_unlabel(part, "l: "), denominator))
-    rights = cache(lambda part: _parse_error(_unlabel(part, "r: "), denominator))
-
-    def read(line: str) -> Tile:
-        try:
-            head, bottom, top, left, right = line.split(" | ")
-        except ValueError:
-            raise ParseError(f"expected a tile line, got {line!r}") from None
-        return (int(head), bottoms(bottom), tops(top), lefts(left), rights(right))
-
-    return read
 
 
 def _header_values(line: str, head: str, keys: str) -> list[str]:
@@ -606,10 +577,28 @@ def parse_tileset(text: str) -> Tileset:
             pieces.append(_parse_piece(params, lines[i], len(pieces)))
             i += 1
         pam = PiecewiseAffineMap(tuple(pieces))
-        read = _line_reader(color_denominator(params, pieces))
+        den = color_denominator(params, pieces)
+        bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
+        tops = cache(lambda part: _parse_colors(_unlabel(part, "top: ")))
+        colors = cache(lambda part: _parse_error(part, den))
+        prefix = None
         tiles: list[Tile] = []
         for i in range(2 + len(pieces), len(lines)):
-            tile = read(lines[i])
+            line = lines[i]
+            # the label prefix, up to and including the first ' | l: ', is
+            # read once per run of lines that repeat it
+            if prefix is None or not line.startswith(prefix):
+                try:
+                    cut = line.index(" | l: ") + 6
+                    head, bottom_text, top_text = line[: cut - 6].split(" | ")
+                except ValueError:
+                    raise ParseError(f"expected a tile line, got {line!r}") from None
+                prefix = line[:cut]
+                piece, bottom, top = int(head), bottoms(bottom_text), tops(top_text)
+            left, sep, right = line[cut:].partition(" | r: ")
+            if not sep:
+                raise ParseError(f"expected a tile line, got {line!r}")
+            tile = (piece, bottom, top, colors(left), colors(right))
             if tiles and tile <= tiles[-1]:
                 raise ParseError("tile line out of order or repeated")
             tiles.append(tile)
@@ -657,25 +646,32 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
         elif len(bottom) != n or len(top) != m:
             before = "wrong number of edge colors"
         else:
-            r1, r2 = _transport_rhs(equations[piece], bottom, top)
+            e1, e2 = _transport_rhs(equations[piece], bottom, top)
             meta = ts.piece_meta[piece]
             ell, step = meta.ell, den // meta.ell.q
+            # the grid box over D: multiples of step in [lo, hi]
+            lo1, lo2, hi1, hi2 = (p * step for p in (*ell.p1, *ell.p2))
             if not _in_box(bottom, meta.bottom_box):
                 after = "bottom color outside box"
             elif not _in_box(top, meta.top_box):
                 after = "top color outside box"
         for tile in run:
             lineno += 1
-            left, right = tile[3], tile[4]
+            _, _, _, (l1, l2), (r1, r2) = tile
             if before:
                 reason = before
-            elif right[0] - left[0] != r1 or right[1] - left[1] != r2:
+            elif r1 - l1 != e1 or r2 - l2 != e2:
                 reason = "transport equation violated"
             elif after:
                 reason = after
-            elif not ell.holds_for(left, step):
+            # with step 1 (the piece's q is D) every numerator is on the grid
+            elif not (lo1 <= l1 <= hi1 and lo2 <= l2 <= hi2) or (
+                step > 1 and (l1 % step or l2 % step)
+            ):
                 reason = "left color off the grid box"
-            elif not ell.holds_for(right, step):
+            elif not (lo1 <= r1 <= hi1 and lo2 <= r2 <= hi2) or (
+                step > 1 and (r1 % step or r2 % step)
+            ):
                 reason = "right color off the grid box"
             else:
                 continue

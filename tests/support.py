@@ -4,11 +4,13 @@ helpers the tests check exactly."""
 import math
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from random import Random
 
 from hypothesis import strategies as st
 
+from bsdomino.errors import ParseError
 from bsdomino.group import (
     ALPHABET,
     IDENTITY_ELEMENT,
@@ -27,6 +29,11 @@ from bsdomino.tileset import (
     TileFault,
     Tileset,
     _color_range,
+    _fmt_ivec,
+    _fmt_over,
+    _parse_colors,
+    _parse_error,
+    _unlabel,
     edge_colors,
     grid_q,
 )
@@ -154,6 +161,50 @@ def on_grid_box(ell: EllBounds, v: Vec2) -> bool:
     if any(c.denominator != 1 for c in scaled):
         return False
     return all(ell.p1[i] <= scaled[i] <= ell.p2[i] for i in range(2))
+
+
+def holds_for(ell: EllBounds, color: IntVec2, step: int = 1) -> bool:
+    """color, as numerators over step * q, lies on the grid and in the box."""
+    c1, c2 = color
+    return (
+        ell.p1[0] * step <= c1 <= ell.p2[0] * step
+        and ell.p1[1] * step <= c2 <= ell.p2[1] * step
+        and not (c1 % step or c2 % step)
+    )
+
+
+def reference_export_lines(tiles, denominator: int) -> list[str]:
+    """The tiles' lines, each with its newline, every line formatted on
+    its own from the tile's five parts."""
+    labels = cache(lambda colors: " ".join(_fmt_ivec(c) for c in colors))
+    errors = cache(lambda color: ",".join(_fmt_over(p, denominator) for p in color))
+    return [
+        f"{piece} | bottom: {labels(bottom)} | top: {labels(top)}"
+        f" | l: {errors(left)} | r: {errors(right)}\n"
+        for piece, bottom, top, left, right in tiles
+    ]
+
+
+def reference_tile_lines(lines: list[str], start: int, denominator: int) -> list[Tile]:
+    """The tiles of a file's tile lines, lines[start:], each line split
+    into its five parts on its own (each distinct part parsed once), in
+    strictly increasing order; a malformed line raises ParseError naming
+    its line in the file."""
+    bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
+    tops = cache(lambda part: _parse_colors(_unlabel(part, "top: ")))
+    lefts = cache(lambda part: _parse_error(_unlabel(part, "l: "), denominator))
+    rights = cache(lambda part: _parse_error(_unlabel(part, "r: "), denominator))
+    tiles: list[Tile] = []
+    for i in range(start, len(lines)):
+        try:
+            head, bottom, top, left, right = lines[i].split(" | ")
+            tile = (int(head), bottoms(bottom), tops(top), lefts(left), rights(right))
+            if tiles and tile <= tiles[-1]:
+                raise ParseError("tile line out of order or repeated")
+        except (ValueError, ParseError) as exc:
+            raise ParseError(f"tileset line {i + 1}: {exc}") from None
+        tiles.append(tile)
+    return tiles
 
 
 def reference_verify(ts: Tileset) -> list[TileFault]:

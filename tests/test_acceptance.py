@@ -33,6 +33,7 @@ from bsdomino.tiling import (
 )
 from support import (
     compose_alpha_check,
+    holds_for,
     insert_relator,
     random_piece,
     random_point_in,
@@ -175,8 +176,8 @@ def test_criterion_6():
         assert edge_colors(P23, IDENTITY_PIECE, lam, x) in members
     bounds = ts.piece_meta[0].ell
     for *_, left, right in ts.tiles:
-        assert bounds.holds_for(left)
-        assert bounds.holds_for(right)
+        assert holds_for(bounds, left)
+        assert holds_for(bounds, right)
 
 
 @criterion(7, "patch search matches mortality", budget=65.0)

@@ -1,4 +1,5 @@
 import gc
+import re
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -20,8 +21,10 @@ from bsdomino.tileset import (
     edge_colors,
     ell_bounds,
     enumerate_tileset,
+    export_lines,
     export_tileset,
     parse_tileset,
+    tile_lines,
     tile_to_line,
     top_label_box,
     verify_tileset,
@@ -32,10 +35,13 @@ from support import (
     affine_scaled_difference_check,
     color_value,
     floor_half_identity_check,
+    holds_for,
     random_piece,
     random_point_in,
     random_rational,
     reference_edge_colors,
+    reference_export_lines,
+    reference_tile_lines,
     reference_verify,
     residual_stages,
     scaled_color,
@@ -240,12 +246,12 @@ def test_vertical_transfer_identity():
 def test_ell_bounds_identity_box():
     eb = ell_bounds(P23, IDENTITY_PIECE)
     assert eb.q == 6
-    assert eb.holds_for((0, 0))
-    assert eb.holds_for((-1, -1))
-    assert not eb.holds_for((-3, 0))
+    assert holds_for(eb, (0, 0))
+    assert holds_for(eb, (-1, -1))
+    assert not holds_for(eb, (-3, 0))
     # over D = 2 q: even numerators only
-    assert eb.holds_for((-2, -2), 2)
-    assert not eb.holds_for((-1, -1), 2)
+    assert holds_for(eb, (-2, -2), 2)
+    assert not holds_for(eb, (-1, -1), 2)
 
 
 def test_ell_bounds_zero_offset_tight_in_lambda():
@@ -258,7 +264,7 @@ def test_ell_bounds_zero_offset_tight_in_lambda():
         lam = random_rational(rng, 30, 17)
         x = random_point_in(rng, piece.square)
         values.add(edge_colors(P23, piece, lam, x)[3])  # left
-    assert all(eb.holds_for(v) for v in values)
+    assert all(holds_for(eb, v) for v in values)
 
 
 def test_ell_bounds_sampled_membership():
@@ -271,8 +277,8 @@ def test_ell_bounds_sampled_membership():
                 lam = random_rational(rng, 25, 19)
                 x = random_point_in(rng, piece.square)
                 *_, left, right = edge_colors(params, piece, lam, x)
-                assert eb.holds_for(left)
-                assert eb.holds_for(right)
+                assert holds_for(eb, left)
+                assert holds_for(eb, right)
 
 
 def test_label_boxes():
@@ -447,6 +453,7 @@ def lattice_tilesets():
         enumerate_tileset(P23, IDENTITY_MAP),
         enumerate_tileset(P23, HALF2_MAP),
         enumerate_tileset(P23, MIXED_Q_MAP),  # D = 12: piece 0 on every other numerator
+        enumerate_tileset(*load_map(str(ROOT / "maps" / "rotation-22.map"))),
     ]
 
 
@@ -549,3 +556,125 @@ def test_perturbations_draw_every_fault_reason(lattice_tilesets):
         "left color off the grid box",
         "right color off the grid box",
     }
+
+
+def test_export_matches_per_line_oracle(lattice_tilesets):
+    # sparse subsets leave runs of one tile, full tilesets whole runs, and
+    # shuffles (tile_lines keeps the order it is given) runs of any length
+    rng = Random(53)
+    for ts in lattice_tilesets:
+        den, header = ts.denominator, 2 + len(ts.pam.pieces)
+        for density in (0.02, 0.3, 1.0):
+            tiles = [tile for tile in ts.tiles if rng.random() < density]
+            lines = list(export_lines(Tileset(ts.params, ts.pam, tuple(tiles))))
+            assert lines[header:] == reference_export_lines(tiles, den)
+            window = rng.randrange(len(tiles))
+            part = tiles[window : window + 200]
+            rng.shuffle(part)
+            tiles[window : window + 200] = part
+            assert list(tile_lines(tiles, den)) == reference_export_lines(tiles, den)
+
+
+MUTATIONS = [
+    "copy part", "drop sep", "double sep", "plus", "double space", "tail sep",
+    "swap", "move tail",
+]
+
+
+def _mutate(draw, lines: list[str], header: int) -> None:
+    """Change tile line i of lines in one way, or swap it with another."""
+    i = draw(st.integers(header, len(lines) - 1))
+    j = draw(st.integers(header, len(lines) - 1))  # another line, or i itself
+    line = lines[i]
+    cut = line.index(" | l: ")
+    seps = [k for k in range(len(line)) if line.startswith(" | ", k)]
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "copy part":
+        parts, other = line.split(" | "), lines[j].split(" | ")
+        k = draw(st.integers(0, 4))
+        parts[k] = other[k]
+        lines[i] = " | ".join(parts)
+    elif kind in ("drop sep", "double sep"):
+        k = draw(st.sampled_from(seps))
+        lines[i] = line[:k] + ("" if kind == "drop sep" else " |  | ") + line[k + 3 :]
+    elif kind in ("plus", "double space"):
+        # a digit that starts a number, or a space, in the label prefix
+        if kind == "plus":
+            spots = [
+                k
+                for k in range(cut)
+                if line[k].isdigit() and (k == 0 or line[k - 1] in "(,")
+            ]
+        else:
+            spots = [k for k in range(cut) if line[k] == " "]
+        k = draw(st.sampled_from(spots or [0]))
+        lines[i] = line[:k] + ("+" if kind == "plus" else " ") + line[k:]
+    elif kind == "tail sep":
+        k = draw(st.integers(cut + 6, len(line)))
+        lines[i] = line[:k] + " | " + line[k:]
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        # the tail of a neighbouring line under this line's prefix
+        k = draw(st.sampled_from([i - 1, i + 1] if i + 1 < len(lines) else [i - 1]))
+        if k < header:
+            k = i
+        lines[i] = line[:cut] + lines[k][lines[k].index(" | l: ") :]
+
+
+def _outcome(read):
+    """The tiles read, or the 'tileset line N:' of the ParseError raised."""
+    try:
+        return tuple(read())
+    except ParseError as exc:
+        return re.match(r"tileset line \d+:", str(exc)).group()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_parse_matches_per_line_oracle(lattice_tilesets, data):
+    # a window of sorted tiles keeps whole runs and run boundaries; after one
+    # mutated line, the run-wise reader and the per-line one agree on the
+    # tiles or on the line of the first error
+    ts = lattice_tilesets[data.draw(st.integers(0, len(lattice_tilesets) - 1))]
+    start = data.draw(st.integers(0, len(ts.tiles) - 1))
+    sub = Tileset(ts.params, ts.pam, ts.tiles[start : start + 60])
+    lines = export_tileset(sub).splitlines()
+    header = 2 + len(ts.pam.pieces)
+    _mutate(data.draw, lines, header)
+    text = "\n".join(lines) + "\n"
+    got = _outcome(lambda: parse_tileset(text).tiles)
+    assert got == _outcome(lambda: reference_tile_lines(lines, header, ts.denominator))
+
+
+def test_verify_reasons_on_a_step_two_piece():
+    # piece 0 of MIXED_Q_MAP has q = 6 under D = 12, so its colors are the
+    # even numerators of its grid box; each broken tile keeps or breaks the
+    # transport equation as its reason needs
+    ts = enumerate_tileset(P23, MIXED_Q_MAP)
+    den, ell = ts.denominator, ts.piece_meta[0].ell
+    step = den // ell.q
+    assert step == 2
+    lo, hi = ell.p1[0] * step, ell.p2[0] * step
+    piece0 = [tile for tile in ts.tiles if tile[0] == 0]
+    off_grid = next(t for t in piece0 if t[3][0] + 1 <= hi)
+    off_box = next(t for t in piece0 if t[4][0] == hi and t[3][0] + step <= hi)
+    shifted = next(t for t in piece0 if t not in (off_grid, off_box))
+    broken = {
+        (*off_grid[:3], _add(off_grid[3], (1, 0)), _add(off_grid[4], (1, 0))):
+            "left color off the grid box",
+        (*off_box[:3], _add(off_box[3], (step, 0)), _add(off_box[4], (step, 0))):
+            "right color off the grid box",
+        (2, *piece0[0][1:]): "unknown piece 2",
+        (*shifted[:4], _add(shifted[4], (step, 0))): "transport equation violated",
+    }
+    left = next(tile[3] for tile, why in broken.items() if why.startswith("left"))
+    assert lo <= left[0] <= hi and left[0] % step  # in the box, off the grid
+    tiles = tuple(Random(54).sample(ts.tiles, 300)) + tuple(broken)
+    sub = Tileset(P23, MIXED_Q_MAP, tiles)
+    faults = verify_tileset(sub)
+    assert faults == reference_verify(sub)
+    assert {fault.tile: fault.reason for fault in faults} == broken
+    lines = export_tileset(sub).splitlines()
+    for fault in faults:
+        assert lines[fault.line - 1] == tile_to_line(fault.tile, den)
