@@ -21,25 +21,33 @@ from .errors import BadRange
 from .rationals import IntVec2, Vec2, as_rat
 
 
-def scaled_floors(x: Vec2, a: int, c: int, k_lo: int, k_hi: int) -> list[IntVec2]:
-    """floor((a/c + k) x) componentwise for k = k_lo .. k_hi, with c > 0.
+def parts(x: Vec2) -> tuple[int, int, int, int]:
+    """x as the integers (p1, q1, p2, q2) of x = (p1/q1, p2/q2)."""
+    return x.x1.numerator, x.x1.denominator, x.x2.numerator, x.x2.denominator
 
-    a/c need not be in lowest terms.
+
+def scaled_floors(
+    x: tuple[int, int, int, int], a: int, c: int, k_lo: int, k_hi: int
+) -> list[IntVec2]:
+    """floor((a/c + k) x) componentwise for k = k_lo .. k_hi, with c > 0
+    and x given as parts(x).
+
+    a/c need not be in lowest terms, nor need x.
     """
-    p1, q1 = x.x1.numerator, x.x1.denominator
-    p2, q2 = x.x2.numerator, x.x2.denominator
+    p1, q1, p2, q2 = x
     d1, d2 = c * q1, c * q2
     steps = range(a + k_lo * c, a + (k_hi + 1) * c, c)  # a + k c
     return [((s * p1) // d1, (s * p2) // d2) for s in steps]
 
 
-def differences(floors: list[IntVec2]) -> tuple[IntVec2, ...]:
-    """Consecutive differences: the terms B_k from the floors at k - 1 and k."""
+def differences(floors: list[IntVec2], step: int = 1) -> tuple[IntVec2, ...]:
+    """Differences of the floors step places apart; with step 1, the
+    terms B_k from the floors at k - 1 and k."""
     # tuple() of a list, not of a generator: growing a tuple resizes it,
     # which fragments the heap when rows are long
     return tuple([
         (hi1 - lo1, hi2 - lo2)
-        for (lo1, lo2), (hi1, hi2) in zip(floors, floors[1:])
+        for (lo1, lo2), (hi1, hi2) in zip(floors, floors[step:])
     ])
 
 
@@ -47,7 +55,7 @@ def b_k(x: Vec2, z, k: int) -> IntVec2:
     """The k-th term of the balanced representation of x with phase z,
     the difference of two integer floor divisions."""
     z = as_rat(z)
-    return differences(scaled_floors(x, z.numerator, z.denominator, k - 1, k))[0]
+    return differences(scaled_floors(parts(x), z.numerator, z.denominator, k - 1, k))[0]
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ def window(x: Vec2, z, k_lo: int, k_hi: int) -> BalancedWindow:
     if k_lo > k_hi:
         raise BadRange(f"k_lo={k_lo} exceeds k_hi={k_hi}")
     z = as_rat(z)
-    floors = scaled_floors(x, z.numerator, z.denominator, k_lo - 1, k_hi)
+    floors = scaled_floors(parts(x), z.numerator, z.denominator, k_lo - 1, k_hi)
     return BalancedWindow(x, z, k_lo, k_hi, differences(floors))
 
 

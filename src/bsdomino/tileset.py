@@ -74,7 +74,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EnumerationTooLarge, OutsidePiece, ParseError
 from .group import BsParams
-from .balrep import differences, scaled_floors
+from .balrep import differences, parts, scaled_floors
 from .pam import AffinePiece, PiecewiseAffineMap, UnitSquare
 from .rationals import (
     IntVec2,
@@ -138,8 +138,10 @@ class RowColors:
     """The tiles of one piece at one point x, for any scale value.
 
     All tiles of a row share the piece and x and differ only in lam, so
-    the piece's _Transport over the map's D and f(x) are built once,
-    here; run(a, c, count) is the color kernel.
+    the piece's transport coefficients over the map's D, and x and f(x)
+    as integer parts, are worked out once, here; run(a, c, count) is the
+    color kernel, in integers only.  fx, when given, must be f(x) for
+    this piece (an orbit already holds it); otherwise it is computed.
     """
 
     def __init__(
@@ -149,17 +151,21 @@ class RowColors:
         x: Vec2,
         piece_index: int,
         denominator: int,
+        fx: Vec2 | None = None,
     ):
         if not piece.square.contains_closed(x):
             raise OutsidePiece(f"{x} is not in square {piece.square}")
         if denominator % grid_q(params, piece):
             raise ValueError(f"{denominator} is not a multiple of the piece's q")
-        self.params = params
+        m, n = params.m, params.n
+        self.m, self.n = m, n
         self.piece_index = piece_index
-        self.x = x
-        self.fx = piece.apply(x)
-        self.eq = _transport(params, piece, denominator)
-        self.offset = tuple(o // params.n for o in self.eq.offset)  # D b / n
+        p1, q1, p2, q2 = parts(x)
+        self.x_over_m = (p1, m * q1, p2, m * q2)
+        self.fx = parts(piece.apply(x) if fx is None else fx)
+        eq = _transport(params, piece, denominator)
+        # D M / n row-major, D b / n, D / m
+        self.coefs = (*eq.matrix, *(o // n for o in eq.offset), eq.top_weight)
 
     def tile(self, a: int, c: int) -> Tile:
         """Tile at lam = a/c, c > 0, not necessarily in lowest terms."""
@@ -171,47 +177,42 @@ class RowColors:
 
         Tile k's top colors are differences of the floors
         floor((m lam_k + j) f(x)) = floor((m a/c + k + j) f(x)),
-        j = 0..m, so one sweep over k + j serves the row.  For
-        k = p + s m its bottom floors are floor((n lam_k + j) x) =
-        floor((z_p + s n + j) x), j = 0..n, with z_p = n (a/c + p/m):
-        one sweep per phase p < m.  The error colors are integer
-        numerators over D, as in the module docstring.
+        j = 0..m, so one sweep over k + j serves the row.  Its bottom
+        floors are floor((n lam_k + j) x) = floor((n a/c + t/m) x) for
+        t = n k + m j, j = 0..n, so one sweep over t (in steps of 1/m,
+        over x/m) serves them too: tile k's bottoms are the differences
+        m apart from t = n k.  The error colors are integer numerators
+        over D, as in the module docstring.
         """
         if count <= 0:
             return []
-        m, n = self.params.m, self.params.n
-        piece = self.piece_index
-        k11, k12, k21, k22 = self.eq.matrix
-        o1, o2 = self.offset
-        w = self.eq.top_weight
-        mc = m * c
-
-        def error(floor_x: IntVec2, floor_f: IntVec2, scale: int) -> IntVec2:
-            (f1, f2), (g1, g2) = floor_x, floor_f
-            return (
-                k11 * f1 + k12 * f2 + scale * o1 - w * g1,
-                k21 * f1 + k22 * f2 + scale * o2 - w * g2,
-            )
-
-        floors_f = scaled_floors(self.fx, m * a, c, 0, count - 1 + m)
+        m, n, piece = self.m, self.n, self.piece_index
+        k11, k12, k21, k22, o1, o2, w = self.coefs
+        ma, mc, mn = m * a, m * c, m * n
+        floors_f = scaled_floors(self.fx, ma, c, 0, count - 1 + m)
         tops = differences(floors_f)
-        tiles = [None] * count
-        for p in range(min(m, count)):
-            rows = (count - 1 - p) // m + 1  # tiles p, p + m, ...
-            floors_x = scaled_floors(self.x, n * (m * a + p * c), mc, 0, rows * n)
-            bottoms = differences(floors_x)
-            for k in range(p, count, m):
-                lo = (k - p) // m * n
-                # 1 + n floor(lam_k - 1/2) for lam_k = (m a + k c) / (m c);
-                # floor(lam_k + 1/2) is one more
-                scale = 1 + n * ((2 * (m * a + k * c) - mc) // (2 * mc))
-                tiles[k] = (
-                    piece,
-                    bottoms[lo : lo + n],
-                    tops[k : k + m],
-                    error(floors_x[lo], floors_f[k], scale),
-                    error(floors_x[lo + n], floors_f[k + m], scale + n),
-                )
+        floors_x = scaled_floors(self.x_over_m, n * ma, c, 0, n * (count - 1) + mn)
+        bottoms = differences(floors_x, m)
+        tiles = []
+        lo = 0  # n k
+        for k in range(count):
+            f1, f2 = floors_x[lo]
+            g1, g2 = floors_f[k]
+            h1, h2 = floors_x[lo + mn]
+            i1, i2 = floors_f[k + m]
+            # 1 + n floor(lam_k - 1/2) for lam_k = (m a + k c) / (m c);
+            # floor(lam_k + 1/2) is one more
+            scale = 1 + n * ((2 * (ma + k * c) - mc) // (2 * mc))
+            tiles.append((
+                piece,
+                bottoms[lo : lo + mn : m],
+                tops[k : k + m],
+                (k11 * f1 + k12 * f2 + scale * o1 - w * g1,
+                 k21 * f1 + k22 * f2 + scale * o2 - w * g2),
+                (k11 * h1 + k12 * h2 + (scale + n) * o1 - w * i1,
+                 k21 * h1 + k22 * h2 + (scale + n) * o2 - w * i2),
+            ))
+            lo += n
         return tiles
 
 
@@ -587,7 +588,8 @@ def parse_tileset(text: str) -> Tileset:
             line = lines[i]
             # the label prefix, up to and including the first ' | l: ', is
             # read once per run of lines that repeat it
-            if prefix is None or not line.startswith(prefix):
+            fresh = prefix is None or not line.startswith(prefix)
+            if fresh:
                 try:
                     cut = line.index(" | l: ") + 6
                     head, bottom_text, top_text = line[: cut - 6].split(" | ")
@@ -598,10 +600,17 @@ def parse_tileset(text: str) -> Tileset:
             left, sep, right = line[cut:].partition(" | r: ")
             if not sep:
                 raise ParseError(f"expected a tile line, got {line!r}")
-            tile = (piece, bottom, top, colors(left), colors(right))
-            if tiles and tile <= tiles[-1]:
+            left, right = colors(left), colors(right)
+            tile = (piece, bottom, top, left, right)
+            # under a repeated prefix the labels are the line above's, so
+            # its two colors alone decide the order
+            if tiles and (
+                tile <= tiles[-1] if fresh
+                else right <= last_right if left == last_left else left < last_left
+            ):
                 raise ParseError("tile line out of order or repeated")
             tiles.append(tile)
+            last_left, last_right = left, right
     except (ValueError, IndexError, ParseError) as exc:
         raise ParseError(f"tileset line {i + 1}: {exc}") from None
     if (n_pieces, n_tiles) != (len(pieces), len(tiles)):

@@ -15,13 +15,20 @@ The V rule is forced by the corner computation
 g a^(j-1) to g a^j.  Moving up (t^-1) is one forward application of the
 encoded map.  All of this runs on canonical forms in integers, one
 a-row at a time.  The cells h a^e of one head h form a row (an H-chain
-of the reduction); the patch maps each head to {e: position}.  Within a
-row the H and I partners are entries e + m and e + 1, and the V
-partners lie in the rows above h a^r, r < n, one group.form_step each
-(g a^s t^-1 is then one divmod away).  lambda steps by 1/m along a row,
-so one group.lambda_parts and one RowColors.run tile a run of
-consecutive cells.  A cell is named by its position in the patch:
-constraints, search domains and re-checks index cells by position.
+of the reduction); the patch maps each head to {e: position}.  One row
+walker (_partners) gives every cell its partners: within a row the H
+and I partners are entries e + m and e + 1, and the V partners lie in
+the rows h a^r t^-1 above, r < n, each canonical as it stands but for
+the pinch t a^0 t^-1 (g a^s t^-1 is then one divmod away).
+constraints_for lists the rules from it, and every re-check of an
+assignment (check_assignment, a found search, an orbit witness) walks
+it comparing colors directly, building a Constraint only for a broken
+rule.  lambda steps by 1/m along a row, so one group.lambda_parts and
+one RowColors.run tile a run of consecutive cells; RowColors holds x
+and f(x) as integers (a witness reads f(x) from the orbit), so a run
+is integer floor divisions only.  A cell is named by its position in
+the patch: constraints, search domains and re-checks index cells by
+position.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -72,6 +79,17 @@ def build_patch(params: BsParams, elements) -> Patch:
     """Deduplicate, sort, and sanity-check a set of cell base elements."""
     cells = tuple(sorted(set(elements), key=GroupElement.sort_key))
     m, n = params.m, params.n
+    heads: dict[tuple, tuple[int, int]] = {}  # row head -> lambda_parts of h a^0
+
+    def lam(exps: tuple, stables: tuple) -> tuple[int, int]:
+        """lambda_parts of h a^e, as lambda(h) + e/m: one walk per head h."""
+        key = (exps[:-1], stables)
+        at = heads.get(key)
+        if at is None:
+            at = heads[key] = lambda_parts(params, GroupElement(exps[:-1] + (0,), stables))
+        num, den = at
+        return num + exps[-1] * (den // m), den
+
     rows: dict[tuple, dict[int, int]] = {}
     for i, g in enumerate(cells):
         g_t = form_step(g.exps, g.stables, 0, 1, m, n)
@@ -79,8 +97,8 @@ def build_patch(params: BsParams, elements) -> Patch:
         if form_step(g.exps, g.stables, m, 1, m, n) != form_step(*g_t, n, 0, m, n):
             raise ValueError(f"cell boundary does not close at {g.to_text()}")
         # lambda(g t) = (n/m) lambda(g), cross-multiplied
-        num, den = lambda_parts(params, g)
-        num_t, den_t = lambda_parts(params, GroupElement(*g_t))
+        num, den = lam(g.exps, g.stables)
+        num_t, den_t = lam(*g_t)
         if num_t * m * den != n * num * den_t:
             raise ValueError(f"scale bookkeeping broken at {g.to_text()}")
         rows.setdefault((g.exps[:-1], g.stables), {})[g.exps[-1]] = i
@@ -133,30 +151,33 @@ class Constraint(NamedTuple):
     bottom_pos: int = 0
 
 
-def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
-    """The H, I and V constraints between cells, in cell order.
+def _partners(params: BsParams, patch: Patch) -> list[tuple]:
+    """Each cell's partners, by position: (H, I, above) for g = h a^e.
 
-    They are worked out row by row.  For g = h a^e the H and I partners
-    g a^m and g a are entries e + m and e + 1 of g's own row.  The V
-    partner g a^s t^-1 is h a^r t^-1 a^(m q) for (q, r) = divmod(e + s, n),
-    entry offset_r + m q of the row above h a^r; one form_step per
-    residue r < n gives that row and offset_r, the pinch included, and
-    each h a^x t^-1 is looked up once per run of consecutive cells.
+    H and I are the positions of g a^m and g a, entries e + m and e + 1
+    of g's own row (None off the patch); e + m may lie in another run of
+    the row when the row has gaps.  above[s] is the position of the V
+    partner g a^(s + 1 - n) t^-1, s < m + n - 1, which is
+    h a^r t^-1 a^(m q) for (q, r) = divmod(e + s + 1 - n, n), entry
+    offset_r + m q of the row of h a^r t^-1; each h a^x t^-1 is looked
+    up once per run of consecutive cells.
     ValueError when params is not the group the patch was built in.
     """
     if params != patch.params:
         own = patch.params
         raise ValueError(f"patch is in BS({own.m},{own.n}), not BS({params.m},{params.n})")
     m, n = params.m, params.n
+    width = m + n - 1
     rows = patch.rows
-    # (j, k, shift + n - 1) for the V partner top_j(g) = bottom_k(g a^shift t^-1)
-    v_slots = [(j, k + 1, j - 1 - k + n - 1) for j in range(1, m + 1) for k in range(n)]
-    by_cell: list[list[Constraint]] = [[] for _ in patch.cells]
+    partners: list = [None] * len(patch.cells)
     for (head, stables), row in rows.items():
-        above = []  # above[r]: (row of h a^r t^-1, its offset)
-        for r in range(n):
-            up_exps, up_stables = form_step(head + (r,), stables, 0, -1, m, n)
-            above.append((rows.get((up_exps[:-1], up_stables), {}), up_exps[-1]))
+        # above[r]: (row of h a^r t^-1, its offset).  r < n is a coset
+        # representative before t^-1, so h a^r t^-1 is canonical as it
+        # stands (row (head + (r,), stables + (-1,)), offset 0) except
+        # for the pinch t a^0 t^-1, which lands in the row below h
+        above = [(rows.get((head + (r,), stables + (-1,)), {}), 0) for r in range(n)]
+        if stables and stables[-1] == 1:
+            above[0] = (rows.get((head[:-1], stables[:-1]), {}), head[-1])
         for start, count in _consecutive(sorted(row)):
             lowest = start + 1 - n
             uppers = []  # uppers[x - lowest]: the cell h a^x t^-1, or None
@@ -165,29 +186,33 @@ def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
                 up_row, offset = above[r]
                 uppers.append(up_row.get(offset + m * q))
             for e in range(start, start + count):
-                i = row[e]
-                out = by_cell[i]
-                h = row.get(e + m)
-                if h is not None:
-                    out.append(Constraint("H", i, h))
-                h = row.get(e + 1)
-                if h is not None:
-                    out.append(Constraint("I", i, h))
                 base = e - start
-                for j, k, slot in v_slots:
-                    upper = uppers[base + slot]
-                    if upper is not None:
-                        out.append(Constraint("V", i, upper, j, k))
-    return tuple(chain.from_iterable(by_cell))
+                partners[row[e]] = (row.get(e + m), row.get(e + 1), uppers[base : base + width])
+    return partners
 
 
-def constraint_satisfied(con: Constraint, tile_a: Tile, tile_b: Tile) -> bool:
-    # a tile is (piece, bottom, top, left, right)
-    if con.kind == "H":
-        return tile_a[4] == tile_b[3]
-    if con.kind == "V":
-        return tile_a[2][con.top_pos - 1] == tile_b[1][con.bottom_pos - 1]
-    return tile_a[0] == tile_b[0]
+def _v_slots(params: BsParams) -> list[tuple[int, int, int]]:
+    """(j, k, s) for each V rule top_j(g) = bottom_k(g a^(j - k) t^-1),
+    k 1-based, with s its index in a cell's above, in rule order."""
+    n = params.n
+    return [(j, k, j - k + n - 1) for j in range(1, params.m + 1) for k in range(1, n + 1)]
+
+
+def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
+    """The H, I and V constraints between cells, in cell order: for each
+    cell its H, its I, then its V constraints by (top_pos, bottom_pos).
+    ValueError when params is not the group the patch was built in."""
+    slots = _v_slots(params)
+    out = []
+    for i, (h, nxt, above) in enumerate(_partners(params, patch)):
+        if h is not None:
+            out.append(Constraint("H", i, h))
+        if nxt is not None:
+            out.append(Constraint("I", i, nxt))
+        for j, k, s in slots:
+            if above[s] is not None:
+                out.append(Constraint("V", i, above[s], j, k))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -201,7 +226,8 @@ def check_assignment(
     """Constraints the assignment violates (empty list means valid).
     The assignment must give exactly one tile to each cell of the patch;
     ValueError names the first cell where it does not."""
-    return _violations(constraints_for(params, patch), _tiles_by_position(patch, assignment))
+    partners = _partners(params, patch)
+    return _violations(params, partners, _tiles_by_position(patch, assignment))
 
 
 def _tiles_by_position(patch: Patch, assignment: TilingAssignment) -> list[Tile]:
@@ -219,12 +245,24 @@ def _tiles_by_position(patch: Patch, assignment: TilingAssignment) -> list[Tile]
     return tiles
 
 
-def _violations(constraints: tuple[Constraint, ...], tiles) -> list[Constraint]:
-    """The constraints that tiles, indexed by cell position, violate."""
-    return [
-        con for con in constraints
-        if not constraint_satisfied(con, tiles[con.a], tiles[con.b])
-    ]
+def _violations(params: BsParams, partners: list[tuple], tiles) -> list[Constraint]:
+    """The constraints that tiles, indexed by cell position, violate, in
+    the order constraints_for lists them.  Each rule compares the colors
+    of a cell and its partner directly; a Constraint is built only for
+    a broken rule."""
+    slots = _v_slots(params)
+    bad = []
+    for i, (h, nxt, above) in enumerate(partners):
+        piece, _, top, _, right = tiles[i]
+        if h is not None and tiles[h][3] != right:
+            bad.append(Constraint("H", i, h))
+        if nxt is not None and tiles[nxt][0] != piece:
+            bad.append(Constraint("I", i, nxt))
+        for j, k, s in slots:
+            upper = above[s]
+            if upper is not None and tiles[upper][1][k - 1] != top[j - 1]:
+                bad.append(Constraint("V", i, upper, j, k))
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +604,7 @@ def search_patch(
             continue
         if len(frames) == ncells:
             chosen = [tiles[dom.bit_length() - 1] for dom in domain]
-            if _violations(constraints, chosen):
+            if _violations(params, _partners(params, patch), chosen):
                 raise AssertionError("search produced an invalid assignment")
             return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)
         nxt = pick()
@@ -587,9 +625,10 @@ def assignment_from_orbit(
 
     Level 0 is the lowest row of the patch (minimal beta); moving one
     row up applies the map once.  Cyclic orbits repeat their loop, other
-    orbits must reach every level the patch spans.  Each run of
-    consecutive cells of an a-row is one RowColors.run from the lambda
-    of its first cell.
+    orbits must reach every level the patch spans.  report must be the
+    orbit of f: the image f(x) of a state is read from it wherever it
+    holds one.  Each run of consecutive cells of an a-row is one
+    RowColors.run from the lambda of its first cell.
     """
     if not patch.cells:
         return TilingAssignment(())
@@ -617,7 +656,15 @@ def assignment_from_orbit(
     for at in levels:
         if at not in colors:
             piece_idx, point = states[at]
-            colors[at] = RowColors(params, f.pieces[piece_idx], point, piece_idx, den)
+            # f(x) is the next state, or where a cycle closes; only the
+            # last state of an orbit that does not cycle has no image here
+            if at + 1 < len(states):
+                fx = states[at + 1][1]
+            elif isinstance(report.outcome, CycleDetected):
+                fx = states[report.outcome.j][1]
+            else:
+                fx = None
+            colors[at] = RowColors(params, f.pieces[piece_idx], point, piece_idx, den, fx)
     tiles: list = [None] * len(patch.cells)
     for (head, stables), row in patch.rows.items():
         colors_at = colors[levels[-sum(stables) - base_level]]
@@ -625,7 +672,7 @@ def assignment_from_orbit(
             lam = lambda_parts(params, GroupElement(head + (start,), stables))
             for e, tile in enumerate(colors_at.run(*lam, count), start):
                 tiles[row[e]] = tile
-    bad = _violations(constraints_for(params, patch), tiles)
+    bad = _violations(params, _partners(params, patch), tiles)
     if bad:
         raise AssertionError(f"orbit assignment violates {len(bad)} constraints")
     return TilingAssignment(tuple(zip(patch.cells, tiles)))

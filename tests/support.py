@@ -46,7 +46,6 @@ from bsdomino.tiling import (
     TilingAssignment,
     _EdgeMasks,
     _pairs,
-    _violations,
     build_patch,
     constraints_for,
 )
@@ -452,6 +451,25 @@ def reference_constraints(params: BsParams, patch: Patch) -> tuple[tuple, ...]:
     return tuple(out)
 
 
+def constraint_satisfied(con, tile_a: Tile, tile_b: Tile) -> bool:
+    """Whether two tiles keep one constraint; a tile is
+    (piece, bottom, top, left, right)."""
+    if con.kind == "H":
+        return tile_a[4] == tile_b[3]
+    if con.kind == "V":
+        return tile_a[2][con.top_pos - 1] == tile_b[1][con.bottom_pos - 1]
+    return tile_a[0] == tile_b[0]
+
+
+def reference_violations(constraints, tiles) -> list:
+    """check_assignment's answer from a constraint list: the constraints
+    that tiles, indexed by cell position, violate, in list order."""
+    return [
+        con for con in constraints
+        if not constraint_satisfied(con, tiles[con.a], tiles[con.b])
+    ]
+
+
 def constraints_on_cells(patch: Patch, constraints) -> tuple[tuple, ...]:
     """Positional constraints mapped back through patch.cells, in the
     form reference_constraints gives."""
@@ -648,7 +666,7 @@ def reference_search(
             continue
         if len(frames) == ncells:
             chosen = [tiles[dom.bit_length() - 1] for dom in domain]
-            if _violations(constraints, chosen):
+            if reference_violations(constraints, chosen):
                 raise AssertionError("search produced an invalid assignment")
             return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)
         nxt = pick()

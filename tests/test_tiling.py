@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsdomino import balrep, group
+from bsdomino import balrep, group, tiling
 from bsdomino.errors import OrbitTooShort
 from bsdomino.group import (
     BsParams,
@@ -19,7 +20,16 @@ from bsdomino.group import (
     lambda_val,
     multiply,
 )
-from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, load_map, orbit
+from bsdomino.pam import (
+    AffinePiece,
+    AliveUpTo,
+    CycleDetected,
+    EscapedAfter,
+    PiecewiseAffineMap,
+    UnitSquare,
+    load_map,
+    orbit,
+)
 from bsdomino.rationals import IDENTITY2, mat2, vec2
 from bsdomino.tileset import (
     RowColors,
@@ -38,7 +48,6 @@ from bsdomino.tiling import (
     build_ball_patch,
     build_patch,
     check_assignment,
-    constraint_satisfied,
     constraints_for,
     export_dot,
     export_tiling_text,
@@ -51,6 +60,7 @@ from support import (
     ALL_PARAMS,
     MIXED_Q_MAP,
     color_value,
+    constraint_satisfied,
     constraints_on_cells,
     is_britton_reduced,
     random_point_in,
@@ -60,6 +70,7 @@ from support import (
     reference_edge_colors,
     reference_edge_masks,
     reference_search,
+    reference_violations,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -422,6 +433,153 @@ def test_assignment_orbit_too_short():
     patch = build_ball_patch(P23, 1)  # spans three levels
     with pytest.raises(OrbitTooShort):
         assignment_from_orbit(P23, ESCAPE_MAP, report, patch)
+
+
+def test_build_patch_names_broken_scale_bookkeeping(monkeypatch):
+    # lambda is walked once per row head; a wrong value for the head of the
+    # row of t breaks lambda(e t) = (n/m) lambda(e) at the identity
+    honest = group.lambda_parts
+    t_head = element_from_text(P23, "t")
+
+    def skewed(params, w):
+        num, den = honest(params, w)
+        return (num + 1, den) if w == t_head else (num, den)
+
+    monkeypatch.setattr(tiling, "lambda_parts", skewed)
+    with pytest.raises(ValueError, match="scale bookkeeping broken at e$"):
+        build_ball_patch(P23, 1)
+    # cells that, like their t steps, lie outside the row of t are unaffected
+    assert build_patch(P23, [element_from_text(P23, "a"), element_from_text(P23, "a3")]).cells
+
+
+# the four maps of the witness benchmark, a point each, and the sha256 of
+# the orbit witness on the radius-4 ball (horizon 12)
+WITNESS_CASES = {
+    "identity-23": ("maps/identity-23.map", ("1/3", "2/7"),
+                    "ad4da9dfacaa8e3e9efaa04931188111f837e8b0b7895891cd770540b89d656c"),
+    "rotation-22": ("maps/rotation-22.map", ("1/3", "2/5"),
+                    "d0566a8d91b1fea589e0b3f744370753d6e96813cf2fee41f11bfac3fe5d8769"),
+    "half2-23": ("perfbench/maps/half2-23.map", ("1/3", "1/5"),
+                 "004e9ba5334851c3481f6fc973a8e54249905dd9909c2fb88d99389c697a7559"),
+    "rotation-32": ("perfbench/maps/rotation-32.map", ("-2/7", "3/5"),
+                    "93748f555867ae9404f6a5a977e389df4b489a2f1a29e7012a263f56251a10ad"),
+}
+
+
+def witness_map(name):
+    path, point, _ = WITNESS_CASES[name]
+    params, pam = load_map(str(ROOT / path))
+    return params, pam, vec2(*point)
+
+
+def assert_witness_is_reference(params, pam, report, patch):
+    """Every tile of the orbit witness is the Fraction formulas' tile at
+    lambda(g) and the orbit state of g's level."""
+    pairs = assignment_from_orbit(params, pam, report, patch).pairs
+    den = color_denominator(params, pam.pieces)
+    base = min(g.beta() for g in patch.cells)
+    states, outcome = report.states, report.outcome
+    for g, tile in pairs:
+        level = g.beta() - base
+        if level >= len(states):
+            level = outcome.j + (level - outcome.j) % (outcome.k - outcome.j)
+        index, x = states[level]
+        want = reference_edge_colors(
+            params, pam.pieces[index], lambda_val(params, g), x, index, den
+        )
+        assert tile == want, g.to_text()
+
+
+@pytest.mark.parametrize("name", WITNESS_CASES)
+def test_witness_digest_and_reference_tiles(name):
+    params, pam, x = witness_map(name)
+    report = orbit(pam, x, 12)
+    ball = build_ball_patch(params, 4)
+    pairs = assignment_from_orbit(params, pam, report, ball).pairs
+    text = "".join(f"{g.to_text()} {tile}\n" for g, tile in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_CASES[name][2]
+    assert_witness_is_reference(params, pam, report, ball)
+
+
+def test_witness_tiles_at_the_last_state():
+    # the top level of each patch is the orbit's last state, whose f(x)
+    # the report holds only when the orbit cycles; no V rule checks the
+    # top row's top colors, so each tile is compared with the formulas
+    params, pam, x = witness_map("rotation-22")
+    report = orbit(pam, x, 12)
+    assert report.outcome == CycleDetected(0, 4)
+    stack = [
+        element_from_text(params, "T" * k + f"a{e}") for k in range(4) for e in range(-2, 3)
+    ]
+    assert_witness_is_reference(params, pam, report, build_patch(params, stack))
+    # an orbit cut short by its horizon: the last state's f(x) is applied
+    params, pam, x = witness_map("half2-23")
+    report = orbit(pam, x, 8)
+    assert report.outcome == AliveUpTo(8) and len(report.states) == 9
+    assert_witness_is_reference(params, pam, report, build_ball_patch(params, 4))
+    # an orbit that leaves the domain after three states
+    params, pam = load_map(str(ROOT / "maps" / "shift3-23.map"))
+    report = orbit(pam, vec2("1/3", "2/5"), 12)
+    assert report.outcome == EscapedAfter(3)
+    assert_witness_is_reference(params, pam, report, build_ball_patch(params, 1))
+
+
+@lru_cache(maxsize=None)
+def witness_patches(name):
+    """(params, [(patch, tiles by position)]): the orbit witness on the
+    radius-4 ball and on three patches cut from it with gaps in rows."""
+    params, pam, x = witness_map(name)
+    report = orbit(pam, x, 12)
+    ball = build_ball_patch(params, 4)
+    lowest = min(ball.cells, key=GroupElement.beta)
+    rng = Random(sum(map(ord, name)))
+    patches = [ball]
+    while len(patches) < 4:
+        patch = build_patch(params, [g for g in ball.cells if rng.random() < 0.6] + [lowest])
+        if any(max(row) - min(row) >= len(row) for row in patch.rows.values()):
+            patches.append(patch)
+    return params, [
+        (patch, [tile for _, tile in assignment_from_orbit(params, pam, report, patch).pairs])
+        for patch in patches
+    ]
+
+
+FIELDS = ("piece", "bottom", "top", "left", "right")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(WITNESS_CASES)),
+    which=st.integers(0, 3),
+    field=st.sampled_from(FIELDS),
+    data=st.data(),
+)
+def test_row_walker_matches_list_check_on_corrupted_witnesses(name, which, field, data):
+    # one field of one tile replaced, by a neighbour's value or a shifted
+    # one: the walker breaks exactly the rules the list check breaks, in order
+    params, witnesses = witness_patches(name)
+    patch, tiles = witnesses[which]
+    i = data.draw(st.integers(0, len(tiles) - 1))
+    donor = tiles[data.draw(st.integers(0, len(tiles) - 1))]
+    shift = data.draw(st.booleans())
+    tile = list(tiles[i])
+    f = FIELDS.index(field)
+    if field == "piece":
+        tile[f] = tile[f] + 1 if shift else donor[f]
+    elif field in ("left", "right"):
+        tile[f] = (tile[f][0] + 1, tile[f][1]) if shift else donor[f]
+    else:
+        colors = list(tile[f])
+        at = data.draw(st.integers(0, len(colors) - 1))
+        colors[at] = (colors[at][0], colors[at][1] + 1) if shift else donor[f][at]
+        tile[f] = tuple(colors)
+    corrupted = tiles[:i] + [tuple(tile)] + tiles[i + 1 :]
+    assignment = TilingAssignment(tuple(zip(patch.cells, corrupted)))
+    got = check_assignment(params, patch, assignment)
+    assert got == reference_violations(constraints_for(params, patch), corrupted)
+    if shift and field == "piece":
+        # a cell whose I partner is in the patch breaks at least that rule
+        assert got or patch.position(multiply(params, patch.cells[i], "a")) is None
 
 
 def test_export_dot_and_tiling_text():
