@@ -20,15 +20,15 @@ walker (_partners) gives every cell its partners: within a row the H
 and I partners are entries e + m and e + 1, and the V partners lie in
 the rows h a^r t^-1 above, r < n, each canonical as it stands but for
 the pinch t a^0 t^-1 (g a^s t^-1 is then one divmod away).
-constraints_for lists the rules from it, and every re-check of an
-assignment (check_assignment, a found search, an orbit witness) walks
-it comparing colors directly, building a Constraint only for a broken
-rule.  lambda steps by 1/m along a row, so one group.lambda_parts and
-one RowColors.run tile a run of consecutive cells; RowColors holds x
-and f(x) as integers (a witness reads f(x) from the orbit), so a run
-is integer floor divisions only.  A cell is named by its position in
-the patch: constraints, search domains and re-checks index cells by
-position.
+constraints_for lists the rules from it, search_patch takes its arcs
+from it, and every re-check of an assignment (check_assignment, a found
+search, an orbit witness) walks it comparing colors directly, building
+a Constraint only for a broken rule.  lambda steps by 1/m along a row,
+so the lambda of a row head (Patch.heads) and one RowColors.run tile a
+run of consecutive cells; RowColors holds x and f(x) as integers (a
+witness reads f(x) from the orbit), so a run is integer floor
+divisions only.  A cell is named by its position in the patch:
+constraints, search domains and re-checks index cells by position.
 """
 
 from __future__ import annotations
@@ -59,12 +59,14 @@ class Patch:
 
     rows groups the cells by a-row: the cells g = h a^e of one head h
     share (exps[:-1], stables) and differ in e = exps[-1], so rows maps
-    each head to {e: position}.
+    each head to {e: position}.  heads maps each row head (and the head
+    of g t for each cell g) to (num, den) = lambda_parts of h a^0.
     """
 
     params: BsParams
     cells: tuple[GroupElement, ...]
     rows: dict[tuple, dict[int, int]] = field(compare=False, repr=False)
+    heads: dict[tuple, tuple[int, int]] = field(compare=False, repr=False)
 
     def position(self, g: GroupElement) -> int | None:
         """The position of g in cells, None if g is not a cell."""
@@ -102,7 +104,7 @@ def build_patch(params: BsParams, elements) -> Patch:
         if num_t * m * den != n * num * den_t:
             raise ValueError(f"scale bookkeeping broken at {g.to_text()}")
         rows.setdefault((g.exps[:-1], g.stables), {})[g.exps[-1]] = i
-    return Patch(params, cells, rows)
+    return Patch(params, cells, rows, heads)
 
 
 def build_ball_patch(params: BsParams, radius: int) -> Patch:
@@ -375,62 +377,47 @@ def _span_mask(spans: list[list[int]], ntiles: int) -> int:
     return int(digits, 2)
 
 
-class _EdgeMasks:
-    """One bitset per edge key of a tileset; bit i stands for tile i.
-
-    Keys are the left color, the right color, the piece, and the top
-    and bottom colors, one dict per kind and position.  The masks are
-    built in one pass over the tiles.  Left and right colors change from
-    tile to tile and get one bit each; the labels (piece, top, bottom)
-    are shared by a run of consecutive tiles, so each run adds one
-    [start, stop) span per label key, and each label mask is made once
-    from its spans.  The masks are the same for any tile order; sorted
-    tilesets have the longest runs.
+def _edge_masks(params: BsParams, tiles: tuple[Tile, ...]) -> tuple:
+    """(left, right, piece, top, bottom): one bitset per edge key of a
+    tileset, bit i standing for tile i; top and bottom are lists of m
+    and n dicts.  The masks are built in one pass over the tiles.  Left
+    and right colors change from tile to tile and get one bit each; the
+    labels (piece, top, bottom) are shared by a run of consecutive
+    tiles, so each run adds one [start, stop) span per label key, and
+    each label mask is made once from its spans.  The masks are the
+    same for any tile order; sorted tilesets have the longest runs.
     """
-
-    def __init__(self, params: BsParams, tiles: tuple[Tile, ...]):
-        ntiles = len(tiles)
-        nbytes = (ntiles + 7) // 8
-        left = defaultdict(lambda: bytearray(nbytes))
-        right = defaultdict(lambda: bytearray(nbytes))
-        # spans[0]: the piece, then top_1..top_m, then bottom_1..bottom_n
-        spans = [defaultdict(list) for _ in range(1 + params.m + params.n)]
-        start = i = 0
-        for (piece, bottom, top), run in groupby(tiles, _labels):
-            for _, _, _, left_key, right_key in run:
-                byte, bit = i >> 3, 1 << (i & 7)
-                left[left_key][byte] |= bit
-                right[right_key][byte] |= bit
-                i += 1
-            for by_key, key in zip(spans, (piece, *top, *bottom)):
-                key_spans = by_key[key]
-                if key_spans and key_spans[-1][1] == start:  # adjacent: merge
-                    key_spans[-1][1] = i
-                else:
-                    key_spans.append([start, i])
-            start = i
-        self.left = {key: int.from_bytes(buf, "little") for key, buf in left.items()}
-        self.right = {key: int.from_bytes(buf, "little") for key, buf in right.items()}
-        labels = [
-            {key: _span_mask(key_spans, ntiles) for key, key_spans in by_key.items()}
-            for by_key in spans
-        ]
-        self.piece = labels[0]
-        self.top = labels[1 : 1 + params.m]
-        self.bottom = labels[1 + params.m :]
-
-    def sides(self, con: Constraint) -> tuple[tuple, tuple]:
-        """(masks, key of a tile) for the colors con compares, on cell a
-        and on cell b: the key is the tile's color on that side."""
-        if con.kind == "H":
-            return (self.right, itemgetter(4)), (self.left, itemgetter(3))
-        if con.kind == "V":
-            j, k = con.top_pos - 1, con.bottom_pos - 1
-            return (
-                (self.top[j], lambda tile: tile[2][j]),
-                (self.bottom[k], lambda tile: tile[1][k]),
-            )
-        return (self.piece, itemgetter(0)), (self.piece, itemgetter(0))
+    ntiles = len(tiles)
+    nbytes = (ntiles + 7) // 8
+    left = defaultdict(lambda: bytearray(nbytes))
+    right = defaultdict(lambda: bytearray(nbytes))
+    # spans[0]: the piece, then top_1..top_m, then bottom_1..bottom_n
+    spans = [defaultdict(list) for _ in range(1 + params.m + params.n)]
+    start = i = 0
+    for (piece, bottom, top), run in groupby(tiles, _labels):
+        for _, _, _, left_key, right_key in run:
+            byte, bit = i >> 3, 1 << (i & 7)
+            left[left_key][byte] |= bit
+            right[right_key][byte] |= bit
+            i += 1
+        for by_key, key in zip(spans, (piece, *top, *bottom)):
+            key_spans = by_key[key]
+            if key_spans and key_spans[-1][1] == start:  # adjacent: merge
+                key_spans[-1][1] = i
+            else:
+                key_spans.append([start, i])
+        start = i
+    pieces, *labels = [
+        {key: _span_mask(key_spans, ntiles) for key, key_spans in by_key.items()}
+        for by_key in spans
+    ]
+    return (
+        {key: int.from_bytes(buf, "little") for key, buf in left.items()},
+        {key: int.from_bytes(buf, "little") for key, buf in right.items()},
+        pieces,
+        labels[: params.m],
+        labels[params.m :],
+    )
 
 
 def _pairs(x_side: dict, y_side: dict) -> tuple[tuple[int, int], ...]:
@@ -464,22 +451,19 @@ def search_patch(
     node each, so the search is deterministic.  Propagation only drops
     tiles that no tiling extending the current assignment can use, so an
     ExhaustedNoTiling result is a complete refutation; a Found result is
-    re-validated against the full constraint list.
+    re-checked on the row walk (_partners) that gave the arcs.
     """
     params = tileset.params
     cells = patch.cells
     if not cells:
         return Found(TilingAssignment(()), 0)
     tiles = tileset.tiles
-    if not tiles:
-        return ExhaustedNoTiling(0)
-
-    constraints = constraints_for(params, patch)
+    partners = _partners(params, patch)
 
     # box-level filter: when the top and bottom label boxes of all pieces
     # are disjoint, no V constraint is satisfiable by any pair of tiles,
     # so a patch with a vertical pair is untileable outright
-    if any(con.kind == "V" for con in constraints):
+    if any(up is not None for _, _, above in partners for up in above):
         top_box_colors = set()
         bottom_box_colors = set()
         for meta in tileset.piece_meta:
@@ -488,24 +472,33 @@ def search_patch(
         if not top_box_colors & bottom_box_colors:
             return ExhaustedNoTiling(0)
 
-    masks = _EdgeMasks(params, tiles)
+    left, right, piece, top, bottom = _edge_masks(params, tiles)
+
+    def rule(a_side: dict, a_key, b_side: dict, b_key) -> tuple[tuple, tuple]:
+        """The arc tails to revise a and to revise b, for a_side(a) = b_side(b)."""
+        return (
+            (a_side, b_key, _pairs(a_side, b_side), {}),
+            (b_side, a_key, _pairs(b_side, a_side), {}),
+        )
+
+    slots = _v_slots(params)
+    # one rule per partner of a cell, in partner order: H, I, then V by slot
+    rules = [
+        rule(right, itemgetter(4), left, itemgetter(3)),
+        rule(piece, itemgetter(0), piece, itemgetter(0)),
+    ] + [
+        rule(top[j - 1], lambda tile, j=j - 1: tile[2][j],
+             bottom[k - 1], lambda tile, k=k - 1: tile[1][k])
+        for j, k, _ in slots
+    ]
     # arcs[y]: (x, x masks, key of a y tile, pairs, memo) for every cell x
-    # to revise when domain[y] narrows; the last four are shared by every
-    # arc of one relation direction, the memo mapping a y domain to its
-    # support on x
+    # to revise when domain[y] narrows; all but x shared per rule direction
     arcs: list[list[tuple]] = [[] for _ in cells]
-    relations: dict[tuple, tuple] = {}
-    for con in constraints:
-        kind = (con.kind, con.top_pos, con.bottom_pos)
-        if kind not in relations:
-            (a_side, a_key), (b_side, b_key) = masks.sides(con)
-            relations[kind] = (
-                (a_side, b_key, _pairs(a_side, b_side), {}),
-                (b_side, a_key, _pairs(b_side, a_side), {}),
-            )
-        to_a, to_b = relations[kind]
-        arcs[con.b].append((con.a, *to_a))
-        arcs[con.a].append((con.b, *to_b))
+    for a, (h, nxt, above) in enumerate(partners):
+        for b, (to_a, to_b) in zip((h, nxt, *[above[s] for _, _, s in slots]), rules):
+            if b is not None:
+                arcs[b].append((a, *to_a))
+                arcs[a].append((b, *to_b))
 
     ncells = len(cells)
     domain = [(1 << len(tiles)) - 1] * ncells
@@ -604,7 +597,7 @@ def search_patch(
             continue
         if len(frames) == ncells:
             chosen = [tiles[dom.bit_length() - 1] for dom in domain]
-            if _violations(params, _partners(params, patch), chosen):
+            if _violations(params, partners, chosen):
                 raise AssertionError("search produced an invalid assignment")
             return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)
         nxt = pick()
@@ -656,20 +649,17 @@ def assignment_from_orbit(
     for at in levels:
         if at not in colors:
             piece_idx, point = states[at]
-            # f(x) is the next state, or where a cycle closes; only the
-            # last state of an orbit that does not cycle has no image here
-            if at + 1 < len(states):
-                fx = states[at + 1][1]
-            elif isinstance(report.outcome, CycleDetected):
-                fx = states[report.outcome.j][1]
-            else:
-                fx = None
+            # f(x) is the state one level up; only the last state of an
+            # orbit that does not cycle has no image here
+            last = at + 1 == len(states) and not isinstance(report.outcome, CycleDetected)
+            fx = None if last else states[state_at(at + 1)][1]
             colors[at] = RowColors(params, f.pieces[piece_idx], point, piece_idx, den, fx)
     tiles: list = [None] * len(patch.cells)
     for (head, stables), row in patch.rows.items():
         colors_at = colors[levels[-sum(stables) - base_level]]
+        lam_num, lam_den = patch.heads[head, stables]
         for start, count in _consecutive(sorted(row)):
-            lam = lambda_parts(params, GroupElement(head + (start,), stables))
+            lam = lam_num + start * (lam_den // params.m), lam_den
             for e, tile in enumerate(colors_at.run(*lam, count), start):
                 tiles[row[e]] = tile
     bad = _violations(params, _partners(params, patch), tiles)

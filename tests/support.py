@@ -44,7 +44,7 @@ from bsdomino.tiling import (
     Patch,
     SearchResult,
     TilingAssignment,
-    _EdgeMasks,
+    _edge_masks,
     _pairs,
     build_patch,
     constraints_for,
@@ -565,14 +565,20 @@ def reference_search(
         if not top_box_colors & bottom_box_colors:
             return ExhaustedNoTiling(0)
 
-    masks = _EdgeMasks(params, tiles)
+    left, right, piece, top, bottom = _edge_masks(params, tiles)
     # arcs[y]: (x, pairs) for every cell x to revise when domain[y] narrows
     arcs: list[list[tuple[int, tuple]]] = [[] for _ in cells]
     relations: dict[tuple, tuple] = {}
     for con in constraints:
         kind = (con.kind, con.top_pos, con.bottom_pos)
         if kind not in relations:
-            (a_side, _), (b_side, _) = masks.sides(con)
+            # the masks of the colors con compares, on cell a and on cell b
+            if con.kind == "H":
+                a_side, b_side = right, left
+            elif con.kind == "V":
+                a_side, b_side = top[con.top_pos - 1], bottom[con.bottom_pos - 1]
+            else:
+                a_side = b_side = piece
             relations[kind] = (_pairs(a_side, b_side), _pairs(b_side, a_side))
         to_a, to_b = relations[kind]
         arcs[con.b].append((con.a, to_a))

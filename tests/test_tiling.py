@@ -17,6 +17,7 @@ from bsdomino.group import (
     IDENTITY_ELEMENT,
     britton_reduce,
     element_from_text,
+    lambda_parts,
     lambda_val,
     multiply,
 )
@@ -43,7 +44,7 @@ from bsdomino.tiling import (
     ExhaustedNoTiling,
     Found,
     TilingAssignment,
-    _EdgeMasks,
+    _edge_masks,
     assignment_from_orbit,
     build_ball_patch,
     build_patch,
@@ -178,6 +179,16 @@ def test_patch_rows_partition_cells(params, words, radius):
         assert ball.position(g) is None and g not in ball
 
 
+@settings(max_examples=100, deadline=None)
+@given(params=ALL_PARAMS, words=st.lists(WORDS, max_size=8), radius=st.integers(0, 3))
+def test_patch_heads_hold_the_lambda_of_each_row_head(params, words, radius):
+    random_patch = build_patch(params, (britton_reduce(params, w) for w in words))
+    for patch in (build_ball_patch(params, radius), random_patch):
+        assert patch.rows.keys() <= patch.heads.keys()
+        for (head, stables), lam in patch.heads.items():
+            assert lam == lambda_parts(params, GroupElement(head + (0,), stables))
+
+
 def neighbor_words(params):
     """The steps to a cell's H, I and V partners, and t and t^-1."""
     m, n = params.m, params.n
@@ -305,9 +316,37 @@ def test_search_identity_found():
 
 
 def test_search_escape_exhausted():
-    ts = enumerate_tileset(P23, ESCAPE_MAP)
+    # the box filter refutes a patch with a V pair before any node
+    ts = compiled("escape")
     patch = build_patch(P23, [IDENTITY_ELEMENT, element_from_text(P23, "T")])
-    assert isinstance(search_patch(ts, patch), ExhaustedNoTiling)
+    result = search_patch(ts, patch)
+    assert isinstance(result, ExhaustedNoTiling) and result.nodes == 0
+    # a row has no V pair, so the filter lets it through and it is tiled
+    row = build_patch(P23, [element_from_text(P23, w) for w in ("e", "a", "a2")])
+    result = search_patch(ts, row)
+    assert isinstance(result, Found) and result.nodes == 3
+    assert not check_assignment(P23, row, result.assignment)
+
+
+@pytest.mark.parametrize(
+    "name, verdict", [("identity-23", Found), ("escape", ExhaustedNoTiling)]
+)
+def test_search_walks_the_patch_once(monkeypatch, name, verdict):
+    # the box filter, the arcs and the re-check of a found tiling all
+    # come from one row walk; no constraint list is built
+    calls = {"_partners": 0, "constraints_for": 0}
+
+    def spy(fn):
+        def counted(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(tiling, "_partners", spy(tiling._partners))
+    monkeypatch.setattr(tiling, "constraints_for", spy(tiling.constraints_for))
+    ts = compiled(name)
+    assert isinstance(search_patch(ts, build_ball_patch(P23, 2)), verdict)
+    assert calls == {"_partners": 1, "constraints_for": 0}
 
 
 def test_search_empty_tileset():
@@ -610,6 +649,8 @@ def test_export_dot_and_tiling_text():
 def compiled(name):
     if name == "identity-23":
         return enumerate_tileset(P23, IDENTITY_MAP)
+    if name == "escape":
+        return enumerate_tileset(P23, ESCAPE_MAP)
     if name == "mixed-q":
         return enumerate_tileset(P23, MIXED_Q_MAP)
     if name == "shift3-23":
@@ -684,8 +725,7 @@ def test_search_refuses_a_patch_of_another_group():
 
 
 def edge_masks(params, tiles):
-    masks = _EdgeMasks(params, tiles)
-    return masks.left, masks.right, masks.piece, masks.top, masks.bottom
+    return _edge_masks(params, tiles)
 
 
 @pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q", "shift3-23"])
