@@ -194,43 +194,27 @@ class GroupElement:
 IDENTITY_ELEMENT = GroupElement((0,), ())
 
 
-def _stable_step(e: int, last: int, sign: int, m: int, n: int) -> tuple[int | None, int]:
-    """a^e t^sign after t^last (0: none) as a^r t^sign a^carry, by
-    a^e t = a^(e mod m) t a^(n floor(e/m)) and a^e t^-1 = a^(e mod n)
-    t^-1 a^(m floor(e/n)).  r is None on a pinch (t^-1 a^(m q) t ->
-    a^(n q), t a^(n q) t^-1 -> a^(m q)): t^sign cancels t^last, and
-    a^carry joins the exponent before it."""
-    mod, out = (m, n) if sign > 0 else (n, m)
-    q, r = divmod(e, mod)
-    return (None if r == 0 and last == -sign else r), q * out
-
-
-def form_step(exps: tuple, stables: tuple, shift: int, sign: int, m: int, n: int):
-    """Canonical form (exps, stables) of g a^shift t^sign (sign 0: no
-    t) for g = (exps, stables): only the tail changes, in closed form."""
-    e = exps[-1] + shift
-    if not sign:
-        return exps[:-1] + (e,), stables
-    r, carry = _stable_step(e, stables[-1] if stables else 0, sign, m, n)
-    if r is None:
-        return exps[:-2] + (exps[-2] + carry,), stables[:-1]
-    return exps[:-1] + (r, carry), stables + (sign,)
-
-
 def _reduce_runs(run_iter, m: int, n: int) -> GroupElement:
-    # form_step's step on lists, so each letter costs O(1)
+    # the Britton step on lists, so each letter costs O(1)
     exps: list[int] = [0]
     stables: list[int] = []
     for kind, value in run_iter:
         if kind == "a":
             exps[-1] += value
             continue
-        r, carry = _stable_step(exps[-1], stables[-1] if stables else 0, value, m, n)
-        if r is None:
+        # a^e t = a^(e mod m) t a^(n floor(e/m)) and a^e t^-1 = a^(e mod n)
+        # t^-1 a^(m floor(e/n)), so with (q, r) = divmod(e, mod) the tail
+        # a^e t^value becomes a^r t^value a^(q out); r = 0 right after
+        # t^-value is a pinch (t^-1 a^(m q) t -> a^(n q), t a^(n q) t^-1
+        # -> a^(m q)): the two stable letters cancel, and a^(q out) joins
+        # the exponent before them
+        mod, out = (m, n) if value > 0 else (n, m)
+        q, r = divmod(exps[-1], mod)
+        if r == 0 and stables and stables[-1] == -value:
             del stables[-1], exps[-1]
-            exps[-1] += carry
+            exps[-1] += q * out
         else:
-            exps[-1:] = r, carry
+            exps[-1:] = r, q * out
             stables.append(value)
     return GroupElement(tuple(exps), tuple(stables))
 

@@ -131,7 +131,7 @@ def edge_colors(
     if denominator is None:
         denominator = grid_q(params, piece)
     row = RowColors(params, piece, x, piece_index, denominator)
-    return row.tile(lam.numerator, lam.denominator)
+    return row.run(lam.numerator, lam.denominator, 1)[0]
 
 
 class RowColors:
@@ -166,10 +166,6 @@ class RowColors:
         eq = _transport(params, piece, denominator)
         # D M / n row-major, D b / n, D / m
         self.coefs = (*eq.matrix, *(o // n for o in eq.offset), eq.top_weight)
-
-    def tile(self, a: int, c: int) -> Tile:
-        """Tile at lam = a/c, c > 0, not necessarily in lowest terms."""
-        return self.run(a, c, 1)[0]
 
     def run(self, a: int, c: int, count: int) -> list[Tile]:
         """Tiles at lam_k = a/c + k/m for k = 0 .. count-1, c > 0: the

@@ -14,17 +14,19 @@ The V rule is forced by the corner computation
 (g a^(j-1-k) t^-1) t a^k = g a^(j-1): both tiles color the edge from
 g a^(j-1) to g a^j.  Moving up (t^-1) is one forward application of the
 encoded map.  All of this runs on canonical forms in integers, one
-a-row at a time.  The cells h a^e of one head h form a row (an H-chain
-of the reduction); the patch maps each head to {e: position}.  One row
-walker (_partners) gives every cell its partners: within a row the H
-and I partners are entries e + m and e + 1, and the V partners lie in
-the rows h a^r t^-1 above, r < n, each canonical as it stands but for
-the pinch t a^0 t^-1 (g a^s t^-1 is then one divmod away).
-constraints_for lists the rules from it, search_patch takes its arcs
-from it, and every re-check of an assignment (check_assignment, a found
-search, an orbit witness) walks it comparing colors directly, building
-a Constraint only for a broken rule.  lambda steps by 1/m along a row,
-so the lambda of a row head (Patch.heads) and one RowColors.run tile a
+a-row at a time: build_patch refuses a cell that is not canonical, so a
+patch holds each group element once.  The cells h a^e of one head h
+form a row (an H-chain of the reduction); the patch maps each head to
+{e: position}.  One row walker (_partners) gives every cell its
+partners: within a row the H and I partners are entries e + m and
+e + 1, and the V partners lie in the rows h a^r t^-1 above, r < n,
+each canonical as it stands but for the pinch t a^0 t^-1 (g a^s t^-1
+is then one divmod away).  constraints_for lists the rules from it,
+search_patch takes its arcs from it, and every re-check of an
+assignment (check_assignment, a found search, an orbit witness) walks
+it comparing colors directly, building a Constraint only for a broken
+rule.  lambda steps by 1/m along a row, so the lambda of a row head
+(Patch.heads, which holds row heads only) and one RowColors.run tile a
 run of consecutive cells; RowColors holds x and f(x) as integers (a
 witness reads f(x) from the orbit), so a run is integer floor
 divisions only.  A cell is named by its position in the patch:
@@ -42,12 +44,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import OrbitTooShort
-from .group import (
-    BsParams,
-    GroupElement,
-    form_step,
-    lambda_parts,
-)
+from .group import BsParams, GroupElement, lambda_parts
 from .pam import CycleDetected, OrbitReport, PiecewiseAffineMap
 from .rationals import IntVec2, Vec2
 from .tileset import RowColors, Tile, Tileset, _color_range, color_denominator
@@ -57,10 +54,12 @@ from .tileset import RowColors, Tile, Tileset, _color_range, color_denominator
 class Patch:
     """Cells sorted canonically; a cell is named by its position in cells.
 
-    rows groups the cells by a-row: the cells g = h a^e of one head h
-    share (exps[:-1], stables) and differ in e = exps[-1], so rows maps
-    each head to {e: position}.  heads maps each row head (and the head
-    of g t for each cell g) to (num, den) = lambda_parts of h a^0.
+    Every cell is canonical (build_patch refuses one that is not), so
+    each cell is a distinct group element.  rows groups the cells by
+    a-row: the cells g = h a^e of one head h share (exps[:-1], stables)
+    and differ in e = exps[-1], so rows maps each head to {e: position}.
+    heads maps the same row heads, and only those, to (num, den) =
+    lambda_parts of h a^0.
     """
 
     params: BsParams
@@ -78,32 +77,25 @@ class Patch:
 
 
 def build_patch(params: BsParams, elements) -> Patch:
-    """Deduplicate, sort, and sanity-check a set of cell base elements."""
+    """Deduplicate and sort a set of cell base elements, one cell per
+    group element: each must be canonical (Britton-reduced) for params,
+    and ValueError names the first that is not."""
     cells = tuple(sorted(set(elements), key=GroupElement.sort_key))
     m, n = params.m, params.n
-    heads: dict[tuple, tuple[int, int]] = {}  # row head -> lambda_parts of h a^0
-
-    def lam(exps: tuple, stables: tuple) -> tuple[int, int]:
-        """lambda_parts of h a^e, as lambda(h) + e/m: one walk per head h."""
-        key = (exps[:-1], stables)
-        at = heads.get(key)
-        if at is None:
-            at = heads[key] = lambda_parts(params, GroupElement(exps[:-1] + (0,), stables))
-        num, den = at
-        return num + exps[-1] * (den // m), den
-
     rows: dict[tuple, dict[int, int]] = {}
     for i, g in enumerate(cells):
-        g_t = form_step(g.exps, g.stables, 0, 1, m, n)
-        # relator closure of the cell boundary: g a^m t = g t a^n
-        if form_step(g.exps, g.stables, m, 1, m, n) != form_step(*g_t, n, 0, m, n):
-            raise ValueError(f"cell boundary does not close at {g.to_text()}")
-        # lambda(g t) = (n/m) lambda(g), cross-multiplied
-        num, den = lam(g.exps, g.stables)
-        num_t, den_t = lam(*g_t)
-        if num_t * m * den != n * num * den_t:
-            raise ValueError(f"scale bookkeeping broken at {g.to_text()}")
-        rows.setdefault((g.exps[:-1], g.stables), {})[g.exps[-1]] = i
+        exps, stables = g.exps, g.stables
+        if len(exps) != len(stables) + 1:
+            raise ValueError(f"cell {g!r} is not canonical in BS({m},{n})")
+        # e stands before t^sign and after t^last (0: none)
+        for e, sign, last in zip(exps, stables, (0, *stables)):
+            if not 0 <= e < (m if sign > 0 else n) or (e == 0 and last == -sign):
+                raise ValueError(f"cell {g.to_text()} is not canonical in BS({m},{n})")
+        rows.setdefault((exps[:-1], stables), {})[exps[-1]] = i
+    heads = {
+        (head, stables): lambda_parts(params, GroupElement(head + (0,), stables))
+        for head, stables in rows
+    }
     return Patch(params, cells, rows, heads)
 
 
@@ -302,8 +294,10 @@ def row_top_reading(
     k+1 .. k+m and overlapping tiles must agree (checked).  Returns the
     colors with the covered index range [k_lo+1, k_hi+m]; against the
     balanced representation of f(x) these are indices at phase
-    m * lambda(g0).
+    m * lambda(g0).  An empty row covers no edges: ([], k_lo+1, k_lo).
     """
+    if not tiles:
+        return [], k_lo + 1, k_lo
     m = params.m
     k_hi = k_lo + len(tiles) - 1
     colors: list[IntVec2] = []

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from bsdomino.errors import ParseError
 from bsdomino.group import (
     BsParams,
-    GroupElement,
     IDENTITY_ELEMENT,
     alpha,
     beta,
     _text_runs,
     britton_reduce,
     element_from_text,
-    form_step,
     inverse,
     lambda_parts,
     lambda_val,
@@ -26,7 +24,6 @@ from support import (
     ALL_PARAMS,
     compose_alpha_check,
     insert_relator,
-    is_britton_reduced,
     random_word,
     reference_lambda,
     reference_phi,
@@ -258,24 +255,6 @@ def test_lambda_steps_on_elements(params, u):
     step_t = multiply(params, g, "t")
     assert lambda_val(params, step_t) == Fraction(params.n, params.m) * lam
     assert lam == lambda_val(params, u)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    params=ALL_PARAMS,
-    u=WORDS,
-    shift=st.integers(-5, 5),
-    sign=st.sampled_from((-1, 0, 1)),
-)
-def test_form_step_matches_multiply_and_phi(params, u, shift, sign):
-    g = britton_reduce(params, u)
-    assert is_britton_reduced(params, g.exps, g.stables)
-    step = ("a" if shift > 0 else "A") * abs(shift) + {1: "t", 0: "", -1: "T"}[sign]
-    exps, stables = form_step(g.exps, g.stables, shift, sign, params.m, params.n)
-    assert is_britton_reduced(params, exps, stables)
-    assert GroupElement(exps, stables) == multiply(params, g, step)
-    # phi of the letters involves no reduction step at all
-    assert phi(params, GroupElement(exps, stables)) == phi(params, u + step)
 
 
 @settings(max_examples=300, deadline=None)

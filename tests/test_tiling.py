@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -184,9 +185,50 @@ def test_patch_rows_partition_cells(params, words, radius):
 def test_patch_heads_hold_the_lambda_of_each_row_head(params, words, radius):
     random_patch = build_patch(params, (britton_reduce(params, w) for w in words))
     for patch in (build_ball_patch(params, radius), random_patch):
-        assert patch.rows.keys() <= patch.heads.keys()
+        assert patch.rows.keys() == patch.heads.keys()
         for (head, stables), lam in patch.heads.items():
             assert lam == lambda_parts(params, GroupElement(head + (0,), stables))
+
+
+def test_build_patch_refuses_non_canonical_cells():
+    cases = [
+        # a^2 t is t a^3: beside that canonical form it would be a second cell
+        (GroupElement((2, 0), (1,)), "a2 t"),
+        # one exponent too few: to_text would print a, so repr names it
+        (GroupElement((1,), (1,)), "GroupElement(exps=(1,), stables=(1,))"),
+        # t a^0 t^-1 is left to pinch
+        (GroupElement((0, 0, 0), (1, -1)), "t T"),
+        # 3 is no coset representative mod n = 3 before t^-1
+        (GroupElement((3, 1), (-1,)), "a3 T a"),
+    ]
+    for cell, name in cases:
+        message = f"^cell {re.escape(name)} is not canonical in BS\\(2,3\\)$"
+        with pytest.raises(ValueError, match=message):
+            build_patch(P23, [cell, element_from_text(P23, "a2 t"), IDENTITY_ELEMENT])
+
+
+# (exps, stables) with k stables and k to k + 2 exponents, most not canonical
+RAW_FORMS = st.integers(0, 3).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.integers(-2, 4), min_size=k, max_size=k + 2).map(tuple),
+        st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k).map(tuple),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=ALL_PARAMS, form=RAW_FORMS, word=WORDS)
+def test_build_patch_accepts_exactly_the_britton_reduced_cells(params, form, word):
+    exps, stables = form
+    try:
+        build_patch(params, [GroupElement(exps, stables)])
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == is_britton_reduced(params, exps, stables)
+    g = britton_reduce(params, word)
+    assert is_britton_reduced(params, g.exps, g.stables)
+    assert build_patch(params, [g]).cells == (g,)
 
 
 def neighbor_words(params):
@@ -272,6 +314,15 @@ def test_row_readings_match_balanced_windows():
         )
         concat.extend(colors)
     assert concat == list(balrep.window(x, 0, 1, 30).values)
+
+
+def test_row_readings_of_an_empty_row():
+    for params in (P23, BsParams(3, 2)):
+        for k_lo in (-4, 0, 7):
+            assert row_top_reading(params, [], k_lo) == ([], k_lo + 1, k_lo)
+            for phase in range(params.m):
+                colors, _, lo, hi = row_bottom_reading(params, [], k_lo, phase)
+                assert colors == [] and hi == lo - 1
 
 
 def test_row_constant_at_origin():
@@ -474,9 +525,9 @@ def test_assignment_orbit_too_short():
         assignment_from_orbit(P23, ESCAPE_MAP, report, patch)
 
 
-def test_build_patch_names_broken_scale_bookkeeping(monkeypatch):
+def test_witness_recheck_catches_broken_scale_bookkeeping(monkeypatch):
     # lambda is walked once per row head; a wrong value for the head of the
-    # row of t breaks lambda(e t) = (n/m) lambda(e) at the identity
+    # row of t skews the tiles of that row, and the witness re-check finds it
     honest = group.lambda_parts
     t_head = element_from_text(P23, "t")
 
@@ -485,10 +536,13 @@ def test_build_patch_names_broken_scale_bookkeeping(monkeypatch):
         return (num + 1, den) if w == t_head else (num, den)
 
     monkeypatch.setattr(tiling, "lambda_parts", skewed)
-    with pytest.raises(ValueError, match="scale bookkeeping broken at e$"):
-        build_ball_patch(P23, 1)
-    # cells that, like their t steps, lie outside the row of t are unaffected
-    assert build_patch(P23, [element_from_text(P23, "a"), element_from_text(P23, "a3")]).cells
+    params, pam, x = witness_map("identity-23")
+    ball = build_ball_patch(params, 4)
+    assert ball.heads[(0,), (1,)] == (1, 4)
+    with pytest.raises(AssertionError, match="^orbit assignment violates "):
+        assignment_from_orbit(params, pam, orbit(pam, x, 12), ball)
+    # at the origin every floor is 0, so the skewed tiles still tile
+    assignment_from_orbit(params, pam, orbit(pam, vec2(0, 0), 12), ball)
 
 
 # the four maps of the witness benchmark, a point each, and the sha256 of
@@ -851,7 +905,7 @@ def test_mixed_q_row_tiles_are_enumerated():
             x = random_point_in(rng, piece.square)
             row = RowColors(P23, piece, x, index, den)
             for lam in (random_rational(rng, 20, 15) for _ in range(3)):
-                assert row.tile(lam.numerator, lam.denominator) in members
+                assert row.run(lam.numerator, lam.denominator, 1)[0] in members
 
 
 def test_mixed_q_h_rule_joins_pieces():
