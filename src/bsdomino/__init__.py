@@ -22,7 +22,7 @@ from .group import (
     multiply,
     phi,
 )
-from .rationals import Mat2, Rat, Vec2, mat2, vec2
+from .rationals import Mat2, Vec2, mat2, vec2
 from .balrep import BalancedWindow, average_error, b_k, window
 from .pam import (
     AffinePiece,

@@ -60,12 +60,9 @@ def b_k(x: Vec2, z, k: int) -> IntVec2:
 
 @dataclass(frozen=True)
 class BalancedWindow:
-    """Consecutive terms B_{k_lo} .. B_{k_hi} of one balanced representation."""
+    """Consecutive terms B_{k_lo} .. B_{k_hi} of one balanced representation,
+    in order; window(x, z, k_lo, k_hi) builds them."""
 
-    x: Vec2
-    z: Fraction
-    k_lo: int
-    k_hi: int
     values: tuple[IntVec2, ...]
 
 
@@ -74,7 +71,7 @@ def window(x: Vec2, z, k_lo: int, k_hi: int) -> BalancedWindow:
         raise BadRange(f"k_lo={k_lo} exceeds k_hi={k_hi}")
     z = as_rat(z)
     floors = scaled_floors(parts(x), z.numerator, z.denominator, k_lo - 1, k_hi)
-    return BalancedWindow(x, z, k_lo, k_hi, differences(floors))
+    return BalancedWindow(differences(floors))
 
 
 def window_sum(w: BalancedWindow) -> IntVec2:

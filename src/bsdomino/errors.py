@@ -8,14 +8,9 @@ class BsDominoError(Exception):
 class ParseError(BsDominoError):
     """Malformed textual input (word syntax, map spec, tileset file).
 
-    ``position`` is the character offset of the offending token when known.
+    The message names the offending token and, when known, its place
+    (a character offset or a line number).
     """
-
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
 
 
 class BadRange(BsDominoError):
@@ -36,10 +31,3 @@ class OrbitTooShort(BsDominoError):
 
 class EnumerationTooLarge(BsDominoError):
     """Tile enumeration would exceed the configured candidate cap."""
-
-    def __init__(self, candidates: int, cap: int):
-        super().__init__(
-            f"tile enumeration needs {candidates} candidates, cap is {cap}"
-        )
-        self.candidates = candidates
-        self.cap = cap

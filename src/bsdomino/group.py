@@ -65,7 +65,7 @@ def _text_runs(text: str):
             i += 1
             continue
         if ch not in ALPHABET:
-            raise ParseError(f"unexpected character {ch!r}", position=i)
+            raise ParseError(f"unexpected character {ch!r} (at position {i})")
         i += 1
         exp = 1
         if i < size and (text[i].isdigit() or text[i] == "-"):
@@ -73,7 +73,7 @@ def _text_runs(text: str):
             while j < size and text[j].isdigit():
                 j += 1
             if j == i + 1 and text[i] == "-":
-                raise ParseError("dangling '-' after letter", position=i)
+                raise ParseError(f"dangling '-' after letter (at position {i})")
             exp = int(text[i:j])
             i = j
         sign = -1 if ch.isupper() or exp < 0 else 1

@@ -118,7 +118,8 @@ OrbitOutcome = EscapedAfter | AliveUpTo | CycleDetected
 
 @dataclass(frozen=True)
 class OrbitReport:
-    start: Vec2
+    """An orbit's in-domain states, the first at its start, and its end."""
+
     states: tuple[tuple[int, Vec2], ...]  # (piece index, point), in-domain only
     outcome: OrbitOutcome
 
@@ -134,13 +135,13 @@ def orbit(f: PiecewiseAffineMap, x: Vec2, max_steps: int) -> OrbitReport:
     for step in range(1, max_steps + 1):
         current = f.pieces[states[-1][0]].apply(current)
         if current in seen:
-            return OrbitReport(x, tuple(states), CycleDetected(seen[current], step))
+            return OrbitReport(tuple(states), CycleDetected(seen[current], step))
         nxt = locate_piece(f, current)
         if nxt is None:
-            return OrbitReport(x, tuple(states), EscapedAfter(step))
+            return OrbitReport(tuple(states), EscapedAfter(step))
         states.append((nxt, current))
         seen[current] = step
-    return OrbitReport(x, tuple(states), AliveUpTo(max_steps))
+    return OrbitReport(tuple(states), AliveUpTo(max_steps))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-Rat = Fraction
-
 IntVec2 = tuple[int, int]
 
 

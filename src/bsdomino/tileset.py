@@ -180,8 +180,6 @@ class RowColors:
         m apart from t = n k.  The error colors are integer numerators
         over D, as in the module docstring.
         """
-        if count <= 0:
-            return []
         m, n, piece = self.m, self.n, self.piece_index
         k11, k12, k21, k22, o1, o2, w = self.coefs
         ma, mc, mn = m * a, m * c, m * n
@@ -394,7 +392,9 @@ def enumerate_tileset(
         max_candidates = int(os.environ.get(CAP_ENV_VAR, DEFAULT_CANDIDATE_CAP))
     total = candidate_count(params, f)
     if total > max_candidates:
-        raise EnumerationTooLarge(total, max_candidates)
+        raise EnumerationTooLarge(
+            f"tile enumeration needs {total} candidates, cap is {max_candidates}"
+        )
 
     m, n = params.m, params.n
     den = color_denominator(params, f.pieces)

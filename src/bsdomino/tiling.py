@@ -445,7 +445,11 @@ def search_patch(
     node each, so the search is deterministic.  Propagation only drops
     tiles that no tiling extending the current assignment can use, so an
     ExhaustedNoTiling result is a complete refutation; a Found result is
-    re-checked on the row walk (_partners) that gave the arcs.
+    re-checked on the row walk (_partners) that gave the arcs.  The box
+    filter, which refutes at 0 nodes, reads the pieces' label boxes and
+    not the tiles: its refutation is a proof only for tilesets whose
+    labels lie in their pieces' boxes, as in every enumerated tileset and
+    every tileset verify_tileset accepts.
     """
     params = tileset.params
     cells = patch.cells

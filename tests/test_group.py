@@ -53,10 +53,14 @@ def test_parse_word_syntax():
 
 
 def test_parse_word_rejects_garbage():
-    with pytest.raises(ParseError):
-        text_runs("a b")
-    with pytest.raises(ParseError):
-        text_runs("a-")
+    for text, message in [
+        ("a b", "unexpected character 'b' (at position 2)"),
+        ("ax", "unexpected character 'x' (at position 1)"),
+        ("a-", "dangling '-' after letter (at position 1)"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            text_runs(text)
+        assert str(info.value) == message
     with pytest.raises(TypeError):
         beta(("a", "t"))
 

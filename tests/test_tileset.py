@@ -138,16 +138,17 @@ def test_edge_colors_match_fraction_oracle(data):
 def test_row_run_matches_fraction_oracle():
     # tile k of run(a, c, count) is the tile at lam = a/c + k/m; rows
     # start at negative and positive lam, run shorter than a phase, one
-    # tile per phase and 41 tiles (the benchmark row), on every map
+    # tile per phase and 41 tiles (the benchmark row), on every map; a
+    # count of zero or below makes no tile
     rng = Random(43)
     for params, index, piece, den in MAP_PIECES:
         m = params.m
-        for count in (0, 1, m - 1, m, m + 1, 41):
+        for count in (0, 1, m - 1, m, m + 1, 41, -1, -3):
             for a in (-rng.randint(1, 300), 0, rng.randint(1, 300)):
                 c = rng.randint(1, 60)
                 x = random_point_in(rng, piece.square, 40)
                 tiles = RowColors(params, piece, x, index, den).run(a, c, count)
-                assert len(tiles) == count
+                assert len(tiles) == max(count, 0)
                 for k, tile in enumerate(tiles):
                     lam = Fraction(a, c) + Fraction(k, m)
                     assert tile == reference_edge_colors(params, piece, lam, x, index, den)
@@ -351,8 +352,9 @@ def test_enumerate_one_two_shapes():
 
 
 def test_enumerate_cap():
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(EnumerationTooLarge) as info:
         enumerate_tileset(P23, IDENTITY_MAP, max_candidates=10)
+    assert str(info.value) == "tile enumeration needs 36864 candidates, cap is 10"
 
 
 def test_export_round_trip():

@@ -3,6 +3,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 
@@ -36,6 +37,7 @@ from bsdomino.rationals import IDENTITY2, mat2, vec2
 from bsdomino.tileset import (
     RowColors,
     Tileset,
+    _color_range,
     color_denominator,
     edge_colors,
     enumerate_tileset,
@@ -377,6 +379,20 @@ def test_search_escape_exhausted():
     result = search_patch(ts, row)
     assert isinstance(result, Found) and result.nodes == 3
     assert not check_assignment(P23, row, result.assignment)
+
+
+def test_escape_labels_lie_in_their_piece_boxes():
+    # the box filter reads the pieces' boxes, not the tiles, so its 0-node
+    # refutation of escape is a proof only because every tile's bottom and
+    # top colors lie in its piece's boxes
+    ts = compiled("escape")
+    boxes = [
+        (set(_color_range(meta.bottom_box)), set(_color_range(meta.top_box)))
+        for meta in ts.piece_meta
+    ]
+    for (piece, bottom, top), _ in itertools.groupby(ts.tiles, itemgetter(0, 1, 2)):
+        bottom_box, top_box = boxes[piece]
+        assert bottom_box.issuperset(bottom) and top_box.issuperset(top)
 
 
 @pytest.mark.parametrize(
