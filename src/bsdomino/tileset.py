@@ -59,6 +59,11 @@ sharing (piece, bottom, top), and a run's lines share their label prefix
 'piece | bottom: ... | top: ... | l: ': export formats it once, parse
 reads it once, and verify bounds it once (the transport equation's
 right side and the grid box over D), leaving two colors per tile.
+enumerate builds a run at a time too: a run's right - left is one
+vector b over q, a term of its bottom minus a term of its top, and all
+the runs with the same b share one pair of lists, the grid colors left
+with left + b on the grid box and those rights, so a run is one zip of
+that pair.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, groupby, product
+from itertools import chain, groupby, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -366,16 +371,42 @@ def _color_range(box: tuple[IntVec2, IntVec2]):
     ]
 
 
-def candidate_count(params: BsParams, f: PiecewiseAffineMap) -> int:
+def _candidate_cap() -> int:
+    """The cap CAP_ENV_VAR sets, DEFAULT_CANDIDATE_CAP when it is unset."""
+    text = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CANDIDATE_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from None
+
+
+def _candidate_count(params: BsParams, metas: Iterable[PieceMeta]) -> int:
     total = 0
-    for piece in f.pieces:
-        meta = piece_meta(params, piece)
+    for meta in metas:
         (blo, bhi), (tlo, thi), eb = meta.bottom_box, meta.top_box, meta.ell
         n_bottom = ((bhi[0] - blo[0] + 1) * (bhi[1] - blo[1] + 1)) ** params.n
         n_top = ((thi[0] - tlo[0] + 1) * (thi[1] - tlo[1] + 1)) ** params.m
         n_ell = (eb.p2[0] - eb.p1[0] + 1) * (eb.p2[1] - eb.p1[1] + 1)
         total += n_bottom * n_top * n_ell
     return total
+
+
+def candidate_count(params: BsParams, f: PiecewiseAffineMap) -> int:
+    return _candidate_count(params, (piece_meta(params, piece) for piece in f.pieces))
+
+
+def _color_lists(grid: list[list[IntVec2]], b1: int, b2: int):
+    """(lefts, rights): the grid colors left, row by row, for which
+    right = left + (b1, b2) is on the grid too, and those rights.  A
+    shift wider than the grid leaves no pair, and two empty lists."""
+    w1, w2 = len(grid) - 1, len(grid[0]) - 1
+    if abs(b1) > w1 or abs(b2) > w2:
+        return [], []
+    rows = range(max(0, -b1), min(w1, w1 - b1) + 1)
+    lo, hi = max(0, -b2), min(w2, w2 - b2) + 1
+    lefts = list(chain.from_iterable(grid[i][lo:hi] for i in rows))
+    rights = list(chain.from_iterable(grid[i + b1][lo + b2 : hi + b2] for i in rows))
+    return lefts, rights
 
 
 def enumerate_tileset(
@@ -389,39 +420,50 @@ def enumerate_tileset(
     reduction needs.
     """
     if max_candidates is None:
-        max_candidates = int(os.environ.get(CAP_ENV_VAR, DEFAULT_CANDIDATE_CAP))
-    total = candidate_count(params, f)
+        max_candidates = _candidate_cap()
+    metas = [piece_meta(params, piece) for piece in f.pieces]
+    total = _candidate_count(params, metas)
     if total > max_candidates:
         raise EnumerationTooLarge(
             f"tile enumeration needs {total} candidates, cap is {max_candidates}"
         )
 
     m, n = params.m, params.n
-    den = color_denominator(params, f.pieces)
+    den = lcm_all(meta.ell.q for meta in metas)
     tiles: list[Tile] = []
-    for index, piece in enumerate(f.pieces):
-        meta = piece_meta(params, piece)
+    for index, (piece, meta) in enumerate(zip(f.pieces, metas)):
         eb = meta.ell
         # over q the transport equation has integer coefficients; grid[i][j]
         # is the color (p1 + (i, j)) / q over D, one tuple for all its tiles
         eq = _transport(params, piece, eb.q)
         step = den // eb.q
         (p11, p12), (p21, p22) = eb.p1, eb.p2
-        w1, w2 = p21 - p11, p22 - p12
         grid = [
-            [((p11 + i) * step, (p12 + j) * step) for j in range(w2 + 1)]
-            for i in range(w1 + 1)
+            [((p11 + i) * step, (p12 + j) * step) for j in range(p22 - p12 + 1)]
+            for i in range(p21 - p11 + 1)
         ]
-        tops = list(product(_color_range(meta.top_box), repeat=m))
+        # the run of (bottom, top) has right - left = b over q, the bottom's
+        # term minus the top's; its tiles are the pairs of b's color lists
+        k11, k12, k21, k22 = eq.matrix
+        o1, o2 = eq.offset
+        w = eq.top_weight
+        weighted_tops = [
+            (top, w * sum(c1 for c1, _ in top), w * sum(c2 for _, c2 in top))
+            for top in product(_color_range(meta.top_box), repeat=m)
+        ]
+        by_rhs: dict[IntVec2, tuple[list, list]] = {}
         for bottom in product(_color_range(meta.bottom_box), repeat=n):
-            for top in tops:
-                # right = left + b, both in the grid box
-                b1, b2 = _transport_rhs(eq, bottom, top)
-                for i in range(max(0, -b1), min(w1, w1 - b1) + 1):
-                    lefts, rights = grid[i], grid[i + b1]
-                    for j in range(max(0, -b2), min(w2, w2 - b2) + 1):
-                        tiles.append((index, bottom, top, lefts[j], rights[j + b2]))
-    # the loops run in tile order and right follows from left: no sort needed
+            s1 = sum(c1 for c1, _ in bottom)
+            s2 = sum(c2 for _, c2 in bottom)
+            u1, u2 = k11 * s1 + k12 * s2 + o1, k21 * s1 + k22 * s2 + o2
+            for top, t1, t2 in weighted_tops:
+                b = (u1 - t1, u2 - t2)
+                pairs = by_rhs.get(b)
+                if pairs is None:
+                    pairs = by_rhs[b] = _color_lists(grid, *b)
+                tiles.extend(zip(repeat(index), repeat(bottom), repeat(top), *pairs))
+    # bottoms, tops and each run's lefts come in order, and right follows
+    # from left: the tiles are in tile order, no sort needed
     return Tileset(params, f, tuple(tiles))
 
 

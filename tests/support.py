@@ -6,6 +6,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import product
 from random import Random
 
 from hypothesis import strategies as st
@@ -33,9 +34,13 @@ from bsdomino.tileset import (
     _fmt_over,
     _parse_colors,
     _parse_error,
+    _transport,
+    _transport_rhs,
     _unlabel,
+    color_denominator,
     edge_colors,
     grid_q,
+    piece_meta,
 )
 from bsdomino.tiling import (
     BudgetExceeded,
@@ -170,6 +175,35 @@ def holds_for(ell: EllBounds, color: IntVec2, step: int = 1) -> bool:
         and ell.p1[1] * step <= c2 <= ell.p2[1] * step
         and not (c1 % step or c2 % step)
     )
+
+
+def reference_enumerate(params: BsParams, f: PiecewiseAffineMap) -> tuple[Tile, ...]:
+    """The tiles enumerate_tileset gives, built one at a time: for every
+    bottom and top in the piece's label boxes, every left on its grid box
+    whose right = left + the transport right side is on it too."""
+    m, n = params.m, params.n
+    den = color_denominator(params, f.pieces)
+    tiles: list[Tile] = []
+    for index, piece in enumerate(f.pieces):
+        meta = piece_meta(params, piece)
+        eb = meta.ell
+        eq = _transport(params, piece, eb.q)
+        step = den // eb.q
+        (p11, p12), (p21, p22) = eb.p1, eb.p2
+        w1, w2 = p21 - p11, p22 - p12
+        grid = [
+            [((p11 + i) * step, (p12 + j) * step) for j in range(w2 + 1)]
+            for i in range(w1 + 1)
+        ]
+        tops = list(product(_color_range(meta.top_box), repeat=m))
+        for bottom in product(_color_range(meta.bottom_box), repeat=n):
+            for top in tops:
+                b1, b2 = _transport_rhs(eq, bottom, top)
+                for i in range(max(0, -b1), min(w1, w1 - b1) + 1):
+                    lefts, rights = grid[i], grid[i + b1]
+                    for j in range(max(0, -b2), min(w2, w2 - b2) + 1):
+                        tiles.append((index, bottom, top, lefts[j], rights[j + b2]))
+    return tuple(tiles)
 
 
 def reference_export_lines(tiles, denominator: int) -> list[str]:

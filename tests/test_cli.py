@@ -434,3 +434,34 @@ def test_enumeration_cap_env(tmp_path, capsys, identity_map, monkeypatch):
     out = str(tmp_path / "t.tiles")
     assert main(["compile", identity_map, "--out", out]) == 3
     assert "candidates" in capsys.readouterr().err
+
+
+def test_malformed_cap_env_is_bad_input(tmp_path, capsys, identity_map, monkeypatch):
+    monkeypatch.setenv("BSDOMINO_MAX_TILES", "abc")
+    out = tmp_path / "t.tiles"
+    assert main(["compile", identity_map, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BSDOMINO_MAX_TILES must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
+# the export sha256 of every committed map: the five perfbench/expected.json
+# pins, and shift3-23
+EXPORT_PINS = {
+    entry["path"]: entry["sha256"]
+    for entry in json.loads((MAPS.parent / "perfbench" / "expected.json").read_text())[
+        "maps"
+    ].values()
+}
+EXPORT_PINS["maps/shift3-23.map"] = (
+    "045e6cb4a184d3f9701c708450bd651e9fa753c7b50547b927882f226eeaaf4e"
+)
+
+
+@pytest.mark.parametrize("path", sorted(EXPORT_PINS))
+def test_compile_writes_the_pinned_export(tmp_path, capsys, path):
+    out = tmp_path / "map.tiles"
+    assert main(["compile", str(MAPS.parent / path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sha256(out.read_bytes()) == EXPORT_PINS[path]

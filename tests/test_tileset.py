@@ -1,6 +1,7 @@
 import gc
 import re
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -16,6 +17,10 @@ from bsdomino.rationals import IDENTITY2, Vec2, fmt_rat, mat2, vec2
 from bsdomino.tileset import (
     RowColors,
     Tileset,
+    _color_lists,
+    _color_range,
+    _transport,
+    _transport_rhs,
     bottom_label_box,
     color_denominator,
     edge_colors,
@@ -24,6 +29,7 @@ from bsdomino.tileset import (
     export_lines,
     export_tileset,
     parse_tileset,
+    piece_meta,
     tile_lines,
     tile_to_line,
     top_label_box,
@@ -40,6 +46,7 @@ from support import (
     random_point_in,
     random_rational,
     reference_edge_colors,
+    reference_enumerate,
     reference_export_lines,
     reference_tile_lines,
     reference_verify,
@@ -355,6 +362,77 @@ def test_enumerate_cap():
     with pytest.raises(EnumerationTooLarge) as info:
         enumerate_tileset(P23, IDENTITY_MAP, max_candidates=10)
     assert str(info.value) == "tile enumeration needs 36864 candidates, cap is 10"
+
+
+# every map of the repository, and the mixed-q and BS(1,2) fixtures
+ENUMERATE_CASES = {
+    **{path.stem: load_map(str(path)) for path in MAP_FILES},
+    "mixed-q": (P23, MIXED_Q_MAP),
+    "bs12": (BsParams(1, 2), IDENTITY_MAP),
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATE_CASES)
+def test_enumerate_matches_reference(name):
+    params, pam = ENUMERATE_CASES[name]
+    tiles = enumerate_tileset(params, pam).tiles
+    assert tiles == reference_enumerate(params, pam)
+    # the tiles of a piece share one tuple per grid color
+    for index in range(len(pam.pieces)):
+        colors = [color for tile in tiles if tile[0] == index for color in tile[3:]]
+        assert len({id(color) for color in colors}) == len(set(colors))
+
+
+def _overhangs(params: BsParams, piece: AffinePiece) -> set[str]:
+    """The sides of the grid box that some run's right side b lies beyond:
+    '1-' when b1 < -w1, '1+' when b1 > w1, and so on, w the box's widths."""
+    meta = piece_meta(params, piece)
+    (p11, p12), (p21, p22) = meta.ell.p1, meta.ell.p2
+    w1, w2 = p21 - p11, p22 - p12
+    eq = _transport(params, piece, meta.ell.q)
+    sides = set()
+    for bottom in product(_color_range(meta.bottom_box), repeat=params.n):
+        for top in product(_color_range(meta.top_box), repeat=params.m):
+            b1, b2 = _transport_rhs(eq, bottom, top)
+            sides.update(
+                side for side, beyond in
+                (("1-", b1 < -w1), ("1+", b1 > w1), ("2-", b2 < -w2), ("2+", b2 > w2))
+                if beyond
+            )
+    return sides
+
+
+# (m, n, s): the maps x -> diag(+-s, +-s) x on BS(m,n) have runs whose
+# right side lies beyond the grid box on both sides of both components,
+# at under 40,000 candidates
+OVERHANG_CASES = [(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 2, 2), (1, 3, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_enumerate_matches_reference_beyond_the_grid(data):
+    m, n, s = data.draw(st.sampled_from(OVERHANG_CASES))
+    s1, s2 = (data.draw(st.sampled_from([-s, s])) for _ in range(2))
+    c1, c2 = (data.draw(st.integers(-3, 3)) for _ in range(2))
+    params = BsParams(m, n)
+    piece = AffinePiece(UnitSquare(c1, c2), mat2([[s1, 0], [0, s2]]), vec2(0, 0))
+    assert _overhangs(params, piece) == {"1-", "1+", "2-", "2+"}
+    pam = PiecewiseAffineMap((piece,))
+    assert enumerate_tileset(params, pam).tiles == reference_enumerate(params, pam)
+
+
+def test_color_lists_pair_each_left_with_its_right():
+    # a 3 x 4 grid holding its own indices; shifts up to two past its
+    # widths make slice bounds that would count from the end of a row
+    grid = [[(i, j) for j in range(4)] for i in range(3)]
+    for b1 in range(-4, 5):
+        for b2 in range(-5, 6):
+            lefts = [
+                (i, j) for i in range(3) for j in range(4)
+                if 0 <= i + b1 < 3 and 0 <= j + b2 < 4
+            ]
+            rights = [(i + b1, j + b2) for i, j in lefts]
+            assert _color_lists(grid, b1, b2) == (lefts, rights)
 
 
 def test_export_round_trip():
