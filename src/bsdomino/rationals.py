@@ -98,10 +98,3 @@ def mat2(rows) -> Mat2:
 
 
 IDENTITY2 = Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out

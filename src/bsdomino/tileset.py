@@ -86,7 +86,6 @@ from .rationals import (
     Vec2,
     as_rat,
     fmt_rat,
-    lcm_all,
     mat2,
     vec2,
 )
@@ -109,13 +108,13 @@ def grid_q(params: BsParams, piece: AffinePiece) -> int:
     (1/q) Z^2."""
     dens = [e.denominator for e in piece.matrix.entries()]
     dens += [piece.offset.x1.denominator, piece.offset.x2.denominator]
-    return lcm_all([params.m, *(params.n * d for d in dens)])
+    return math.lcm(params.m, *(params.n * d for d in dens))
 
 
 def color_denominator(params: BsParams, pieces: Iterable[AffinePiece]) -> int:
     """D, the lcm of the pieces' q: the tiles of a map carry their error
     colors as integer numerators over the D of its pieces."""
-    return lcm_all(grid_q(params, piece) for piece in pieces)
+    return math.lcm(*(grid_q(params, piece) for piece in pieces))
 
 
 def edge_colors(
@@ -358,10 +357,10 @@ class Tileset:
     denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        metas = tuple(piece_meta(self.params, piece) for piece in self.pam.pieces)
+        params, pieces = self.params, self.pam.pieces
+        metas = tuple(piece_meta(params, piece) for piece in pieces)
         object.__setattr__(self, "piece_meta", metas)
-        # D, the lcm of the pieces' q: every error color is an integer pair over it
-        object.__setattr__(self, "denominator", lcm_all(meta.ell.q for meta in metas))
+        object.__setattr__(self, "denominator", color_denominator(params, pieces))
 
 
 def _color_range(box: tuple[IntVec2, IntVec2]):
@@ -409,9 +408,7 @@ def _color_lists(grid: list[list[IntVec2]], b1: int, b2: int):
     return lefts, rights
 
 
-def enumerate_tileset(
-    params: BsParams, f: PiecewiseAffineMap, max_candidates: int | None = None
-) -> Tileset:
+def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
     """All tiles with labels in the piece boxes that satisfy the transport
     equation with both error colors on the bounds grid.
 
@@ -419,8 +416,7 @@ def enumerate_tileset(
     pairs but contains every one of them, which is the direction the
     reduction needs.
     """
-    if max_candidates is None:
-        max_candidates = _candidate_cap()
+    max_candidates = _candidate_cap()
     metas = [piece_meta(params, piece) for piece in f.pieces]
     total = _candidate_count(params, metas)
     if total > max_candidates:
@@ -429,7 +425,7 @@ def enumerate_tileset(
         )
 
     m, n = params.m, params.n
-    den = lcm_all(meta.ell.q for meta in metas)
+    den = color_denominator(params, f.pieces)
     tiles: list[Tile] = []
     for index, (piece, meta) in enumerate(zip(f.pieces, metas)):
         eb = meta.ell
@@ -580,7 +576,7 @@ def _parse_piece(params: BsParams, line: str, index: int) -> AffinePiece:
         mat2([row.split(",") for row in _inner(matrix).split(";")]),
         vec2(b1, b2),
     )
-    ell = piece_meta(params, piece).ell
+    ell = ell_bounds(params, piece)
     declared = EllBounds(_parse_ivec(p1), _parse_ivec(p2), int(q))
     if declared != ell:
         raise ParseError(

@@ -290,25 +290,22 @@ def row_top_reading(
 ) -> tuple[list[IntVec2], int, int]:
     """Colors of the geometric top edges covered by a simulated row.
 
-    Edge s runs from g0 a^(s-1) to g0 a^s; tile k covers edges
-    k+1 .. k+m and overlapping tiles must agree (checked).  Returns the
-    colors with the covered index range [k_lo+1, k_hi+m]; against the
-    balanced representation of f(x) these are indices at phase
-    m * lambda(g0).  An empty row covers no edges: ([], k_lo+1, k_lo).
+    Edge s runs from g0 a^(s-1) to g0 a^s and tile k covers edges
+    k+1 .. k+m, so the row reads tile k_lo's m tops, then the last top
+    of each later tile.  Neighbouring tiles must agree on the m-1 edges
+    they share (checked); by transitivity every tile covering an edge
+    then agrees.  Returns the colors with the covered index range
+    [k_lo+1, k_hi+m]; against the balanced representation of f(x) these
+    are indices at phase m * lambda(g0).  An empty row covers no edges:
+    ([], k_lo+1, k_lo).
     """
     if not tiles:
         return [], k_lo + 1, k_lo
-    m = params.m
-    k_hi = k_lo + len(tiles) - 1
-    colors: list[IntVec2] = []
-    for s in range(k_lo + 1, k_hi + m + 1):
-        seen = set()
-        for k in range(max(k_lo, s - m), min(k_hi, s - 1) + 1):
-            seen.add(tiles[k - k_lo][2][s - k - 1])  # top colors
-        if len(seen) != 1:
-            raise AssertionError(f"overlapping top colors disagree at edge {s}")
-        colors.append(seen.pop())
-    return colors, k_lo + 1, k_hi + m
+    for k, (tile, nxt) in enumerate(zip(tiles, tiles[1:]), k_lo):
+        if tile[2][1:] != nxt[2][:-1]:  # top colors
+            raise AssertionError(f"top colors of tiles {k} and {k + 1} disagree")
+    colors = [*tiles[0][2], *(tile[2][-1] for tile in tiles[1:])]
+    return colors, k_lo + 1, k_lo + len(tiles) - 1 + params.m
 
 
 def row_bottom_reading(
@@ -316,25 +313,24 @@ def row_bottom_reading(
 ) -> tuple[list[IntVec2], Fraction, int, int]:
     """Bottom colors on the phase-th lower line under a simulated row.
 
-    Tiles at k = phase (mod m) hang into the same lower sheet; tile
-    k = phase + s m contributes indices s n + 1 .. s n + n of the
-    balanced representation at z = n lambda(g0 a^phase).  Returns
-    (colors, phase offset n*phase/m relative to n lambda(g0), first
-    index, last index); empty ranges yield no colors.
+    The tiles at k = phase (mod m), every m-th tile of the row from
+    position (phase - k_lo) mod m on, hang into the same lower sheet:
+    tile k = phase + s m holds indices s n + 1 .. s n + n of the
+    balanced representation at z = n lambda(g0 a^phase), so their
+    bottoms, concatenated, are the window from s0 n + 1, s0 being the s
+    of the first of them.  Returns (colors, phase offset n*phase/m
+    relative to n lambda(g0), first index, last index); empty ranges
+    yield no colors.
     """
     m, n = params.m, params.n
-    k_hi = k_lo + len(tiles) - 1
     z_shift = Fraction(n * phase, m)
-    s_values = [
-        (k - phase) // m for k in range(k_lo, k_hi + 1) if (k - phase) % m == 0
-    ]
-    if not s_values:
+    first = (phase - k_lo) % m  # the row position of the first such tile
+    stack = tiles[first::m]
+    if not stack:
         return [], z_shift, 1, 0
-    colors: list[IntVec2] = []
-    for s in s_values:
-        k = phase + s * m
-        colors.extend(tiles[k - k_lo][1])  # bottom colors
-    return colors, z_shift, s_values[0] * n + 1, s_values[-1] * n + n
+    s0 = (k_lo + first - phase) // m
+    colors = [color for tile in stack for color in tile[1]]  # bottom colors
+    return colors, z_shift, s0 * n + 1, (s0 + len(stack)) * n
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,47 @@ def reference_edge_colors(
     )
 
 
+def reference_row_top_reading(
+    params: BsParams, tiles: list[Tile], k_lo: int
+) -> tuple[list[IntVec2], int, int]:
+    """tiling.row_top_reading edge by edge: each top edge s from the set
+    of the colors every tile covering it gives, which must be one."""
+    if not tiles:
+        return [], k_lo + 1, k_lo
+    m = params.m
+    k_hi = k_lo + len(tiles) - 1
+    colors: list[IntVec2] = []
+    for s in range(k_lo + 1, k_hi + m + 1):
+        seen = set()
+        for k in range(max(k_lo, s - m), min(k_hi, s - 1) + 1):
+            seen.add(tiles[k - k_lo][2][s - k - 1])  # top colors
+        if len(seen) != 1:
+            raise AssertionError(f"overlapping top colors disagree at edge {s}")
+        colors.append(seen.pop())
+    return colors, k_lo + 1, k_hi + m
+
+
+def reference_row_bottom_reading(
+    params: BsParams, tiles: list[Tile], k_lo: int, phase: int
+) -> tuple[list[IntVec2], Fraction, int, int]:
+    """tiling.row_bottom_reading by filtering: every k of the row at
+    k = phase (mod m), as s with k = phase + s m, each tile's bottoms
+    at s n + 1 .. s n + n."""
+    m, n = params.m, params.n
+    k_hi = k_lo + len(tiles) - 1
+    z_shift = Fraction(n * phase, m)
+    s_values = [
+        (k - phase) // m for k in range(k_lo, k_hi + 1) if (k - phase) % m == 0
+    ]
+    if not s_values:
+        return [], z_shift, 1, 0
+    colors: list[IntVec2] = []
+    for s in s_values:
+        k = phase + s * m
+        colors.extend(tiles[k - k_lo][1])  # bottom colors
+    return colors, z_shift, s_values[0] * n + 1, s_values[-1] * n + n
+
+
 def compose_alpha_check(params: BsParams, u, v) -> bool:
     """alpha(u v) == alpha(u) + (m/n)^(-beta(u)) alpha(v), exactly, for
     words u and v in text."""

@@ -358,9 +358,10 @@ def test_enumerate_one_two_shapes():
     assert all(len(bottom) == 2 and len(top) == 1 for _, bottom, top, _, _ in ts.tiles)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setenv("BSDOMINO_MAX_TILES", "10")
     with pytest.raises(EnumerationTooLarge) as info:
-        enumerate_tileset(P23, IDENTITY_MAP, max_candidates=10)
+        enumerate_tileset(P23, IDENTITY_MAP)
     assert str(info.value) == "tile enumeration needs 36864 candidates, cap is 10"
 
 

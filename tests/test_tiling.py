@@ -73,6 +73,8 @@ from support import (
     reference_constraints,
     reference_edge_colors,
     reference_edge_masks,
+    reference_row_bottom_reading,
+    reference_row_top_reading,
     reference_search,
     reference_violations,
 )
@@ -325,6 +327,68 @@ def test_row_readings_of_an_empty_row():
             for phase in range(params.m):
                 colors, _, lo, hi = row_bottom_reading(params, [], k_lo, phase)
                 assert colors == [] and hi == lo - 1
+
+
+# every committed map in its own group, and with the group overridden to
+# m = 1 and to n = 1: rows with no overlapping tops, and one bottom per tile
+ROW_MAP_FILES = sorted(ROOT.glob("maps/*.map")) + sorted(ROOT.glob("perfbench/maps/*.map"))
+ROW_CASES = [
+    (group, pam)
+    for params, pam in (load_map(str(path)) for path in ROW_MAP_FILES)
+    for group in (params, BsParams(1, params.n), BsParams(params.m, 1))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_readings_match_reference(data):
+    params, pam = data.draw(st.sampled_from(ROW_CASES))
+    index = data.draw(st.integers(0, len(pam.pieces) - 1))
+    square = pam.pieces[index].square
+    offsets = []
+    for _ in range(2):
+        den = data.draw(st.integers(1, 40))
+        offsets.append(Fraction(data.draw(st.integers(0, den - 1)), den))
+    x = vec2(square.c1 + offsets[0], square.c2 + offsets[1])
+    g0 = element_from_text(params, data.draw(WORDS))
+    # negative k_lo, rows shorter than m, and empty rows
+    k_lo = data.draw(st.integers(-40, 40))
+    count = data.draw(st.integers(0, 4 * params.m + 3))
+    tiles = simulate_row(params, pam, index, x, g0, (k_lo, k_lo + count - 1))
+    assert len(tiles) == count
+    top = row_top_reading(params, tiles, k_lo)
+    assert top == reference_row_top_reading(params, tiles, k_lo)
+    # phases outside [0, m) too
+    for phase in range(-2 * params.m, 3 * params.m):
+        bottom = row_bottom_reading(params, tiles, k_lo, phase)
+        assert bottom == reference_row_bottom_reading(params, tiles, k_lo, phase)
+
+
+def test_row_top_reading_refuses_an_altered_top():
+    # a top color that another tile of the row also covers is checked:
+    # altering it must make the reading fail; a top no other tile covers
+    # (one at an end of the row) is read as it is
+    x = vec2("2/7", "3/5")
+    for params in (P23, BsParams(3, 2), BsParams(4, 1)):
+        m = params.m
+        for k_lo in (-5, 0, 3):
+            k_range = (k_lo, k_lo + 6)
+            tiles = simulate_row(params, IDENTITY_MAP, 0, x, IDENTITY_ELEMENT, k_range)
+            colors, lo, hi = row_top_reading(params, tiles, k_lo)
+            for i, (piece, bottom, top, left, right) in enumerate(tiles):
+                for j, (c1, c2) in enumerate(top):
+                    altered = list(tiles)
+                    new_top = top[:j] + ((c1 + 1, c2),) + top[j + 1 :]
+                    altered[i] = (piece, bottom, new_top, left, right)
+                    # the tiles covering top j of tile i: those at i + j + 1 - m .. i + j
+                    covering = range(max(0, i + j + 1 - m), min(len(tiles) - 1, i + j) + 1)
+                    if len(covering) > 1:
+                        with pytest.raises(AssertionError, match="top colors of tiles"):
+                            row_top_reading(params, altered, k_lo)
+                    else:
+                        edited = list(colors)
+                        edited[i + j] = (c1 + 1, c2)
+                        assert row_top_reading(params, altered, k_lo) == (edited, lo, hi)
 
 
 def test_row_constant_at_origin():
