@@ -27,7 +27,6 @@ from .tileset import (
     enumerate_tileset,
     export_lines,
     parse_tileset,
-    tile_lines,
     tile_to_line,
     verify_tileset,
 )
@@ -262,7 +261,7 @@ def cmd_simulate_row(args: argparse.Namespace) -> int:
     if args.out:
         den = color_denominator(params, pam.pieces)
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(tile_lines(tiles, den))
+            handle.writelines(f"{tile_to_line(tile, den)}\n" for tile in tiles)
     return OK if (bottom_ok and top_ok) else FAIL
 
 

@@ -1,13 +1,9 @@
 """Wang tiles that compute a rational piecewise affine map on BS(m,n).
 
 A tile carries n bottom colors, m top colors (integer 2-vectors, terms of
-balanced representations) and two rational error colors left/right.  It
-is a plain tuple (piece, bottom, top, left, right), not a class: a map's
-tileset has up to hundreds of thousands of tiles, and a tuple subclass
-would cost one Python frame per construction and stay tracked by the
-garbage collector for good, while an exact tuple of ints and tuples is
-untracked.  For a piece f(x) = M x + b, a scale value lam and a point x
-in the piece:
+balanced representations) and two rational error colors left/right, as
+a plain tuple (piece, bottom, top, left, right).  For a piece
+f(x) = M x + b, a scale value lam and a point x in the piece:
 
     bottom_k = floor((n lam + k) x)    - floor((n lam + k - 1) x)      k = 1..n
     top_k    = floor((m lam + k) f(x)) - floor((m lam + k - 1) f(x))   k = 1..m
@@ -47,34 +43,34 @@ floor(lam - 1/2) = (2a - c) // (2c),
     D left = (D M / n) F + (1 + n floor(lam - 1/2)) (D b / n) - (D / m) G,
 
 and right likewise from floor((n lam + n) x), floor((m lam + m) f(x))
-and floor(lam + 1/2) = (2a + c) // (2c).  A tile file is the title, the
-m= n= pieces= tiles= header, one header per piece and one line per tile
-in tile order, each color as its reduced p/q; parse_tileset reads
-exactly that layout back over D, rejecting any line out of place, a
-color off (1/D) Z^2, headers that disagree with their pieces (grid box,
-piece count, tile count) and tile lines not strictly sorted.
-verify_tileset checks the transport equation multiplied through by D
-and each piece's grid box, all in integers.  Sorted tiles come in runs
-sharing (piece, bottom, top), and a run's lines share their label prefix
-'piece | bottom: ... | top: ... | l: ': export formats it once, parse
-reads it once, and verify bounds it once (the transport equation's
-right side and the grid box over D), leaving two colors per tile.
-enumerate builds a run at a time too: a run's right - left is one
-vector b over q, a term of its bottom minus a term of its top, and all
-the runs with the same b share one pair of lists, the grid colors left
-with left + b on the grid box and those rights, so a run is one zip of
-that pair.
+and floor(lam + 1/2) = (2a + c) // (2c).
+
+A Tileset stores runs in tile order, not a tuple per tile: a run
+(piece, bottom, top, lefts, rights) holds the tiles (piece, bottom, top,
+lefts[i], rights[i]), and tile id k is the k-th of them laid end to end.
+A run's right - left is one vector b over q; enumerate makes one pair of
+lists per piece and b (the grid colors left with left + b on the grid
+box, and those rights), shared by every run with that b.  A tile file is
+the title, the m= n= pieces= tiles= header, one header per piece, then
+the runs as stored, one line per tile, each color as its reduced p/q:
+tile k is on line 3 + pieces + k.  parse_tileset reads that layout back
+over D, one run per label prefix 'piece | bottom: ... | top: ... | l: ',
+rejecting any line out of place, a color off (1/D) Z^2, headers that
+disagree with their pieces and tile lines not strictly sorted.
+verify_tileset numbers tiles as stored and checks the transport equation
+over D and each piece's grid box in integers, a run's labels once.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, groupby, product, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, product, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EnumerationTooLarge, OutsidePiece, ParseError
@@ -97,10 +93,11 @@ TITLE = "# bsdomino tileset v1"  # line 1 of every tileset file
 
 # (piece, bottom, top, left, right): bottom holds n colors, top m, and
 # left/right are the error colors as numerators over the map's D.  A
-# plain tuple, not a class: a NamedTuple runs a Python-level __new__ per
-# tile, and the collector untracks only exact tuples, so each instance
-# would stay tracked and be walked by every full collection.
+# plain tuple, not a NamedTuple, which runs a Python-level __new__ per
+# tile and stays tracked by the collector, which untracks exact tuples.
 Tile = tuple[int, tuple[IntVec2, ...], tuple[IntVec2, ...], IntVec2, IntVec2]
+# (piece, bottom, top, lefts, rights); runs share color lists, never mutated
+Run = tuple[int, tuple[IntVec2, ...], tuple[IntVec2, ...], Sequence[IntVec2], Sequence[IntVec2]]
 
 
 def grid_q(params: BsParams, piece: AffinePiece) -> int:
@@ -267,10 +264,6 @@ class EllBounds:
     q: int
 
 
-def _interval_mul(c: Fraction, lo: Fraction, hi: Fraction):
-    return (c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
-
-
 def ell_bounds(params: BsParams, piece: AffinePiece) -> EllBounds:
     """Grid box bounding every left (and right) color of the piece.
 
@@ -279,29 +272,16 @@ def ell_bounds(params: BsParams, piece: AffinePiece) -> EllBounds:
     colors because shifting lam by 1 turns left into right.
     """
     m, n = params.m, params.n
-    matrix, b = piece.matrix, piece.offset
     q = grid_q(params, piece)
-
-    one = Fraction(1)
-    p1 = []
-    p2 = []
-    for comp in range(2):
-        row = matrix.row(comp)
-        b_c = b.x1 if comp == 0 else b.x2
-        # -(1/n) (M u)_c over u in [0,1]^2
-        lo = hi = Fraction(0)
-        for entry in row:
-            t_lo, t_hi = _interval_mul(-Fraction(1, n) * entry, Fraction(0), one)
-            lo, hi = lo + t_lo, hi + t_hi
-        # + (1/m) v_c over v_c in [0,1]
-        hi += Fraction(1, m)
-        # + (1/n - 1/2 - w) b_c over w in [0,1]
-        c_lo = Fraction(1, n) - Fraction(3, 2)
-        c_hi = Fraction(1, n) - Fraction(1, 2)
-        t_lo, t_hi = _interval_mul(b_c, c_lo, c_hi)
-        lo, hi = lo + t_lo, hi + t_hi
-        p1.append(math.ceil(lo * q))
-        p2.append(math.floor(hi * q))
+    c = Fraction(1, n) - Fraction(1, 2)  # 1/n - 1/2 - w at w = 0
+    p1, p2 = [], []
+    for comp, b_c in enumerate((piece.offset.x1, piece.offset.x2)):
+        # the two ends of each term: -(1/n) M_cj u_j, (1/m) v_c and
+        # (1/n - 1/2 - w) b_c, over u_j, v_c, w in [0, 1]
+        ends = [(0, -entry / n) for entry in piece.matrix.row(comp)]
+        ends += [(0, Fraction(1, m)), (b_c * (c - 1), b_c * c)]
+        p1.append(math.ceil(sum(min(pair) for pair in ends) * q))
+        p2.append(math.floor(sum(max(pair) for pair in ends) * q))
     return EllBounds((p1[0], p1[1]), (p2[0], p2[1]), q)
 
 
@@ -346,21 +326,51 @@ def piece_meta(params: BsParams, piece: AffinePiece) -> PieceMeta:
     )
 
 
+class Tiles(Sequence):
+    """The tiles of runs laid end to end, read-only: tile k is built when
+    it is read, from the run that bisecting the runs' offsets finds."""
+
+    def __init__(self, runs: Sequence[Run]):
+        self._runs = runs
+        self._starts = list(accumulate((len(run[3]) for run in runs), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, k: int) -> Tile:
+        if not -self._starts[-1] <= k < self._starts[-1]:
+            raise IndexError(f"tile {k} of {len(self)}")
+        k %= self._starts[-1]
+        r = bisect_right(self._starts, k) - 1
+        piece, bottom, top, lefts, rights = self._runs[r]
+        i = k - self._starts[r]
+        return (piece, bottom, top, lefts[i], rights[i])
+
+    def __iter__(self) -> Iterator[Tile]:
+        return chain.from_iterable(
+            zip(repeat(piece), repeat(bottom), repeat(top), lefts, rights)
+            for piece, bottom, top, lefts, rights in self._runs
+        )
+
+
 @dataclass(frozen=True)
 class Tileset:
-    """The tiles of a map; each piece's meta and D are derived from it once."""
+    """A map's tiles as runs in tile order, none empty; each piece's meta,
+    D and the tiles view are derived once."""
 
     params: BsParams
     pam: PiecewiseAffineMap
-    tiles: tuple[Tile, ...]
+    runs: tuple[Run, ...]
     piece_meta: tuple[PieceMeta, ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
+    tiles: Tiles = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params, pieces = self.params, self.pam.pieces
         metas = tuple(piece_meta(params, piece) for piece in pieces)
         object.__setattr__(self, "piece_meta", metas)
         object.__setattr__(self, "denominator", color_denominator(params, pieces))
+        object.__setattr__(self, "tiles", Tiles(self.runs))
 
 
 def _color_range(box: tuple[IntVec2, IntVec2]):
@@ -379,19 +389,15 @@ def _candidate_cap() -> int:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from None
 
 
-def _candidate_count(params: BsParams, metas: Iterable[PieceMeta]) -> int:
+def candidate_count(params: BsParams, f: PiecewiseAffineMap) -> int:
     total = 0
-    for meta in metas:
+    for meta in (piece_meta(params, piece) for piece in f.pieces):
         (blo, bhi), (tlo, thi), eb = meta.bottom_box, meta.top_box, meta.ell
         n_bottom = ((bhi[0] - blo[0] + 1) * (bhi[1] - blo[1] + 1)) ** params.n
         n_top = ((thi[0] - tlo[0] + 1) * (thi[1] - tlo[1] + 1)) ** params.m
         n_ell = (eb.p2[0] - eb.p1[0] + 1) * (eb.p2[1] - eb.p1[1] + 1)
         total += n_bottom * n_top * n_ell
     return total
-
-
-def candidate_count(params: BsParams, f: PiecewiseAffineMap) -> int:
-    return _candidate_count(params, (piece_meta(params, piece) for piece in f.pieces))
 
 
 def _color_lists(grid: list[list[IntVec2]], b1: int, b2: int):
@@ -417,8 +423,7 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
     reduction needs.
     """
     max_candidates = _candidate_cap()
-    metas = [piece_meta(params, piece) for piece in f.pieces]
-    total = _candidate_count(params, metas)
+    total = candidate_count(params, f)
     if total > max_candidates:
         raise EnumerationTooLarge(
             f"tile enumeration needs {total} candidates, cap is {max_candidates}"
@@ -426,8 +431,9 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
 
     m, n = params.m, params.n
     den = color_denominator(params, f.pieces)
-    tiles: list[Tile] = []
-    for index, (piece, meta) in enumerate(zip(f.pieces, metas)):
+    runs: list[Run] = []
+    for index, piece in enumerate(f.pieces):
+        meta = piece_meta(params, piece)
         eb = meta.ell
         # over q the transport equation has integer coefficients; grid[i][j]
         # is the color (p1 + (i, j)) / q over D, one tuple for all its tiles
@@ -457,10 +463,11 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
                 pairs = by_rhs.get(b)
                 if pairs is None:
                     pairs = by_rhs[b] = _color_lists(grid, *b)
-                tiles.extend(zip(repeat(index), repeat(bottom), repeat(top), *pairs))
+                if pairs[0]:
+                    runs.append((index, bottom, top, *pairs))
     # bottoms, tops and each run's lefts come in order, and right follows
-    # from left: the tiles are in tile order, no sort needed
-    return Tileset(params, f, tuple(tiles))
+    # from left: the runs are in tile order, no sort needed
+    return Tileset(params, f, tuple(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -476,28 +483,28 @@ def _fmt_over(p: int, denominator: int) -> str:
     return f"{p // g}/{denominator // g}"
 
 
-def tile_lines(tiles: Iterable[Tile], denominator: int) -> Iterator[str]:
-    """The tiles' lines in their order, each with its newline, the error
-    colors over denominator.  A run of consecutive tiles sharing (piece,
-    bottom, top) formats its label prefix once, and each distinct color
-    is formatted once."""
+def tile_lines(runs: Iterable[Run], denominator: int) -> Iterator[str]:
+    """The lines of the runs' tiles in their order, each with its
+    newline, the error colors over denominator.  A run formats its label
+    prefix once, and each distinct color is formatted once."""
     labels = cache(lambda colors: " ".join(_fmt_ivec(c) for c in colors))
     errors = cache(lambda color: ",".join(_fmt_over(p, denominator) for p in color))
-    for (piece, bottom, top), run in groupby(tiles, itemgetter(0, 1, 2)):
+    for piece, bottom, top, lefts, rights in runs:
         prefix = f"{piece} | bottom: {labels(bottom)} | top: {labels(top)} | l: "
-        for _, _, _, left, right in run:
+        for left, right in zip(lefts, rights):
             yield f"{prefix}{errors(left)} | r: {errors(right)}\n"
 
 
 def tile_to_line(tile: Tile, denominator: int) -> str:
     """The tile's line in a tileset file, its error colors over denominator."""
-    return next(tile_lines((tile,), denominator))[:-1]
+    piece, bottom, top, left, right = tile
+    return next(tile_lines([(piece, bottom, top, (left,), (right,))], denominator))[:-1]
 
 
 def export_lines(ts: Tileset) -> Iterator[str]:
     """The lines of the tileset's file, each with its newline: the
-    headers, then one line per tile in sorted order, each formatted only
-    when it is taken, so a writer need not hold the whole text."""
+    headers, then one line per tile as stored, each formatted only when
+    it is taken, so a writer need not hold the whole text."""
     headers = [
         TITLE,
         f"# m={ts.params.m} n={ts.params.n} pieces={len(ts.pam.pieces)}"
@@ -516,7 +523,7 @@ def export_lines(ts: Tileset) -> Iterator[str]:
         )
     return chain(
         (f"{line}\n" for line in headers),
-        tile_lines(sorted(ts.tiles), ts.denominator),
+        tile_lines(ts.runs, ts.denominator),
     )
 
 
@@ -595,7 +602,8 @@ def parse_tileset(text: str) -> Tileset:
     malformed; so are colors off the grid (1/D) Z^2, tile lines out of
     canonical order or repeated, and a header that disagrees with its
     pieces: a grid box other than ell_bounds gives, or a pieces=/tiles=
-    count other than the lines that follow (reported at line 2)."""
+    count other than the lines that follow (reported at line 2).  Lines
+    with the same labels make one run."""
     lines = text.splitlines()
     i = 0  # the index of the line being read
     try:
@@ -616,8 +624,8 @@ def parse_tileset(text: str) -> Tileset:
         bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
         tops = cache(lambda part: _parse_colors(_unlabel(part, "top: ")))
         colors = cache(lambda part: _parse_error(part, den))
-        prefix = None
-        tiles: list[Tile] = []
+        prefix = labels = None
+        runs: list[Run] = []
         for i in range(2 + len(pieces), len(lines)):
             line = lines[i]
             # the label prefix, up to and including the first ' | l: ', is
@@ -630,29 +638,31 @@ def parse_tileset(text: str) -> Tileset:
                 except ValueError:
                     raise ParseError(f"expected a tile line, got {line!r}") from None
                 prefix = line[:cut]
-                piece, bottom, top = int(head), bottoms(bottom_text), tops(top_text)
+                new = (int(head), bottoms(bottom_text), tops(top_text))
             left, sep, right = line[cut:].partition(" | r: ")
             if not sep:
                 raise ParseError(f"expected a tile line, got {line!r}")
             left, right = colors(left), colors(right)
-            tile = (piece, bottom, top, left, right)
-            # under a repeated prefix the labels are the line above's, so
-            # its two colors alone decide the order
-            if tiles and (
-                tile <= tiles[-1] if fresh
-                else right <= last_right if left == last_left else left < last_left
-            ):
+            if fresh and new != labels:
+                # new labels must sort after the line above's, and start a run
+                if runs and new < labels:
+                    raise ParseError("tile line out of order or repeated")
+                labels, lefts, rights = new, [], []
+                runs.append((*labels, lefts, rights))
+            # under the same labels the two colors alone decide the order
+            elif right <= rights[-1] if left == lefts[-1] else left < lefts[-1]:
                 raise ParseError("tile line out of order or repeated")
-            tiles.append(tile)
-            last_left, last_right = left, right
+            lefts.append(left)
+            rights.append(right)
     except (ValueError, IndexError, ParseError) as exc:
         raise ParseError(f"tileset line {i + 1}: {exc}") from None
-    if (n_pieces, n_tiles) != (len(pieces), len(tiles)):
+    ts = Tileset(params, pam, tuple(runs))
+    if (n_pieces, n_tiles) != (len(pieces), len(ts.tiles)):
         raise ParseError(
             f"tileset line 2: header says pieces={n_pieces} tiles={n_tiles},"
-            f" the file has {len(pieces)} pieces and {len(tiles)} tiles"
+            f" the file has {len(pieces)} pieces and {len(ts.tiles)} tiles"
         )
-    return Tileset(params, pam, tuple(tiles))
+    return ts
 
 
 @dataclass(frozen=True)
@@ -673,16 +683,16 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
     All in integers over the tileset's D: the transport equation
     multiplied through by D (see _Transport), and each error color as a
     multiple of D / q inside its piece's grid box.  The checks of piece,
-    bottom and top run once per run of tiles that share them.  Line
-    numbers follow the export layout, the only one parse_tileset
-    accepts: the tile at sorted position k is on line 2 + pieces + k.
+    bottom and top run once per run, then each (left, right) pair is
+    checked.  Line numbers follow the export layout, the only one
+    parse_tileset accepts: tile k, as stored, is on line 3 + pieces + k.
     """
     faults = []
     m, n = ts.params.m, ts.params.n
     den = ts.denominator
     equations = [_transport(ts.params, piece, den) for piece in ts.pam.pieces]
     lineno = 2 + len(ts.pam.pieces)
-    for (piece, bottom, top), run in groupby(sorted(ts.tiles), itemgetter(0, 1, 2)):
+    for piece, bottom, top, lefts, rights in ts.runs:
         before = after = None  # the reasons of faults before and after transport
         if not 0 <= piece < len(equations):
             before = f"unknown piece {piece}"
@@ -698,9 +708,9 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
                 after = "bottom color outside box"
             elif not _in_box(top, meta.top_box):
                 after = "top color outside box"
-        for tile in run:
+        for left, right in zip(lefts, rights):
             lineno += 1
-            _, _, _, (l1, l2), (r1, r2) = tile
+            (l1, l2), (r1, r2) = left, right
             if before:
                 reason = before
             elif r1 - l1 != e1 or r2 - l2 != e2:
@@ -718,5 +728,5 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
                 reason = "right color off the grid box"
             else:
                 continue
-            faults.append(TileFault(lineno, tile, reason))
+            faults.append(TileFault(lineno, (piece, bottom, top, left, right), reason))
     return faults

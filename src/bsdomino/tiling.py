@@ -39,7 +39,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -47,7 +46,7 @@ from .errors import OrbitTooShort
 from .group import BsParams, GroupElement, lambda_parts
 from .pam import CycleDetected, OrbitReport, PiecewiseAffineMap
 from .rationals import IntVec2, Vec2
-from .tileset import RowColors, Tile, Tileset, _color_range, color_denominator
+from .tileset import RowColors, Run, Tile, Tileset, color_denominator
 
 
 @dataclass(frozen=True)
@@ -355,9 +354,6 @@ class BudgetExceeded:
 SearchResult = Found | ExhaustedNoTiling | BudgetExceeded
 
 
-_labels = itemgetter(0, 1, 2)  # a tile's (piece, bottom, top)
-
-
 def _span_mask(spans: list[list[int]], ntiles: int) -> int:
     """The bitset of the tiles in the [start, stop) spans: '1's set into
     a binary numeral with tile 0 as its last digit, read once."""
@@ -367,36 +363,34 @@ def _span_mask(spans: list[list[int]], ntiles: int) -> int:
     return int(digits, 2)
 
 
-def _edge_masks(params: BsParams, tiles: tuple[Tile, ...]) -> tuple:
-    """(left, right, piece, top, bottom): one bitset per edge key of a
-    tileset, bit i standing for tile i; top and bottom are lists of m
-    and n dicts.  The masks are built in one pass over the tiles.  Left
-    and right colors change from tile to tile and get one bit each; the
-    labels (piece, top, bottom) are shared by a run of consecutive
-    tiles, so each run adds one [start, stop) span per label key, and
-    each label mask is made once from its spans.  The masks are the
-    same for any tile order; sorted tilesets have the longest runs.
+def _edge_masks(params: BsParams, runs: tuple[Run, ...]) -> tuple:
+    """(left, right, piece, top, bottom): one bitset per edge key of the
+    runs' tiles, bit i standing for tile i; top and bottom are lists of
+    m and n dicts.  Left and right colors get one bit per tile; a run
+    adds one [start, stop) span to each of its label keys (piece, top,
+    bottom), merged with the key's last span when they meet, and each
+    label mask is made once from its spans.
     """
-    ntiles = len(tiles)
+    ntiles = sum(len(run[3]) for run in runs)
     nbytes = (ntiles + 7) // 8
     left = defaultdict(lambda: bytearray(nbytes))
     right = defaultdict(lambda: bytearray(nbytes))
     # spans[0]: the piece, then top_1..top_m, then bottom_1..bottom_n
     spans = [defaultdict(list) for _ in range(1 + params.m + params.n)]
-    start = i = 0
-    for (piece, bottom, top), run in groupby(tiles, _labels):
-        for _, _, _, left_key, right_key in run:
+    start = 0
+    for piece, bottom, top, lefts, rights in runs:
+        for i, (left_key, right_key) in enumerate(zip(lefts, rights), start):
             byte, bit = i >> 3, 1 << (i & 7)
             left[left_key][byte] |= bit
             right[right_key][byte] |= bit
-            i += 1
+        stop = start + len(lefts)
         for by_key, key in zip(spans, (piece, *top, *bottom)):
             key_spans = by_key[key]
             if key_spans and key_spans[-1][1] == start:  # adjacent: merge
-                key_spans[-1][1] = i
+                key_spans[-1][1] = stop
             else:
-                key_spans.append([start, i])
-        start = i
+                key_spans.append([start, stop])
+        start = stop
     pieces, *labels = [
         {key: _span_mask(key_spans, ntiles) for key, key_spans in by_key.items()}
         for by_key in spans
@@ -441,11 +435,9 @@ def search_patch(
     node each, so the search is deterministic.  Propagation only drops
     tiles that no tiling extending the current assignment can use, so an
     ExhaustedNoTiling result is a complete refutation; a Found result is
-    re-checked on the row walk (_partners) that gave the arcs.  The box
-    filter, which refutes at 0 nodes, reads the pieces' label boxes and
-    not the tiles: its refutation is a proof only for tilesets whose
-    labels lie in their pieces' boxes, as in every enumerated tileset and
-    every tileset verify_tileset accepts.
+    re-checked on the row walk (_partners) that gave the arcs.  A patch
+    is refuted at 0 nodes when it has a V rule top_j = bottom_k and no
+    tile's top_j is any tile's bottom_k, as the runs' labels tell.
     """
     params = tileset.params
     cells = patch.cells
@@ -453,20 +445,19 @@ def search_patch(
         return Found(TilingAssignment(()), 0)
     tiles = tileset.tiles
     partners = _partners(params, patch)
+    slots = _v_slots(params)
 
-    # box-level filter: when the top and bottom label boxes of all pieces
-    # are disjoint, no V constraint is satisfiable by any pair of tiles,
-    # so a patch with a vertical pair is untileable outright
-    if any(up is not None for _, _, above in partners for up in above):
-        top_box_colors = set()
-        bottom_box_colors = set()
-        for meta in tileset.piece_meta:
-            top_box_colors.update(_color_range(meta.top_box))
-            bottom_box_colors.update(_color_range(meta.bottom_box))
-        if not top_box_colors & bottom_box_colors:
-            return ExhaustedNoTiling(0)
+    # a V rule top_j = bottom_k of the patch that no two tiles meet
+    # refutes the patch outright
+    used = {s for _, _, above in partners for s, up in enumerate(above) if up is not None}
+    tops, bottoms = {run[2] for run in tileset.runs}, {run[1] for run in tileset.runs}
+    if any(
+        s in used and {top[j - 1] for top in tops}.isdisjoint(bottom[k - 1] for bottom in bottoms)
+        for j, k, s in slots
+    ):
+        return ExhaustedNoTiling(0)
 
-    left, right, piece, top, bottom = _edge_masks(params, tiles)
+    left, right, piece, top, bottom = _edge_masks(params, tileset.runs)
 
     def rule(a_side: dict, a_key, b_side: dict, b_key) -> tuple[tuple, tuple]:
         """The arc tails to revise a and to revise b, for a_side(a) = b_side(b)."""
@@ -475,7 +466,6 @@ def search_patch(
             (b_side, a_key, _pairs(b_side, a_side), {}),
         )
 
-    slots = _v_slots(params)
     # one rule per partner of a cell, in partner order: H, I, then V by slot
     rules = [
         rule(right, itemgetter(4), left, itemgetter(3)),

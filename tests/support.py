@@ -177,6 +177,19 @@ def holds_for(ell: EllBounds, color: IntVec2, step: int = 1) -> bool:
     )
 
 
+def runs_of(tiles) -> tuple:
+    """The tiles as runs, in the order given: each stretch of consecutive
+    tiles that share (piece, bottom, top) is one run."""
+    runs = []
+    for piece, bottom, top, left, right in tiles:
+        if runs and runs[-1][:3] == (piece, bottom, top):
+            runs[-1][3].append(left)
+            runs[-1][4].append(right)
+        else:
+            runs.append((piece, bottom, top, [left], [right]))
+    return tuple(runs)
+
+
 def reference_enumerate(params: BsParams, f: PiecewiseAffineMap) -> tuple[Tile, ...]:
     """The tiles enumerate_tileset gives, built one at a time: for every
     bottom and top in the piece's label boxes, every left on its grid box
@@ -628,19 +641,15 @@ def reference_search(
 
     constraints = constraints_for(params, patch)
 
-    # box-level filter: when the top and bottom label boxes of all pieces
-    # are disjoint, no V constraint is satisfiable by any pair of tiles,
-    # so a patch with a vertical pair is untileable outright
-    if any(con.kind == "V" for con in constraints):
-        top_box_colors = set()
-        bottom_box_colors = set()
-        for meta in tileset.piece_meta:
-            top_box_colors.update(_color_range(meta.top_box))
-            bottom_box_colors.update(_color_range(meta.bottom_box))
-        if not top_box_colors & bottom_box_colors:
+    # a V constraint top_j = bottom_k that no two tiles meet refutes the
+    # patch outright; the runs carry each tile's labels
+    for j, k in {(con.top_pos, con.bottom_pos) for con in constraints if con.kind == "V"}:
+        tops = {top[j - 1] for _, _, top, _, _ in tileset.runs}
+        bottoms = {bottom[k - 1] for _, bottom, _, _, _ in tileset.runs}
+        if not tops & bottoms:
             return ExhaustedNoTiling(0)
 
-    left, right, piece, top, bottom = _edge_masks(params, tiles)
+    left, right, piece, top, bottom = _edge_masks(params, tileset.runs)
     # arcs[y]: (x, pairs) for every cell x to revise when domain[y] narrows
     arcs: list[list[tuple[int, tuple]]] = [[] for _ in cells]
     relations: dict[tuple, tuple] = {}

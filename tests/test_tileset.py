@@ -1,7 +1,7 @@
 import gc
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from random import Random
 
@@ -51,6 +51,7 @@ from support import (
     reference_tile_lines,
     reference_verify,
     residual_stages,
+    runs_of,
     scaled_color,
     tile_residual,
     verify_tile_computes,
@@ -298,15 +299,21 @@ def test_label_boxes():
     assert top_label_box(scaled) == ((0, 0), (2, 1))
 
 
+def _stored_tuples(ts: Tileset) -> list:
+    """What a tileset holds per run and per tile: labels and colors."""
+    return [part for run in ts.runs for part in (run[1], run[2], *run[3], *run[4])]
+
+
 def test_tiles_are_untracked_plain_tuples():
     # the collector untracks an exact tuple once its items are untracked;
     # a tuple subclass such as a NamedTuple stays tracked and is walked by
-    # every full collection
+    # every full collection.  A tileset stores runs: per tile it holds
+    # only the two colors, each one of these tuples
     ts = enumerate_tileset(P23, HALF2_MAP)
     x = vec2("2/7", "3/5")
     sources = {
-        "enumerate_tileset": ts.tiles,
-        "parse_tileset": parse_tileset(export_tileset(ts)).tiles,
+        "enumerate_tileset": _stored_tuples(ts),
+        "parse_tileset": _stored_tuples(parse_tileset(export_tileset(ts))),
         "edge_colors": [edge_colors(P23, IDENTITY_PIECE, Fraction(-5, 3), x, 0, 6)],
         "RowColors.run": RowColors(P23, IDENTITY_PIECE, x, 0, 6).run(-7, 4, 9),
         "simulate_row": simulate_row(
@@ -377,7 +384,7 @@ ENUMERATE_CASES = {
 def test_enumerate_matches_reference(name):
     params, pam = ENUMERATE_CASES[name]
     tiles = enumerate_tileset(params, pam).tiles
-    assert tiles == reference_enumerate(params, pam)
+    assert tuple(tiles) == reference_enumerate(params, pam)
     # the tiles of a piece share one tuple per grid color
     for index in range(len(pam.pieces)):
         colors = [color for tile in tiles if tile[0] == index for color in tile[3:]]
@@ -419,7 +426,7 @@ def test_enumerate_matches_reference_beyond_the_grid(data):
     piece = AffinePiece(UnitSquare(c1, c2), mat2([[s1, 0], [0, s2]]), vec2(0, 0))
     assert _overhangs(params, piece) == {"1-", "1+", "2-", "2+"}
     pam = PiecewiseAffineMap((piece,))
-    assert enumerate_tileset(params, pam).tiles == reference_enumerate(params, pam)
+    assert tuple(enumerate_tileset(params, pam).tiles) == reference_enumerate(params, pam)
 
 
 def test_color_lists_pair_each_left_with_its_right():
@@ -443,7 +450,7 @@ def test_export_round_trip():
     assert again.params == ts.params
     assert again.pam == ts.pam
     assert again.piece_meta == ts.piece_meta
-    assert again.tiles == ts.tiles
+    assert again.runs == ts.runs
     assert export_tileset(again) == text
 
 
@@ -474,7 +481,7 @@ def test_parse_reads_colors_by_value():
     text = export_tileset(enumerate_tileset(P23, IDENTITY_MAP))
     line = next(line for line in text.splitlines() if " | r: -1/6," in line)
     spelled = line.replace(" | r: -1/6,", " | r: -2/12,")
-    assert parse_tileset(text.replace(line, spelled)).tiles == parse_tileset(text).tiles
+    assert parse_tileset(text.replace(line, spelled)).runs == parse_tileset(text).runs
 
 
 def test_fault_lines_index_the_file():
@@ -523,9 +530,43 @@ def test_mixed_q_map_round_trips():
     assert ts.denominator == 12
     text = export_tileset(ts)
     again = parse_tileset(text)
-    assert again.tiles == ts.tiles
+    assert again.runs == ts.runs
     assert export_tileset(again) == text
     assert not verify_tileset(again)
+
+
+# the run count of every committed map: one run per (piece, bottom, top)
+# whose transport right side leaves a pair on the grid box
+RUN_COUNTS = {
+    "identity-23": 900,
+    "rotation-22": 1_024,
+    "shift3-23": 2_880,
+    "escape": 1_024,
+    "half2-23": 2_048,
+    "rotation-32": 3_600,
+}
+
+
+@pytest.mark.parametrize("path", MAP_FILES, ids=lambda path: path.stem)
+def test_committed_maps_store_runs(path):
+    ts = enumerate_tileset(*load_map(str(path)))
+    assert len(ts.runs) == RUN_COUNTS[path.stem]
+    assert all(run[3] for run in ts.runs)  # no empty run
+    text = export_tileset(ts)
+    assert parse_tileset(text).runs == ts.runs
+    # the runs of a piece with one right - left share its two color lists
+    first = {}
+    for run in ts.runs:
+        (l1, l2), (r1, r2) = run[3][0], run[4][0]
+        shared = first.setdefault((run[0], r1 - l1, r2 - l2), run)
+        assert run[3] is shared[3] and run[4] is shared[4]
+    # tile k is on export line 3 + pieces + k
+    lines = text.splitlines()
+    header = 2 + len(ts.pam.pieces)
+    last = len(ts.tiles) - 1
+    for k in [0, last, *Random(56).sample(range(last), 200)]:
+        assert lines[header + k] == tile_to_line(ts.tiles[k], ts.denominator)
+    assert len(lines) == header + len(ts.tiles)
 
 
 @pytest.fixture(scope="module")
@@ -611,8 +652,9 @@ def test_verify_matches_fraction_oracle(lattice_tilesets, data):
         _perturb(pick, ts, ts.tiles[i])
         for i in data.draw(st.lists(st.sampled_from(picks), min_size=1, max_size=4))
     ]
-    tiles = tuple(ts.tiles[i] for i in picks) + tuple(broken)
-    sub = Tileset(ts.params, ts.pam, tiles)
+    # the reference numbers tiles in sorted order, verify as stored
+    tiles = sorted([ts.tiles[i] for i in picks] + broken)
+    sub = Tileset(ts.params, ts.pam, runs_of(tiles))
     faults = verify_tileset(sub)
     assert faults == reference_verify(sub)
     assert {fault.tile for fault in faults} == set(broken)
@@ -624,7 +666,7 @@ def test_perturbations_draw_every_fault_reason(lattice_tilesets):
     for _ in range(400):
         ts = rng.choice(lattice_tilesets)
         broken = _perturb(rng.choice, ts, rng.choice(ts.tiles))
-        sub = Tileset(ts.params, ts.pam, (broken,))
+        sub = Tileset(ts.params, ts.pam, runs_of([broken]))
         faults = verify_tileset(sub)
         assert len(faults) == 1 and faults == reference_verify(sub)
         reasons.add(faults[0].reason.rstrip("0123456789"))
@@ -647,13 +689,13 @@ def test_export_matches_per_line_oracle(lattice_tilesets):
         den, header = ts.denominator, 2 + len(ts.pam.pieces)
         for density in (0.02, 0.3, 1.0):
             tiles = [tile for tile in ts.tiles if rng.random() < density]
-            lines = list(export_lines(Tileset(ts.params, ts.pam, tuple(tiles))))
+            lines = list(export_lines(Tileset(ts.params, ts.pam, runs_of(tiles))))
             assert lines[header:] == reference_export_lines(tiles, den)
             window = rng.randrange(len(tiles))
             part = tiles[window : window + 200]
             rng.shuffle(part)
             tiles[window : window + 200] = part
-            assert list(tile_lines(tiles, den)) == reference_export_lines(tiles, den)
+            assert list(tile_lines(runs_of(tiles), den)) == reference_export_lines(tiles, den)
 
 
 MUTATIONS = [
@@ -719,7 +761,7 @@ def test_parse_matches_per_line_oracle(lattice_tilesets, data):
     # tiles or on the line of the first error
     ts = lattice_tilesets[data.draw(st.integers(0, len(lattice_tilesets) - 1))]
     start = data.draw(st.integers(0, len(ts.tiles) - 1))
-    sub = Tileset(ts.params, ts.pam, ts.tiles[start : start + 60])
+    sub = Tileset(ts.params, ts.pam, runs_of(islice(ts.tiles, start, start + 60)))
     lines = export_tileset(sub).splitlines()
     header = 2 + len(ts.pam.pieces)
     _mutate(data.draw, lines, header)
@@ -751,8 +793,8 @@ def test_verify_reasons_on_a_step_two_piece():
     }
     left = next(tile[3] for tile, why in broken.items() if why.startswith("left"))
     assert lo <= left[0] <= hi and left[0] % step  # in the box, off the grid
-    tiles = tuple(Random(54).sample(ts.tiles, 300)) + tuple(broken)
-    sub = Tileset(P23, MIXED_Q_MAP, tiles)
+    tiles = sorted(Random(54).sample(ts.tiles, 300) + list(broken))
+    sub = Tileset(P23, MIXED_Q_MAP, runs_of(tiles))
     faults = verify_tileset(sub)
     assert faults == reference_verify(sub)
     assert {fault.tile: fault.reason for fault in faults} == broken

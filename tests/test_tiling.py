@@ -3,7 +3,6 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
 from random import Random
 
@@ -77,6 +76,7 @@ from support import (
     reference_row_top_reading,
     reference_search,
     reference_violations,
+    runs_of,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -433,7 +433,8 @@ def test_search_identity_found():
 
 
 def test_search_escape_exhausted():
-    # the box filter refutes a patch with a V pair before any node
+    # no tile's top meets any tile's bottom, so a patch with a V pair is
+    # refuted before any node
     ts = compiled("escape")
     patch = build_patch(P23, [IDENTITY_ELEMENT, element_from_text(P23, "T")])
     result = search_patch(ts, patch)
@@ -446,25 +447,38 @@ def test_search_escape_exhausted():
 
 
 def test_escape_labels_lie_in_their_piece_boxes():
-    # the box filter reads the pieces' boxes, not the tiles, so its 0-node
-    # refutation of escape is a proof only because every tile's bottom and
-    # top colors lie in its piece's boxes
+    # escape's bottom and top boxes are disjoint, and every tile's colors
+    # lie in them: that is why no top meets a bottom
     ts = compiled("escape")
     boxes = [
         (set(_color_range(meta.bottom_box)), set(_color_range(meta.top_box)))
         for meta in ts.piece_meta
     ]
-    for (piece, bottom, top), _ in itertools.groupby(ts.tiles, itemgetter(0, 1, 2)):
+    assert all(not bottom_box & top_box for bottom_box, top_box in boxes)
+    for piece, bottom, top, _, _ in ts.runs:
         bottom_box, top_box = boxes[piece]
         assert bottom_box.issuperset(bottom) and top_box.issuperset(top)
+
+
+def test_search_reads_the_tiles_not_the_boxes():
+    # one hand-made tile whose colors lie outside escape's boxes: its top
+    # meets its bottom, so it tiles a V pair, which no box decides
+    lone = (0, ((5, 5),) * 3, ((5, 5),) * 2, (0, 0), (0, 0))
+    ts = Tileset(P23, ESCAPE_MAP, runs_of([lone]))
+    patch = build_patch(P23, [IDENTITY_ELEMENT, element_from_text(P23, "T")])
+    assert any(con.kind == "V" for con in constraints_for(P23, patch))
+    result = search_patch(ts, patch)
+    assert isinstance(result, Found)
+    assert not check_assignment(P23, patch, result.assignment)
+    assert result == reference_search(ts, patch)
 
 
 @pytest.mark.parametrize(
     "name, verdict", [("identity-23", Found), ("escape", ExhaustedNoTiling)]
 )
 def test_search_walks_the_patch_once(monkeypatch, name, verdict):
-    # the box filter, the arcs and the re-check of a found tiling all
-    # come from one row walk; no constraint list is built
+    # the 0-node refutation, the arcs and the re-check of a found tiling
+    # all come from one row walk; no constraint list is built
     calls = {"_partners": 0, "constraints_for": 0}
 
     def spy(fn):
@@ -493,7 +507,7 @@ def test_search_exhausts_by_backtracking():
     ts = enumerate_tileset(P23, IDENTITY_MAP)
     lone = edge_colors(P23, IDENTITY_PIECE, Fraction(1, 2), vec2("1/2", "1/2"))
     assert lone[3] != lone[4]  # left, right
-    crippled = Tileset(P23, IDENTITY_MAP, (lone,))
+    crippled = Tileset(P23, IDENTITY_MAP, runs_of([lone]))
     patch = build_patch(P23, [IDENTITY_ELEMENT, element_from_text(P23, "a2")])
     result = search_patch(crippled, patch)
     assert isinstance(result, ExhaustedNoTiling)
@@ -859,13 +873,13 @@ def test_search_refuses_a_patch_of_another_group():
 
 
 def edge_masks(params, tiles):
-    return _edge_masks(params, tiles)
+    return _edge_masks(params, runs_of(tiles))
 
 
 @pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q", "shift3-23"])
 def test_edge_masks_match_reference(name):
     ts = compiled(name)
-    assert edge_masks(ts.params, ts.tiles) == reference_edge_masks(ts.params, ts.tiles)
+    assert _edge_masks(ts.params, ts.runs) == reference_edge_masks(ts.params, ts.tiles)
 
 
 @pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q"])
@@ -962,7 +976,7 @@ def test_search_agrees_with_brute_force(name):
         rng = Random(seed)
         tiles = related_tiles(rng, name, rng.randint(1, 6))
         patch = random_small_patch(rng, params)
-        subset = Tileset(params, full.pam, tiles)
+        subset = Tileset(params, full.pam, runs_of(tiles))
         result = search_patch(subset, patch)
         assert result == reference_search(subset, patch), seed
         expected = brute_force_tileable(params, patch, tiles)
@@ -1005,7 +1019,7 @@ def test_mixed_q_h_rule_joins_pieces():
         for piece, bottom, top, left, right in ts.tiles
         if piece == 0 and left != right and color_value(right, 12) in by_left
     )
-    subset = Tileset(P23, MIXED_Q_MAP, pair)
+    subset = Tileset(P23, MIXED_Q_MAP, runs_of(pair))
     result = search_patch(subset, patch)
     assert isinstance(result, Found)
     assert {tile[0] for _, tile in result.assignment.pairs} == {0, 1}  # pieces
