@@ -53,12 +53,16 @@ lists per piece and b (the grid colors left with left + b on the grid
 box, and those rights), shared by every run with that b.  A tile file is
 the title, the m= n= pieces= tiles= header, one header per piece, then
 the runs as stored, one line per tile, each color as its reduced p/q:
-tile k is on line 3 + pieces + k.  parse_tileset reads that layout back
-over D, one run per label prefix 'piece | bottom: ... | top: ... | l: ',
-rejecting any line out of place, a color off (1/D) Z^2, headers that
-disagree with their pieces and tile lines not strictly sorted.
-verify_tileset numbers tiles as stored and checks the transport equation
-over D and each piece's grid box in integers, a run's labels once.
+tile k is on line 3 + pieces + k.  Export formats the tails
+'left | r: right' of each shared pair of lists once and writes a run as
+its label prefix 'piece | bottom: ... | top: ... | l: ' before each
+tail.  parse_tileset reads that layout back over D a block at a time,
+the lines that repeat one label prefix, rejecting any line out of place,
+a color off (1/D) Z^2, headers that disagree with their pieces and tile
+lines not strictly sorted; equal blocks of a piece share one pair of
+lists, as enumerated runs do.  verify_tileset numbers tiles as stored
+and checks the transport equation over D and each piece's grid box in
+integers, a run's labels once and each shared pair of lists once.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ import math
 import os
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, product, repeat
@@ -356,7 +360,8 @@ class Tiles(Sequence):
 @dataclass(frozen=True)
 class Tileset:
     """A map's tiles as runs in tile order, none empty; each piece's meta,
-    D and the tiles view are derived once."""
+    D and the tiles view are derived once.  enumerate_tileset and
+    parse_tileset hand in the metas they derived as _metas."""
 
     params: BsParams
     pam: PiecewiseAffineMap
@@ -364,11 +369,13 @@ class Tileset:
     piece_meta: tuple[PieceMeta, ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
     tiles: Tiles = field(init=False, repr=False, compare=False)
+    _metas: InitVar[tuple[PieceMeta, ...] | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _metas):
         params, pieces = self.params, self.pam.pieces
-        metas = tuple(piece_meta(params, piece) for piece in pieces)
-        object.__setattr__(self, "piece_meta", metas)
+        if _metas is None:
+            _metas = tuple(piece_meta(params, piece) for piece in pieces)
+        object.__setattr__(self, "piece_meta", _metas)
         object.__setattr__(self, "denominator", color_denominator(params, pieces))
         object.__setattr__(self, "tiles", Tiles(self.runs))
 
@@ -390,8 +397,12 @@ def _candidate_cap() -> int:
 
 
 def candidate_count(params: BsParams, f: PiecewiseAffineMap) -> int:
+    return _candidate_total(params, [piece_meta(params, piece) for piece in f.pieces])
+
+
+def _candidate_total(params: BsParams, metas: Iterable[PieceMeta]) -> int:
     total = 0
-    for meta in (piece_meta(params, piece) for piece in f.pieces):
+    for meta in metas:
         (blo, bhi), (tlo, thi), eb = meta.bottom_box, meta.top_box, meta.ell
         n_bottom = ((bhi[0] - blo[0] + 1) * (bhi[1] - blo[1] + 1)) ** params.n
         n_top = ((thi[0] - tlo[0] + 1) * (thi[1] - tlo[1] + 1)) ** params.m
@@ -423,7 +434,8 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
     reduction needs.
     """
     max_candidates = _candidate_cap()
-    total = candidate_count(params, f)
+    metas = tuple(piece_meta(params, piece) for piece in f.pieces)
+    total = _candidate_total(params, metas)
     if total > max_candidates:
         raise EnumerationTooLarge(
             f"tile enumeration needs {total} candidates, cap is {max_candidates}"
@@ -432,8 +444,7 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
     m, n = params.m, params.n
     den = color_denominator(params, f.pieces)
     runs: list[Run] = []
-    for index, piece in enumerate(f.pieces):
-        meta = piece_meta(params, piece)
+    for index, (piece, meta) in enumerate(zip(f.pieces, metas)):
         eb = meta.ell
         # over q the transport equation has integer coefficients; grid[i][j]
         # is the color (p1 + (i, j)) / q over D, one tuple for all its tiles
@@ -467,7 +478,7 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
                     runs.append((index, bottom, top, *pairs))
     # bottoms, tops and each run's lefts come in order, and right follows
     # from left: the runs are in tile order, no sort needed
-    return Tileset(params, f, tuple(runs))
+    return Tileset(params, f, tuple(runs), _metas=metas)
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +494,32 @@ def _fmt_over(p: int, denominator: int) -> str:
     return f"{p // g}/{denominator // g}"
 
 
-def tile_lines(runs: Iterable[Run], denominator: int) -> Iterator[str]:
-    """The lines of the runs' tiles in their order, each with its
-    newline, the error colors over denominator.  A run formats its label
-    prefix once, and each distinct color is formatted once."""
+def _run_tails(runs: Iterable[Run], denominator: int) -> Iterator[tuple[str, list[str]]]:
+    """Each run's label prefix 'piece | bottom: ... | top: ... | l: ' and
+    the tails 'left | r: right' of its lines, each with its newline, the
+    error colors over denominator.  The tails of a pair of color lists
+    are formatted once for all the runs that share that pair, and each
+    distinct color once."""
     labels = cache(lambda colors: " ".join(_fmt_ivec(c) for c in colors))
     errors = cache(lambda color: ",".join(_fmt_over(p, denominator) for p in color))
+    # (id(lefts), id(rights)) -> (lefts, rights, tails); holding the lists
+    # keeps their ids from being reused by others
+    shared: dict[tuple[int, int], tuple] = {}
     for piece, bottom, top, lefts, rights in runs:
-        prefix = f"{piece} | bottom: {labels(bottom)} | top: {labels(top)} | l: "
-        for left, right in zip(lefts, rights):
-            yield f"{prefix}{errors(left)} | r: {errors(right)}\n"
+        key = (id(lefts), id(rights))
+        if key not in shared:
+            tails = [f"{errors(left)} | r: {errors(right)}\n" for left, right in zip(lefts, rights)]
+            shared[key] = (lefts, rights, tails)
+        yield f"{piece} | bottom: {labels(bottom)} | top: {labels(top)} | l: ", shared[key][2]
+
+
+def tile_lines(runs: Iterable[Run], denominator: int) -> Iterator[str]:
+    """The text of the runs' tiles in their order, one block of lines
+    per run, each line with its newline, the error colors over
+    denominator."""
+    for prefix, tails in _run_tails(runs, denominator):
+        if tails:
+            yield prefix + prefix.join(tails)
 
 
 def tile_to_line(tile: Tile, denominator: int) -> str:
@@ -501,10 +528,9 @@ def tile_to_line(tile: Tile, denominator: int) -> str:
     return next(tile_lines([(piece, bottom, top, (left,), (right,))], denominator))[:-1]
 
 
-def export_lines(ts: Tileset) -> Iterator[str]:
-    """The lines of the tileset's file, each with its newline: the
-    headers, then one line per tile as stored, each formatted only when
-    it is taken, so a writer need not hold the whole text."""
+def _header_lines(ts: Tileset) -> list[str]:
+    """The title, the m= n= pieces= tiles= header and the piece headers,
+    each with its newline."""
     headers = [
         TITLE,
         f"# m={ts.params.m} n={ts.params.n} pieces={len(ts.pam.pieces)}"
@@ -521,14 +547,27 @@ def export_lines(ts: Tileset) -> Iterator[str]:
             f" p1=({meta.ell.p1[0]},{meta.ell.p1[1]})"
             f" p2=({meta.ell.p2[0]},{meta.ell.p2[1]})"
         )
-    return chain(
-        (f"{line}\n" for line in headers),
-        tile_lines(ts.runs, ts.denominator),
-    )
+    return [f"{line}\n" for line in headers]
+
+
+def export_lines(ts: Tileset) -> Iterator[str]:
+    """The text of the tileset's file in pieces, each ending in a
+    newline: the header lines, then one block of lines per run as
+    stored (tile_lines), each formatted only when it is taken, so a
+    writer need not hold the whole text."""
+    return chain(_header_lines(ts), tile_lines(ts.runs, ts.denominator))
 
 
 def export_tileset(ts: Tileset) -> str:
-    return "".join(export_lines(ts))
+    """The text export_lines gives, joined from the prefix and tail
+    strings themselves: joining blocks would hold a second copy of the
+    text until the join is done."""
+    parts = _header_lines(ts)
+    for prefix, tails in _run_tails(ts.runs, ts.denominator):
+        lines = [prefix] * (2 * len(tails))
+        lines[1::2] = tails
+        parts += lines
+    return "".join(parts)
 
 
 def _inner(text: str) -> str:
@@ -571,9 +610,9 @@ def _header_values(line: str, head: str, keys: str) -> list[str]:
     return [value for _, _, value in pairs]
 
 
-def _parse_piece(params: BsParams, line: str, index: int) -> AffinePiece:
-    """The piece of the header line of piece index, after checking the
-    line's grid box against the one the piece gives."""
+def _parse_piece(params: BsParams, line: str, index: int) -> tuple[AffinePiece, PieceMeta]:
+    """The piece of the header line of piece index and its meta, after
+    checking the line's grid box against the one the piece gives."""
     square, matrix, offset, q, p1, p2 = _header_values(
         line, f"# piece {index} ", "square M b q p1 p2"
     )
@@ -583,7 +622,8 @@ def _parse_piece(params: BsParams, line: str, index: int) -> AffinePiece:
         mat2([row.split(",") for row in _inner(matrix).split(";")]),
         vec2(b1, b2),
     )
-    ell = ell_bounds(params, piece)
+    meta = piece_meta(params, piece)
+    ell = meta.ell
     declared = EllBounds(_parse_ivec(p1), _parse_ivec(p2), int(q))
     if declared != ell:
         raise ParseError(
@@ -591,7 +631,7 @@ def _parse_piece(params: BsParams, line: str, index: int) -> AffinePiece:
             f" p2={_fmt_ivec(declared.p2)}, the piece gives q={ell.q}"
             f" p1={_fmt_ivec(ell.p1)} p2={_fmt_ivec(ell.p2)}"
         )
-    return piece
+    return piece, meta
 
 
 def parse_tileset(text: str) -> Tileset:
@@ -603,7 +643,10 @@ def parse_tileset(text: str) -> Tileset:
     canonical order or repeated, and a header that disagrees with its
     pieces: a grid box other than ell_bounds gives, or a pieces=/tiles=
     count other than the lines that follow (reported at line 2).  Lines
-    with the same labels make one run."""
+    with the same labels make one run.  A block, a line and the lines
+    after it that repeat its label prefix, has its tails read once: a
+    later block of the same piece with the same tails takes the color
+    lists read then, so the runs share lists as enumerate's do."""
     lines = text.splitlines()
     i = 0  # the index of the line being read
     try:
@@ -615,48 +658,76 @@ def parse_tileset(text: str) -> Tileset:
         m, n, n_pieces, n_tiles = map(int, counts)
         params = BsParams(m, n)
         pieces: list[AffinePiece] = []
+        metas: list[PieceMeta] = []
         i = 2
         while i < len(lines) and lines[i].startswith("#"):
-            pieces.append(_parse_piece(params, lines[i], len(pieces)))
+            piece, meta = _parse_piece(params, lines[i], len(pieces))
+            pieces.append(piece)
+            metas.append(meta)
             i += 1
         pam = PiecewiseAffineMap(tuple(pieces))
         den = color_denominator(params, pieces)
         bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
         tops = cache(lambda part: _parse_colors(_unlabel(part, "top: ")))
         colors = cache(lambda part: _parse_error(part, den))
-        prefix = labels = None
-        runs: list[Run] = []
-        for i in range(2 + len(pieces), len(lines)):
-            line = lines[i]
-            # the label prefix, up to and including the first ' | l: ', is
-            # read once per run of lines that repeat it
-            fresh = prefix is None or not line.startswith(prefix)
-            if fresh:
-                try:
-                    cut = line.index(" | l: ") + 6
-                    head, bottom_text, top_text = line[: cut - 6].split(" | ")
-                except ValueError:
-                    raise ParseError(f"expected a tile line, got {line!r}") from None
-                prefix = line[:cut]
-                new = (int(head), bottoms(bottom_text), tops(top_text))
-            left, sep, right = line[cut:].partition(" | r: ")
+
+        def read(k: int, cut: int) -> tuple[IntVec2, IntVec2]:
+            """The two error colors of line k, after its label prefix."""
+            left, sep, right = lines[k][cut:].partition(" | r: ")
             if not sep:
-                raise ParseError(f"expected a tile line, got {line!r}")
-            left, right = colors(left), colors(right)
-            if fresh and new != labels:
+                raise ParseError(f"expected a tile line, got {lines[k]!r}")
+            return colors(left), colors(right)
+
+        labels = None
+        runs: list[Run] = []
+        # (piece, tails) -> the (lefts, rights) read from those tails once
+        blocks: dict[tuple, tuple[list, list]] = {}
+        i, count = 2 + len(pieces), len(lines)
+        while i < count:
+            # the block at line i; its label prefix, up to and including the
+            # first ' | l: ', is read once
+            line = lines[i]
+            try:
+                cut = line.index(" | l: ") + 6
+                head, bottom_text, top_text = line[: cut - 6].split(" | ")
+            except ValueError:
+                raise ParseError(f"expected a tile line, got {line!r}") from None
+            prefix = line[:cut]
+            new = (int(head), bottoms(bottom_text), tops(top_text))
+            end = i + 1
+            while end < count and lines[end].startswith(prefix):
+                end += 1
+            key = (new[0], tuple([row[cut:] for row in lines[i:end]]))
+            block = blocks.get(key)
+            left, right = read(i, cut) if block is None else (block[0][0], block[1][0])
+            go_on = new == labels  # a prefix spelled anew: the run goes on
+            if not go_on:
                 # new labels must sort after the line above's, and start a run
                 if runs and new < labels:
                     raise ParseError("tile line out of order or repeated")
-                labels, lefts, rights = new, [], []
-                runs.append((*labels, lefts, rights))
-            # under the same labels the two colors alone decide the order
-            elif right <= rights[-1] if left == lefts[-1] else left < lefts[-1]:
+                labels = new
+            elif (left, right) <= (runs[-1][3][-1], runs[-1][4][-1]):
                 raise ParseError("tile line out of order or repeated")
-            lefts.append(left)
-            rights.append(right)
+            if block is None:
+                lefts, rights = [left], [right]
+                for i in range(i + 1, end):
+                    left, right = read(i, cut)
+                    # under the same labels the two colors alone decide the order
+                    if right <= rights[-1] if left == lefts[-1] else left < lefts[-1]:
+                        raise ParseError("tile line out of order or repeated")
+                    lefts.append(left)
+                    rights.append(right)
+                block = blocks[key] = (lefts, rights)
+            if go_on:
+                # new lists: the run's own may be shared with other runs
+                *_, lefts, rights = runs[-1]
+                runs[-1] = (*labels, lefts + block[0], rights + block[1])
+            else:
+                runs.append((*labels, *block))
+            i = end
     except (ValueError, IndexError, ParseError) as exc:
         raise ParseError(f"tileset line {i + 1}: {exc}") from None
-    ts = Tileset(params, pam, tuple(runs))
+    ts = Tileset(params, pam, tuple(runs), _metas=tuple(metas))
     if (n_pieces, n_tiles) != (len(pieces), len(ts.tiles)):
         raise ParseError(
             f"tileset line 2: header says pieces={n_pieces} tiles={n_tiles},"
@@ -677,20 +748,42 @@ def _in_box(colors: tuple[IntVec2, ...], box: tuple[IntVec2, IntVec2]) -> bool:
     return all(lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2 for c1, c2 in colors)
 
 
+def _common_shift(lefts, rights, box: tuple[int, int, int, int], step: int) -> IntVec2 | None:
+    """The one right - left of every pair of the two lists, when there is
+    one and every color is on the grid box, the multiples of step in
+    box = (lo1, lo2, hi1, hi2); None otherwise."""
+    lo1, lo2, hi1, hi2 = box
+    shifts = {(r1 - l1, r2 - l2) for (l1, l2), (r1, r2) in zip(lefts, rights)}
+    if len(shifts) != 1 or len(lefts) != len(rights):
+        return None
+    on_grid = all(
+        lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2 and not (c1 % step or c2 % step)
+        for c1, c2 in chain(lefts, rights)
+    )
+    return shifts.pop() if on_grid else None
+
+
 def verify_tileset(ts: Tileset) -> list[TileFault]:
     """Recheck every tile: transport equation, label boxes, grid boxes.
 
     All in integers over the tileset's D: the transport equation
     multiplied through by D (see _Transport), and each error color as a
     multiple of D / q inside its piece's grid box.  The checks of piece,
-    bottom and top run once per run, then each (left, right) pair is
-    checked.  Line numbers follow the export layout, the only one
-    parse_tileset accepts: tile k, as stored, is on line 3 + pieces + k.
+    bottom and top run once per run.  Whether a pair of color lists has
+    one right - left and lies on the piece's grid box is worked out once
+    per piece for all the runs that share it: a run whose labels pass
+    and whose transport right side is that difference has no fault, and
+    any other run has each (left, right) pair checked.  Line numbers
+    follow the export layout, the only one parse_tileset accepts: tile
+    k, as stored, is on line 3 + pieces + k.
     """
     faults = []
     m, n = ts.params.m, ts.params.n
     den = ts.denominator
     equations = [_transport(ts.params, piece, den) for piece in ts.pam.pieces]
+    # (piece, id(lefts), id(rights)) -> _common_shift of the two lists; the
+    # runs hold the lists, so no id is reused while this call runs
+    shifts: dict[tuple[int, int, int], IntVec2 | None] = {}
     lineno = 2 + len(ts.pam.pieces)
     for piece, bottom, top, lefts, rights in ts.runs:
         before = after = None  # the reasons of faults before and after transport
@@ -708,6 +801,13 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
                 after = "bottom color outside box"
             elif not _in_box(top, meta.top_box):
                 after = "top color outside box"
+            else:
+                key = (piece, id(lefts), id(rights))
+                if key not in shifts:
+                    shifts[key] = _common_shift(lefts, rights, (lo1, lo2, hi1, hi2), step)
+                if shifts[key] == (e1, e2):
+                    lineno += len(lefts)
+                    continue
         for left, right in zip(lefts, rights):
             lineno += 1
             (l1, l2), (r1, r2) = left, right

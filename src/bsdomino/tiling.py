@@ -665,8 +665,7 @@ def export_dot(
     names = [g.to_text() for g in patch.cells]
     tile_ids = [None] * len(names)
     if assignment is not None and tileset is not None:
-        index_of = {tile: i for i, tile in enumerate(tileset.tiles)}
-        tile_ids = [index_of.get(tile) for tile in _tiles_by_position(patch, assignment)]
+        tile_ids = _tile_ids(tileset, _tiles_by_position(patch, assignment))
     lines = ["graph patch {", "  node [shape=box];"]
     for name, tile_id in zip(names, tile_ids):
         label = name if tile_id is None else f"{name}\\ntile {tile_id}"
@@ -688,9 +687,35 @@ def export_dot(
 
 
 def export_tiling_text(assignment: TilingAssignment, tileset: Tileset) -> str:
-    index_of = {tile: i for i, tile in enumerate(tileset.tiles)}
-    lines = []
-    for g, tile in assignment.pairs:
-        tid = index_of.get(tile, -1)
-        lines.append(f"{g.to_text()} -> {tid}")
+    ids = _tile_ids(tileset, [tile for _, tile in assignment.pairs])
+    lines = [
+        f"{g.to_text()} -> {-1 if tid is None else tid}"
+        for (g, _), tid in zip(assignment.pairs, ids)
+    ]
     return "\n".join(lines) + "\n"
+
+
+def _tile_ids(tileset: Tileset, tiles) -> list[int | None]:
+    """Each tile's id in the tileset, None for a tile it lacks: the
+    offset of a run with the tile's labels plus the tile's position in
+    it, found by its left color (the first such run and position)."""
+    runs: dict = {}  # (piece, bottom, top) -> [(offset, lefts, rights)]
+    offset = 0
+    for piece, bottom, top, lefts, rights in tileset.runs:
+        runs.setdefault((piece, bottom, top), []).append((offset, lefts, rights))
+        offset += len(lefts)
+
+    def tile_id(tile) -> int | None:
+        piece, bottom, top, left, right = tile
+        for offset, lefts, rights in runs.get((piece, bottom, top), ()):
+            i = -1  # a run read from a file may hold a left color twice
+            try:
+                while True:
+                    i = lefts.index(left, i + 1)
+                    if rights[i] == right:
+                        return offset + i
+            except ValueError:
+                pass
+        return None
+
+    return [tile_id(tile) for tile in tiles]

@@ -1,7 +1,8 @@
 import gc
 import re
 from fractions import Fraction
-from itertools import islice, product
+from functools import partial
+from itertools import accumulate, islice, product
 from pathlib import Path
 from random import Random
 
@@ -35,6 +36,7 @@ from bsdomino.tileset import (
     top_label_box,
     verify_tileset,
 )
+from bsdomino import tileset as tileset_module
 from bsdomino.tiling import simulate_row
 from support import (
     MIXED_Q_MAP,
@@ -569,6 +571,38 @@ def test_committed_maps_store_runs(path):
     assert len(lines) == header + len(ts.tiles)
 
 
+def _list_groups(runs) -> list[int]:
+    """Each run's group: the index of the first run holding its two
+    color lists, the same objects."""
+    first: dict[tuple[int, int], int] = {}
+    return [first.setdefault((id(run[3]), id(run[4])), k) for k, run in enumerate(runs)]
+
+
+@pytest.mark.parametrize("path", MAP_FILES, ids=lambda path: path.stem)
+def test_parsed_runs_share_lists_as_enumerated(path):
+    ts = enumerate_tileset(*load_map(str(path)))
+    again = parse_tileset(export_tileset(ts))
+    assert again.runs == ts.runs
+    assert _list_groups(again.runs) == _list_groups(ts.runs)
+
+
+def test_piece_metas_derived_once_per_call(monkeypatch):
+    derived = []
+
+    def spy(params, piece):
+        derived.append(piece)
+        return piece_meta(params, piece)
+
+    monkeypatch.setattr(tileset_module, "piece_meta", spy)
+    ts = enumerate_tileset(P23, HALF2_MAP)
+    assert derived == list(HALF2_MAP.pieces)
+    text = export_tileset(ts)
+    derived.clear()
+    again = parse_tileset(text)
+    assert derived == list(HALF2_MAP.pieces)
+    assert again.piece_meta == ts.piece_meta == tuple(map(partial(piece_meta, P23), HALF2_MAP.pieces))
+
+
 @pytest.fixture(scope="module")
 def lattice_tilesets():
     return [
@@ -681,21 +715,87 @@ def test_perturbations_draw_every_fault_reason(lattice_tilesets):
     }
 
 
+ROUNDTRIP_MAPS = {
+    "identity-23": ROOT / "maps" / "identity-23.map",
+    "rotation-22": ROOT / "maps" / "rotation-22.map",
+    "half2-23": ROOT / "perfbench" / "maps" / "half2-23.map",
+}
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_MAPS)
+def test_corrupted_text_faults_match_fraction_oracle(name):
+    # runs sampled from the enumerated tileset keep their shared color
+    # lists; one tile line of their export is replaced by that tile broken
+    # one way, each fault kind in turn, and moved to its sorted place
+    ts = enumerate_tileset(*load_map(str(ROUNDTRIP_MAPS[name])))
+    header = 2 + len(ts.pam.pieces)
+    rng = Random(57)
+    for case in range(10 * len(KINDS)):
+        kind = KINDS[case % len(KINDS)]
+        picked = sorted(rng.sample(range(len(ts.runs)), 20))
+        sub = Tileset(ts.params, ts.pam, tuple(ts.runs[k] for k in picked))
+        lines = export_tileset(sub).splitlines()
+        body = list(zip(sub.tiles, lines[header:]))
+        victim = rng.randrange(len(body))
+
+        def pick(values):
+            return kind if values is KINDS else rng.choice(values)
+
+        broken = _perturb(pick, sub, body[victim][0])
+        body[victim] = (broken, tile_to_line(broken, sub.denominator))
+        body.sort()
+        parsed = parse_tileset("\n".join(lines[:header] + [line for _, line in body]) + "\n")
+        faults = verify_tileset(parsed)
+        assert faults == reference_verify(parsed)
+        assert [fault.tile for fault in faults] == [broken]
+
+
+def test_verify_memo_keys_on_list_objects_and_piece():
+    # piece 0 of MIXED_Q_MAP has the even numerators of [-4, 6]^2 as its
+    # grid box over D = 12, piece 1 every numerator of [-1, 6]^2
+    ts = enumerate_tileset(P23, MIXED_Q_MAP)
+    a = next(run for run in ts.runs if run[0] == 0 and run[3][0] == run[4][0])
+    lefts, rights = a[3], a[4]  # right - left = (0, 0)
+    a, b, c = [run for run in ts.runs if run[3] is lefts][:3]
+    assert b[4] is rights and c[4] is rights
+    # c holds copies of the lists that differ in one late pair only, moved
+    # to an odd numerator inside piece 0's box with right - left kept
+    j = max(j for j, (l1, _) in enumerate(lefts) if l1 < 6)
+    copy_l, copy_r = list(lefts), list(rights)
+    copy_l[j] = copy_r[j] = _add(lefts[j], (1, 0))
+    sub = Tileset(P23, MIXED_Q_MAP, (a, b, (*c[:3], copy_l, copy_r)))
+    faults = verify_tileset(sub)
+    assert faults == reference_verify(sub)
+    assert [(fault.tile, fault.reason) for fault in faults] == [
+        ((*c[:3], copy_l[j], copy_r[j]), "left color off the grid box")
+    ]
+    # the same list objects, right for piece 0, under a piece 1 run whose
+    # transport right side is (0, 0) too: numerators below -1 are off its box
+    d = next(run for run in ts.runs if run[0] == 1 and run[3][0] == run[4][0])
+    sub = Tileset(P23, MIXED_Q_MAP, (a, (*d[:3], lefts, rights)))
+    faults = verify_tileset(sub)
+    assert faults == reference_verify(sub)
+    assert faults and {fault.tile[:3] for fault in faults} == {d[:3]}
+
+
 def test_export_matches_per_line_oracle(lattice_tilesets):
     # sparse subsets leave runs of one tile, full tilesets whole runs, and
-    # shuffles (tile_lines keeps the order it is given) runs of any length
+    # shuffles (tile_lines keeps the order it is given) runs of any length;
+    # export yields a header a line, then a block of lines a run, so the
+    # texts are compared byte for byte
     rng = Random(53)
     for ts in lattice_tilesets:
         den, header = ts.denominator, 2 + len(ts.pam.pieces)
         for density in (0.02, 0.3, 1.0):
             tiles = [tile for tile in ts.tiles if rng.random() < density]
             lines = list(export_lines(Tileset(ts.params, ts.pam, runs_of(tiles))))
-            assert lines[header:] == reference_export_lines(tiles, den)
+            assert "".join(lines[header:]) == "".join(reference_export_lines(tiles, den))
             window = rng.randrange(len(tiles))
             part = tiles[window : window + 200]
             rng.shuffle(part)
             tiles[window : window + 200] = part
-            assert list(tile_lines(runs_of(tiles), den)) == reference_export_lines(tiles, den)
+            text = "".join(tile_lines(runs_of(tiles), den))
+            assert text == "".join(reference_export_lines(tiles, den))
 
 
 MUTATIONS = [
@@ -768,6 +868,41 @@ def test_parse_matches_per_line_oracle(lattice_tilesets, data):
     text = "\n".join(lines) + "\n"
     got = _outcome(lambda: parse_tileset(text).tiles)
     assert got == _outcome(lambda: reference_tile_lines(lines, header, ts.denominator))
+
+
+@pytest.mark.parametrize("edit", ["split", "swap", "repeat"])
+def test_parse_block_edits_match_per_line_oracle(edit):
+    # whole runs of identity-23, many sharing their color lists, so most
+    # blocks are read from an equal block before them: every run re-spelled
+    # (+0) from its line k on, so that it goes on in a second block; two
+    # runs swapped; or line k of one run replaced by line k - 1 re-spelled.
+    # The block reader and the per-line one agree on the tiles or on the
+    # line of the first error.
+    ts = enumerate_tileset(P23, IDENTITY_MAP)
+    header = 2 + len(ts.pam.pieces)
+    rng = Random(58)
+    for _ in range(20):
+        picked = sorted(rng.sample(range(len(ts.runs)), 24))
+        sub = Tileset(ts.params, ts.pam, tuple(ts.runs[k] for k in picked))
+        lines = export_tileset(sub).splitlines()
+        starts = list(accumulate((len(run[3]) for run in sub.runs), initial=header))
+        k = rng.randrange(1, 16)  # every run of identity-23 has 16 tiles
+        if edit == "split":
+            for start, end in zip(starts, starts[1:]):
+                lines[start + k : end] = ["+" + line for line in lines[start + k : end]]
+        elif edit == "swap":
+            r, t = sorted(rng.sample(range(len(sub.runs)), 2))
+            first, second = lines[starts[r] : starts[r + 1]], lines[starts[t] : starts[t + 1]]
+            lines[starts[t] : starts[t + 1]] = first
+            lines[starts[r] : starts[r + 1]] = second
+        else:
+            start = rng.choice(starts[:-1])
+            lines[start + k] = "+" + lines[start + k - 1]
+        text = "\n".join(lines) + "\n"
+        got = _outcome(lambda: parse_tileset(text).tiles)
+        assert got == _outcome(lambda: reference_tile_lines(lines, header, ts.denominator))
+    if edit == "split":  # the runs read, and the lists they share, are unchanged
+        assert parse_tileset(text).runs == sub.runs
 
 
 def test_verify_reasons_on_a_step_two_piece():

@@ -793,6 +793,19 @@ def test_export_dot_and_tiling_text():
         assert f'  "{name}" [label="{name}\\ntile {ids[tile]}"];' in dot.splitlines()
 
 
+def test_tile_ids_come_from_runs():
+    # a run read from a file may hold one left color beside two rights:
+    # each tile is named by its own position; a tile the tileset lacks is -1
+    bottom, top = ((0, 0),) * 3, ((0, 0),) * 2
+    lefts, rights = [(0, 0), (0, 0), (1, 1)], [(0, 0), (1, 1), (1, 1)]
+    ts = Tileset(P23, IDENTITY_MAP, ((0, bottom, top, lefts, rights),))
+    pairs = [((0, 0), (1, 1)), ((1, 1), (1, 1)), ((0, 0), (0, 0)), ((2, 2), (2, 2))]
+    cells = [element_from_text(P23, word) for word in ("e", "a", "a2", "a3")]
+    tiles = [(0, bottom, top, left, right) for left, right in pairs]
+    text = export_tiling_text(TilingAssignment(tuple(zip(cells, tiles))), ts)
+    assert text == "e -> 1\na -> 2\na2 -> 0\na3 -> -1\n"
+
+
 @lru_cache(maxsize=None)
 def compiled(name):
     if name == "identity-23":
