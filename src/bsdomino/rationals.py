@@ -49,9 +49,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x1 - other.x1, self.x2 - other.x2)
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x1, -self.x2)
-
     def scale(self, c) -> "Vec2":
         c = Fraction(c)
         return Vec2(c * self.x1, c * self.x2)

@@ -58,11 +58,15 @@ tile k is on line 3 + pieces + k.  Export formats the tails
 its label prefix 'piece | bottom: ... | top: ... | l: ' before each
 tail.  parse_tileset reads that layout back over D a block at a time,
 the lines that repeat one label prefix, rejecting any line out of place,
-a color off (1/D) Z^2, headers that disagree with their pieces and tile
-lines not strictly sorted; equal blocks of a piece share one pair of
-lists, as enumerated runs do.  verify_tileset numbers tiles as stored
-and checks the transport equation over D and each piece's grid box in
-integers, a run's labels once and each shared pair of lists once.
+a color off (1/D) Z^2 and headers that disagree with their pieces; one
+rule orders the tile lines: each line's key (labels, left, right) is
+greater than the line above's.  Equal blocks of a piece share one pair
+of lists, as enumerated runs do.  verify_tileset numbers tiles as stored
+and gives each tile the first check it fails of one chain, in integers
+over D: piece and edge color count, transport equation, label boxes,
+left grid box, right grid box.  The chain runs once per run shape (the
+piece, the list objects, the transport right side and the label
+checks' reasons); a later run of that shape reuses its faults.
 """
 
 from __future__ import annotations
@@ -639,14 +643,16 @@ def parse_tileset(text: str) -> Tileset:
     in its place: the title, the m= n= pieces= tiles= header, one
     '# piece i' header per piece in order, then only tile lines, read
     over the D of the pieces.  Any other line, a blank one included, is
-    malformed; so are colors off the grid (1/D) Z^2, tile lines out of
-    canonical order or repeated, and a header that disagrees with its
-    pieces: a grid box other than ell_bounds gives, or a pieces=/tiles=
-    count other than the lines that follow (reported at line 2).  Lines
-    with the same labels make one run.  A block, a line and the lines
-    after it that repeat its label prefix, has its tails read once: a
-    later block of the same piece with the same tails takes the color
-    lists read then, so the runs share lists as enumerate's do."""
+    malformed; so are colors off the grid (1/D) Z^2, a tile line whose
+    (labels, left, right) is not greater than the line above's (out of
+    order or repeated), and a header that disagrees with its pieces: a
+    grid box other than ell_bounds gives, or a pieces=/tiles= count
+    other than the lines that follow (reported at line 2).  Lines with
+    the same labels make one run, however their prefix is spelled.  A
+    block, a line and the lines after it that repeat its label prefix,
+    has its tails read once: a later block of the same piece with the
+    same tails takes the color lists read then, so the runs share lists
+    as enumerate's do."""
     lines = text.splitlines()
     i = 0  # the index of the line being read
     try:
@@ -670,15 +676,9 @@ def parse_tileset(text: str) -> Tileset:
         bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
         tops = cache(lambda part: _parse_colors(_unlabel(part, "top: ")))
         colors = cache(lambda part: _parse_error(part, den))
-
-        def read(k: int, cut: int) -> tuple[IntVec2, IntVec2]:
-            """The two error colors of line k, after its label prefix."""
-            left, sep, right = lines[k][cut:].partition(" | r: ")
-            if not sep:
-                raise ParseError(f"expected a tile line, got {lines[k]!r}")
-            return colors(left), colors(right)
-
-        labels = None
+        # every tile line must sort after the line above by (labels, left,
+        # right); the empty tuple sorts before any key
+        last: tuple = ()
         runs: list[Run] = []
         # (piece, tails) -> the (lefts, rights) read from those tails once
         blocks: dict[tuple, tuple[list, list]] = {}
@@ -693,33 +693,33 @@ def parse_tileset(text: str) -> Tileset:
             except ValueError:
                 raise ParseError(f"expected a tile line, got {line!r}") from None
             prefix = line[:cut]
-            new = (int(head), bottoms(bottom_text), tops(top_text))
+            labels = (int(head), bottoms(bottom_text), tops(top_text))
+            go_on = runs and last[0] == labels  # a prefix spelled anew: the run goes on
             end = i + 1
             while end < count and lines[end].startswith(prefix):
                 end += 1
-            key = (new[0], tuple([row[cut:] for row in lines[i:end]]))
-            block = blocks.get(key)
-            left, right = read(i, cut) if block is None else (block[0][0], block[1][0])
-            go_on = new == labels  # a prefix spelled anew: the run goes on
-            if not go_on:
-                # new labels must sort after the line above's, and start a run
-                if runs and new < labels:
-                    raise ParseError("tile line out of order or repeated")
-                labels = new
-            elif (left, right) <= (runs[-1][3][-1], runs[-1][4][-1]):
-                raise ParseError("tile line out of order or repeated")
+            tails = tuple([row[cut:] for row in lines[i:end]])
+            block = blocks.get((labels[0], tails))
             if block is None:
-                lefts, rights = [left], [right]
-                for i in range(i + 1, end):
-                    left, right = read(i, cut)
-                    # under the same labels the two colors alone decide the order
-                    if right <= rights[-1] if left == lefts[-1] else left < lefts[-1]:
+                lefts, rights = [], []
+                for i, tail in enumerate(tails, i):
+                    left, sep, right = tail.partition(" | r: ")
+                    if not sep:
+                        raise ParseError(f"expected a tile line, got {prefix + tail!r}")
+                    key = (labels, colors(left), colors(right))
+                    if key <= last:
                         raise ParseError("tile line out of order or repeated")
-                    lefts.append(left)
-                    rights.append(right)
-                block = blocks[key] = (lefts, rights)
+                    last = key
+                    lefts.append(key[1])
+                    rights.append(key[2])
+                block = blocks[labels[0], tails] = (lefts, rights)
+            elif (labels, block[0][0], block[1][0]) <= last:
+                # an equal block read before has its lines in order, so its
+                # first line alone is compared with the line above
+                raise ParseError("tile line out of order or repeated")
+            last = (labels, block[0][-1], block[1][-1])
             if go_on:
-                # new lists: the run's own may be shared with other runs
+                # in new lists: the run's own may be shared with other runs
                 *_, lefts, rights = runs[-1]
                 runs[-1] = (*labels, lefts + block[0], rights + block[1])
             else:
@@ -748,85 +748,71 @@ def _in_box(colors: tuple[IntVec2, ...], box: tuple[IntVec2, IntVec2]) -> bool:
     return all(lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2 for c1, c2 in colors)
 
 
-def _common_shift(lefts, rights, box: tuple[int, int, int, int], step: int) -> IntVec2 | None:
-    """The one right - left of every pair of the two lists, when there is
-    one and every color is on the grid box, the multiples of step in
-    box = (lo1, lo2, hi1, hi2); None otherwise."""
-    lo1, lo2, hi1, hi2 = box
-    shifts = {(r1 - l1, r2 - l2) for (l1, l2), (r1, r2) in zip(lefts, rights)}
-    if len(shifts) != 1 or len(lefts) != len(rights):
-        return None
-    on_grid = all(
-        lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2 and not (c1 % step or c2 % step)
-        for c1, c2 in chain(lefts, rights)
-    )
-    return shifts.pop() if on_grid else None
-
-
 def verify_tileset(ts: Tileset) -> list[TileFault]:
     """Recheck every tile: transport equation, label boxes, grid boxes.
 
     All in integers over the tileset's D: the transport equation
     multiplied through by D (see _Transport), and each error color as a
-    multiple of D / q inside its piece's grid box.  The checks of piece,
-    bottom and top run once per run.  Whether a pair of color lists has
-    one right - left and lies on the piece's grid box is worked out once
-    per piece for all the runs that share it: a run whose labels pass
-    and whose transport right side is that difference has no fault, and
-    any other run has each (left, right) pair checked.  Line numbers
-    follow the export layout, the only one parse_tileset accepts: tile
-    k, as stored, is on line 3 + pieces + k.
+    multiple of D / q inside its piece's grid box.  A tile's reason is
+    the first check it fails of one chain: unknown piece or wrong number
+    of edge colors, transport equation, label boxes, left grid box,
+    right grid box.  A run's label checks and its transport right side
+    e are worked out once; the chain runs once per run shape (piece,
+    color list objects, e, label reasons), and a later run of that shape
+    has the same tiles at fault, at its own lines.  Line numbers follow
+    the export layout, the only one parse_tileset accepts: tile k, as
+    stored, is on line 3 + pieces + k.
     """
     faults = []
     m, n = ts.params.m, ts.params.n
     den = ts.denominator
     equations = [_transport(ts.params, piece, den) for piece in ts.pam.pieces]
-    # (piece, id(lefts), id(rights)) -> _common_shift of the two lists; the
-    # runs hold the lists, so no id is reused while this call runs
-    shifts: dict[tuple[int, int, int], IntVec2 | None] = {}
-    lineno = 2 + len(ts.pam.pieces)
+    # run shape -> the (index, reason) of its tiles at fault; the runs hold
+    # the lists, so no id is reused while this call runs
+    shapes: dict[tuple, list[tuple[int, str]]] = {}
+    lineno = 3 + len(ts.pam.pieces)  # the line of the run's first tile
     for piece, bottom, top, lefts, rights in ts.runs:
-        before = after = None  # the reasons of faults before and after transport
+        before = e = after = None  # the reasons of faults before and after transport
         if not 0 <= piece < len(equations):
             before = f"unknown piece {piece}"
-        elif len(bottom) != n or len(top) != m:
-            before = "wrong number of edge colors"
         else:
-            e1, e2 = _transport_rhs(equations[piece], bottom, top)
+            if len(bottom) != n or len(top) != m:
+                before = "wrong number of edge colors"
+            e = _transport_rhs(equations[piece], bottom, top)
             meta = ts.piece_meta[piece]
-            ell, step = meta.ell, den // meta.ell.q
-            # the grid box over D: multiples of step in [lo, hi]
-            lo1, lo2, hi1, hi2 = (p * step for p in (*ell.p1, *ell.p2))
             if not _in_box(bottom, meta.bottom_box):
                 after = "bottom color outside box"
             elif not _in_box(top, meta.top_box):
                 after = "top color outside box"
-            else:
-                key = (piece, id(lefts), id(rights))
-                if key not in shifts:
-                    shifts[key] = _common_shift(lefts, rights, (lo1, lo2, hi1, hi2), step)
-                if shifts[key] == (e1, e2):
-                    lineno += len(lefts)
+        key = (piece, id(lefts), id(rights), e, before, after)
+        reasons = shapes.get(key)
+        if reasons is None:
+            reasons = shapes[key] = []
+            if before is None:
+                e1, e2 = e
+                step = den // meta.ell.q
+                # the grid box over D: multiples of step in [lo, hi]
+                lo1, lo2, hi1, hi2 = (p * step for p in (*meta.ell.p1, *meta.ell.p2))
+            for i, ((l1, l2), (r1, r2)) in enumerate(zip(lefts, rights)):
+                if before:
+                    reason = before
+                elif r1 - l1 != e1 or r2 - l2 != e2:
+                    reason = "transport equation violated"
+                elif after:
+                    reason = after
+                # with step 1 (the piece's q is D) every numerator is on the grid
+                elif not (lo1 <= l1 <= hi1 and lo2 <= l2 <= hi2) or (
+                    step > 1 and (l1 % step or l2 % step)
+                ):
+                    reason = "left color off the grid box"
+                elif not (lo1 <= r1 <= hi1 and lo2 <= r2 <= hi2) or (
+                    step > 1 and (r1 % step or r2 % step)
+                ):
+                    reason = "right color off the grid box"
+                else:
                     continue
-        for left, right in zip(lefts, rights):
-            lineno += 1
-            (l1, l2), (r1, r2) = left, right
-            if before:
-                reason = before
-            elif r1 - l1 != e1 or r2 - l2 != e2:
-                reason = "transport equation violated"
-            elif after:
-                reason = after
-            # with step 1 (the piece's q is D) every numerator is on the grid
-            elif not (lo1 <= l1 <= hi1 and lo2 <= l2 <= hi2) or (
-                step > 1 and (l1 % step or l2 % step)
-            ):
-                reason = "left color off the grid box"
-            elif not (lo1 <= r1 <= hi1 and lo2 <= r2 <= hi2) or (
-                step > 1 and (r1 % step or r2 % step)
-            ):
-                reason = "right color off the grid box"
-            else:
-                continue
-            faults.append(TileFault(lineno, (piece, bottom, top, left, right), reason))
+                reasons.append((i, reason))
+        for i, reason in reasons:
+            faults.append(TileFault(lineno + i, (piece, bottom, top, lefts[i], rights[i]), reason))
+        lineno += len(lefts)
     return faults

@@ -666,7 +666,7 @@ def _perturb(pick, ts: Tileset, tile):
             matrix = ts.pam.pieces[piece].matrix
             fix = matrix.apply(delta).scale(Fraction(1, ts.params.n))
         else:
-            fix = -delta.scale(Fraction(1, ts.params.m))
+            fix = delta.scale(Fraction(-1, ts.params.m))
         right = _add(right, scaled_color(fix, den))
     return (piece, bottom, top, left, right)
 
@@ -778,6 +778,32 @@ def test_verify_memo_keys_on_list_objects_and_piece():
     assert faults and {fault.tile[:3] for fault in faults} == {d[:3]}
 
 
+def test_verify_memo_keys_on_the_run_shape():
+    # runs that all hold one pair of list objects with right - left = (0, 0):
+    # (a) a valid run, (b) a piece 0 run whose transport right side is not
+    # (0, 0), (c) a bottom outside piece 0's box, (d) a run of piece 7 and
+    # (e) two bottom colors; (c) and (e) keep the right side (0, 0), as
+    # piece 0 is the identity: 12 (sum(bottom) / 3 - sum(top) / 2)
+    ts = enumerate_tileset(P23, MIXED_Q_MAP)
+    a = next(run for run in ts.runs if run[0] == 0 and run[3][0] == run[4][0])
+    lefts, rights = a[3], a[4]
+    b = next(run for run in ts.runs if run[0] == 0 and run[3] is not lefts)
+    c = (0, ((2, 0), (0, 0), (1, 0)), ((1, 0), (1, 0)))
+    d = (7, *a[1:3])
+    e = (0, ((0, 0), (0, 0)), ((0, 0), (0, 0)))
+    runs = sorted((*run[:3], lefts, rights) for run in (a, b, c, d, e))
+    sub = Tileset(P23, MIXED_Q_MAP, tuple(runs))
+    faults = verify_tileset(sub)
+    assert faults == reference_verify(sub)
+    assert len(faults) == 4 * len(lefts)
+    assert {(fault.tile[:3], fault.reason) for fault in faults} == {
+        (b[:3], "transport equation violated"),
+        (c, "bottom color outside box"),
+        (d, "unknown piece 7"),
+        (e, "wrong number of edge colors"),
+    }
+
+
 def test_export_matches_per_line_oracle(lattice_tilesets):
     # sparse subsets leave runs of one tile, full tilesets whole runs, and
     # shuffles (tile_lines keeps the order it is given) runs of any length;
@@ -870,14 +896,15 @@ def test_parse_matches_per_line_oracle(lattice_tilesets, data):
     assert got == _outcome(lambda: reference_tile_lines(lines, header, ts.denominator))
 
 
-@pytest.mark.parametrize("edit", ["split", "swap", "repeat"])
+@pytest.mark.parametrize("edit", ["split", "swap", "repeat", "back"])
 def test_parse_block_edits_match_per_line_oracle(edit):
     # whole runs of identity-23, many sharing their color lists, so most
     # blocks are read from an equal block before them: every run re-spelled
     # (+0) from its line k on, so that it goes on in a second block; two
-    # runs swapped; or line k of one run replaced by line k - 1 re-spelled.
-    # The block reader and the per-line one agree on the tiles or on the
-    # line of the first error.
+    # runs swapped; or line k of one run replaced by line k - 1 re-spelled,
+    # or by line k - 2 re-spelled, which goes on with the run's labels but
+    # sorts before the line above.  The block reader and the per-line one
+    # agree on the tiles or on the line of the first error.
     ts = enumerate_tileset(P23, IDENTITY_MAP)
     header = 2 + len(ts.pam.pieces)
     rng = Random(58)
@@ -886,7 +913,7 @@ def test_parse_block_edits_match_per_line_oracle(edit):
         sub = Tileset(ts.params, ts.pam, tuple(ts.runs[k] for k in picked))
         lines = export_tileset(sub).splitlines()
         starts = list(accumulate((len(run[3]) for run in sub.runs), initial=header))
-        k = rng.randrange(1, 16)  # every run of identity-23 has 16 tiles
+        k = rng.randrange(2 if edit == "back" else 1, 16)  # every run of identity-23 has 16 tiles
         if edit == "split":
             for start, end in zip(starts, starts[1:]):
                 lines[start + k : end] = ["+" + line for line in lines[start + k : end]]
@@ -897,10 +924,12 @@ def test_parse_block_edits_match_per_line_oracle(edit):
             lines[starts[r] : starts[r + 1]] = second
         else:
             start = rng.choice(starts[:-1])
-            lines[start + k] = "+" + lines[start + k - 1]
+            lines[start + k] = "+" + lines[start + k - (1 if edit == "repeat" else 2)]
         text = "\n".join(lines) + "\n"
         got = _outcome(lambda: parse_tileset(text).tiles)
         assert got == _outcome(lambda: reference_tile_lines(lines, header, ts.denominator))
+        if edit == "back":
+            assert got == f"tileset line {start + k + 1}:"
     if edit == "split":  # the runs read, and the lists they share, are unchanged
         assert parse_tileset(text).runs == sub.runs
 
