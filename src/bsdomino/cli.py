@@ -10,6 +10,7 @@ import argparse
 import os
 import re
 import sys
+from itertools import islice
 
 from .errors import BsDominoError, ParseError
 from .group import BsParams, element_from_text, lambda_val, phi
@@ -193,7 +194,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
     ts = enumerate_tileset(params, pam)
     out = args.out or (os.path.splitext(args.map)[0] + ".tiles")
     with open(out, "w", encoding="utf-8") as handle:
-        handle.writelines(export_lines(ts))
+        lines = export_lines(ts)  # one write per batch: a write per string is slower
+        while batch := "".join(islice(lines, 4096)):
+            handle.write(batch)
     print(
         f"m={params.m} n={params.n} pieces={len(pam.pieces)}"
         f" tiles={len(ts.tiles)} out={out}"
@@ -202,8 +205,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.tileset, "r", encoding="utf-8") as handle:
-        ts = parse_tileset(handle.read())
+    # a byte that is not UTF-8 reads as a lone surrogate, which no field of
+    # the layout accepts: bad input, at its own line
+    with open(args.tileset, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        ts = parse_tileset(handle)
     faults = verify_tileset(ts)
     if not faults:
         print(f"ok=true tiles={len(ts.tiles)}")

@@ -53,12 +53,13 @@ lists per piece and b (the grid colors left with left + b on the grid
 box, and those rights), shared by every run with that b.  A tile file is
 the title, the m= n= pieces= tiles= header, one header per piece, then
 the runs as stored, one line per tile, each color as its reduced p/q:
-tile k is on line 3 + pieces + k.  Export formats the tails
-'left | r: right' of each shared pair of lists once and writes a run as
-its label prefix 'piece | bottom: ... | top: ... | l: ' before each
-tail.  parse_tileset reads that layout back over D a block at a time,
-the lines that repeat one label prefix, rejecting any line out of place,
-a color off (1/D) Z^2 and headers that disagree with their pieces; one
+tile k is on line 3 + pieces + k.  One writer, export_lines, yields the
+headers, then each run's label prefix 'piece | bottom: ... | top: ...
+| l: ' before each of its tails 'left | r: right' (a shared pair of
+lists has its tails formatted once).  One reader, parse_tileset, reads
+the text or an open file forward, a block (the lines that repeat one
+label prefix) at a time, over D, rejecting any line out of place, a
+color off (1/D) Z^2 and headers that disagree with their pieces; one
 rule orders the tile lines: each line's key (labels, left, right) is
 greater than the line above's.  Equal blocks of a piece share one pair
 of lists, as enumerated runs do.  verify_tileset numbers tiles as stored
@@ -498,12 +499,12 @@ def _fmt_over(p: int, denominator: int) -> str:
     return f"{p // g}/{denominator // g}"
 
 
-def _run_tails(runs: Iterable[Run], denominator: int) -> Iterator[tuple[str, list[str]]]:
-    """Each run's label prefix 'piece | bottom: ... | top: ... | l: ' and
-    the tails 'left | r: right' of its lines, each with its newline, the
-    error colors over denominator.  The tails of a pair of color lists
-    are formatted once for all the runs that share that pair, and each
-    distinct color once."""
+def _run_lines(runs: Iterable[Run], denominator: int) -> Iterator[list[str]]:
+    """Each run's lines as [prefix, tail, prefix, tail, ...]: its label
+    prefix 'piece | bottom: ... | top: ... | l: ' before each tail
+    'left | r: right' and its newline, the error colors over denominator.
+    The tails of a pair of color lists are formatted once for all the
+    runs that share that pair, and each distinct color once."""
     labels = cache(lambda colors: " ".join(_fmt_ivec(c) for c in colors))
     errors = cache(lambda color: ",".join(_fmt_over(p, denominator) for p in color))
     # (id(lefts), id(rights)) -> (lefts, rights, tails); holding the lists
@@ -514,22 +515,16 @@ def _run_tails(runs: Iterable[Run], denominator: int) -> Iterator[tuple[str, lis
         if key not in shared:
             tails = [f"{errors(left)} | r: {errors(right)}\n" for left, right in zip(lefts, rights)]
             shared[key] = (lefts, rights, tails)
-        yield f"{piece} | bottom: {labels(bottom)} | top: {labels(top)} | l: ", shared[key][2]
-
-
-def tile_lines(runs: Iterable[Run], denominator: int) -> Iterator[str]:
-    """The text of the runs' tiles in their order, one block of lines
-    per run, each line with its newline, the error colors over
-    denominator."""
-    for prefix, tails in _run_tails(runs, denominator):
-        if tails:
-            yield prefix + prefix.join(tails)
+        tails = shared[key][2]
+        lines = [f"{piece} | bottom: {labels(bottom)} | top: {labels(top)} | l: "] * len(tails) * 2
+        lines[1::2] = tails
+        yield lines
 
 
 def tile_to_line(tile: Tile, denominator: int) -> str:
     """The tile's line in a tileset file, its error colors over denominator."""
     piece, bottom, top, left, right = tile
-    return next(tile_lines([(piece, bottom, top, (left,), (right,))], denominator))[:-1]
+    return "".join(next(_run_lines([(piece, bottom, top, (left,), (right,))], denominator)))[:-1]
 
 
 def _header_lines(ts: Tileset) -> list[str]:
@@ -555,23 +550,16 @@ def _header_lines(ts: Tileset) -> list[str]:
 
 
 def export_lines(ts: Tileset) -> Iterator[str]:
-    """The text of the tileset's file in pieces, each ending in a
-    newline: the header lines, then one block of lines per run as
-    stored (tile_lines), each formatted only when it is taken, so a
-    writer need not hold the whole text."""
-    return chain(_header_lines(ts), tile_lines(ts.runs, ts.denominator))
+    """The tileset's file as the strings it is joined from, each run
+    formatted only when it is taken: the header lines, then each run's
+    prefix and tail strings (_run_lines), never a run joined into one
+    block, so that a join of them holds one copy of the text."""
+    return chain(_header_lines(ts), chain.from_iterable(_run_lines(ts.runs, ts.denominator)))
 
 
 def export_tileset(ts: Tileset) -> str:
-    """The text export_lines gives, joined from the prefix and tail
-    strings themselves: joining blocks would hold a second copy of the
-    text until the join is done."""
-    parts = _header_lines(ts)
-    for prefix, tails in _run_tails(ts.runs, ts.denominator):
-        lines = [prefix] * (2 * len(tails))
-        lines[1::2] = tails
-        parts += lines
-    return "".join(parts)
+    """The text of the tileset's file, export_lines joined."""
+    return "".join(export_lines(ts))
 
 
 def _inner(text: str) -> str:
@@ -638,7 +626,7 @@ def _parse_piece(params: BsParams, line: str, index: int) -> tuple[AffinePiece, 
     return piece, meta
 
 
-def parse_tileset(text: str) -> Tileset:
+def parse_tileset(source: str | Iterable[str]) -> Tileset:
     """Read a tileset file in the layout export_tileset writes, each line
     in its place: the title, the m= n= pieces= tiles= header, one
     '# piece i' header per piece in order, then only tile lines, read
@@ -652,25 +640,28 @@ def parse_tileset(text: str) -> Tileset:
     block, a line and the lines after it that repeat its label prefix,
     has its tails read once: a later block of the same piece with the
     same tails takes the color lists read then, so the runs share lists
-    as enumerate's do."""
-    lines = text.splitlines()
+    as enumerate's do.  source is the text or the lines of an open file,
+    split as str.splitlines splits the text and read once, in order."""
+    chunks = [source] if isinstance(source, str) else source
+    lines = chain.from_iterable(map(str.splitlines, chunks))
     i = 0  # the index of the line being read
     try:
-        if lines[:1] != [TITLE]:
+        if next(lines, None) != TITLE:
             raise ParseError(f"expected {TITLE!r}")
         i = 1
-        line = lines[1] if len(lines) > 1 else ""
-        counts = _header_values(line, "# ", "m n pieces tiles")
+        counts = _header_values(next(lines, ""), "# ", "m n pieces tiles")
         m, n, n_pieces, n_tiles = map(int, counts)
         params = BsParams(m, n)
         pieces: list[AffinePiece] = []
         metas: list[PieceMeta] = []
         i = 2
-        while i < len(lines) and lines[i].startswith("#"):
-            piece, meta = _parse_piece(params, lines[i], len(pieces))
+        line = next(lines, None)  # the line at i, None past the end
+        while line is not None and line.startswith("#"):
+            piece, meta = _parse_piece(params, line, len(pieces))
             pieces.append(piece)
             metas.append(meta)
             i += 1
+            line = next(lines, None)
         pam = PiecewiseAffineMap(tuple(pieces))
         den = color_denominator(params, pieces)
         bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
@@ -682,11 +673,9 @@ def parse_tileset(text: str) -> Tileset:
         runs: list[Run] = []
         # (piece, tails) -> the (lefts, rights) read from those tails once
         blocks: dict[tuple, tuple[list, list]] = {}
-        i, count = 2 + len(pieces), len(lines)
-        while i < count:
+        while line is not None:
             # the block at line i; its label prefix, up to and including the
             # first ' | l: ', is read once
-            line = lines[i]
             try:
                 cut = line.index(" | l: ") + 6
                 head, bottom_text, top_text = line[: cut - 6].split(" | ")
@@ -695,10 +684,16 @@ def parse_tileset(text: str) -> Tileset:
             prefix = line[:cut]
             labels = (int(head), bottoms(bottom_text), tops(top_text))
             go_on = runs and last[0] == labels  # a prefix spelled anew: the run goes on
-            end = i + 1
-            while end < count and lines[end].startswith(prefix):
-                end += 1
-            tails = tuple([row[cut:] for row in lines[i:end]])
+            tails = [line[cut:]]
+            # the block's lines, up to the first off its prefix: the next block's
+            for line in lines:
+                if not line.startswith(prefix):
+                    break
+                tails.append(line[cut:])
+            else:
+                line = None
+            tails = tuple(tails)
+            end = i + len(tails)
             block = blocks.get((labels[0], tails))
             if block is None:
                 lefts, rights = [], []

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsdomino.balrep import b_k
+from bsdomino.cli import main
 from bsdomino.errors import EnumerationTooLarge, OutsidePiece, ParseError
 from bsdomino.group import BsParams, element_from_text
 from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, load_map
@@ -31,7 +32,6 @@ from bsdomino.tileset import (
     export_tileset,
     parse_tileset,
     piece_meta,
-    tile_lines,
     tile_to_line,
     top_label_box,
     verify_tileset,
@@ -586,6 +586,145 @@ def test_parsed_runs_share_lists_as_enumerated(path):
     assert _list_groups(again.runs) == _list_groups(ts.runs)
 
 
+def test_export_tileset_joins_export_lines(lattice_tilesets):
+    # shared color lists (enumerated), one pair of lists per run, and no
+    # runs at all: one writer, whose strings are single lines or parts of one
+    ts = lattice_tilesets[0]
+    for sub in (
+        ts,
+        Tileset(ts.params, ts.pam, runs_of(islice(ts.tiles, 0, 3000, 7))),
+        Tileset(ts.params, ts.pam, ()),
+    ):
+        strings = list(export_lines(sub))
+        assert export_tileset(sub) == "".join(strings)
+        assert all(string.count("\n") <= 1 for string in strings)
+
+
+def _distinct_lists(ts) -> int:
+    return len({id(colors) for run in ts.runs for colors in run[3:]})
+
+
+@pytest.mark.parametrize("path", MAP_FILES, ids=lambda path: path.stem)
+def test_file_reader_matches_text_reader(tmp_path, path):
+    # one right color moved by 1, as in the benchmark's negative control:
+    # the open file and its text give the same runs, sharing as many list
+    # objects, and the same single fault
+    ts = enumerate_tileset(*load_map(str(path)))
+    lines = export_tileset(ts).splitlines()
+    victim = Random(path.stem).randrange(2 + len(ts.pam.pieces), len(lines))
+    head, _, right = lines[victim].rpartition(" | r: ")
+    r1, r2 = right.split(",")
+    lines[victim] = f"{head} | r: {fmt_rat(Fraction(r1) + 1)},{r2}"
+    text = "\n".join(lines) + "\n"
+    out = tmp_path / "map.tiles"
+    out.write_text(text, encoding="utf-8")
+    from_text = parse_tileset(text)
+    with open(out, encoding="utf-8") as handle:
+        from_file = parse_tileset(handle)
+    assert from_file.runs == from_text.runs
+    assert _distinct_lists(from_file) == _distinct_lists(from_text)
+    faults = verify_tileset(from_file)
+    assert faults == verify_tileset(from_text)
+    assert [(fault.line, fault.reason) for fault in faults] == [
+        (victim + 1, "transport equation violated")
+    ]
+
+
+# each probe edits the lines of identity-23's export and returns the line
+# the ParseError names, or None where the lines still parse
+def _unchanged(lines, ts):
+    return None
+
+
+def _empty(lines, ts):
+    lines.clear()
+    return 1
+
+
+def _title_only(lines, ts):
+    del lines[1:]
+    return 2
+
+
+def _blank_line(lines, ts):
+    lines.insert(100, "")
+    return 101
+
+
+def _swap_at_run_boundary(lines, ts):
+    k = 2 + len(ts.pam.pieces) + len(ts.runs[0][3])  # the second run's first line
+    lines[k - 1], lines[k] = lines[k], lines[k - 1]
+    return k + 1  # the first run's last line now sorts before the line above
+
+
+def _off_grid_last_line(lines, ts):
+    head, _, _ = lines[-1].partition(" | l: ")
+    lines[-1] = head + " | l: 9/14,9/14 | r: 9/14,9/14"
+    return len(lines)
+
+
+def _tiles_lowered(lines, ts):
+    lines[1] = lines[1].replace(" tiles=14400", " tiles=14399")
+    return 2
+
+
+def _read(read):
+    """The runs read, or the message of the ParseError raised."""
+    try:
+        return read().runs
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize(
+    "probe",
+    [
+        _unchanged,
+        _empty,
+        _title_only,
+        _blank_line,
+        _swap_at_run_boundary,
+        _off_grid_last_line,
+        _tiles_lowered,
+    ],
+)
+def test_file_and_text_readers_agree(tmp_path, probe, final_newline):
+    ts = enumerate_tileset(P23, IDENTITY_MAP)
+    lines = export_tileset(ts).splitlines()
+    where = probe(lines, ts)
+    text = "".join(f"{line}\n" for line in lines)
+    if not final_newline:
+        text = text.removesuffix("\n")
+    out = tmp_path / "probe.tiles"
+    out.write_text(text, encoding="utf-8")
+    got = _read(lambda: parse_tileset(text))
+    with open(out, encoding="utf-8") as handle:
+        assert _read(lambda: parse_tileset(handle)) == got
+    if where is None:
+        assert got == ts.runs
+    else:
+        assert got.startswith(f"tileset line {where}: ")
+
+
+def test_non_utf8_byte_is_bad_input_at_its_line(tmp_path, capsys):
+    # the byte reads as a lone surrogate, from the file as from its text
+    data = bytearray(export_tileset(enumerate_tileset(P23, IDENTITY_MAP)).encode())
+    start = data.index(b"\n", 5000) + 1
+    data[start + 20] = 0xFF  # inside the bottom colors of a tile line
+    where = data[:start].count(b"\n") + 1
+    out = tmp_path / "latin.tiles"
+    out.write_bytes(bytes(data))
+    got = _read(lambda: parse_tileset(bytes(data).decode("utf-8", "surrogateescape")))
+    with open(out, encoding="utf-8", errors="surrogateescape") as handle:
+        assert _read(lambda: parse_tileset(handle)) == got
+    assert got.startswith(f"tileset line {where}: ")
+    assert main(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {got}\n"
+
+
 def test_piece_metas_derived_once_per_call(monkeypatch):
     derived = []
 
@@ -806,22 +945,25 @@ def test_verify_memo_keys_on_the_run_shape():
 
 def test_export_matches_per_line_oracle(lattice_tilesets):
     # sparse subsets leave runs of one tile, full tilesets whole runs, and
-    # shuffles (tile_lines keeps the order it is given) runs of any length;
-    # export yields a header a line, then a block of lines a run, so the
-    # texts are compared byte for byte
+    # shuffles (export keeps the order its runs are given in) runs of any
+    # length; export yields a header a line, then each run's prefix and
+    # tail strings, so the texts are compared byte for byte
     rng = Random(53)
     for ts in lattice_tilesets:
         den, header = ts.denominator, 2 + len(ts.pam.pieces)
-        for density in (0.02, 0.3, 1.0):
-            tiles = [tile for tile in ts.tiles if rng.random() < density]
+
+        def check(tiles):
             lines = list(export_lines(Tileset(ts.params, ts.pam, runs_of(tiles))))
             assert "".join(lines[header:]) == "".join(reference_export_lines(tiles, den))
+
+        for density in (0.02, 0.3, 1.0):
+            tiles = [tile for tile in ts.tiles if rng.random() < density]
+            check(tiles)
             window = rng.randrange(len(tiles))
             part = tiles[window : window + 200]
             rng.shuffle(part)
             tiles[window : window + 200] = part
-            text = "".join(tile_lines(runs_of(tiles), den))
-            assert text == "".join(reference_export_lines(tiles, den))
+            check(tiles)
 
 
 MUTATIONS = [
