@@ -17,20 +17,23 @@ encoded map.  All of this runs on canonical forms in integers, one
 a-row at a time: build_patch refuses a cell that is not canonical, so a
 patch holds each group element once.  The cells h a^e of one head h
 form a row (an H-chain of the reduction); the patch maps each head to
-{e: position}.  One row walker (_partners) gives every cell its
-partners: within a row the H and I partners are entries e + m and
-e + 1, and the V partners lie in the rows h a^r t^-1 above, r < n,
-each canonical as it stands but for the pinch t a^0 t^-1 (g a^s t^-1
-is then one divmod away).  constraints_for lists the rules from it,
-search_patch takes its arcs from it, and every re-check of an
-assignment (check_assignment, a found search, an orbit witness) walks
-it comparing colors directly, building a Constraint only for a broken
-rule.  lambda steps by 1/m along a row, so the lambda of a row head
-(Patch.heads, which holds row heads only) and one RowColors.run tile a
-run of consecutive cells; RowColors holds x and f(x) as integers (a
-witness reads f(x) from the orbit), so a run is integer floor
-divisions only.  A cell is named by its position in the patch:
-constraints, search domains and re-checks index cells by position.
+{e: position}.  A patch keeps its row walk, built from its own params
+on first use: Patch.segments, the runs of consecutive cells of each
+row, and Patch.partners, each cell's partners.  Within a row the H and
+I partners are entries e + m and e + 1, and the V partners lie in the
+rows h a^r t^-1 above, r < n, each canonical as it stands but for the
+pinch t a^0 t^-1 (g a^s t^-1 is then one divmod away).  Every call on
+a patch checks its group first (_partners) and then shares the one
+walk: constraints_for lists the rules from it, search_patch takes its
+arcs from it, and every re-check of an assignment (check_assignment, a
+found search, an orbit witness) reads it comparing colors directly,
+building a Constraint only for a broken rule.  lambda steps by 1/m
+along a row, so the lambda of a row head (Patch.heads, which holds row
+heads only) and one RowColors.run tile a segment; RowColors holds x
+and f(x) as integers (a witness reads f(x) from the orbit), so a run
+is integer floor divisions only.  A cell is named by its position in
+the patch: constraints, search domains and re-checks index cells by
+position.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
@@ -58,7 +62,9 @@ class Patch:
     a-row: the cells g = h a^e of one head h share (exps[:-1], stables)
     and differ in e = exps[-1], so rows maps each head to {e: position}.
     heads maps the same row heads, and only those, to (num, den) =
-    lambda_parts of h a^0.
+    lambda_parts of h a^0.  The row walk, segments and partners, is
+    built from params on first use and read by every later call; its
+    tuples are not fields, so ==, hash and repr see params and cells.
     """
 
     params: BsParams
@@ -73,6 +79,49 @@ class Patch:
 
     def __contains__(self, g: GroupElement) -> bool:
         return self.position(g) is not None
+
+    @cached_property
+    def segments(self) -> tuple[tuple[tuple, int, int, tuple[int, ...]], ...]:
+        """(row key, first e, count, positions) for each run of
+        consecutive cells h a^e of a row, rows in the order of rows."""
+        return tuple(
+            (key, start, count, tuple(row[e] for e in range(start, start + count)))
+            for key, row in self.rows.items()
+            for start, count in _consecutive(sorted(row))
+        )
+
+    @cached_property
+    def partners(self) -> tuple[tuple, ...]:
+        """Each cell's partners, by position: (H, I, above) for g = h a^e.
+
+        H and I are the positions of g a^m and g a, entries e + m and
+        e + 1 of g's own row (None off the patch), maybe in another
+        segment of it.  above[s] is the position of the V partner
+        g a^(s + 1 - n) t^-1, s < m + n - 1, which is h a^r t^-1 a^(m q)
+        for (q, r) = divmod(e + s + 1 - n, n), entry offset_r + m q of
+        the row of h a^r t^-1, looked up once per segment.
+        """
+        m, n = self.params.m, self.params.n
+        rows = self.rows
+        partners: list = [None] * len(self.cells)
+        for (head, stables), start, count, positions in self.segments:
+            row = rows[head, stables]
+            # above[r]: (row of h a^r t^-1, its offset).  r < n is a coset
+            # representative before t^-1, so h a^r t^-1 is canonical as it
+            # stands (row (head + (r,), stables + (-1,)), offset 0) except
+            # for the pinch t a^0 t^-1, which lands in the row below h
+            above = [(rows.get((head + (r,), stables + (-1,)), {}), 0) for r in range(n)]
+            if stables and stables[-1] == 1:
+                above[0] = (rows.get((head[:-1], stables[:-1]), {}), head[-1])
+            # uppers[x - start - 1 + n]: the cell h a^x t^-1, or None
+            uppers = tuple(
+                above[x % n][0].get(above[x % n][1] + m * (x // n))
+                for x in range(start + 1 - n, start + count + m - 1)
+            )
+            for base, i in enumerate(positions):
+                e = start + base
+                partners[i] = (row.get(e + m), row.get(e + 1), uppers[base : base + m + n - 1])
+        return tuple(partners)
 
 
 def build_patch(params: BsParams, elements) -> Patch:
@@ -144,44 +193,13 @@ class Constraint(NamedTuple):
     bottom_pos: int = 0
 
 
-def _partners(params: BsParams, patch: Patch) -> list[tuple]:
-    """Each cell's partners, by position: (H, I, above) for g = h a^e.
-
-    H and I are the positions of g a^m and g a, entries e + m and e + 1
-    of g's own row (None off the patch); e + m may lie in another run of
-    the row when the row has gaps.  above[s] is the position of the V
-    partner g a^(s + 1 - n) t^-1, s < m + n - 1, which is
-    h a^r t^-1 a^(m q) for (q, r) = divmod(e + s + 1 - n, n), entry
-    offset_r + m q of the row of h a^r t^-1; each h a^x t^-1 is looked
-    up once per run of consecutive cells.
-    ValueError when params is not the group the patch was built in.
-    """
+def _partners(params: BsParams, patch: Patch) -> tuple[tuple, ...]:
+    """patch.partners, the walk of the patch's own group; ValueError,
+    before anything is read or built, when params is not that group."""
     if params != patch.params:
         own = patch.params
         raise ValueError(f"patch is in BS({own.m},{own.n}), not BS({params.m},{params.n})")
-    m, n = params.m, params.n
-    width = m + n - 1
-    rows = patch.rows
-    partners: list = [None] * len(patch.cells)
-    for (head, stables), row in rows.items():
-        # above[r]: (row of h a^r t^-1, its offset).  r < n is a coset
-        # representative before t^-1, so h a^r t^-1 is canonical as it
-        # stands (row (head + (r,), stables + (-1,)), offset 0) except
-        # for the pinch t a^0 t^-1, which lands in the row below h
-        above = [(rows.get((head + (r,), stables + (-1,)), {}), 0) for r in range(n)]
-        if stables and stables[-1] == 1:
-            above[0] = (rows.get((head[:-1], stables[:-1]), {}), head[-1])
-        for start, count in _consecutive(sorted(row)):
-            lowest = start + 1 - n
-            uppers = []  # uppers[x - lowest]: the cell h a^x t^-1, or None
-            for x in range(lowest, start + count + m - 1):
-                q, r = divmod(x, n)
-                up_row, offset = above[r]
-                uppers.append(up_row.get(offset + m * q))
-            for e in range(start, start + count):
-                base = e - start
-                partners[row[e]] = (row.get(e + m), row.get(e + 1), uppers[base : base + width])
-    return partners
+    return patch.partners
 
 
 def _v_slots(params: BsParams) -> list[tuple[int, int, int]]:
@@ -195,9 +213,10 @@ def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
     """The H, I and V constraints between cells, in cell order: for each
     cell its H, its I, then its V constraints by (top_pos, bottom_pos).
     ValueError when params is not the group the patch was built in."""
+    partners = _partners(params, patch)
     slots = _v_slots(params)
     out = []
-    for i, (h, nxt, above) in enumerate(_partners(params, patch)):
+    for i, (h, nxt, above) in enumerate(partners):
         if h is not None:
             out.append(Constraint("H", i, h))
         if nxt is not None:
@@ -238,7 +257,7 @@ def _tiles_by_position(patch: Patch, assignment: TilingAssignment) -> list[Tile]
     return tiles
 
 
-def _violations(params: BsParams, partners: list[tuple], tiles) -> list[Constraint]:
+def _violations(params: BsParams, partners: tuple[tuple, ...], tiles) -> list[Constraint]:
     """The constraints that tiles, indexed by cell position, violate, in
     the order constraints_for lists them.  Each rule compares the colors
     of a cell and its partner directly; a Constraint is built only for
@@ -435,16 +454,16 @@ def search_patch(
     node each, so the search is deterministic.  Propagation only drops
     tiles that no tiling extending the current assignment can use, so an
     ExhaustedNoTiling result is a complete refutation; a Found result is
-    re-checked on the row walk (_partners) that gave the arcs.  A patch
+    re-checked on the patch's row walk that gave the arcs.  A patch
     is refuted at 0 nodes when it has a V rule top_j = bottom_k and no
     tile's top_j is any tile's bottom_k, as the runs' labels tell.
     """
     params = tileset.params
+    partners = _partners(params, patch)
     cells = patch.cells
     if not cells:
         return Found(TilingAssignment(()), 0)
     tiles = tileset.tiles
-    partners = _partners(params, patch)
     slots = _v_slots(params)
 
     # a V rule top_j = bottom_k of the patch that no two tiles meet
@@ -604,9 +623,11 @@ def assignment_from_orbit(
     row up applies the map once.  Cyclic orbits repeat their loop, other
     orbits must reach every level the patch spans.  report must be the
     orbit of f: the image f(x) of a state is read from it wherever it
-    holds one.  Each run of consecutive cells of an a-row is one
-    RowColors.run from the lambda of its first cell.
+    holds one.  Each segment of the patch (a run of consecutive cells
+    of an a-row) is one RowColors.run from the lambda of its first cell.
+    ValueError when params is not the group the patch was built in.
     """
+    partners = _partners(params, patch)
     if not patch.cells:
         return TilingAssignment(())
     betas = [-sum(stables) for _, stables in patch.rows]
@@ -639,14 +660,13 @@ def assignment_from_orbit(
             fx = None if last else states[state_at(at + 1)][1]
             colors[at] = RowColors(params, f.pieces[piece_idx], point, piece_idx, den, fx)
     tiles: list = [None] * len(patch.cells)
-    for (head, stables), row in patch.rows.items():
+    for (head, stables), start, count, positions in patch.segments:
         colors_at = colors[levels[-sum(stables) - base_level]]
         lam_num, lam_den = patch.heads[head, stables]
-        for start, count in _consecutive(sorted(row)):
-            lam = lam_num + start * (lam_den // params.m), lam_den
-            for e, tile in enumerate(colors_at.run(*lam, count), start):
-                tiles[row[e]] = tile
-    bad = _violations(params, _partners(params, patch), tiles)
+        run = colors_at.run(lam_num + start * (lam_den // params.m), lam_den, count)
+        for i, tile in zip(positions, run):
+            tiles[i] = tile
+    bad = _violations(params, partners, tiles)
     if bad:
         raise AssertionError(f"orbit assignment violates {len(bad)} constraints")
     return TilingAssignment(tuple(zip(patch.cells, tiles)))
@@ -661,7 +681,9 @@ def export_dot(
     assignment: TilingAssignment | None = None,
     tileset: Tileset | None = None,
 ) -> str:
-    """DOT graph of the patch: one node per cell, one edge per constraint."""
+    """DOT graph of the patch: one node per cell, one edge per constraint.
+    ValueError when params is not the group the patch was built in."""
+    constraints = constraints_for(params, patch)
     names = [g.to_text() for g in patch.cells]
     tile_ids = [None] * len(names)
     if assignment is not None and tileset is not None:
@@ -671,7 +693,7 @@ def export_dot(
         label = name if tile_id is None else f"{name}\\ntile {tile_id}"
         lines.append(f'  "{name}" [label="{label}"];')
     edge_labels: dict[tuple[str, str], list[str]] = {}
-    for con in constraints_for(params, patch):
+    for con in constraints:
         key = (names[con.a], names[con.b])
         if con.kind == "V":
             edge_labels.setdefault(key, []).append(

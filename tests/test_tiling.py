@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from random import Random
 
@@ -45,6 +45,7 @@ from bsdomino.tiling import (
     BudgetExceeded,
     ExhaustedNoTiling,
     Found,
+    Patch,
     TilingAssignment,
     _edge_masks,
     assignment_from_orbit,
@@ -473,25 +474,76 @@ def test_search_reads_the_tiles_not_the_boxes():
     assert result == reference_search(ts, patch)
 
 
+def spy_on_the_walk(monkeypatch, calls: dict) -> None:
+    """Count each build of a patch's segments and partners in calls."""
+    for name in ("segments", "partners"):
+        build = getattr(Patch, name).func
+
+        def counted(patch, name=name, build=build):
+            calls[name] += 1
+            return build(patch)
+
+        spy = cached_property(counted)
+        spy.__set_name__(Patch, name)
+        monkeypatch.setattr(Patch, name, spy)
+
+
 @pytest.mark.parametrize(
     "name, verdict", [("identity-23", Found), ("escape", ExhaustedNoTiling)]
 )
 def test_search_walks_the_patch_once(monkeypatch, name, verdict):
-    # the 0-node refutation, the arcs and the re-check of a found tiling
-    # all come from one row walk; no constraint list is built
-    calls = {"_partners": 0, "constraints_for": 0}
+    # the walk is built on first use, once per patch: the search (its 0-node
+    # refutation, arcs and re-check), two witnesses, their re-checks, the
+    # constraint list and the DOT export all read it; the search builds no
+    # constraint list
+    calls = {"segments": 0, "partners": 0, "constraints_for": 0}
+    spy_on_the_walk(monkeypatch, calls)
+    listing = tiling.constraints_for
 
-    def spy(fn):
-        def counted(*args):
-            calls[fn.__name__] += 1
-            return fn(*args)
-        return counted
+    def counted_listing(*args):
+        calls["constraints_for"] += 1
+        return listing(*args)
 
-    monkeypatch.setattr(tiling, "_partners", spy(tiling._partners))
-    monkeypatch.setattr(tiling, "constraints_for", spy(tiling.constraints_for))
+    monkeypatch.setattr(tiling, "constraints_for", counted_listing)
     ts = compiled(name)
-    assert isinstance(search_patch(ts, build_ball_patch(P23, 2)), verdict)
-    assert calls == {"_partners": 1, "constraints_for": 0}
+    patch = build_ball_patch(P23, 2)
+    assert calls == {"segments": 0, "partners": 0, "constraints_for": 0}
+    assert isinstance(search_patch(ts, patch), verdict)
+    assert calls == {"segments": 1, "partners": 1, "constraints_for": 0}
+    witnesses = [
+        assignment_from_orbit(P23, IDENTITY_MAP, orbit(IDENTITY_MAP, vec2(*x), 10), patch)
+        for x in (("1/2", "1/2"), ("1/3", "2/7"))
+    ]
+    assert witnesses[0] != witnesses[1]
+    for witness in witnesses:
+        assert not check_assignment(P23, patch, witness)
+    assert tiling.constraints_for(P23, patch)
+    assert export_dot(P23, patch, witnesses[1], ts).startswith("graph patch {")
+    assert calls == {"segments": 1, "partners": 1, "constraints_for": 2}
+
+
+def test_a_wrong_group_call_leaves_the_walk_of_the_patch_alone():
+    # calls in the wrong group raise before the walk is read or built, so
+    # they cannot leave a walk of that group on the patch for later calls
+    params, pam, x = witness_map("rotation-32")
+    report = orbit(pam, x, 12)
+    patch, fresh = build_ball_patch(params, 4), build_ball_patch(params, 4)
+    witness = assignment_from_orbit(params, pam, report, fresh)
+    wrong_group = r"patch is in BS\(3,2\), not BS\(2,3\)"
+    with pytest.raises(ValueError, match=wrong_group):
+        assignment_from_orbit(P23, pam, report, patch)
+    with pytest.raises(ValueError, match=wrong_group):
+        check_assignment(P23, patch, witness)
+    with pytest.raises(ValueError, match=wrong_group):
+        search_patch(compiled("identity-23"), patch)
+    assert "segments" not in vars(patch) and "partners" not in vars(patch)
+    assert assignment_from_orbit(params, pam, report, patch) == witness
+    assert constraints_for(params, patch) == constraints_for(params, fresh)
+    # a patch that keeps its walk is still equal to one that does not
+    unwalked = build_ball_patch(params, 4)
+    assert "partners" in vars(patch) and "partners" not in vars(unwalked)
+    assert patch == unwalked and hash(patch) == hash(unwalked)
+    assert repr(patch) == repr(unwalked)
 
 
 def test_search_empty_tileset():
@@ -686,6 +738,23 @@ def test_witness_digest_and_reference_tiles(name):
     text = "".join(f"{g.to_text()} {tile}\n" for g, tile in pairs)
     assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_CASES[name][2]
     assert_witness_is_reference(params, pam, report, ball)
+
+
+def test_witnesses_on_shared_balls_equal_witnesses_on_fresh_balls():
+    # one ball per group, its walk built by the constraint list before any
+    # witness: the two BS(2,3) maps share a ball, and every witness is the
+    # one a fresh ball gives
+    balls = {}
+    for name in WITNESS_CASES:
+        params, pam, x = witness_map(name)
+        if params not in balls:
+            balls[params] = build_ball_patch(params, 4)
+            assert constraints_for(params, balls[params])
+        report = orbit(pam, x, 12)
+        pairs = assignment_from_orbit(params, pam, report, balls[params]).pairs
+        fresh = assignment_from_orbit(params, pam, report, build_ball_patch(params, 4))
+        assert pairs == fresh.pairs, name
+    assert len(balls) == 3
 
 
 def test_witness_tiles_at_the_last_state():
@@ -883,6 +952,18 @@ def test_search_refuses_a_patch_of_another_group():
         assignment_from_orbit(P23, IDENTITY_MAP, report, patch)
     with pytest.raises(ValueError, match=wrong_group):
         export_dot(P23, patch)
+    # the group is checked first, also on a patch with no cells
+    empty = build_patch(BsParams(3, 2), [])
+    with pytest.raises(ValueError, match=wrong_group):
+        search_patch(ts, empty)
+    with pytest.raises(ValueError, match=wrong_group):
+        assignment_from_orbit(P23, IDENTITY_MAP, report, empty)
+    with pytest.raises(ValueError, match=wrong_group):
+        constraints_for(P23, empty)
+    with pytest.raises(ValueError, match=wrong_group):
+        check_assignment(P23, empty, TilingAssignment(()))
+    with pytest.raises(ValueError, match=wrong_group):
+        export_dot(P23, empty)
 
 
 def edge_masks(params, tiles):
