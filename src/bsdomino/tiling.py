@@ -38,12 +38,13 @@ position.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
+from itertools import chain
+from operator import and_, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import OrbitTooShort
@@ -373,54 +374,65 @@ class BudgetExceeded:
 SearchResult = Found | ExhaustedNoTiling | BudgetExceeded
 
 
-def _span_mask(spans: list[list[int]], ntiles: int) -> int:
-    """The bitset of the tiles in the [start, stop) spans: '1's set into
-    a binary numeral with tile 0 as its last digit, read once."""
-    digits = bytearray(b"0") * ntiles
-    for start, stop in spans:
-        digits[ntiles - stop : ntiles - start] = b"1" * (stop - start)
-    return int(digits, 2)
+def _key_masks(chunks: dict, codes: list, repeats: list[int]) -> dict:
+    """{key: bitset} for one edge family, bit i standing for tile i.
+    The family's tiles are chunks[code] repeated r times, for each
+    (code, r) of codes and repeats, laid end to end; its keys are the
+    chunks' keys in that order.  Key index i is width digits in a base,
+    base * width least with base ** width >= the key count, so each
+    digit place is a string of one byte per tile, reversed to put tile
+    0 last.  A (place, value) plane is one translate of that string and
+    one int(..., 2); a key's mask is the AND of its width planes."""
+    keys = dict.fromkeys(chain.from_iterable(chunks.values()))
+    count = len(keys)
+    if not count:
+        return {}
+    # least base * width, then least width: no base b > 6 beats
+    # ceil(sqrt(b)) at twice the width, so a digit fits a byte
+    shapes = []
+    for width in range(1, count.bit_length() + 1):
+        base = round(count ** (1 / width))
+        base += base**width < count
+        shapes.append((base * width, width, base))
+    _, width, base = min(shapes)
+    masks = None
+    for place in range(width):
+        scale = base**place
+        digit = {key: i // scale % base for i, key in enumerate(keys)}
+        strings = {c: bytes(map(digit.__getitem__, chunk)) for c, chunk in chunks.items()}
+        text = b"".join(map(mul, map(strings.__getitem__, codes), repeats))[::-1]
+        values = range(min(base, (count - 1) // scale + 1))
+        planes = [int(text.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2) for v in values]
+        column = map(planes.__getitem__, digit.values())
+        masks = list(column) if masks is None else list(map(and_, masks, column))
+    # an AND result keeps its shorter operand's size; | 0 trims it
+    return {key: mask | 0 for key, mask in zip(keys, masks)}
 
 
 def _edge_masks(params: BsParams, runs: tuple[Run, ...]) -> tuple:
     """(left, right, piece, top, bottom): one bitset per edge key of the
     runs' tiles, bit i standing for tile i; top and bottom are lists of
-    m and n dicts.  Left and right colors get one bit per tile; a run
-    adds one [start, stop) span to each of its label keys (piece, top,
-    bottom), merged with the key's last span when they meet, and each
-    label mask is made once from its spans.
+    m and n dicts.  Each of the 3 + m + n edge families is one
+    _key_masks call: a color family (lefts, rights) has one chunk per
+    shared color list, the list itself, keyed by the list object; a
+    label family (piece, top_j, bottom_k) has one chunk per key,
+    repeated over each of its runs' length.
     """
-    ntiles = sum(len(run[3]) for run in runs)
-    nbytes = (ntiles + 7) // 8
-    left = defaultdict(lambda: bytearray(nbytes))
-    right = defaultdict(lambda: bytearray(nbytes))
-    # spans[0]: the piece, then top_1..top_m, then bottom_1..bottom_n
-    spans = [defaultdict(list) for _ in range(1 + params.m + params.n)]
-    start = 0
-    for piece, bottom, top, lefts, rights in runs:
-        for i, (left_key, right_key) in enumerate(zip(lefts, rights), start):
-            byte, bit = i >> 3, 1 << (i & 7)
-            left[left_key][byte] |= bit
-            right[right_key][byte] |= bit
-        stop = start + len(lefts)
-        for by_key, key in zip(spans, (piece, *top, *bottom)):
-            key_spans = by_key[key]
-            if key_spans and key_spans[-1][1] == start:  # adjacent: merge
-                key_spans[-1][1] = stop
-            else:
-                key_spans.append([start, stop])
-        start = stop
-    pieces, *labels = [
-        {key: _span_mask(key_spans, ntiles) for key, key_spans in by_key.items()}
-        for by_key in spans
-    ]
-    return (
-        {key: int.from_bytes(buf, "little") for key, buf in left.items()},
-        {key: int.from_bytes(buf, "little") for key, buf in right.items()},
-        pieces,
-        labels[: params.m],
-        labels[params.m :],
-    )
+    lengths = [len(run[3]) for run in runs]
+    families = []
+    for side in (3, 4):
+        lists = [run[side] for run in runs]
+        ids = list(map(id, lists))
+        families.append(_key_masks(dict(zip(ids, lists)), ids, [1] * len(runs)))
+    # a list per label position, not a tuple per run (a freed tuple stays on a free list)
+    pieces, bottoms, tops = ([run[i] for run in runs] for i in range(3))
+    columns = [list(map(itemgetter(j), tops)) for j in range(params.m)]
+    columns += [list(map(itemgetter(k), bottoms)) for k in range(params.n)]
+    for column in [pieces, *columns]:
+        chunks = {key: (key,) for key in dict.fromkeys(column)}
+        families.append(_key_masks(chunks, column, lengths))
+    left, right, piece, *labels = families
+    return left, right, piece, labels[: params.m], labels[params.m :]
 
 
 def _pairs(x_side: dict, y_side: dict) -> tuple[tuple[int, int], ...]:
@@ -456,7 +468,9 @@ def search_patch(
     ExhaustedNoTiling result is a complete refutation; a Found result is
     re-checked on the patch's row walk that gave the arcs.  A patch
     is refuted at 0 nodes when it has a V rule top_j = bottom_k and no
-    tile's top_j is any tile's bottom_k, as the runs' labels tell.
+    tile's top_j is any tile's bottom_k, as the runs' labels tell.  The
+    edge masks (_edge_masks) are built per call, a few digit planes per
+    edge family.
     """
     params = tileset.params
     partners = _partners(params, patch)

@@ -4,7 +4,7 @@ helpers the tests check exactly."""
 import math
 from collections import deque
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
 from random import Random
@@ -49,7 +49,6 @@ from bsdomino.tiling import (
     Patch,
     SearchResult,
     TilingAssignment,
-    _edge_masks,
     _pairs,
     build_patch,
     constraints_for,
@@ -624,13 +623,19 @@ def reference_edge_masks(params: BsParams, tiles: tuple[Tile, ...]):
     return left, right, piece, groups[3 : 3 + params.m], groups[3 + params.m :]
 
 
+# reference_edge_masks of a tileset's tiles view, which hashes by identity:
+# the cache holds each view it keys, so no other view can take its id
+tileset_reference_masks = lru_cache(maxsize=8)(reference_edge_masks)
+
+
 def reference_search(
     tileset: Tileset, patch: Patch, budget: int = 1_000_000
 ) -> SearchResult:
     """search_patch with every arc revision run as the plain pairs loop:
-    no one-tile lookup and no memo of supports.  The same node order,
-    budget count and re-check, so results must be equal, node counts
-    and assignments included."""
+    no one-tile lookup and no memo of supports, and the edge masks built
+    tile by tile (reference_edge_masks), not by _edge_masks.  The same
+    node order, budget count and re-check, so results must be equal,
+    node counts and assignments included."""
     params = tileset.params
     cells = patch.cells
     if not cells:
@@ -649,7 +654,7 @@ def reference_search(
         if not tops & bottoms:
             return ExhaustedNoTiling(0)
 
-    left, right, piece, top, bottom = _edge_masks(params, tileset.runs)
+    left, right, piece, top, bottom = tileset_reference_masks(params, tileset.tiles)
     # arcs[y]: (x, pairs) for every cell x to revise when domain[y] narrows
     arcs: list[list[tuple[int, tuple]]] = [[] for _ in cells]
     relations: dict[tuple, tuple] = {}

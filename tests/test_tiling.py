@@ -35,6 +35,7 @@ from bsdomino.pam import (
 from bsdomino.rationals import IDENTITY2, mat2, vec2
 from bsdomino.tileset import (
     RowColors,
+    Tiles,
     Tileset,
     _color_range,
     color_denominator,
@@ -970,10 +971,103 @@ def edge_masks(params, tiles):
     return _edge_masks(params, runs_of(tiles))
 
 
-@pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q", "shift3-23"])
+# escape is the one committed map with more than 256 color keys a side (324)
+@pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q", "shift3-23", "escape"])
 def test_edge_masks_match_reference(name):
     ts = compiled(name)
     assert _edge_masks(ts.params, ts.runs) == reference_edge_masks(ts.params, ts.tiles)
+
+
+def random_runs(rng, params, colors, labels):
+    """Runs whose left and right colors each take `colors` keys and whose
+    label families (piece, each top_j, each bottom_k) each take `labels`
+    keys.  A run's color lists are earlier list objects of its length or
+    new ones, so lists are shared by many runs, one lefts list meets
+    several rights lists, and a new list may copy an earlier one's
+    colors into an object of its own.  A label key may hold over a few
+    runs in a row or recur far apart."""
+    def color(i):
+        return (i // 32, i % 32 - 16)
+
+    color_keys = [itertools.cycle(rng.sample(range(colors), colors)) for _ in range(2)]
+    label_keys = [
+        itertools.cycle(rng.sample(range(labels), labels))
+        for _ in range(1 + params.m + params.n)
+    ]
+    color_draws = [0, 0]
+    label_draws = 0
+    pools: dict[tuple[int, int], list] = {}  # (side, length) -> list objects
+    runs = []
+    while min(color_draws) < colors or label_draws < labels:
+        length = rng.choice([1, 2, 5, rng.randint(1, 12)])
+        lists = []
+        for side in (0, 1):
+            pool = pools.setdefault((side, length), [])
+            if pool and rng.random() < 0.5:
+                lists.append(rng.choice(pool))
+                continue
+            if pool and rng.random() < 0.2:
+                new = list(rng.choice(pool))
+            else:
+                new = [color(next(color_keys[side])) for _ in range(length)]
+                color_draws[side] += length
+            pool.append(new)
+            lists.append(new)
+        if runs and rng.random() < 0.3:
+            label = runs[-1][:3]
+        else:
+            piece, *keys = [next(keys) for keys in label_keys]
+            keys = [color(key) for key in keys]
+            label = (piece, tuple(keys[params.m :]), tuple(keys[: params.m]))
+            label_draws += 1
+        runs.append((*label, *lists))
+    return tuple(runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=ALL_PARAMS,
+    colors=st.one_of(st.sampled_from([1, 2, 256, 257]), st.integers(1, 600)),
+    labels=st.one_of(st.sampled_from([1, 2, 256, 257]), st.integers(1, 600)),
+    seed=st.integers(0, 2**32 - 1),
+    one_tile_runs=st.booleans(),
+)
+def test_edge_masks_match_reference_on_random_runs(params, colors, labels, seed, one_tile_runs):
+    # the key count sets the digits: 1 key is one base-1 digit, 256 are
+    # four base-4 digits, 257 six base-3 digits; each must give the
+    # tile-by-tile masks
+    rng = Random(seed)
+    runs = random_runs(rng, params, colors, labels)
+    if one_tile_runs:  # shuffled, each tile a run with lists of its own
+        tiles = list(Tiles(runs))
+        rng.shuffle(tiles)
+        runs = tuple((*head, [left], [right]) for *head, left, right in tiles)
+    masks = _edge_masks(params, runs)
+    assert masks == reference_edge_masks(params, Tiles(runs))
+    assert (len(masks[0]), len(masks[1]), len(masks[2])) == (colors, colors, labels)
+
+
+def test_edge_masks_of_no_runs():
+    # no tile: every family is empty, and no digit string is read
+    for params in (P23, BsParams(3, 2)):
+        empty = ({}, {}, {}, [{}] * params.m, [{}] * params.n)
+        assert _edge_masks(params, ()) == reference_edge_masks(params, ()) == empty
+
+
+def test_edge_masks_take_each_list_object_as_it_is():
+    # one lefts list with two rights lists, then a copy of it in a new
+    # object: the copy's tiles get the same left masks as the shared list's
+    bottom, top = ((0, 0),) * 3, ((0, 0),) * 2
+    lefts = [(0, 0), (1, 0)]
+    runs = (
+        (0, bottom, top, lefts, [(1, 0), (2, 0)]),
+        (1, bottom, top, lefts, [(5, 5), (1, 0)]),
+        (0, bottom, ((1, 1),) * 2, list(lefts), [(1, 0), (2, 0)]),
+    )
+    masks = _edge_masks(P23, runs)
+    assert masks == reference_edge_masks(P23, Tiles(runs))
+    assert masks[0] == {(0, 0): 0b010101, (1, 0): 0b101010}
+    assert masks[1] == {(1, 0): 0b011001, (2, 0): 0b100010, (5, 5): 0b000100}
 
 
 @pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q"])
