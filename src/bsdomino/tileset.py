@@ -337,22 +337,22 @@ def piece_meta(params: BsParams, piece: AffinePiece) -> PieceMeta:
 
 class Tiles(Sequence):
     """The tiles of runs laid end to end, read-only: tile k is built when
-    it is read, from the run that bisecting the runs' offsets finds."""
+    read, from the run r that bisecting starts (run r's first id) finds."""
 
     def __init__(self, runs: Sequence[Run]):
         self._runs = runs
-        self._starts = list(accumulate((len(run[3]) for run in runs), initial=0))
+        self.starts = list(accumulate((len(run[3]) for run in runs), initial=0))
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return self.starts[-1]
 
     def __getitem__(self, k: int) -> Tile:
-        if not -self._starts[-1] <= k < self._starts[-1]:
+        if not -self.starts[-1] <= k < self.starts[-1]:
             raise IndexError(f"tile {k} of {len(self)}")
-        k %= self._starts[-1]
-        r = bisect_right(self._starts, k) - 1
+        k %= self.starts[-1]
+        r = bisect_right(self.starts, k) - 1
         piece, bottom, top, lefts, rights = self._runs[r]
-        i = k - self._starts[r]
+        i = k - self.starts[r]
         return (piece, bottom, top, lefts[i], rights[i])
 
     def __iter__(self) -> Iterator[Tile]:
@@ -378,7 +378,10 @@ class Tileset:
 
     def __post_init__(self, _metas):
         params, pieces = self.params, self.pam.pieces
-        if _metas is None:
+        if _metas is None:  # not from enumerate or parse, whose runs are whole
+            for r, (_, _, _, lefts, rights) in enumerate(self.runs):
+                if not lefts or len(lefts) != len(rights):
+                    raise ValueError(f"run {r} has {len(lefts)} lefts and {len(rights)} rights")
             _metas = tuple(piece_meta(params, piece) for piece in pieces)
         object.__setattr__(self, "piece_meta", _metas)
         object.__setattr__(self, "denominator", color_denominator(params, pieces))

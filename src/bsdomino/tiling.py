@@ -38,10 +38,11 @@ position.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import and_, itemgetter, mul
@@ -374,49 +375,40 @@ class BudgetExceeded:
 SearchResult = Found | ExhaustedNoTiling | BudgetExceeded
 
 
+_BIT_TABLES = [bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8)]
+
+
 def _key_masks(chunks: dict, codes: list, repeats: list[int]) -> dict:
-    """{key: bitset} for one edge family, bit i standing for tile i.
-    The family's tiles are chunks[code] repeated r times, for each
-    (code, r) of codes and repeats, laid end to end; its keys are the
-    chunks' keys in that order.  Key index i is width digits in a base,
-    base * width least with base ** width >= the key count, so each
-    digit place is a string of one byte per tile, reversed to put tile
-    0 last.  A (place, value) plane is one translate of that string and
-    one int(..., 2); a key's mask is the AND of its width planes."""
+    """{key: bitset} for one edge family, bit t standing for tile t: the
+    tiles are chunks[code] repeated r times for each (code, r) of codes
+    and repeats, end to end, and key i of the K keys, in chunk order, is
+    numbered i.  Each byte of i is a string of one byte per tile, tile 0
+    last (a second only past 256 keys); bit b of i is one plane, one
+    translate by _BIT_TABLES[b % 8] and one int(..., 2).  A key's mask
+    is the AND of its ceil(log2 K) bits' planes or their complements."""
     keys = dict.fromkeys(chain.from_iterable(chunks.values()))
-    count = len(keys)
-    if not count:
-        return {}
-    # least base * width, then least width: no base b > 6 beats
-    # ceil(sqrt(b)) at twice the width, so a digit fits a byte
-    shapes = []
-    for width in range(1, count.bit_length() + 1):
-        base = round(count ** (1 / width))
-        base += base**width < count
-        shapes.append((base * width, width, base))
-    _, width, base = min(shapes)
-    masks = None
-    for place in range(width):
-        scale = base**place
-        digit = {key: i // scale % base for i, key in enumerate(keys)}
-        strings = {c: bytes(map(digit.__getitem__, chunk)) for c, chunk in chunks.items()}
-        text = b"".join(map(mul, map(strings.__getitem__, codes), repeats))[::-1]
-        values = range(min(base, (count - 1) // scale + 1))
-        planes = [int(text.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2) for v in values]
-        column = map(planes.__getitem__, digit.values())
-        masks = list(column) if masks is None else list(map(and_, masks, column))
+    bits = max(len(keys) - 1, 0).bit_length()  # ceil(log2 K)
+    texts = []
+    for shift in range(0, max(bits, 1), 8):
+        byte = {key: i >> shift & 255 for i, key in enumerate(keys)}
+        strings = {c: bytes(map(byte.__getitem__, chunk)) for c, chunk in chunks.items()}
+        texts.append(b"".join(map(mul, map(strings.__getitem__, codes), repeats))[::-1])
+    full = (1 << len(texts[0])) - 1
+    planes = [int(texts[b >> 3].translate(_BIT_TABLES[b & 7]), 2) for b in range(bits)]
+    pairs = [(full ^ plane, plane) for plane in planes]  # (bit clear, bit set)
     # an AND result keeps its shorter operand's size; | 0 trims it
-    return {key: mask | 0 for key, mask in zip(keys, masks)}
+    return {key: reduce(and_, [pair[i >> b & 1] for b, pair in enumerate(pairs)], full) | 0
+            for i, key in enumerate(keys)}
 
 
 def _edge_masks(params: BsParams, runs: tuple[Run, ...]) -> tuple:
     """(left, right, piece, top, bottom): one bitset per edge key of the
     runs' tiles, bit i standing for tile i; top and bottom are lists of
     m and n dicts.  Each of the 3 + m + n edge families is one
-    _key_masks call: a color family (lefts, rights) has one chunk per
-    shared color list, the list itself, keyed by the list object; a
-    label family (piece, top_j, bottom_k) has one chunk per key,
-    repeated over each of its runs' length.
+    _key_masks call, binary planes: a color family (lefts, rights) has
+    one chunk per shared color list, the list itself, keyed by the list
+    object; a label family (piece, top_j, bottom_k) has one chunk per
+    key, repeated over each of its runs' length.
     """
     lengths = [len(run[3]) for run in runs]
     families = []
@@ -455,8 +447,9 @@ def search_patch(
     tile left in the cell's domain matches, each narrowed domain is
     propagated in turn, and an emptied domain means backtrack.  A
     revision against a one-tile domain is one lookup, the mask of that
-    tile's color on the shared edge; a larger domain's support on the
-    neighbor is the union over the pairs loop, kept in a memo per
+    tile's color on the shared edge, read from its run (a bisect of the
+    run starts) without building the tile; a larger domain's support on
+    the neighbor is the union over the pairs loop, kept in a memo per
     relation direction keyed by the domain.  A memo is emptied when it
     holds len(cells) supports, so the memos hold at most
     2 (2 + m n) len(cells) supports in all.  The next
@@ -469,8 +462,7 @@ def search_patch(
     re-checked on the patch's row walk that gave the arcs.  A patch
     is refuted at 0 nodes when it has a V rule top_j = bottom_k and no
     tile's top_j is any tile's bottom_k, as the runs' labels tell.  The
-    edge masks (_edge_masks) are built per call, a few digit planes per
-    edge family.
+    edge masks are built per call, as binary planes (_edge_masks).
     """
     params = tileset.params
     partners = _partners(params, patch)
@@ -490,7 +482,8 @@ def search_patch(
     ):
         return ExhaustedNoTiling(0)
 
-    left, right, piece, top, bottom = _edge_masks(params, tileset.runs)
+    runs, starts = tileset.runs, tiles.starts
+    left, right, piece, top, bottom = _edge_masks(params, runs)
 
     def rule(a_side: dict, a_key, b_side: dict, b_key) -> tuple[tuple, tuple]:
         """The arc tails to revise a and to revise b, for a_side(a) = b_side(b)."""
@@ -501,14 +494,14 @@ def search_patch(
 
     # one rule per partner of a cell, in partner order: H, I, then V by slot
     rules = [
-        rule(right, itemgetter(4), left, itemgetter(3)),
-        rule(piece, itemgetter(0), piece, itemgetter(0)),
+        rule(right, lambda run, i: run[4][i], left, lambda run, i: run[3][i]),
+        rule(piece, lambda run, i: run[0], piece, lambda run, i: run[0]),
     ] + [
-        rule(top[j - 1], lambda tile, j=j - 1: tile[2][j],
-             bottom[k - 1], lambda tile, k=k - 1: tile[1][k])
+        rule(top[j - 1], lambda run, i, j=j - 1: run[2][j],
+             bottom[k - 1], lambda run, i, k=k - 1: run[1][k])
         for j, k, _ in slots
     ]
-    # arcs[y]: (x, x masks, key of a y tile, pairs, memo) for every cell x
+    # arcs[y]: (x, x masks, key of tile i of a y run, pairs, memo) for every cell x
     # to revise when domain[y] narrows; all but x shared per rule direction
     arcs: list[list[tuple]] = [[] for _ in cells]
     for a, (h, nxt, above) in enumerate(partners):
@@ -549,12 +542,15 @@ def search_patch(
             y = queue.popleft()
             queued.discard(y)
             dom_y = domain[y]
-            one = tiles[dom_y.bit_length() - 1] if size[y] == 1 else None
+            run = None
+            if size[y] == 1:  # the one tile's run, and its place in it
+                r = bisect_right(starts, k := dom_y.bit_length() - 1) - 1
+                run, i = runs[r], k - starts[r]
             for x, x_side, key_y, pairs, memo in arcs[y]:
                 if assigned[x]:
                     continue
-                if one is not None:
-                    support = x_side.get(key_y(one), 0)
+                if run is not None:
+                    support = x_side.get(key_y(run, i), 0)
                 else:
                     support = memo.get(dom_y)
                     if support is None:

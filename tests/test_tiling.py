@@ -555,6 +555,21 @@ def test_search_empty_tileset():
     )
 
 
+def test_tileset_refuses_an_empty_or_uneven_run():
+    # a run with no tiles would reach the search's mask build as an empty
+    # string, or leave its label keys in the masks with bitset 0
+    bottom, top = ((0, 0),) * 3, ((0, 0),) * 2
+    full = (0, bottom, top, [(0, 0)], [(0, 0)])
+    hollow = (0, bottom, ((1, 1),) * 2, [], [])
+    with pytest.raises(ValueError, match="run 0 has 0 lefts and 0 rights"):
+        Tileset(P23, IDENTITY_MAP, (hollow,))
+    with pytest.raises(ValueError, match="run 1 has 0 lefts and 0 rights"):
+        Tileset(P23, IDENTITY_MAP, (full, hollow, full))
+    uneven = (0, bottom, top, [(0, 0), (1, 1)], [(0, 0)])
+    with pytest.raises(ValueError, match="run 1 has 2 lefts and 1 rights"):
+        Tileset(P23, IDENTITY_MAP, (full, uneven, hollow))
+
+
 def test_search_exhausts_by_backtracking():
     # one tile whose right color matches nobody's left color
     ts = enumerate_tileset(P23, IDENTITY_MAP)
@@ -1024,18 +1039,23 @@ def random_runs(rng, params, colors, labels):
     return tuple(runs)
 
 
+# key counts at the binary boundaries: 2^k keys fill k index bits, and
+# 2^k + 1 take one bit more
+BOUNDARY_KEYS = sorted({2**k + d for k in range(10) for d in (0, 1)})
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     params=ALL_PARAMS,
-    colors=st.one_of(st.sampled_from([1, 2, 256, 257]), st.integers(1, 600)),
-    labels=st.one_of(st.sampled_from([1, 2, 256, 257]), st.integers(1, 600)),
+    colors=st.one_of(st.sampled_from(BOUNDARY_KEYS), st.integers(1, 600)),
+    labels=st.one_of(st.sampled_from(BOUNDARY_KEYS), st.integers(1, 600)),
     seed=st.integers(0, 2**32 - 1),
     one_tile_runs=st.booleans(),
 )
 def test_edge_masks_match_reference_on_random_runs(params, colors, labels, seed, one_tile_runs):
-    # the key count sets the digits: 1 key is one base-1 digit, 256 are
-    # four base-4 digits, 257 six base-3 digits; each must give the
-    # tile-by-tile masks
+    # the key count sets the index bits, ceil(log2 K) planes: 1 key takes
+    # none (its mask is every tile), and past 256 keys the high bits come
+    # from a second index byte; each must give the tile-by-tile masks
     rng = Random(seed)
     runs = random_runs(rng, params, colors, labels)
     if one_tile_runs:  # shuffled, each tile a run with lists of its own
@@ -1048,7 +1068,7 @@ def test_edge_masks_match_reference_on_random_runs(params, colors, labels, seed,
 
 
 def test_edge_masks_of_no_runs():
-    # no tile: every family is empty, and no digit string is read
+    # no tile: every family is empty, and no plane is parsed
     for params in (P23, BsParams(3, 2)):
         empty = ({}, {}, {}, [{}] * params.m, [{}] * params.n)
         assert _edge_masks(params, ()) == reference_edge_masks(params, ()) == empty
