@@ -57,17 +57,20 @@ tile k is on line 3 + pieces + k.  One writer, export_lines, yields the
 headers, then each run's label prefix 'piece | bottom: ... | top: ...
 | l: ' before each of its tails 'left | r: right' (a shared pair of
 lists has its tails formatted once).  One reader, parse_tileset, reads
-the text or an open file forward, a block (the lines that repeat one
-label prefix) at a time, over D, rejecting any line out of place, a
-color off (1/D) Z^2 and headers that disagree with their pieces; one
-rule orders the tile lines: each line's key (labels, left, right) is
-greater than the line above's.  Equal blocks of a piece share one pair
-of lists, as enumerated runs do.  verify_tileset numbers tiles as stored
-and gives each tile the first check it fails of one chain, in integers
-over D: piece and edge color count, transport equation, label boxes,
-left grid box, right grid box.  The chain runs once per run shape (the
-piece, the list objects, the transport right side and the label
-checks' reasons); a later run of that shape reuses its faults.
+the text or an open file forward in batches of whole lines, a block
+(the lines that repeat one label prefix) at a time, over D, rejecting
+any line out of place, a color off (1/D) Z^2 and headers that disagree
+with their pieces; one rule orders the tile lines: each line's key
+(labels, left, right) is greater than the line above's.  Equal blocks
+of a piece share one pair of lists, as enumerated runs do, and a block
+that repeats the one read before with its first tail is checked with
+one string compare.  verify_tileset numbers tiles as stored and gives
+each tile the first check it fails of one chain, in integers over D:
+piece and edge color count, transport equation, label boxes, left grid
+box, right grid box.  Each distinct (piece, bottom) and (piece, top) is
+checked once, and the chain runs once per run shape (the piece, the
+list objects, the transport right side and the label checks' reasons);
+a later run of that shape reuses its faults.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, product, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import EnumerationTooLarge, OutsidePiece, ParseError
 from .group import BsParams
@@ -242,23 +245,6 @@ def _transport(params: BsParams, piece: AffinePiece, d: int) -> _Transport:
     matrix = tuple(times(e, n) for e in piece.matrix.entries())
     offset = (times(piece.offset.x1, 1), times(piece.offset.x2, 1))
     return _Transport(d // params.m, matrix, offset)
-
-
-def _transport_rhs(eq: _Transport, bottom, top) -> IntVec2:
-    """d (right - left) as the transport equation fixes it, in integers."""
-    bx = by = tx = ty = 0
-    for c1, c2 in bottom:
-        bx += c1
-        by += c2
-    for c1, c2 in top:
-        tx += c1
-        ty += c2
-    k11, k12, k21, k22 = eq.matrix
-    w = eq.top_weight
-    return (
-        k11 * bx + k12 * by + eq.offset[0] - w * tx,
-        k21 * bx + k22 * by + eq.offset[1] - w * ty,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +615,70 @@ def _parse_piece(params: BsParams, line: str, index: int) -> tuple[AffinePiece, 
     return piece, meta
 
 
-def parse_tileset(source: str | Iterable[str]) -> Tileset:
+_BATCH = 1 << 16  # the characters of whole lines a file is read in at a time
+
+
+def _reader(source: str | TextIO) -> Callable[[int], str]:
+    """read(size), the next whole lines of source, the text or an open
+    file: about size characters of them (the text all at once), '' past
+    the end, each line ended by '\\n'.  Lines read without a last '\\n'
+    or with any other line boundary of str.splitlines (a CR among them)
+    are joined again, so that they are the lines str.splitlines gives."""
+    texts = iter([source]) if isinstance(source, str) else None
+
+    def read(size: int) -> str:
+        text = next(texts, "") if texts is not None else "".join(source.readlines(size))
+        if not text.endswith("\n") or not text.isascii() or any(
+            c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"
+        ):
+            text = "".join(f"{line}\n" for line in text.splitlines())
+        return text
+
+    return read
+
+
+def _parse_header(read: Callable[[int], str]):
+    """The title, the m= n= pieces= tiles= header and the piece headers
+    read first: (params, pieces, metas, the header's pieces= and tiles=
+    counts, text, pos), where text is the read that holds the line after
+    the headers and pos that line's start, at or past the end of text if
+    there is none."""
+    text = ""
+    pos = start = 0  # the next line's start and the last line's
+    i = 0  # the index of the line being read
+
+    def line() -> str | None:
+        """The next line, None past the end."""
+        nonlocal text, pos, start
+        if pos >= len(text):
+            text, pos = read(_BATCH), 0
+            if not text:
+                return None
+        end = text.find("\n", pos)
+        start, pos = pos, end + 1
+        return text[start:end]
+
+    try:
+        if line() != TITLE:
+            raise ParseError(f"expected {TITLE!r}")
+        i = 1
+        counts = _header_values(line() or "", "# ", "m n pieces tiles")
+        m, n, n_pieces, n_tiles = map(int, counts)
+        params = BsParams(m, n)
+        pieces: list[AffinePiece] = []
+        metas: list[PieceMeta] = []
+        i = 2
+        while (header := line()) is not None and header.startswith("#"):
+            piece, meta = _parse_piece(params, header, len(pieces))
+            pieces.append(piece)
+            metas.append(meta)
+            i += 1
+    except (ValueError, IndexError, ParseError) as exc:
+        raise ParseError(f"tileset line {i + 1}: {exc}") from None
+    return params, pieces, metas, n_pieces, n_tiles, text, start
+
+
+def parse_tileset(source: str | TextIO) -> Tileset:
     """Read a tileset file in the layout export_tileset writes, each line
     in its place: the title, the m= n= pieces= tiles= header, one
     '# piece i' header per piece in order, then only tile lines, read
@@ -639,32 +688,22 @@ def parse_tileset(source: str | Iterable[str]) -> Tileset:
     order or repeated), and a header that disagrees with its pieces: a
     grid box other than ell_bounds gives, or a pieces=/tiles= count
     other than the lines that follow (reported at line 2).  Lines with
-    the same labels make one run, however their prefix is spelled.  A
-    block, a line and the lines after it that repeat its label prefix,
-    has its tails read once: a later block of the same piece with the
-    same tails takes the color lists read then, so the runs share lists
-    as enumerate's do.  source is the text or the lines of an open file,
-    split as str.splitlines splits the text and read once, in order."""
-    chunks = [source] if isinstance(source, str) else source
-    lines = chain.from_iterable(map(str.splitlines, chunks))
-    i = 0  # the index of the line being read
+    the same labels make one run, however their prefix is spelled.
+
+    A block, a line and the lines after it that repeat its label
+    prefix, has its tails read once: a later block of the same piece
+    with the same tails takes the color lists read then, so the runs
+    share lists as enumerate's do, and only its first line is compared
+    with the line above.  A block whose first tail starts a block read
+    before is first tried as that block, with one string compare: that
+    block's tails under this prefix, then a line off the prefix.  source
+    is the text or an open file, read once, forward, in whole lines
+    (_reader); a block that reaches the end of what is read is read
+    again with more text after it, so that no block is split."""
+    read = _reader(source)
+    params, pieces, metas, n_pieces, n_tiles, text, pos = _parse_header(read)
+    i = 2 + len(pieces)  # the index of the line being read, at pos
     try:
-        if next(lines, None) != TITLE:
-            raise ParseError(f"expected {TITLE!r}")
-        i = 1
-        counts = _header_values(next(lines, ""), "# ", "m n pieces tiles")
-        m, n, n_pieces, n_tiles = map(int, counts)
-        params = BsParams(m, n)
-        pieces: list[AffinePiece] = []
-        metas: list[PieceMeta] = []
-        i = 2
-        line = next(lines, None)  # the line at i, None past the end
-        while line is not None and line.startswith("#"):
-            piece, meta = _parse_piece(params, line, len(pieces))
-            pieces.append(piece)
-            metas.append(meta)
-            i += 1
-            line = next(lines, None)
         pam = PiecewiseAffineMap(tuple(pieces))
         den = color_denominator(params, pieces)
         bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
@@ -674,11 +713,20 @@ def parse_tileset(source: str | Iterable[str]) -> Tileset:
         # right); the empty tuple sorts before any key
         last: tuple = ()
         runs: list[Run] = []
-        # (piece, tails) -> the (lefts, rights) read from those tails once
+        # (piece, tails) -> the (lefts, rights) read from those tails once;
+        # (piece, first tail) -> (tails, (lefts, rights)) of the block read
+        # last with that first tail
         blocks: dict[tuple, tuple[list, list]] = {}
-        while line is not None:
-            # the block at line i; its label prefix, up to and including the
-            # first ' | l: ', is read once
+        firsts: dict[tuple[int, str], tuple] = {}
+        while True:
+            if pos >= len(text):
+                text, pos = read(_BATCH), 0
+                if not text:
+                    break
+            # the block at line i, from pos to stop; its label prefix, up to
+            # and including the first ' | l: ', is read once
+            end = text.find("\n", pos)
+            line = text[pos:end]
             try:
                 cut = line.index(" | l: ") + 6
                 head, bottom_text, top_text = line[: cut - 6].split(" | ")
@@ -686,18 +734,28 @@ def parse_tileset(source: str | Iterable[str]) -> Tileset:
                 raise ParseError(f"expected a tile line, got {line!r}") from None
             prefix = line[:cut]
             labels = (int(head), bottoms(bottom_text), tops(top_text))
-            go_on = runs and last[0] == labels  # a prefix spelled anew: the run goes on
-            tails = [line[cut:]]
-            # the block's lines, up to the first off its prefix: the next block's
-            for line in lines:
-                if not line.startswith(prefix):
-                    break
-                tails.append(line[cut:])
+            known = firsts.get((labels[0], line[cut:]))
+            if (
+                known
+                and text.startswith(whole := prefix + f"\n{prefix}".join(known[0]) + "\n", pos)
+                and not text.startswith(prefix, stop := pos + len(whole))
+            ):
+                tails, block = known
             else:
-                line = None
-            tails = tuple(tails)
-            end = i + len(tails)
-            block = blocks.get((labels[0], tails))
+                # the block's lines, up to the first off its prefix: the next block's
+                tails = [line[cut:]]
+                stop = end + 1
+                while text.startswith(prefix, stop):
+                    end = text.find("\n", stop)
+                    tails.append(text[stop + cut : end])
+                    stop = end + 1
+                tails = tuple(tails)
+                block = blocks.get((labels[0], tails))
+            if stop == len(text) and (more := read(max(_BATCH, len(text) - pos))):
+                text, pos = text[pos:] + more, 0  # the block may go on: read it again
+                continue
+            go_on = runs and last[0] == labels  # a prefix spelled anew: the run goes on
+            after = i + len(tails)
             if block is None:
                 lefts, rights = [], []
                 for i, tail in enumerate(tails, i):
@@ -711,6 +769,7 @@ def parse_tileset(source: str | Iterable[str]) -> Tileset:
                     lefts.append(key[1])
                     rights.append(key[2])
                 block = blocks[labels[0], tails] = (lefts, rights)
+                firsts[labels[0], tails[0]] = (tails, block)
             elif (labels, block[0][0], block[1][0]) <= last:
                 # an equal block read before has its lines in order, so its
                 # first line alone is compared with the line above
@@ -722,7 +781,7 @@ def parse_tileset(source: str | Iterable[str]) -> Tileset:
                 runs[-1] = (*labels, lefts + block[0], rights + block[1])
             else:
                 runs.append((*labels, *block))
-            i = end
+            i, pos = after, stop
     except (ValueError, IndexError, ParseError) as exc:
         raise ParseError(f"tileset line {i + 1}: {exc}") from None
     ts = Tileset(params, pam, tuple(runs), _metas=tuple(metas))
@@ -741,9 +800,20 @@ class TileFault:
     reason: str
 
 
-def _in_box(colors: tuple[IntVec2, ...], box: tuple[IntVec2, IntVec2]) -> bool:
+def _edge_checks(colors, count: int, box, side: str, matrix, offset) -> tuple:
+    """One edge's labels checked, and their term of the transport right
+    side: (the count reason, the box reason, matrix (sum of colors) +
+    offset as two ints), each reason None where its check holds."""
     (lo1, lo2), (hi1, hi2) = box
-    return all(lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2 for c1, c2 in colors)
+    inside = all(lo1 <= c1 <= hi1 and lo2 <= c2 <= hi2 for c1, c2 in colors)
+    s1, s2 = sum(c1 for c1, _ in colors), sum(c2 for _, c2 in colors)
+    k11, k12, k21, k22 = matrix
+    return (
+        None if len(colors) == count else "wrong number of edge colors",
+        None if inside else f"{side} color outside box",
+        k11 * s1 + k12 * s2 + offset[0],
+        k21 * s1 + k22 * s2 + offset[1],
+    )
 
 
 def verify_tileset(ts: Tileset) -> list[TileFault]:
@@ -754,40 +824,53 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
     multiple of D / q inside its piece's grid box.  A tile's reason is
     the first check it fails of one chain: unknown piece or wrong number
     of edge colors, transport equation, label boxes, left grid box,
-    right grid box.  A run's label checks and its transport right side
-    e are worked out once; the chain runs once per run shape (piece,
-    color list objects, e, label reasons), and a later run of that shape
-    has the same tiles at fault, at its own lines.  Line numbers follow
-    the export layout, the only one parse_tileset accepts: tile k, as
-    stored, is on line 3 + pieces + k.
+    right grid box.  The label checks and the transport right side e of
+    a run are two lookups: each distinct (piece, bottom) is checked once,
+    with its term (D M / n) sum(bottom) + D b, and each distinct (piece,
+    top) once, with its term (D / m) sum(top); e is their difference.
+    The chain runs once per run shape (piece, color list objects, e,
+    label reasons), and a later run of that shape has the same tiles at
+    fault, at its own lines.  Line numbers follow the export layout, the
+    only one parse_tileset accepts: tile k, as stored, is on line
+    3 + pieces + k.
     """
     faults = []
     m, n = ts.params.m, ts.params.n
     den = ts.denominator
-    equations = [_transport(ts.params, piece, den) for piece in ts.pam.pieces]
+    metas = ts.piece_meta
+    # each piece's _edge_checks arguments after the colors, bottom and top
+    below, above = [], []
+    for piece, meta in zip(ts.pam.pieces, metas):
+        eq = _transport(ts.params, piece, den)
+        w = eq.top_weight
+        below.append((n, meta.bottom_box, "bottom", eq.matrix, eq.offset))
+        above.append((m, meta.top_box, "top", (w, 0, 0, w), (0, 0)))
+    # (piece, bottom) and (piece, top) -> their _edge_checks
+    bottoms: dict[tuple, tuple] = {}
+    tops: dict[tuple, tuple] = {}
     # run shape -> the (index, reason) of its tiles at fault; the runs hold
     # the lists, so no id is reused while this call runs
     shapes: dict[tuple, list[tuple[int, str]]] = {}
-    lineno = 3 + len(ts.pam.pieces)  # the line of the run's first tile
+    lineno = 3 + len(metas)  # the line of the run's first tile
     for piece, bottom, top, lefts, rights in ts.runs:
-        before = e = after = None  # the reasons of faults before and after transport
-        if not 0 <= piece < len(equations):
-            before = f"unknown piece {piece}"
+        # the reasons of faults before and after transport
+        if not 0 <= piece < len(metas):
+            before, e, after = f"unknown piece {piece}", None, None
         else:
-            if len(bottom) != n or len(top) != m:
-                before = "wrong number of edge colors"
-            e = _transport_rhs(equations[piece], bottom, top)
-            meta = ts.piece_meta[piece]
-            if not _in_box(bottom, meta.bottom_box):
-                after = "bottom color outside box"
-            elif not _in_box(top, meta.top_box):
-                after = "top color outside box"
+            b = bottoms.get((piece, bottom))
+            if b is None:
+                b = bottoms[piece, bottom] = _edge_checks(bottom, *below[piece])
+            t = tops.get((piece, top))
+            if t is None:
+                t = tops[piece, top] = _edge_checks(top, *above[piece])
+            before, e, after = b[0] or t[0], (b[2] - t[2], b[3] - t[3]), b[1] or t[1]
         key = (piece, id(lefts), id(rights), e, before, after)
         reasons = shapes.get(key)
         if reasons is None:
             reasons = shapes[key] = []
             if before is None:
                 e1, e2 = e
+                meta = metas[piece]
                 step = den // meta.ell.q
                 # the grid box over D: multiples of step in [lo, hi]
                 lo1, lo2, hi1, hi2 = (p * step for p in (*meta.ell.p1, *meta.ell.p2))

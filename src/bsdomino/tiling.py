@@ -458,8 +458,9 @@ def search_patch(
     domain has narrowed), and its tiles are tried in ascending id, one
     node each, so the search is deterministic.  Propagation only drops
     tiles that no tiling extending the current assignment can use, so an
-    ExhaustedNoTiling result is a complete refutation; a Found result is
-    re-checked on the patch's row walk that gave the arcs.  A patch
+    ExhaustedNoTiling result is a complete refutation; a Found result,
+    each cell's tile read from its run by the same bisect, is re-checked
+    on the patch's row walk that gave the arcs.  A patch
     is refuted at 0 nodes when it has a V rule top_j = bottom_k and no
     tile's top_j is any tile's bottom_k, as the runs' labels tell.  The
     edge masks are built per call, as binary planes (_edge_masks).
@@ -609,7 +610,11 @@ def search_patch(
             assigned[cell] = False
             continue
         if len(frames) == ncells:
-            chosen = [tiles[dom.bit_length() - 1] for dom in domain]
+            chosen = []
+            for dom in domain:  # each cell's tile, read from its run
+                r = bisect_right(starts, k := dom.bit_length() - 1) - 1
+                p, b, t, lefts, rights = runs[r]
+                chosen.append((p, b, t, lefts[k - starts[r]], rights[k - starts[r]]))
             if _violations(params, partners, chosen):
                 raise AssertionError("search produced an invalid assignment")
             return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)

@@ -34,8 +34,8 @@ from bsdomino.tileset import (
     _fmt_over,
     _parse_colors,
     _parse_error,
+    _Transport,
     _transport,
-    _transport_rhs,
     _unlabel,
     color_denominator,
     edge_colors,
@@ -121,6 +121,19 @@ def scaled_color(v: Vec2, denominator: int) -> IntVec2:
     s1, s2 = v.x1 * denominator, v.x2 * denominator
     assert s1.denominator == s2.denominator == 1, f"{v} is off the 1/{denominator} grid"
     return (s1.numerator, s2.numerator)
+
+
+def transport_rhs(eq: _Transport, bottom, top) -> IntVec2:
+    """d (right - left) as the transport equation over d fixes it, in
+    integers: (d M / n) sum(bottom) + d b - (d / m) sum(top)."""
+    bx, by = sum(c[0] for c in bottom), sum(c[1] for c in bottom)
+    tx, ty = sum(c[0] for c in top), sum(c[1] for c in top)
+    k11, k12, k21, k22 = eq.matrix
+    w = eq.top_weight
+    return (
+        k11 * bx + k12 * by + eq.offset[0] - w * tx,
+        k21 * bx + k22 * by + eq.offset[1] - w * ty,
+    )
 
 
 def _avg(colors: tuple[IntVec2, ...]) -> Vec2:
@@ -210,7 +223,7 @@ def reference_enumerate(params: BsParams, f: PiecewiseAffineMap) -> tuple[Tile, 
         tops = list(product(_color_range(meta.top_box), repeat=m))
         for bottom in product(_color_range(meta.bottom_box), repeat=n):
             for top in tops:
-                b1, b2 = _transport_rhs(eq, bottom, top)
+                b1, b2 = transport_rhs(eq, bottom, top)
                 for i in range(max(0, -b1), min(w1, w1 - b1) + 1):
                     lefts, rights = grid[i], grid[i + b1]
                     for j in range(max(0, -b2), min(w2, w2 - b2) + 1):

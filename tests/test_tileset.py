@@ -1,4 +1,6 @@
 import gc
+import io
+import math
 import re
 from fractions import Fraction
 from functools import partial
@@ -18,11 +20,11 @@ from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare, load_map
 from bsdomino.rationals import IDENTITY2, Vec2, fmt_rat, mat2, vec2
 from bsdomino.tileset import (
     RowColors,
+    Tiles,
     Tileset,
     _color_lists,
     _color_range,
     _transport,
-    _transport_rhs,
     bottom_label_box,
     color_denominator,
     edge_colors,
@@ -56,6 +58,7 @@ from support import (
     runs_of,
     scaled_color,
     tile_residual,
+    transport_rhs,
     verify_tile_computes,
 )
 
@@ -121,6 +124,12 @@ ROOT = Path(__file__).resolve().parents[1]
 # every map of the repository: rotation-32 has m > n, half2-23 has
 # denominator-2 entries, the rotations have pieces in the negative squares
 MAP_FILES = sorted(ROOT.glob("maps/*.map")) + sorted(ROOT.glob("perfbench/maps/*.map"))
+# the maps the benchmark round-trips
+ROUNDTRIP_MAPS = {
+    "identity-23": ROOT / "maps" / "identity-23.map",
+    "rotation-22": ROOT / "maps" / "rotation-22.map",
+    "half2-23": ROOT / "perfbench" / "maps" / "half2-23.map",
+}
 MAP_PIECES = [
     (params, index, piece, color_denominator(params, pam.pieces))
     for params, pam in (load_map(str(path)) for path in MAP_FILES)
@@ -403,7 +412,7 @@ def _overhangs(params: BsParams, piece: AffinePiece) -> set[str]:
     sides = set()
     for bottom in product(_color_range(meta.bottom_box), repeat=params.n):
         for top in product(_color_range(meta.top_box), repeat=params.m):
-            b1, b2 = _transport_rhs(eq, bottom, top)
+            b1, b2 = transport_rhs(eq, bottom, top)
             sides.update(
                 side for side, beyond in
                 (("1-", b1 < -w1), ("1+", b1 > w1), ("2-", b2 < -w2), ("2+", b2 > w2))
@@ -609,6 +618,44 @@ def test_file_reader_matches_text_reader(tmp_path, path):
     # one right color moved by 1, as in the benchmark's negative control:
     # the open file and its text give the same runs, sharing as many list
     # objects, and the same single fault
+    _check_file_reader(tmp_path, path)
+
+
+# the characters the file reader asks for at a time, in place of its
+# default: one line a read, or a few, so that reads end inside blocks
+SMALL_BATCHES = [1, 7, 100]
+
+
+@pytest.mark.parametrize("batch", SMALL_BATCHES)
+@pytest.mark.parametrize("name", ROUNDTRIP_MAPS)
+def test_file_reader_in_small_batches_matches_text_reader(tmp_path, monkeypatch, name, batch):
+    monkeypatch.setattr(tileset_module, "_BATCH", batch)
+    _check_file_reader(tmp_path, ROUNDTRIP_MAPS[name])
+
+
+class _CountingFile(io.StringIO):
+    """A text file that counts the reads of its lines."""
+
+    reads = 0
+
+    def readlines(self, hint=-1):
+        self.reads += 1
+        return super().readlines(hint)
+
+
+def test_file_reader_reads_a_long_block_in_few_batches(monkeypatch):
+    # a line a read: a block that runs past what is read is read again with
+    # at least as many characters more as it holds, so each block costs a
+    # few reads, not one per line
+    monkeypatch.setattr(tileset_module, "_BATCH", 1)
+    text = export_tileset(enumerate_tileset(*load_map(str(ROUNDTRIP_MAPS["half2-23"]))))
+    source = _CountingFile(text)
+    ts = parse_tileset(source)
+    longest = max(len(run[3]) for run in ts.runs)
+    assert source.reads <= len(ts.runs) * (2 + math.log2(longest)) < text.count("\n") / 2
+
+
+def _check_file_reader(tmp_path, path):
     ts = enumerate_tileset(*load_map(str(path)))
     lines = export_tileset(ts).splitlines()
     victim = Random(path.stem).randrange(2 + len(ts.pam.pieces), len(lines))
@@ -676,20 +723,32 @@ def _read(read):
         return str(exc)
 
 
+PROBES = [
+    _unchanged,
+    _empty,
+    _title_only,
+    _blank_line,
+    _swap_at_run_boundary,
+    _off_grid_last_line,
+    _tiles_lowered,
+]
+
+
 @pytest.mark.parametrize("final_newline", [True, False])
-@pytest.mark.parametrize(
-    "probe",
-    [
-        _unchanged,
-        _empty,
-        _title_only,
-        _blank_line,
-        _swap_at_run_boundary,
-        _off_grid_last_line,
-        _tiles_lowered,
-    ],
-)
+@pytest.mark.parametrize("probe", PROBES)
 def test_file_and_text_readers_agree(tmp_path, probe, final_newline):
+    _check_readers_agree(tmp_path, probe, final_newline)
+
+
+@pytest.mark.parametrize("batch", SMALL_BATCHES)
+def test_readers_agree_in_small_batches(tmp_path, monkeypatch, batch):
+    monkeypatch.setattr(tileset_module, "_BATCH", batch)
+    for probe in PROBES:
+        for final_newline in (True, False):
+            _check_readers_agree(tmp_path, probe, final_newline)
+
+
+def _check_readers_agree(tmp_path, probe, final_newline):
     ts = enumerate_tileset(P23, IDENTITY_MAP)
     lines = export_tileset(ts).splitlines()
     where = probe(lines, ts)
@@ -705,6 +764,25 @@ def test_file_and_text_readers_agree(tmp_path, probe, final_newline):
         assert got == ts.runs
     else:
         assert got.startswith(f"tileset line {where}: ")
+
+
+def test_crlf_export_reads_as_the_lf_export(tmp_path):
+    # CR LF line ends, in the text and in a file written with them kept:
+    # the same runs, sharing as many lists, as the export itself
+    ts = enumerate_tileset(P23, IDENTITY_MAP)
+    text = export_tileset(ts)
+    crlf = text.replace("\n", "\r\n")
+    out = tmp_path / "crlf.tiles"
+    with open(out, "w", encoding="utf-8", newline="") as handle:
+        handle.write(crlf)
+    assert out.read_bytes().count(b"\r\n") == text.count("\n")
+    reads = [parse_tileset(crlf)]
+    for newline in (None, ""):  # CR LF read as LF, or kept
+        with open(out, encoding="utf-8", newline=newline) as handle:
+            reads.append(parse_tileset(handle))
+    for again in reads:
+        assert again.runs == ts.runs
+        assert _distinct_lists(again) == _distinct_lists(ts)
 
 
 def test_non_utf8_byte_is_bad_input_at_its_line(tmp_path, capsys):
@@ -852,13 +930,6 @@ def test_perturbations_draw_every_fault_reason(lattice_tilesets):
         "left color off the grid box",
         "right color off the grid box",
     }
-
-
-ROUNDTRIP_MAPS = {
-    "identity-23": ROOT / "maps" / "identity-23.map",
-    "rotation-22": ROOT / "maps" / "rotation-22.map",
-    "half2-23": ROOT / "perfbench" / "maps" / "half2-23.map",
-}
 
 
 @pytest.mark.parametrize("name", ROUNDTRIP_MAPS)
@@ -1038,24 +1109,43 @@ def test_parse_matches_per_line_oracle(lattice_tilesets, data):
     assert got == _outcome(lambda: reference_tile_lines(lines, header, ts.denominator))
 
 
-@pytest.mark.parametrize("edit", ["split", "swap", "repeat", "back"])
+def _bumped(tail: str) -> str:
+    """The tail 'left | r: right' with 1 added to the first component of
+    both colors: a greater key, with right - left kept."""
+    left, _, right = tail.partition(" | r: ")
+    (l1, l2), (r1, r2) = left.split(","), right.split(",")
+    return f"{fmt_rat(Fraction(l1) + 1)},{l2} | r: {fmt_rat(Fraction(r1) + 1)},{r2}"
+
+
+@pytest.mark.parametrize(
+    "edit", ["split", "swap", "repeat", "back", "later tail", "append", "drop last"]
+)
 def test_parse_block_edits_match_per_line_oracle(edit):
     # whole runs of identity-23, many sharing their color lists, so most
     # blocks are read from an equal block before them: every run re-spelled
     # (+0) from its line k on, so that it goes on in a second block; two
     # runs swapped; or line k of one run replaced by line k - 1 re-spelled,
     # or by line k - 2 re-spelled, which goes on with the run's labels but
-    # sorts before the line above.  The block reader and the per-line one
-    # agree on the tiles or on the line of the first error.
+    # sorts before the line above.  Or a near repeat: a run whose first
+    # line repeats an earlier run's first tail (the same lists) has one
+    # later tail changed (its right color moved), one line appended under
+    # its prefix or its last line dropped, so that the block read before
+    # with that first tail is tried and does not match.  The block reader
+    # and the per-line one agree on the tiles or on the line of the first
+    # error.
     ts = enumerate_tileset(P23, IDENTITY_MAP)
     header = 2 + len(ts.pam.pieces)
+    shared = [group for group in _runs_by_lists(ts.runs) if len(group) > 2]
     rng = Random(58)
     for _ in range(20):
-        picked = sorted(rng.sample(range(len(ts.runs)), 24))
+        near, *repeats = sorted(rng.sample(rng.choice(shared), 3))
+        picked = sorted({near, *repeats, *rng.sample(range(len(ts.runs)), 21)})
         sub = Tileset(ts.params, ts.pam, tuple(ts.runs[k] for k in picked))
         lines = export_tileset(sub).splitlines()
         starts = list(accumulate((len(run[3]) for run in sub.runs), initial=header))
-        k = rng.randrange(2 if edit == "back" else 1, 16)  # every run of identity-23 has 16 tiles
+        # line k of a run, or past a short one (identity-23's have 4 to 36 tiles)
+        k = rng.randrange(2 if edit == "back" else 1, 16)
+        tiles = len(sub.tiles)
         if edit == "split":
             for start, end in zip(starts, starts[1:]):
                 lines[start + k : end] = ["+" + line for line in lines[start + k : end]]
@@ -1064,16 +1154,80 @@ def test_parse_block_edits_match_per_line_oracle(edit):
             first, second = lines[starts[r] : starts[r + 1]], lines[starts[t] : starts[t + 1]]
             lines[starts[t] : starts[t + 1]] = first
             lines[starts[r] : starts[r + 1]] = second
-        else:
+        elif edit in ("repeat", "back"):
             start = rng.choice(starts[:-1])
             lines[start + k] = "+" + lines[start + k - (1 if edit == "repeat" else 2)]
+        else:
+            # the same edit to two later runs with near's lists, the last
+            # first, on a line inside them
+            k = rng.randrange(1, len(ts.runs[near][3]))
+            for r in reversed([picked.index(repeat) for repeat in repeats]):
+                start, end = starts[r], starts[r + 1]
+                if edit == "later tail":
+                    head, _, right = lines[start + k].rpartition(" | r: ")
+                    r1, r2 = right.split(",")
+                    lines[start + k] = f"{head} | r: {fmt_rat(Fraction(r1) + 1)},{r2}"
+                elif edit == "append":
+                    prefix, _, tail = lines[end - 1].partition(" | l: ")
+                    lines.insert(end, f"{prefix} | l: {_bumped(tail)}")
+                    tiles += 1
+                else:
+                    del lines[end - 1]
+                    tiles -= 1
+        lines[1] = lines[1].replace(f" tiles={len(sub.tiles)}", f" tiles={tiles}")
         text = "\n".join(lines) + "\n"
         got = _outcome(lambda: parse_tileset(text).tiles)
         assert got == _outcome(lambda: reference_tile_lines(lines, header, ts.denominator))
         if edit == "back":
             assert got == f"tileset line {start + k + 1}:"
+        elif edit in ("later tail", "append", "drop last"):
+            # every near repeat parses, and the two equal blocks share lists
+            runs = parse_tileset(text).runs
+            first, second = (runs[picked.index(r)] for r in repeats)
+            assert first[3] is second[3] and first[4] is second[4]
     if edit == "split":  # the runs read, and the lists they share, are unchanged
         assert parse_tileset(text).runs == sub.runs
+
+
+def _runs_by_lists(runs) -> list[list[int]]:
+    """The indices of the runs, grouped by the color list objects they hold."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, run in enumerate(runs):
+        groups.setdefault((id(run[3]), id(run[4])), []).append(k)
+    return list(groups.values())
+
+
+def test_verify_shared_labels_match_fraction_oracle():
+    # rotation-22's four pieces have four bottom boxes and four top boxes.
+    # Every piece, and a piece the map lacks, takes every pairing of a few
+    # bottoms and tops from those boxes (and a bottom with a third color),
+    # one tile each whose right - left is its transport right side, so the
+    # count and box checks decide: each bottom and top is shared by runs of
+    # every piece, in the box of some and beyond the box of others, and
+    # is checked once per piece.
+    params, pam = load_map(str(ROOT / "maps" / "rotation-22.map"))
+    metas = [piece_meta(params, piece) for piece in pam.pieces]
+    den = color_denominator(params, pam.pieces)
+    rng = Random(59)
+    bottoms = [tuple(rng.choice(_color_range(meta.bottom_box)) for _ in range(2)) for meta in metas]
+    tops = [tuple(rng.choice(_color_range(meta.top_box)) for _ in range(2)) for meta in metas]
+    bottoms.append((*bottoms[0], bottoms[1][0]))
+    tiles = []
+    for index in range(len(pam.pieces) + 1):
+        for bottom, top in product(bottoms, tops):
+            right = (0, 0)
+            if index < len(pam.pieces):
+                right = transport_rhs(_transport(params, pam.pieces[index], den), bottom, top)
+            tiles.append((index, bottom, top, (0, 0), right))
+    sub = Tileset(params, pam, runs_of(sorted(tiles)))
+    faults = verify_tileset(sub)
+    assert faults == reference_verify(sub)
+    assert {fault.reason for fault in faults} >= {
+        "wrong number of edge colors",
+        "bottom color outside box",
+        "top color outside box",
+        f"unknown piece {len(pam.pieces)}",
+    }
 
 
 def test_verify_reasons_on_a_step_two_piece():
