@@ -17,16 +17,17 @@ encoded map.  All of this runs on canonical forms in integers, one
 a-row at a time: build_patch refuses a cell that is not canonical, so a
 patch holds each group element once.  The cells h a^e of one head h
 form a row (an H-chain of the reduction); the patch maps each head to
-{e: position}.  A patch keeps its row walk, built from its own params
-on first use: Patch.segments, the runs of consecutive cells of each
-row, and Patch.partners, each cell's partners.  Within a row the H and
-I partners are entries e + m and e + 1, and the V partners lie in the
-rows h a^r t^-1 above, r < n, each canonical as it stands but for the
-pinch t a^0 t^-1 (g a^s t^-1 is then one divmod away).  Every call on
-a patch checks its group first (_partners) and then shares the one
-walk: constraints_for lists the rules from it, search_patch takes its
-arcs from it, and every re-check of an assignment (check_assignment, a
-found search, an orbit witness) reads it comparing colors directly,
+{e: position}.  The rules are written once, in _rules.  A patch keeps
+its row walk, built from its own params on first use: Patch.segments,
+the runs of consecutive cells of each row, and Patch.partners, each
+rule's cells and their partners.  Within a row the H and I partners are
+entries e + m and e + 1, and the V partners lie in the rows h a^r t^-1
+above, r < n, each canonical as it stands but for the pinch t a^0 t^-1
+(g a^s t^-1 is then one divmod away).  Every call on a patch checks its
+group first (_partners), then iterates the rules and their part of the
+walk: constraints_for lists them, search_patch takes its arcs from
+them, and every re-check of an assignment (check_assignment, a found
+search, an orbit witness) compares each rule's keys as whole columns,
 building a Constraint only for a broken rule.  lambda steps by 1/m
 along a row, so the lambda of a row head (Patch.heads, which holds row
 heads only) and one RowColors.run tile a segment; RowColors holds x
@@ -38,14 +39,13 @@ position.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from operator import and_, itemgetter, mul
+from itertools import chain, compress, repeat
+from operator import add, and_, is_not, itemgetter, mul, ne
 from typing import NamedTuple
 
 from .errors import OrbitTooShort
@@ -93,19 +93,22 @@ class Patch:
         )
 
     @cached_property
-    def partners(self) -> tuple[tuple, ...]:
-        """Each cell's partners, by position: (H, I, above) for g = h a^e.
-
-        H and I are the positions of g a^m and g a, entries e + m and
-        e + 1 of g's own row (None off the patch), maybe in another
-        segment of it.  above[s] is the position of the V partner
-        g a^(s + 1 - n) t^-1, s < m + n - 1, which is h a^r t^-1 a^(m q)
-        for (q, r) = divmod(e + s + 1 - n, n), entry offset_r + m q of
-        the row of h a^r t^-1, looked up once per segment.
+    def partners(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """(cells, partners) for each rule of _rules: the positions of the
+        cells g = h a^e whose partner g a^s t^-up (s = rule.shift) is in
+        the patch and, pairwise, the partners' positions, segment by
+        segment.  With up = 0 (H, I) it is entry e + s of g's own row;
+        with up = 1 (V) it is h a^r t^-1 a^(m q) for (q, r) =
+        divmod(e + s, n), entry offset_r + m q of the row of h a^r t^-1.
         """
         m, n = self.params.m, self.params.n
         rows = self.rows
-        partners: list = [None] * len(self.cells)
+        # lines[up]: per segment, the position of h a^x t^-up (or None) for x
+        # from start + 1 - n to start + count + m - 1; at: each cell's entry
+        # x = e + 1 - n, so its partner g a^s t^-up is entry at + s + n - 1
+        lines: tuple[list, list] = ([], [])
+        order: list[int] = []  # every cell, segment by segment
+        at: list[int] = []
         for (head, stables), start, count, positions in self.segments:
             row = rows[head, stables]
             # above[r]: (row of h a^r t^-1, its offset).  r < n is a coset
@@ -115,15 +118,17 @@ class Patch:
             above = [(rows.get((head + (r,), stables + (-1,)), {}), 0) for r in range(n)]
             if stables and stables[-1] == 1:
                 above[0] = (rows.get((head[:-1], stables[:-1]), {}), head[-1])
-            # uppers[x - start - 1 + n]: the cell h a^x t^-1, or None
-            uppers = tuple(
-                above[x % n][0].get(above[x % n][1] + m * (x // n))
-                for x in range(start + 1 - n, start + count + m - 1)
-            )
-            for base, i in enumerate(positions):
-                e = start + base
-                partners[i] = (row.get(e + m), row.get(e + 1), uppers[base : base + m + n - 1])
-        return tuple(partners)
+            xs = range(start + 1 - n, start + count + m)
+            order += positions
+            at += range(len(lines[0]), len(lines[0]) + count)
+            lines[0].extend(map(row.get, xs))
+            lines[1].extend(above[x % n][0].get(above[x % n][1] + m * (x // n)) for x in xs)
+        walk = []
+        for rule in _rules(self.params):  # shifts s lie in [1 - n, m]
+            found = list(map(lines[rule.up].__getitem__, map(add, at, repeat(rule.shift + n - 1))))
+            keep = list(map(is_not, found, repeat(None)))
+            walk.append((tuple(compress(order, keep)), tuple(compress(found, keep))))
+        return tuple(walk)
 
 
 def build_patch(params: BsParams, elements) -> Patch:
@@ -183,10 +188,55 @@ def _consecutive(values: list[int]):
             start = stop
 
 
+class Rule(NamedTuple):
+    """Cell g and its partner g a^shift t^-up agree on a_side's key of
+    g's tile and b_side's of the partner's.  A side, (field, label index
+    or None), reads a tile, a run and the edge masks alike, in their
+    field order (piece, bottom, top, left(s), right(s))."""
+
+    kind: str
+    top_pos: int
+    bottom_pos: int
+    shift: int
+    up: int
+    a_side: tuple[int, int | None]
+    b_side: tuple[int, int | None]
+    label: str
+
+    def constraints(self, a, b):  # one Constraint per pair of positions
+        return map(Constraint, repeat(self.kind), a, b, repeat(self.top_pos), repeat(self.bottom_pos))
+
+
+@lru_cache(maxsize=16)
+def _rules(params: BsParams) -> tuple[Rule, ...]:
+    """H, I, then V top_j(g) = bottom_k(g a^(j - k) t^-1) by (j, k), k
+    1-based: the order of a cell's constraints."""
+    m, n = params.m, params.n
+    return (
+        Rule("H", 0, 0, m, 0, (4, None), (3, None), "H"),
+        Rule("I", 0, 0, 1, 0, (0, None), (0, None), "I"),
+        *(Rule("V", j, k, j - k, 1, (2, j - 1), (1, k - 1), f"V {j}->{k}")
+          for j in range(1, m + 1) for k in range(1, n + 1)),
+    )
+
+
+def _read(side: tuple[int, int | None], fields):
+    """side's key of fields: a tile, a run's labels or the edge masks."""
+    field, index = side
+    return fields[field] if index is None else fields[field][index]
+
+
+def _keys(side: tuple[int, int | None], items):
+    """_read(side, item) for each of items, as one map."""
+    field, index = side
+    keys = map(itemgetter(field), items)
+    return keys if index is None else map(itemgetter(index), keys)
+
+
 class Constraint(NamedTuple):
-    """kind 'H': right(a) = left(b); 'V': top_j(a) = bottom_k(b) with
-    j = top_pos, k = bottom_pos (1-based); 'I': piece(a) = piece(b).
-    a and b are cell positions in the patch."""
+    """One rule of _rules between two cells, a and b by position in the
+    patch: kind 'H': right(a) = left(b); 'I': piece(a) = piece(b); 'V':
+    top_j(a) = bottom_k(b) with j = top_pos, k = bottom_pos (1-based)."""
 
     kind: str
     a: int
@@ -204,28 +254,14 @@ def _partners(params: BsParams, patch: Patch) -> tuple[tuple, ...]:
     return patch.partners
 
 
-def _v_slots(params: BsParams) -> list[tuple[int, int, int]]:
-    """(j, k, s) for each V rule top_j(g) = bottom_k(g a^(j - k) t^-1),
-    k 1-based, with s its index in a cell's above, in rule order."""
-    n = params.n
-    return [(j, k, j - k + n - 1) for j in range(1, params.m + 1) for k in range(1, n + 1)]
-
-
 def constraints_for(params: BsParams, patch: Patch) -> tuple[Constraint, ...]:
     """The H, I and V constraints between cells, in cell order: for each
     cell its H, its I, then its V constraints by (top_pos, bottom_pos).
     ValueError when params is not the group the patch was built in."""
-    partners = _partners(params, patch)
-    slots = _v_slots(params)
-    out = []
-    for i, (h, nxt, above) in enumerate(partners):
-        if h is not None:
-            out.append(Constraint("H", i, h))
-        if nxt is not None:
-            out.append(Constraint("I", i, nxt))
-        for j, k, s in slots:
-            if above[s] is not None:
-                out.append(Constraint("V", i, above[s], j, k))
+    out: list[Constraint] = []
+    for rule, (a, b) in zip(_rules(params), _partners(params, patch)):
+        out += rule.constraints(a, b)
+    out.sort(key=itemgetter(1))  # stable: a cell's constraints stay in rule order
     return tuple(out)
 
 
@@ -261,21 +297,16 @@ def _tiles_by_position(patch: Patch, assignment: TilingAssignment) -> list[Tile]
 
 def _violations(params: BsParams, partners: tuple[tuple, ...], tiles) -> list[Constraint]:
     """The constraints that tiles, indexed by cell position, violate, in
-    the order constraints_for lists them.  Each rule compares the colors
-    of a cell and its partner directly; a Constraint is built only for
-    a broken rule."""
-    slots = _v_slots(params)
-    bad = []
-    for i, (h, nxt, above) in enumerate(partners):
-        piece, _, top, _, right = tiles[i]
-        if h is not None and tiles[h][3] != right:
-            bad.append(Constraint("H", i, h))
-        if nxt is not None and tiles[nxt][0] != piece:
-            bad.append(Constraint("I", i, nxt))
-        for j, k, s in slots:
-            upper = above[s]
-            if upper is not None and tiles[upper][1][k - 1] != top[j - 1]:
-                bad.append(Constraint("V", i, upper, j, k))
+    the order constraints_for lists them.  Each rule compares its two
+    sides' keys over all its cells at once; only a rule that breaks is
+    walked pair by pair, building a Constraint for each broken pair."""
+    bad: list[Constraint] = []
+    at = tiles.__getitem__
+    for rule, (a, b) in zip(_rules(params), partners):
+        a_keys, b_keys = list(_keys(rule.a_side, map(at, a))), list(_keys(rule.b_side, map(at, b)))
+        if a_keys != b_keys:
+            bad += rule.constraints(*zip(*compress(zip(a, b), map(ne, a_keys, b_keys))))
+    bad.sort(key=itemgetter(1))  # stable: by cell, then rule
     return bad
 
 
@@ -427,15 +458,6 @@ def _edge_masks(params: BsParams, runs: tuple[Run, ...]) -> tuple:
     return left, right, piece, labels[: params.m], labels[params.m :]
 
 
-def _pairs(x_side: dict, y_side: dict) -> tuple[tuple[int, int], ...]:
-    """(x mask, y mask) for every key both sides share: the tiles of a
-    cell x that some tile of a domain on the other side supports are
-    the union of the x masks whose y mask meets that domain."""
-    return tuple(
-        (x_mask, y_side[key]) for key, x_mask in x_side.items() if key in y_side
-    )
-
-
 def search_patch(
     tileset: Tileset, patch: Patch, budget: int = 1_000_000
 ) -> SearchResult:
@@ -447,69 +469,57 @@ def search_patch(
     tile left in the cell's domain matches, each narrowed domain is
     propagated in turn, and an emptied domain means backtrack.  A
     revision against a one-tile domain is one lookup, the mask of that
-    tile's color on the shared edge, read from its run (a bisect of the
-    run starts) without building the tile; a larger domain's support on
-    the neighbor is the union over the pairs loop, kept in a memo per
-    relation direction keyed by the domain.  A memo is emptied when it
-    holds len(cells) supports, so the memos hold at most
-    2 (2 + m n) len(cells) supports in all.  The next
-    cell is the unassigned one with the smallest narrowed domain
-    (canonical order breaking ties; the first unassigned cell when no
-    domain has narrowed), and its tiles are tried in ascending id, one
-    node each, so the search is deterministic.  Propagation only drops
-    tiles that no tiling extending the current assignment can use, so an
-    ExhaustedNoTiling result is a complete refutation; a Found result,
-    each cell's tile read from its run by the same bisect, is re-checked
-    on the patch's row walk that gave the arcs.  A patch
-    is refuted at 0 nodes when it has a V rule top_j = bottom_k and no
-    tile's top_j is any tile's bottom_k, as the runs' labels tell.  The
-    edge masks are built per call, as binary planes (_edge_masks).
+    tile's key on the shared edge (the tile read from its run, a bisect
+    of the run starts); a larger domain's support on the neighbor is
+    the union over the pairs loop, kept in a memo per relation
+    direction keyed by the domain.  A memo is emptied when it holds
+    len(cells) supports, so the memos hold at most 2 (2 + m n)
+    len(cells) supports in all.  The next cell is the unassigned one
+    with the smallest narrowed domain (canonical order breaking ties;
+    the first unassigned cell when no domain has narrowed), and its
+    tiles are tried in ascending id, one node each, so the search is
+    deterministic.  Propagation only drops tiles that no tiling
+    extending the current assignment can use, so an ExhaustedNoTiling
+    result is a complete refutation; a Found result is re-checked on
+    the row walk that gave the arcs.  A patch is refuted at 0 nodes
+    when it uses a rule between two run labels (I, or a V rule) whose
+    sides share no key over the runs; not H, whose color key sets cost
+    more than a whole 0-node refutation of escape.  The edge masks are
+    built per call, as binary planes (_edge_masks).
     """
     params = tileset.params
     partners = _partners(params, patch)
     cells = patch.cells
     if not cells:
         return Found(TilingAssignment(()), 0)
-    tiles = tileset.tiles
-    slots = _v_slots(params)
+    tiles, runs = tileset.tiles, tileset.runs
+    used = [(rule, walk) for rule, walk in zip(_rules(params), partners) if walk[0]]
 
-    # a V rule top_j = bottom_k of the patch that no two tiles meet
-    # refutes the patch outright
-    used = {s for _, _, above in partners for s, up in enumerate(above) if up is not None}
-    tops, bottoms = {run[2] for run in tileset.runs}, {run[1] for run in tileset.runs}
+    # a rule of the patch between two run labels (fields 0 to 2) that no
+    # two tiles meet refutes the patch outright
     if any(
-        s in used and {top[j - 1] for top in tops}.isdisjoint(bottom[k - 1] for bottom in bottoms)
-        for j, k, s in slots
+        max(rule.a_side[0], rule.b_side[0]) < 3
+        and set(_keys(rule.a_side, runs)).isdisjoint(_keys(rule.b_side, runs))
+        for rule, _ in used
     ):
         return ExhaustedNoTiling(0)
 
-    runs, starts = tileset.runs, tiles.starts
     left, right, piece, top, bottom = _edge_masks(params, runs)
-
-    def rule(a_side: dict, a_key, b_side: dict, b_key) -> tuple[tuple, tuple]:
-        """The arc tails to revise a and to revise b, for a_side(a) = b_side(b)."""
-        return (
-            (a_side, b_key, _pairs(a_side, b_side), {}),
-            (b_side, a_key, _pairs(b_side, a_side), {}),
-        )
-
-    # one rule per partner of a cell, in partner order: H, I, then V by slot
-    rules = [
-        rule(right, lambda run, i: run[4][i], left, lambda run, i: run[3][i]),
-        rule(piece, lambda run, i: run[0], piece, lambda run, i: run[0]),
-    ] + [
-        rule(top[j - 1], lambda run, i, j=j - 1: run[2][j],
-             bottom[k - 1], lambda run, i, k=k - 1: run[1][k])
-        for j, k, _ in slots
-    ]
-    # arcs[y]: (x, x masks, key of tile i of a y run, pairs, memo) for every cell x
-    # to revise when domain[y] narrows; all but x shared per rule direction
+    masks = (piece, bottom, top, left, right)  # in field order
+    # arcs[y]: (x, x masks, side of y's tile, pairs, memo) for every cell x to
+    # revise when domain[y] narrows; all but x shared per rule direction.
+    # pairs holds (x mask, y mask) for each key both sides share: the tiles
+    # of x that a domain of y supports are the union of the x masks whose
+    # y mask meets that domain
     arcs: list[list[tuple]] = [[] for _ in cells]
-    for a, (h, nxt, above) in enumerate(partners):
-        for b, (to_a, to_b) in zip((h, nxt, *[above[s] for _, _, s in slots]), rules):
-            if b is not None:
-                arcs[b].append((a, *to_a))
-                arcs[a].append((b, *to_b))
+    for rule, (a, b) in used:
+        a_masks, b_masks = _read(rule.a_side, masks), _read(rule.b_side, masks)
+        pairs = [(a_masks[key], b_masks[key]) for key in a_masks if key in b_masks]
+        to_a = (a_masks, rule.b_side, tuple(pairs), {})
+        to_b = (b_masks, rule.a_side, tuple((y, x) for x, y in pairs), {})
+        for x, y in zip(a, b):
+            arcs[y].append((x, *to_a))
+            arcs[x].append((y, *to_b))
 
     ncells = len(cells)
     domain = [(1 << len(tiles)) - 1] * ncells
@@ -543,15 +553,12 @@ def search_patch(
             y = queue.popleft()
             queued.discard(y)
             dom_y = domain[y]
-            run = None
-            if size[y] == 1:  # the one tile's run, and its place in it
-                r = bisect_right(starts, k := dom_y.bit_length() - 1) - 1
-                run, i = runs[r], k - starts[r]
-            for x, x_side, key_y, pairs, memo in arcs[y]:
+            tile = tiles[dom_y.bit_length() - 1] if size[y] == 1 else None
+            for x, x_masks, y_side, pairs, memo in arcs[y]:
                 if assigned[x]:
                     continue
-                if run is not None:
-                    support = x_side.get(key_y(run, i), 0)
+                if tile is not None:
+                    support = x_masks.get(_read(y_side, tile), 0)
                 else:
                     support = memo.get(dom_y)
                     if support is None:
@@ -610,11 +617,7 @@ def search_patch(
             assigned[cell] = False
             continue
         if len(frames) == ncells:
-            chosen = []
-            for dom in domain:  # each cell's tile, read from its run
-                r = bisect_right(starts, k := dom.bit_length() - 1) - 1
-                p, b, t, lefts, rights = runs[r]
-                chosen.append((p, b, t, lefts[k - starts[r]], rights[k - starts[r]]))
+            chosen = [tiles[dom.bit_length() - 1] for dom in domain]
             if _violations(params, partners, chosen):
                 raise AssertionError("search produced an invalid assignment")
             return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)
@@ -696,9 +699,10 @@ def export_dot(
     assignment: TilingAssignment | None = None,
     tileset: Tileset | None = None,
 ) -> str:
-    """DOT graph of the patch: one node per cell, one edge per constraint.
-    ValueError when params is not the group the patch was built in."""
-    constraints = constraints_for(params, patch)
+    """DOT graph of the patch: one node per cell, one edge per pair of
+    partners, labelled by their rules.  ValueError when params is not
+    the group the patch was built in."""
+    partners = _partners(params, patch)
     names = [g.to_text() for g in patch.cells]
     tile_ids = [None] * len(names)
     if assignment is not None and tileset is not None:
@@ -708,14 +712,9 @@ def export_dot(
         label = name if tile_id is None else f"{name}\\ntile {tile_id}"
         lines.append(f'  "{name}" [label="{label}"];')
     edge_labels: dict[tuple[str, str], list[str]] = {}
-    for con in constraints:
-        key = (names[con.a], names[con.b])
-        if con.kind == "V":
-            edge_labels.setdefault(key, []).append(
-                f"V {con.top_pos}->{con.bottom_pos}"
-            )
-        else:
-            edge_labels.setdefault(key, []).append(con.kind)
+    for rule, (a, b) in zip(_rules(params), partners):
+        for x, y in zip(a, b):
+            edge_labels.setdefault((names[x], names[y]), []).append(rule.label)
     for (a, b), labels in sorted(edge_labels.items()):
         joined = ", ".join(sorted(set(labels)))
         lines.append(f'  "{a}" -- "{b}" [label="{joined}"];')

@@ -49,7 +49,6 @@ from bsdomino.tiling import (
     Patch,
     SearchResult,
     TilingAssignment,
-    _pairs,
     build_patch,
     constraints_for,
 )
@@ -645,10 +644,11 @@ def reference_search(
     tileset: Tileset, patch: Patch, budget: int = 1_000_000
 ) -> SearchResult:
     """search_patch with every arc revision run as the plain pairs loop:
-    no one-tile lookup and no memo of supports, and the edge masks built
-    tile by tile (reference_edge_masks), not by _edge_masks.  The same
-    node order, budget count and re-check, so results must be equal,
-    node counts and assignments included."""
+    no one-tile lookup and no memo of supports, the edge masks built tile
+    by tile (reference_edge_masks), not by _edge_masks, and the arcs
+    taken from the constraint list, cell by cell.  The same node order,
+    budget count and re-check, so results must be equal, node counts and
+    assignments included."""
     params = tileset.params
     cells = patch.cells
     if not cells:
@@ -681,7 +681,12 @@ def reference_search(
                 a_side, b_side = top[con.top_pos - 1], bottom[con.bottom_pos - 1]
             else:
                 a_side = b_side = piece
-            relations[kind] = (_pairs(a_side, b_side), _pairs(b_side, a_side))
+            # (a mask, b mask) for every key both sides share
+            shared = {key: (a_side[key], b_side[key]) for key in a_side if key in b_side}
+            relations[kind] = (
+                tuple(shared.values()),
+                tuple((b_mask, a_mask) for a_mask, b_mask in shared.values()),
+            )
         to_a, to_b = relations[kind]
         arcs[con.b].append((con.a, to_a))
         arcs[con.a].append((con.b, to_b))

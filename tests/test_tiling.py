@@ -44,6 +44,7 @@ from bsdomino.tileset import (
 )
 from bsdomino.tiling import (
     BudgetExceeded,
+    Constraint,
     ExhaustedNoTiling,
     Found,
     Patch,
@@ -495,8 +496,8 @@ def spy_on_the_walk(monkeypatch, calls: dict) -> None:
 def test_search_walks_the_patch_once(monkeypatch, name, verdict):
     # the walk is built on first use, once per patch: the search (its 0-node
     # refutation, arcs and re-check), two witnesses, their re-checks, the
-    # constraint list and the DOT export all read it; the search builds no
-    # constraint list
+    # constraint list and the DOT export all read it; neither the search
+    # nor the DOT export builds a constraint list
     calls = {"segments": 0, "partners": 0, "constraints_for": 0}
     spy_on_the_walk(monkeypatch, calls)
     listing = tiling.constraints_for
@@ -520,7 +521,7 @@ def test_search_walks_the_patch_once(monkeypatch, name, verdict):
         assert not check_assignment(P23, patch, witness)
     assert tiling.constraints_for(P23, patch)
     assert export_dot(P23, patch, witnesses[1], ts).startswith("graph patch {")
-    assert calls == {"segments": 1, "partners": 1, "constraints_for": 2}
+    assert calls == {"segments": 1, "partners": 1, "constraints_for": 1}
 
 
 def test_a_wrong_group_call_leaves_the_walk_of_the_patch_alone():
@@ -553,6 +554,45 @@ def test_search_empty_tileset():
     assert isinstance(
         search_patch(empty, build_ball_patch(P23, 1)), ExhaustedNoTiling
     )
+    # no tiles: a row (H and I rules) and a pair one t^-1 apart (a V rule)
+    # are both refuted before any node
+    for texts in (["e", "a", "a2"], ["e", "T"]):
+        patch = build_patch(P23, [element_from_text(P23, text) for text in texts])
+        assert search_patch(empty, patch) == ExhaustedNoTiling(nodes=0), texts
+        assert reference_search(empty, patch) == ExhaustedNoTiling(nodes=0), texts
+
+
+def test_search_refutes_a_patch_by_any_label_rule_it_uses():
+    # a hand-made BS(2,3) tileset, one piece and one color on the sides,
+    # where exactly V (1, 1), top_1 = bottom_1, has no shared label: tops
+    # start with A, bottoms with B, and top_2 takes A or B
+    A, B = (0, 0), (1, 0)
+    runs = ((0, (B, A, A), (A, A), [A], [A]), (0, (B, A, A), (A, B), [A], [A]))
+    ts = Tileset(P23, IDENTITY_MAP, runs)
+    disjoint = [
+        (j, k) for j in (1, 2) for k in (1, 2, 3)
+        if {top[j - 1] for _, _, top, _, _ in runs}.isdisjoint(
+            bottom[k - 1] for _, bottom, _, _, _ in runs)
+    ]
+    assert disjoint == [(1, 1)]
+
+    def patch_of(*texts):
+        return build_patch(P23, [element_from_text(P23, text) for text in texts])
+
+    # {e, e a^(j-1-k) t^-1} = {e, T} uses V (1, 1) (and V (2, 2))
+    patch = patch_of("e", "T")
+    assert ("V", 1, 1) in {(con.kind, con.top_pos, con.bottom_pos)
+                           for con in constraints_for(P23, patch)}
+    assert search_patch(ts, patch) == ExhaustedNoTiling(0) == reference_search(ts, patch)
+    # {e, a T} uses V (2, 1) alone, and a three-cell row uses H and I only:
+    # each is searched, not refuted at 0 nodes
+    for patch, kinds in ((patch_of("e", "a T"), {("V", 2, 1)}),
+                         (patch_of("e", "a", "a2"), {("H", 0, 0), ("I", 0, 0)})):
+        assert {(con.kind, con.top_pos, con.bottom_pos)
+                for con in constraints_for(P23, patch)} == kinds
+        result = search_patch(ts, patch)
+        assert result.nodes > 0 and isinstance(result, Found)
+        assert result == reference_search(ts, patch)
 
 
 def test_tileset_refuses_an_empty_or_uneven_run():
@@ -819,6 +859,16 @@ def witness_patches(name):
 FIELDS = ("piece", "bottom", "top", "left", "right")
 
 
+def positional_reference(params, patch) -> list[Constraint]:
+    """reference_constraints, each neighbour multiplied out from a word,
+    with its cells mapped to positions: a list that shares no code with
+    the rule table check_assignment reads."""
+    return [
+        Constraint(kind, patch.position(g), patch.position(h), j, k)
+        for kind, g, h, j, k in reference_constraints(params, patch)
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     name=st.sampled_from(sorted(WITNESS_CASES)),
@@ -848,10 +898,30 @@ def test_row_walker_matches_list_check_on_corrupted_witnesses(name, which, field
     corrupted = tiles[:i] + [tuple(tile)] + tiles[i + 1 :]
     assignment = TilingAssignment(tuple(zip(patch.cells, corrupted)))
     got = check_assignment(params, patch, assignment)
-    assert got == reference_violations(constraints_for(params, patch), corrupted)
+    assert got == reference_violations(positional_reference(params, patch), corrupted)
     if shift and field == "piece":
         # a cell whose I partner is in the patch breaks at least that rule
         assert got or patch.position(multiply(params, patch.cells[i], "a")) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(WITNESS_CASES)), which=st.integers(0, 3), data=st.data())
+def test_row_walker_matches_list_check_on_several_corrupted_tiles(name, which, data):
+    # 2 to 6 tiles each take one field of another tile, so the broken rules
+    # span several rules and cells: the walker, which checks rule by rule,
+    # lists them by cell and then by rule, as the list check does
+    params, witnesses = witness_patches(name)
+    patch, tiles = witnesses[which]
+    corrupted = list(tiles)
+    cells = st.integers(0, len(tiles) - 1)
+    for _ in range(data.draw(st.integers(2, 6))):
+        i, donor, f = data.draw(cells), data.draw(cells), data.draw(st.integers(0, 4))
+        tile = list(corrupted[i])
+        tile[f] = tiles[donor][f]
+        corrupted[i] = tuple(tile)
+    assignment = TilingAssignment(tuple(zip(patch.cells, corrupted)))
+    got = check_assignment(params, patch, assignment)
+    assert got == reference_violations(positional_reference(params, patch), corrupted)
 
 
 def test_export_dot_and_tiling_text():
