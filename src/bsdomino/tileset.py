@@ -57,20 +57,21 @@ tile k is on line 3 + pieces + k.  One writer, export_lines, yields the
 headers, then each run's label prefix 'piece | bottom: ... | top: ...
 | l: ' before each of its tails 'left | r: right' (a shared pair of
 lists has its tails formatted once).  One reader, parse_tileset, reads
-the text or an open file forward in batches of whole lines, a block
-(the lines that repeat one label prefix) at a time, over D, rejecting
-any line out of place, a color off (1/D) Z^2 and headers that disagree
-with their pieces; one rule orders the tile lines: each line's key
-(labels, left, right) is greater than the line above's.  Equal blocks
-of a piece share one pair of lists, as enumerated runs do, and a block
-that repeats the one read before with its first tail is checked with
-one string compare.  verify_tileset numbers tiles as stored and gives
-each tile the first check it fails of one chain, in integers over D:
-piece and edge color count, transport equation, label boxes, left grid
-box, right grid box.  Each distinct (piece, bottom) and (piece, top) is
-checked once, and the chain runs once per run shape (the piece, the
-list objects, the transport right side and the label checks' reasons);
-a later run of that shape reuses its faults.
+the text or an open file forward in batches of whole lines through one
+cursor, which takes the headers and the first line of each block (the
+lines that repeat one label prefix), over D, rejecting any line out of
+place, a color off (1/D) Z^2 and headers that disagree with their
+pieces; one rule orders the tile lines: each line's key (labels, left,
+right) is greater than the line above's.  Equal blocks of a piece share
+one pair of lists, as enumerated runs do, and a block that repeats the
+one read before with its first tail is checked with one string compare.
+verify_tileset numbers tiles as stored and gives each tile the first
+check it fails of one chain, in integers over D: piece and edge color
+count, transport equation, label boxes, left grid box, right grid box.
+Each distinct (piece, bottom) and (piece, top) is checked once, and the
+chain runs once per run shape (the piece, the list objects, the
+transport right side and the label checks' reasons); a later run of
+that shape reuses its faults.
 """
 
 from __future__ import annotations
@@ -637,47 +638,6 @@ def _reader(source: str | TextIO) -> Callable[[int], str]:
     return read
 
 
-def _parse_header(read: Callable[[int], str]):
-    """The title, the m= n= pieces= tiles= header and the piece headers
-    read first: (params, pieces, metas, the header's pieces= and tiles=
-    counts, text, pos), where text is the read that holds the line after
-    the headers and pos that line's start, at or past the end of text if
-    there is none."""
-    text = ""
-    pos = start = 0  # the next line's start and the last line's
-    i = 0  # the index of the line being read
-
-    def line() -> str | None:
-        """The next line, None past the end."""
-        nonlocal text, pos, start
-        if pos >= len(text):
-            text, pos = read(_BATCH), 0
-            if not text:
-                return None
-        end = text.find("\n", pos)
-        start, pos = pos, end + 1
-        return text[start:end]
-
-    try:
-        if line() != TITLE:
-            raise ParseError(f"expected {TITLE!r}")
-        i = 1
-        counts = _header_values(line() or "", "# ", "m n pieces tiles")
-        m, n, n_pieces, n_tiles = map(int, counts)
-        params = BsParams(m, n)
-        pieces: list[AffinePiece] = []
-        metas: list[PieceMeta] = []
-        i = 2
-        while (header := line()) is not None and header.startswith("#"):
-            piece, meta = _parse_piece(params, header, len(pieces))
-            pieces.append(piece)
-            metas.append(meta)
-            i += 1
-    except (ValueError, IndexError, ParseError) as exc:
-        raise ParseError(f"tileset line {i + 1}: {exc}") from None
-    return params, pieces, metas, n_pieces, n_tiles, text, start
-
-
 def parse_tileset(source: str | TextIO) -> Tileset:
     """Read a tileset file in the layout export_tileset writes, each line
     in its place: the title, the m= n= pieces= tiles= header, one
@@ -690,20 +650,47 @@ def parse_tileset(source: str | TextIO) -> Tileset:
     other than the lines that follow (reported at line 2).  Lines with
     the same labels make one run, however their prefix is spelled.
 
-    A block, a line and the lines after it that repeat its label
-    prefix, has its tails read once: a later block of the same piece
-    with the same tails takes the color lists read then, so the runs
-    share lists as enumerate's do, and only its first line is compared
-    with the line above.  A block whose first tail starts a block read
-    before is first tried as that block, with one string compare: that
-    block's tails under this prefix, then a line off the prefix.  source
-    is the text or an open file, read once, forward, in whole lines
-    (_reader); a block that reaches the end of what is read is read
-    again with more text after it, so that no block is split."""
+    source is the text or an open file, read once, forward, in whole
+    lines (_reader), through one cursor: line() takes the headers and
+    the first line of each block, and the error names the line taken
+    last, or the block's line at fault.  A block, a line and the lines
+    after it that repeat its label prefix, has its tails read once: a
+    later block of the same piece with the same tails takes the color
+    lists read then, so the runs share lists as enumerate's do, and only
+    its first line is compared with the line above.  A block whose first
+    tail starts a block read before is first tried as that block, with
+    one string compare: that block's tails under this prefix, then a
+    line off the prefix.  A block that reaches the end of what is read
+    is read again with more text after it, so that no block is split."""
     read = _reader(source)
-    params, pieces, metas, n_pieces, n_tiles, text, pos = _parse_header(read)
-    i = 2 + len(pieces)  # the index of the line being read, at pos
+    text = ""
+    pos = 0  # the end of line i in text, past its newline
+    i = -1  # the index of the line taken last
+
+    def line() -> str | None:
+        """The next line, taken; None past the end."""
+        nonlocal text, pos, i
+        i += 1
+        if pos >= len(text):
+            text, pos = read(_BATCH), 0
+            if not text:
+                return None
+        at, pos = pos, text.find("\n", pos) + 1
+        return text[at : pos - 1]
+
     try:
+        if line() != TITLE:
+            raise ParseError(f"expected {TITLE!r}")
+        counts = _header_values(line() or "", "# ", "m n pieces tiles")
+        m, n, n_pieces, n_tiles = map(int, counts)
+        params = BsParams(m, n)
+        pieces: list[AffinePiece] = []
+        metas: list[PieceMeta] = []
+        # the piece headers; the line after them is the first tile line
+        while (first := line()) is not None and first.startswith("#"):
+            piece, meta = _parse_piece(params, first, len(pieces))
+            pieces.append(piece)
+            metas.append(meta)
         pam = PiecewiseAffineMap(tuple(pieces))
         den = color_denominator(params, pieces)
         bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
@@ -718,44 +705,40 @@ def parse_tileset(source: str | TextIO) -> Tileset:
         # last with that first tail
         blocks: dict[tuple, tuple[list, list]] = {}
         firsts: dict[tuple[int, str], tuple] = {}
-        while True:
-            if pos >= len(text):
-                text, pos = read(_BATCH), 0
-                if not text:
-                    break
-            # the block at line i, from pos to stop; its label prefix, up to
-            # and including the first ' | l: ', is read once
-            end = text.find("\n", pos)
-            line = text[pos:end]
+        while first is not None:
+            # the block of line i, first, from start to stop; its label
+            # prefix, up to and including the first ' | l: ', is read once
+            start = pos - len(first) - 1
             try:
-                cut = line.index(" | l: ") + 6
-                head, bottom_text, top_text = line[: cut - 6].split(" | ")
+                cut = first.index(" | l: ") + 6
+                head, bottom_text, top_text = first[: cut - 6].split(" | ")
             except ValueError:
-                raise ParseError(f"expected a tile line, got {line!r}") from None
-            prefix = line[:cut]
+                raise ParseError(f"expected a tile line, got {first!r}") from None
+            prefix = first[:cut]
             labels = (int(head), bottoms(bottom_text), tops(top_text))
-            known = firsts.get((labels[0], line[cut:]))
+            known = firsts.get((labels[0], first[cut:]))
             if (
                 known
-                and text.startswith(whole := prefix + f"\n{prefix}".join(known[0]) + "\n", pos)
-                and not text.startswith(prefix, stop := pos + len(whole))
+                and text.startswith(whole := prefix + f"\n{prefix}".join(known[0]) + "\n", start)
+                and not text.startswith(prefix, stop := start + len(whole))
             ):
                 tails, block = known
             else:
                 # the block's lines, up to the first off its prefix: the next block's
-                tails = [line[cut:]]
-                stop = end + 1
+                tails = [first[cut:]]
+                stop = pos
                 while text.startswith(prefix, stop):
                     end = text.find("\n", stop)
                     tails.append(text[stop + cut : end])
                     stop = end + 1
                 tails = tuple(tails)
                 block = blocks.get((labels[0], tails))
-            if stop == len(text) and (more := read(max(_BATCH, len(text) - pos))):
-                text, pos = text[pos:] + more, 0  # the block may go on: read it again
+            if stop == len(text) and (more := read(max(_BATCH, len(text) - start))):
+                # the block may go on: read it again, after its first line
+                text, pos = text[start:] + more, pos - start
                 continue
             go_on = runs and last[0] == labels  # a prefix spelled anew: the run goes on
-            after = i + len(tails)
+            after = i + len(tails) - 1  # the block's last line
             if block is None:
                 lefts, rights = [], []
                 for i, tail in enumerate(tails, i):
@@ -782,6 +765,7 @@ def parse_tileset(source: str | TextIO) -> Tileset:
             else:
                 runs.append((*labels, *block))
             i, pos = after, stop
+            first = line()
     except (ValueError, IndexError, ParseError) as exc:
         raise ParseError(f"tileset line {i + 1}: {exc}") from None
     ts = Tileset(params, pam, tuple(runs), _metas=tuple(metas))
@@ -845,9 +829,9 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
         w = eq.top_weight
         below.append((n, meta.bottom_box, "bottom", eq.matrix, eq.offset))
         above.append((m, meta.top_box, "top", (w, 0, 0, w), (0, 0)))
-    # (piece, bottom) and (piece, top) -> their _edge_checks
-    bottoms: dict[tuple, tuple] = {}
-    tops: dict[tuple, tuple] = {}
+    # (piece, bottom) and (piece, top) -> their _edge_checks, each once
+    bottom_checks = cache(lambda piece, bottom: _edge_checks(bottom, *below[piece]))
+    top_checks = cache(lambda piece, top: _edge_checks(top, *above[piece]))
     # run shape -> the (index, reason) of its tiles at fault; the runs hold
     # the lists, so no id is reused while this call runs
     shapes: dict[tuple, list[tuple[int, str]]] = {}
@@ -857,12 +841,7 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
         if not 0 <= piece < len(metas):
             before, e, after = f"unknown piece {piece}", None, None
         else:
-            b = bottoms.get((piece, bottom))
-            if b is None:
-                b = bottoms[piece, bottom] = _edge_checks(bottom, *below[piece])
-            t = tops.get((piece, top))
-            if t is None:
-                t = tops[piece, top] = _edge_checks(top, *above[piece])
+            b, t = bottom_checks(piece, bottom), top_checks(piece, top)
             before, e, after = b[0] or t[0], (b[2] - t[2], b[3] - t[3]), b[1] or t[1]
         key = (piece, id(lefts), id(rights), e, before, after)
         reasons = shapes.get(key)

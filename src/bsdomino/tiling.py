@@ -29,12 +29,12 @@ walk: constraints_for lists them, search_patch takes its arcs from
 them, and every re-check of an assignment (check_assignment, a found
 search, an orbit witness) compares each rule's keys as whole columns,
 building a Constraint only for a broken rule.  lambda steps by 1/m
-along a row, so the lambda of a row head (Patch.heads, which holds row
-heads only) and one RowColors.run tile a segment; RowColors holds x
-and f(x) as integers (a witness reads f(x) from the orbit), so a run
-is integer floor divisions only.  A cell is named by its position in
-the patch: constraints, search domains and re-checks index cells by
-position.
+along a row, so the lambda of a row head (Patch.heads, built on first
+use, for row heads only) and one RowColors.run tile a segment;
+RowColors holds x and f(x) as integers (a witness reads f(x) from the
+orbit), so a run is integer floor divisions only.  A cell is named by
+its position in the patch: constraints, search domains and re-checks
+index cells by position.
 """
 
 from __future__ import annotations
@@ -63,16 +63,15 @@ class Patch:
     each cell is a distinct group element.  rows groups the cells by
     a-row: the cells g = h a^e of one head h share (exps[:-1], stables)
     and differ in e = exps[-1], so rows maps each head to {e: position}.
-    heads maps the same row heads, and only those, to (num, den) =
-    lambda_parts of h a^0.  The row walk, segments and partners, is
-    built from params on first use and read by every later call; its
-    tuples are not fields, so ==, hash and repr see params and cells.
+    The row walk, segments and partners, and the lambdas of the row
+    heads, heads, are built from params on first use and read by every
+    later call; they are not fields, so ==, hash and repr see params and
+    cells.
     """
 
     params: BsParams
     cells: tuple[GroupElement, ...]
     rows: dict[tuple, dict[int, int]] = field(compare=False, repr=False)
-    heads: dict[tuple, tuple[int, int]] = field(compare=False, repr=False)
 
     def position(self, g: GroupElement) -> int | None:
         """The position of g in cells, None if g is not a cell."""
@@ -81,6 +80,15 @@ class Patch:
 
     def __contains__(self, g: GroupElement) -> bool:
         return self.position(g) is not None
+
+    @cached_property
+    def heads(self) -> dict[tuple, tuple[int, int]]:
+        """The row heads, the keys of rows, each mapped to (num, den) =
+        lambda_parts of h a^0."""
+        return {
+            (head, stables): lambda_parts(self.params, GroupElement(head + (0,), stables))
+            for head, stables in self.rows
+        }
 
     @cached_property
     def segments(self) -> tuple[tuple[tuple, int, int, tuple[int, ...]], ...]:
@@ -147,11 +155,7 @@ def build_patch(params: BsParams, elements) -> Patch:
             if not 0 <= e < (m if sign > 0 else n) or (e == 0 and last == -sign):
                 raise ValueError(f"cell {g.to_text()} is not canonical in BS({m},{n})")
         rows.setdefault((exps[:-1], stables), {})[exps[-1]] = i
-    heads = {
-        (head, stables): lambda_parts(params, GroupElement(head + (0,), stables))
-        for head, stables in rows
-    }
-    return Patch(params, cells, rows, heads)
+    return Patch(params, cells, rows)
 
 
 def build_ball_patch(params: BsParams, radius: int) -> Patch:

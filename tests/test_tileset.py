@@ -715,6 +715,18 @@ def _tiles_lowered(lines, ts):
     return 2
 
 
+# a probe may return the whole message: the two where the file ends, or the
+# tile lines start, right after the headers
+def _headers_only(lines, ts):
+    del lines[2 + len(ts.pam.pieces) :]
+    return "tileset line 2: header says pieces=1 tiles=14400, the file has 1 pieces and 0 tiles"
+
+
+def _no_piece_header(lines, ts):
+    del lines[2]
+    return "tileset line 3: a piecewise affine map needs at least one piece"
+
+
 def _read(read):
     """The runs read, or the message of the ParseError raised."""
     try:
@@ -731,6 +743,8 @@ PROBES = [
     _swap_at_run_boundary,
     _off_grid_last_line,
     _tiles_lowered,
+    _headers_only,
+    _no_piece_header,
 ]
 
 
@@ -763,7 +777,7 @@ def _check_readers_agree(tmp_path, probe, final_newline):
     if where is None:
         assert got == ts.runs
     else:
-        assert got.startswith(f"tileset line {where}: ")
+        assert got.startswith(where if isinstance(where, str) else f"tileset line {where}: ")
 
 
 def test_crlf_export_reads_as_the_lf_export(tmp_path):
@@ -1187,6 +1201,37 @@ def test_parse_block_edits_match_per_line_oracle(edit):
             assert first[3] is second[3] and first[4] is second[4]
     if edit == "split":  # the runs read, and the lists they share, are unchanged
         assert parse_tileset(text).runs == sub.runs
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+def test_block_after_a_near_repeat_takes_the_lists_of_its_equal(tmp_path, monkeypatch, batch):
+    # three runs of one piece with one pair of lists: A, then B with A's
+    # first tail and one later tail changed, then A's tails again under
+    # other labels.  The block read last with A's first tail is B's, so the
+    # third block is read in full, and then takes A's lists for A's tails
+    ts = enumerate_tileset(P23, IDENTITY_MAP)
+    a, b, c = next(group for group in _runs_by_lists(ts.runs) if len(group) > 2)[:3]
+    sub = Tileset(ts.params, ts.pam, (ts.runs[a], ts.runs[b], ts.runs[c]))
+    lines = export_tileset(sub).splitlines()
+    header = 2 + len(ts.pam.pieces)
+    k = header + len(ts.runs[a][3]) + 1  # B's second line
+    head, _, right = lines[k].rpartition(" | r: ")
+    r1, r2 = right.split(",")
+    lines[k] = f"{head} | r: {fmt_rat(Fraction(r1) + 1)},{r2}"
+    text = "\n".join(lines) + "\n"
+    if batch is None:
+        ts_read = parse_tileset(text)
+    else:
+        monkeypatch.setattr(tileset_module, "_BATCH", batch)
+        out = tmp_path / "near.tiles"
+        out.write_text(text, encoding="utf-8")
+        with open(out, encoding="utf-8") as handle:
+            ts_read = parse_tileset(handle)
+    first, near, again = ts_read.runs
+    assert near[3][0] == first[3][0] and near[4][0] == first[4][0]
+    assert near[4] != first[4]
+    assert again[3] is first[3] and again[4] is first[4]
+    assert tuple(ts_read.tiles) == tuple(reference_tile_lines(lines, header, ts.denominator))
 
 
 def _runs_by_lists(runs) -> list[list[int]]:

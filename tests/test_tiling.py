@@ -477,8 +477,8 @@ def test_search_reads_the_tiles_not_the_boxes():
 
 
 def spy_on_the_walk(monkeypatch, calls: dict) -> None:
-    """Count each build of a patch's segments and partners in calls."""
-    for name in ("segments", "partners"):
+    """Count each build of a patch's segments, partners and heads in calls."""
+    for name in ("segments", "partners", "heads"):
         build = getattr(Patch, name).func
 
         def counted(patch, name=name, build=build):
@@ -497,8 +497,9 @@ def test_search_walks_the_patch_once(monkeypatch, name, verdict):
     # the walk is built on first use, once per patch: the search (its 0-node
     # refutation, arcs and re-check), two witnesses, their re-checks, the
     # constraint list and the DOT export all read it; neither the search
-    # nor the DOT export builds a constraint list
-    calls = {"segments": 0, "partners": 0, "constraints_for": 0}
+    # nor the DOT export builds a constraint list; only the witnesses read
+    # the lambdas of the row heads, built once for both
+    calls = {"segments": 0, "partners": 0, "heads": 0, "constraints_for": 0}
     spy_on_the_walk(monkeypatch, calls)
     listing = tiling.constraints_for
 
@@ -509,19 +510,20 @@ def test_search_walks_the_patch_once(monkeypatch, name, verdict):
     monkeypatch.setattr(tiling, "constraints_for", counted_listing)
     ts = compiled(name)
     patch = build_ball_patch(P23, 2)
-    assert calls == {"segments": 0, "partners": 0, "constraints_for": 0}
+    assert calls == {"segments": 0, "partners": 0, "heads": 0, "constraints_for": 0}
     assert isinstance(search_patch(ts, patch), verdict)
-    assert calls == {"segments": 1, "partners": 1, "constraints_for": 0}
+    assert calls == {"segments": 1, "partners": 1, "heads": 0, "constraints_for": 0}
     witnesses = [
         assignment_from_orbit(P23, IDENTITY_MAP, orbit(IDENTITY_MAP, vec2(*x), 10), patch)
         for x in (("1/2", "1/2"), ("1/3", "2/7"))
     ]
     assert witnesses[0] != witnesses[1]
+    assert calls == {"segments": 1, "partners": 1, "heads": 1, "constraints_for": 0}
     for witness in witnesses:
         assert not check_assignment(P23, patch, witness)
     assert tiling.constraints_for(P23, patch)
     assert export_dot(P23, patch, witnesses[1], ts).startswith("graph patch {")
-    assert calls == {"segments": 1, "partners": 1, "constraints_for": 1}
+    assert calls == {"segments": 1, "partners": 1, "heads": 1, "constraints_for": 1}
 
 
 def test_a_wrong_group_call_leaves_the_walk_of_the_patch_alone():
@@ -538,7 +540,7 @@ def test_a_wrong_group_call_leaves_the_walk_of_the_patch_alone():
         check_assignment(P23, patch, witness)
     with pytest.raises(ValueError, match=wrong_group):
         search_patch(compiled("identity-23"), patch)
-    assert "segments" not in vars(patch) and "partners" not in vars(patch)
+    assert not vars(patch).keys() & {"segments", "partners", "heads"}
     assert assignment_from_orbit(params, pam, report, patch) == witness
     assert constraints_for(params, patch) == constraints_for(params, fresh)
     # a patch that keeps its walk is still equal to one that does not
