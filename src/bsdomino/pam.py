@@ -5,13 +5,21 @@ carrying an affine map x -> M x + b with exact rational entries.  Shared
 edges get a deterministic owner: a square owns its closed lower/left
 edges and its open upper/right edges, except that an upper/right edge on
 the outer boundary of U (no square on the other side) stays closed.
+
+Each piece holds one integer form, M and b as numerators over their lcm
+d: apply computes in it and builds a state's two Fractions last, and
+orbit keys the states it has seen by their integer parts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
+from .balrep import parts
 from .errors import OutsideDomain, ParseError
 from .group import BsParams
 from .rationals import Mat2, Vec2, as_rat, fmt_rat, mat2, vec2
@@ -39,8 +47,24 @@ class AffinePiece:
     matrix: Mat2
     offset: Vec2
 
+    @cached_property
+    def integer_form(self) -> tuple[int, int, int, int, int, int, int]:
+        """(k11, k12, k21, k22, o1, o2, d): M row-major and b as
+        numerators over d, the lcm of their denominators."""
+        entries = (*self.matrix.entries(), self.offset.x1, self.offset.x2)
+        d = math.lcm(*(e.denominator for e in entries))
+        return (*(e.numerator * (d // e.denominator) for e in entries), d)
+
     def apply(self, x: Vec2) -> Vec2:
-        return self.matrix.apply(x) + self.offset
+        """M x + b, over the one denominator d q1 q2 for x = (p1/q1, p2/q2)."""
+        k11, k12, k21, k22, o1, o2, d = self.integer_form
+        p1, q1 = x.x1.numerator, x.x1.denominator
+        p2, q2 = x.x2.numerator, x.x2.denominator
+        r1, r2, q = p1 * q2, p2 * q1, q1 * q2
+        return Vec2(
+            Fraction(k11 * r1 + k12 * r2 + o1 * q, d * q),
+            Fraction(k21 * r1 + k22 * r2 + o2 * q, d * q),
+        )
 
 
 @dataclass(frozen=True)
@@ -130,17 +154,18 @@ def orbit(f: PiecewiseAffineMap, x: Vec2, max_steps: int) -> OrbitReport:
     if idx is None:
         raise OutsideDomain(f"start point {x} is not in the domain")
     states: list[tuple[int, Vec2]] = [(idx, x)]
-    seen: dict[Vec2, int] = {x: 0}
+    seen = {parts(x): 0}  # hashing a Fraction takes a modular inverse
     current = x
     for step in range(1, max_steps + 1):
-        current = f.pieces[states[-1][0]].apply(current)
-        if current in seen:
-            return OrbitReport(tuple(states), CycleDetected(seen[current], step))
-        nxt = locate_piece(f, current)
-        if nxt is None:
+        current = f.pieces[idx].apply(current)
+        key = parts(current)
+        if key in seen:
+            return OrbitReport(tuple(states), CycleDetected(seen[key], step))
+        idx = locate_piece(f, current)
+        if idx is None:
             return OrbitReport(tuple(states), EscapedAfter(step))
-        states.append((nxt, current))
-        seen[current] = step
+        states.append((idx, current))
+        seen[key] = step
     return OrbitReport(tuple(states), AliveUpTo(max_steps))
 
 

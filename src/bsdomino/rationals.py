@@ -1,8 +1,12 @@
 """Exact rational pairs and 2x2 matrices.
 
-All arithmetic in the package is done with :class:`fractions.Fraction`;
-no floating point appears anywhere.  ``Vec2`` and ``Mat2`` are thin
-immutable wrappers that keep the formula-heavy modules readable.
+Every value in the package is exact: a :class:`fractions.Fraction` or
+an integer, and no floating point appears anywhere.  Points, map specs
+and printed values are Fractions; the work per point runs in integers
+over a common denominator (tiles, each affine piece's apply, orbits).
+``Vec2`` and ``Mat2`` are thin immutable wrappers that keep the
+formula-heavy modules readable; ``Mat2.apply`` is the matrix product in
+Fractions.
 """
 
 from __future__ import annotations

@@ -115,10 +115,9 @@ Run = tuple[int, tuple[IntVec2, ...], tuple[IntVec2, ...], Sequence[IntVec2], Se
 
 def grid_q(params: BsParams, piece: AffinePiece) -> int:
     """q = lcm(m, n den(M), n den(b)): the piece's error colors lie on
-    (1/q) Z^2."""
-    dens = [e.denominator for e in piece.matrix.entries()]
-    dens += [piece.offset.x1.denominator, piece.offset.x2.denominator]
-    return math.lcm(params.m, *(params.n * d for d in dens))
+    (1/q) Z^2.  It is lcm(m, n d) for d, the lcm of the denominators of
+    M and b, over which the piece's integer form holds them."""
+    return math.lcm(params.m, params.n * piece.integer_form[6])
 
 
 def color_denominator(params: BsParams, pieces: Iterable[AffinePiece]) -> int:
@@ -239,13 +238,14 @@ class _Transport(NamedTuple):
 
 
 def _transport(params: BsParams, piece: AffinePiece, d: int) -> _Transport:
-    def times(e: Fraction, scale: int) -> int:  # e d / scale, an integer
-        return e.numerator * (d // (scale * e.denominator))
-
-    n = params.n
-    matrix = tuple(times(e, n) for e in piece.matrix.entries())
-    offset = (times(piece.offset.x1, 1), times(piece.offset.x2, 1))
-    return _Transport(d // params.m, matrix, offset)
+    """The transport equation over d, scaled from the piece's integer form
+    (M and b as numerators k and o over their lcm e): d M / n is
+    k (d // (n e)) and d b is o (d // e), both exact since n e divides
+    the piece's q and so d."""
+    k11, k12, k21, k22, o1, o2, e = piece.integer_form
+    km, ko = d // (params.n * e), d // e
+    matrix = (k11 * km, k12 * km, k21 * km, k22 * km)
+    return _Transport(d // params.m, matrix, (o1 * ko, o2 * ko))
 
 
 # ---------------------------------------------------------------------------

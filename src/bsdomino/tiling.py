@@ -237,6 +237,14 @@ def _keys(side: tuple[int, int | None], items):
     return keys if index is None else map(itemgetter(index), keys)
 
 
+def _fetch(tiles, positions):
+    """tiles[i] for each of positions, in one itemgetter call; a bare
+    itemgetter returns one tile alone and takes no empty positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)(tiles)
+    return [tiles[i] for i in positions]
+
+
 class Constraint(NamedTuple):
     """One rule of _rules between two cells, a and b by position in the
     patch: kind 'H': right(a) = left(b); 'I': piece(a) = piece(b); 'V':
@@ -305,9 +313,9 @@ def _violations(params: BsParams, partners: tuple[tuple, ...], tiles) -> list[Co
     sides' keys over all its cells at once; only a rule that breaks is
     walked pair by pair, building a Constraint for each broken pair."""
     bad: list[Constraint] = []
-    at = tiles.__getitem__
     for rule, (a, b) in zip(_rules(params), partners):
-        a_keys, b_keys = list(_keys(rule.a_side, map(at, a))), list(_keys(rule.b_side, map(at, b)))
+        a_keys = list(_keys(rule.a_side, _fetch(tiles, a)))
+        b_keys = list(_keys(rule.b_side, _fetch(tiles, b)))
         if a_keys != b_keys:
             bad += rule.constraints(*zip(*compress(zip(a, b), map(ne, a_keys, b_keys))))
     bad.sort(key=itemgetter(1))  # stable: by cell, then rule

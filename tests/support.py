@@ -4,7 +4,7 @@ helpers the tests check exactly."""
 import math
 from collections import deque
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import product
 from random import Random
@@ -22,7 +22,16 @@ from bsdomino.group import (
     beta,
     multiply,
 )
-from bsdomino.pam import AffinePiece, PiecewiseAffineMap, UnitSquare
+from bsdomino.pam import (
+    AffinePiece,
+    AliveUpTo,
+    CycleDetected,
+    EscapedAfter,
+    OrbitReport,
+    PiecewiseAffineMap,
+    UnitSquare,
+    locate_piece,
+)
 from bsdomino.rationals import IDENTITY2, IntVec2, Mat2, Vec2, as_rat
 from bsdomino.tileset import (
     EllBounds,
@@ -35,11 +44,9 @@ from bsdomino.tileset import (
     _parse_colors,
     _parse_error,
     _Transport,
-    _transport,
     _unlabel,
     color_denominator,
     edge_colors,
-    grid_q,
     piece_meta,
 )
 from bsdomino.tiling import (
@@ -106,6 +113,50 @@ def random_point_in(rng: Random, square: UnitSquare, max_den: int = 16) -> Vec2:
     )
 
 
+def reference_apply(piece: AffinePiece, x: Vec2) -> Vec2:
+    """AffinePiece.apply in Fractions: M x + b by the matrix product."""
+    return piece.matrix.apply(x) + piece.offset
+
+
+def reference_grid_q(params: BsParams, piece: AffinePiece) -> int:
+    """tileset.grid_q from the Fractions: lcm(m, n den(e)) over every
+    entry e of M and b."""
+    dens = [e.denominator for e in piece.matrix.entries()]
+    dens += [piece.offset.x1.denominator, piece.offset.x2.denominator]
+    return math.lcm(params.m, *(params.n * d for d in dens))
+
+
+def reference_transport(params: BsParams, piece: AffinePiece, d: int) -> _Transport:
+    """tileset._transport from the Fractions: e d / n for each entry e of
+    M and e d for each of b, with d a multiple of the piece's q."""
+
+    def times(e: Fraction, scale: int) -> int:  # e d / scale, an integer
+        return e.numerator * (d // (scale * e.denominator))
+
+    n = params.n
+    matrix = tuple(times(e, n) for e in piece.matrix.entries())
+    offset = (times(piece.offset.x1, 1), times(piece.offset.x2, 1))
+    return _Transport(d // params.m, matrix, offset)
+
+
+def reference_orbit(f: PiecewiseAffineMap, x: Vec2, max_steps: int) -> OrbitReport:
+    """pam.orbit iterating reference_apply, its states seen keyed by Vec2."""
+    idx = locate_piece(f, x)
+    states: list[tuple[int, Vec2]] = [(idx, x)]
+    seen: dict[Vec2, int] = {x: 0}
+    current = x
+    for step in range(1, max_steps + 1):
+        current = reference_apply(f.pieces[states[-1][0]], current)
+        if current in seen:
+            return OrbitReport(tuple(states), CycleDetected(seen[current], step))
+        nxt = locate_piece(f, current)
+        if nxt is None:
+            return OrbitReport(tuple(states), EscapedAfter(step))
+        states.append((nxt, current))
+        seen[current] = step
+    return OrbitReport(tuple(states), AliveUpTo(max_steps))
+
+
 def ivec_to_vec2(v: IntVec2) -> Vec2:
     return Vec2(Fraction(v[0]), Fraction(v[1]))
 
@@ -149,10 +200,10 @@ def tile_residual(
     """Left-hand side minus right-hand side of the transport equation, in
     Fractions, the error colors over denominator (by default the piece's q)."""
     if denominator is None:
-        denominator = grid_q(params, piece)
+        denominator = reference_grid_q(params, piece)
     _, bottom, top, left, right = tile
     lhs = _avg(top) + color_value(right, denominator)
-    rhs = piece.apply(_avg(bottom)) + color_value(left, denominator)
+    rhs = reference_apply(piece, _avg(bottom)) + color_value(left, denominator)
     return lhs - rhs
 
 
@@ -211,7 +262,7 @@ def reference_enumerate(params: BsParams, f: PiecewiseAffineMap) -> tuple[Tile, 
     for index, piece in enumerate(f.pieces):
         meta = piece_meta(params, piece)
         eb = meta.ell
-        eq = _transport(params, piece, eb.q)
+        eq = reference_transport(params, piece, eb.q)
         step = den // eb.q
         (p11, p12), (p21, p22) = eb.p1, eb.p2
         w1, w2 = p21 - p11, p22 - p12
@@ -327,19 +378,19 @@ def reference_edge_colors(
     then each error color scaled to its numerators over denominator (by
     default the piece's q), which must be integers."""
     if denominator is None:
-        denominator = grid_q(params, piece)
+        denominator = reference_grid_q(params, piece)
     lam = as_rat(lam)
     m, n = params.m, params.n
-    fx = piece.apply(x)
+    fx = reference_apply(piece, x)
     bottom = tuple(reference_b_k(x, n * lam, k) for k in range(1, n + 1))
     top = tuple(reference_b_k(fx, m * lam, k) for k in range(1, m + 1))
     left = (
-        piece.apply(ivec_to_vec2(x.scale(n * lam).floor())).scale(Fraction(1, n))
+        reference_apply(piece, ivec_to_vec2(x.scale(n * lam).floor())).scale(Fraction(1, n))
         - ivec_to_vec2(fx.scale(m * lam).floor()).scale(Fraction(1, m))
         + piece.offset.scale(math.floor(lam - Fraction(1, 2)))
     )
     right = (
-        piece.apply(ivec_to_vec2(x.scale(n * lam + n).floor())).scale(Fraction(1, n))
+        reference_apply(piece, ivec_to_vec2(x.scale(n * lam + n).floor())).scale(Fraction(1, n))
         - ivec_to_vec2(fx.scale(m * lam + m).floor()).scale(Fraction(1, m))
         + piece.offset.scale(math.floor(lam + Fraction(1, 2)))
     )
@@ -412,8 +463,9 @@ def floor_half_identity_check(z) -> bool:
 def affine_scaled_difference_check(piece: AffinePiece, c, y: Vec2, z: Vec2) -> bool:
     """f(c y - c z) == c f(y) - c f(z) + b, the lemma behind the residual chain."""
     c = as_rat(c)
-    lhs = piece.apply(y.scale(c) - z.scale(c))
-    rhs = piece.apply(y).scale(c) - piece.apply(z).scale(c) + piece.offset
+    f = partial(reference_apply, piece)
+    lhs = f(y.scale(c) - z.scale(c))
+    rhs = f(y).scale(c) - f(z).scale(c) + piece.offset
     return lhs == rhs
 
 
@@ -428,8 +480,8 @@ def residual_stages(params: BsParams, piece: AffinePiece, lam, x: Vec2):
     lam = as_rat(lam)
     m, n = params.m, params.n
     half = Fraction(1, 2)
-    fx = piece.apply(x)
-    f = piece.apply
+    f = partial(reference_apply, piece)
+    fx = f(x)
     b = piece.offset
 
     lo_x = ivec_to_vec2(x.scale(n * lam).floor())          # floor(n lam x)

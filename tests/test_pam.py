@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdomino.errors import OutsideDomain, ParseError
 from bsdomino.group import BsParams
@@ -14,13 +17,18 @@ from bsdomino.pam import (
     PiecewiseAffineMap,
     UnitSquare,
     evaluate,
+    load_map,
     locate_piece,
     map_from_dict,
     map_to_dict,
     orbit,
     parse_point,
 )
-from bsdomino.rationals import IDENTITY2, Vec2, mat2, vec2
+from bsdomino.rationals import IDENTITY2, Mat2, Vec2, mat2, vec2
+from support import random_piece, random_point_in, reference_apply, reference_orbit
+
+ROOT = Path(__file__).resolve().parents[1]
+MAP_FILES = sorted(ROOT.glob("maps/*.map")) + sorted(ROOT.glob("perfbench/maps/*.map"))
 
 IDENTITY_PIECE = AffinePiece(UnitSquare(0, 0), IDENTITY2, vec2(0, 0))
 UNIT_MAP = PiecewiseAffineMap((IDENTITY_PIECE,))
@@ -132,7 +140,84 @@ def test_orbit_states_stay_normalized_and_deterministic():
             for comp in (point.x1, point.x2):
                 assert comp == Fraction(comp.numerator, comp.denominator)
         for (idx, point), (_, nxt) in zip(r1.states, r1.states[1:]):
-            assert f.pieces[idx].apply(point) == nxt
+            assert reference_apply(f.pieces[idx], point) == nxt
+
+
+def _on_edge(rng: Random, piece: AffinePiece, x: Vec2, edge: int) -> Vec2:
+    """x, or x moved onto a side or corner of its square: edge 0 keeps
+    it, 1 to 4 put one coordinate on a side, 5 puts both on a corner."""
+    c1, c2 = piece.square.c1, piece.square.c2
+    if edge in (1, 2):
+        return Vec2(Fraction(c1 + edge - 1), x.x2)
+    if edge in (3, 4):
+        return Vec2(x.x1, Fraction(c2 + edge - 3))
+    if edge == 5:
+        return Vec2(Fraction(c1 + rng.randint(0, 1)), Fraction(c2 + rng.randint(0, 1)))
+    return x
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edge=st.integers(0, 5))
+def test_apply_matches_fraction_oracle(seed, edge):
+    # random pieces have entries over 1 to 4, so denominators 2 and 3
+    rng = Random(seed)
+    piece = random_piece(rng)
+    x = _on_edge(rng, piece, random_point_in(rng, piece.square), edge)
+    fx = piece.apply(x)
+    assert fx == reference_apply(piece, x)
+    assert all(type(c) is Fraction for c in (fx.x1, fx.x2))
+
+
+def test_apply_on_halves_and_thirds():
+    # entries over 2, 3 and 6, offsets over 2 and 3, on every corner and
+    # side midpoint of the square
+    piece = AffinePiece(
+        UnitSquare(-1, 2),
+        mat2([["1/2", "-2/3"], ["5/6", "3/2"]]),
+        vec2("-1/2", "2/3"),
+    )
+    assert piece.integer_form == (3, -4, 5, 9, -3, 4, 6)
+    for dx in ("0", "1/2", "1"):
+        for dy in ("0", "1/3", "1/2", "1"):
+            x = vec2(Fraction(dx) - 1, Fraction(dy) + 2)
+            assert piece.apply(x) == reference_apply(piece, x)
+
+
+def _random_map(rng: Random) -> PiecewiseAffineMap:
+    pieces = {}
+    for _ in range(rng.randint(1, 4)):
+        piece = random_piece(rng, 1)
+        pieces[piece.square] = piece
+    return PiecewiseAffineMap(tuple(pieces.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    source=st.one_of(st.sampled_from(MAP_FILES), st.none()),
+    seed=st.integers(0, 2**32 - 1),
+    edge=st.integers(0, 5),
+    horizon=st.integers(0, 40),
+)
+def test_orbit_matches_fraction_oracle(source, seed, edge, horizon):
+    # the committed maps (cycles, escapes and long lives) and random
+    # ones (mostly early escapes), from points inside and on edges
+    rng = Random(seed)
+    f = _random_map(rng) if source is None else load_map(str(source))[1]
+    piece = rng.choice(f.pieces)
+    x = _on_edge(rng, piece, random_point_in(rng, piece.square), edge)
+    assert orbit(f, x, horizon) == reference_orbit(f, x, horizon)
+
+
+def test_orbit_preperiod():
+    # the zero map sends (1/2, 1/2) to (0, 0), which it fixes
+    zero = PiecewiseAffineMap(
+        (AffinePiece(UnitSquare(0, 0), Mat2(*[Fraction(0)] * 4), vec2(0, 0)),)
+    )
+    x = vec2("1/2", "1/2")
+    report = orbit(zero, x, 10)
+    assert report.outcome == CycleDetected(1, 2)
+    assert report.states == ((0, x), (0, vec2(0, 0)))
+    assert report == reference_orbit(zero, x, 10)
 
 
 def test_partition_rejects_duplicate_squares():

@@ -31,6 +31,7 @@ from bsdomino.tileset import (
     ell_bounds,
     enumerate_tileset,
     export_lines,
+    grid_q,
     export_tileset,
     parse_tileset,
     piece_meta,
@@ -41,6 +42,7 @@ from bsdomino.tileset import (
 from bsdomino import tileset as tileset_module
 from bsdomino.tiling import simulate_row
 from support import (
+    ALL_PARAMS,
     MIXED_Q_MAP,
     affine_scaled_difference_check,
     color_value,
@@ -52,7 +54,9 @@ from support import (
     reference_edge_colors,
     reference_enumerate,
     reference_export_lines,
+    reference_grid_q,
     reference_tile_lines,
+    reference_transport,
     reference_verify,
     residual_stages,
     runs_of,
@@ -186,6 +190,17 @@ def test_row_run_matches_fraction_oracle_anywhere(data):
     assert tiles == [
         reference_edge_colors(params, piece, lam, x, index, den) for lam in lams
     ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=ALL_PARAMS, seed=st.integers(0, 2**32 - 1), times=st.integers(1, 6))
+def test_grid_q_and_transport_match_fraction_formulas(params, seed, times):
+    # from the piece's integer form, as from each Fraction entry, over
+    # the piece's q and multiples of it
+    piece = random_piece(Random(seed))
+    q = grid_q(params, piece)
+    assert q == reference_grid_q(params, piece)
+    assert _transport(params, piece, q * times) == reference_transport(params, piece, q * times)
 
 
 def test_oracle_covers_every_map():

@@ -926,6 +926,23 @@ def test_row_walker_matches_list_check_on_several_corrupted_tiles(name, which, d
     assert got == reference_violations(positional_reference(params, patch), corrupted)
 
 
+def test_list_check_on_rules_with_no_pair_or_one():
+    # a one-cell patch has no pair in any rule, and g, g a one I pair: a
+    # side of no tiles or one tile is read as a list of that many
+    params, witnesses = witness_patches("identity-23")
+    ball, tiles = witnesses[0]
+    by_cell = dict(zip(ball.cells, tiles))
+    g = next(g for g in ball.cells if multiply(params, g, "a") in by_cell)
+    for cells in ([g], [g, multiply(params, g, "a")]):
+        patch = build_patch(params, cells)
+        chosen = [by_cell[h] for h in patch.cells]
+        assert not check_assignment(params, patch, TilingAssignment(tuple(zip(patch.cells, chosen))))
+        chosen[-1] = (chosen[-1][0] + 1, *chosen[-1][1:])
+        got = check_assignment(params, patch, TilingAssignment(tuple(zip(patch.cells, chosen))))
+        assert got == reference_violations(positional_reference(params, patch), chosen)
+        assert len(got) == len(cells) - 1
+
+
 def test_export_dot_and_tiling_text():
     ts = enumerate_tileset(P23, IDENTITY_MAP)
     patch = build_ball_patch(P23, 1)
