@@ -46,7 +46,6 @@ from .tileset import (
     Tileset,
     color_denominator,
     edge_colors,
-    ell_bounds,
     enumerate_tileset,
     export_tileset,
     parse_tileset,

@@ -32,11 +32,6 @@ class UnitSquare:
     c1: int
     c2: int
 
-    def contains_closed(self, x: Vec2) -> bool:
-        return (
-            self.c1 <= x.x1 <= self.c1 + 1 and self.c2 <= x.x2 <= self.c2 + 1
-        )
-
     def __str__(self) -> str:
         return f"({self.c1},{self.c2})"
 

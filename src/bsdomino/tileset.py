@@ -26,10 +26,17 @@ w = {lam - 1/2} into the left formula cancels both lam and x:
     left = -(1/n) M u + (1/m) v + (1/n - 1/2 - w) b
 
 with u, v in [0,1)^2 and w in [0,1), and the same expression bounds
-right.  Interval arithmetic over the unit cube therefore gives finite
-bounds, and every value lies on the grid (1/q) Z^2 for the common
-denominator q = lcm(m, n * den(M), n * den(b)).  That is what makes the
-enumerated tileset finite.
+right.  Every value lies on the grid (1/q) Z^2 for the common
+denominator q = lcm(m, n * den(M), n * den(b)).  With M = k/d and
+b = o/d over the lcm d of their denominators, and s = q / (n d), an
+integer,
+
+    2 q left_c = -2 s (k_c1 u1 + k_c2 u2) + (2 q / m) v_c
+                 + s o_c (2 - n - 2 n w),
+
+whose least value L and greatest U (each term at an end of [0, 1])
+give the grid box p1_c = ceil(L / 2), p2_c = floor(U / 2), in integers.
+That is what makes the enumerated tileset finite.
 
 Error colors are integer pairs: numerators over one denominator per
 map, D = lcm of its pieces' q, so that equal colors of different pieces
@@ -80,10 +87,9 @@ import math
 import os
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, chain, product, repeat
+from itertools import chain, product, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import EnumerationTooLarge, OutsidePiece, ParseError
@@ -166,14 +172,15 @@ class RowColors:
         denominator: int,
         fx: Vec2 | None = None,
     ):
-        if not piece.square.contains_closed(x):
+        p1, q1, p2, q2 = parts(x)
+        c1, c2 = piece.square.c1, piece.square.c2
+        if not (c1 * q1 <= p1 <= (c1 + 1) * q1 and c2 * q2 <= p2 <= (c2 + 1) * q2):
             raise OutsidePiece(f"{x} is not in square {piece.square}")
         if denominator % grid_q(params, piece):
             raise ValueError(f"{denominator} is not a multiple of the piece's q")
         m, n = params.m, params.n
         self.m, self.n = m, n
         self.piece_index = piece_index
-        p1, q1, p2, q2 = parts(x)
         self.x_over_m = (p1, m * q1, p2, m * q2)
         self.fx = parts(piece.apply(x) if fx is None else fx)
         eq = _transport(params, piece, denominator)
@@ -260,54 +267,6 @@ class EllBounds:
     q: int
 
 
-def ell_bounds(params: BsParams, piece: AffinePiece) -> EllBounds:
-    """Grid box bounding every left (and right) color of the piece.
-
-    Works on the fractional-part form of the error color, interval over
-    u, v in [0,1]^2 and w in [0,1]; the same box is valid for right
-    colors because shifting lam by 1 turns left into right.
-    """
-    m, n = params.m, params.n
-    q = grid_q(params, piece)
-    c = Fraction(1, n) - Fraction(1, 2)  # 1/n - 1/2 - w at w = 0
-    p1, p2 = [], []
-    for comp, b_c in enumerate((piece.offset.x1, piece.offset.x2)):
-        # the two ends of each term: -(1/n) M_cj u_j, (1/m) v_c and
-        # (1/n - 1/2 - w) b_c, over u_j, v_c, w in [0, 1]
-        ends = [(0, -entry / n) for entry in piece.matrix.row(comp)]
-        ends += [(0, Fraction(1, m)), (b_c * (c - 1), b_c * c)]
-        p1.append(math.ceil(sum(min(pair) for pair in ends) * q))
-        p2.append(math.floor(sum(max(pair) for pair in ends) * q))
-    return EllBounds((p1[0], p1[1]), (p2[0], p2[1]), q)
-
-
-def bottom_label_box(piece: AffinePiece) -> tuple[IntVec2, IntVec2]:
-    """Inclusive per-component ranges of bottom colors over the square."""
-    sq = piece.square
-    return ((sq.c1, sq.c2), (sq.c1 + 1, sq.c2 + 1))
-
-
-def _label_range(lo: Fraction, hi: Fraction) -> tuple[int, int]:
-    # terms of balanced representations of v in [lo, hi]: floor(lo) up to
-    # floor(hi)+1, except that an integer hi is attained exactly
-    top = hi.numerator // hi.denominator if hi.denominator == 1 else math.floor(hi) + 1
-    return (math.floor(lo), top)
-
-
-def top_label_box(piece: AffinePiece) -> tuple[IntVec2, IntVec2]:
-    """Inclusive per-component ranges of top colors over the image of the square."""
-    sq = piece.square
-    corners = [
-        Vec2(Fraction(sq.c1 + dx), Fraction(sq.c2 + dy))
-        for dx in (0, 1)
-        for dy in (0, 1)
-    ]
-    images = [piece.apply(c) for c in corners]
-    lo1, hi1 = _label_range(min(v.x1 for v in images), max(v.x1 for v in images))
-    lo2, hi2 = _label_range(min(v.x2 for v in images), max(v.x2 for v in images))
-    return ((lo1, lo2), (hi1, hi2))
-
-
 @dataclass(frozen=True)
 class PieceMeta:
     bottom_box: tuple[IntVec2, IntVec2]
@@ -316,19 +275,48 @@ class PieceMeta:
 
 
 def piece_meta(params: BsParams, piece: AffinePiece) -> PieceMeta:
-    """The piece's label boxes and grid box, the bounds its tiles lie in."""
-    return PieceMeta(
-        bottom_label_box(piece), top_label_box(piece), ell_bounds(params, piece)
-    )
+    """The piece's label boxes and grid box, the bounds its tiles lie in,
+    in integers from its integer form (M = k/d, b = o/d) and its square.
+    The bottom box is the square.  For f(x)_c in [lo, hi] over it, the
+    top box runs from floor(lo) to ceil(hi): the terms of balanced
+    representations of v in [lo, hi], an integer hi attained exactly.
+    The grid box is the module docstring's.  Each ceiling is a negated
+    floor division, exact below zero too."""
+    m, n = params.m, params.n
+    k11, k12, k21, k22, o1, o2, d = piece.integer_form
+    q = grid_q(params, piece)
+    s = q // (n * d)
+    c1, c2 = piece.square.c1, piece.square.c2
+    bounds = []  # (top lo, top hi, p1, p2) of each component
+    for k1, k2, o in ((k11, k12, o1), (k21, k22, o2)):
+        # d f(x)_c is corner at (c1, c2); the other corners add k1, k2 or
+        # both, so the least adds the negative entries, the greatest the positive
+        neg, pos = min(k1, 0) + min(k2, 0), max(k1, 0) + max(k2, 0)
+        corner = k1 * c1 + k2 * c2 + o
+        ends = (s * o * (2 - 3 * n), s * o * (2 - n))  # w = 1 and w = 0
+        bounds.append((
+            (corner + neg) // d,
+            -(-(corner + pos) // d),
+            -(-(min(ends) - 2 * s * pos) // 2),
+            (max(ends) - 2 * s * neg + 2 * q // m) // 2,
+        ))
+    lo, hi, p1, p2 = zip(*bounds)
+    return PieceMeta(((c1, c2), (c1 + 1, c2 + 1)), (lo, hi), EllBounds(p1, p2, q))
 
 
 class Tiles(Sequence):
     """The tiles of runs laid end to end, read-only: tile k is built when
-    read, from the run r that bisecting starts (run r's first id) finds."""
+    read, from the run r that bisecting starts (run r's first id) finds.
+    A run with no tiles, or with more lefts than rights or fewer, is
+    refused."""
 
     def __init__(self, runs: Sequence[Run]):
         self._runs = runs
-        self.starts = list(accumulate((len(run[3]) for run in runs), initial=0))
+        self.starts = starts = [0]
+        for r, (_, _, _, lefts, rights) in enumerate(runs):
+            if not lefts or len(lefts) != len(rights):
+                raise ValueError(f"run {r} has {len(lefts)} lefts and {len(rights)} rights")
+            starts.append(starts[-1] + len(lefts))
 
     def __len__(self) -> int:
         return self.starts[-1]
@@ -351,9 +339,9 @@ class Tiles(Sequence):
 
 @dataclass(frozen=True)
 class Tileset:
-    """A map's tiles as runs in tile order, none empty; each piece's meta,
-    D and the tiles view are derived once.  enumerate_tileset and
-    parse_tileset hand in the metas they derived as _metas."""
+    """A map's tiles as runs in tile order, none empty and each with as
+    many lefts as rights (Tiles checks); each piece's meta, D and the
+    tiles view are derived once, here, however the runs were built."""
 
     params: BsParams
     pam: PiecewiseAffineMap
@@ -361,18 +349,12 @@ class Tileset:
     piece_meta: tuple[PieceMeta, ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
     tiles: Tiles = field(init=False, repr=False, compare=False)
-    _metas: InitVar[tuple[PieceMeta, ...] | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self, _metas):
+    def __post_init__(self):
         params, pieces = self.params, self.pam.pieces
-        if _metas is None:  # not from enumerate or parse, whose runs are whole
-            for r, (_, _, _, lefts, rights) in enumerate(self.runs):
-                if not lefts or len(lefts) != len(rights):
-                    raise ValueError(f"run {r} has {len(lefts)} lefts and {len(rights)} rights")
-            _metas = tuple(piece_meta(params, piece) for piece in pieces)
-        object.__setattr__(self, "piece_meta", _metas)
-        object.__setattr__(self, "denominator", color_denominator(params, pieces))
         object.__setattr__(self, "tiles", Tiles(self.runs))
+        object.__setattr__(self, "piece_meta", tuple(piece_meta(params, piece) for piece in pieces))
+        object.__setattr__(self, "denominator", color_denominator(params, pieces))
 
 
 def _color_range(box: tuple[IntVec2, IntVec2]):
@@ -392,12 +374,9 @@ def _candidate_cap() -> int:
 
 
 def candidate_count(params: BsParams, f: PiecewiseAffineMap) -> int:
-    return _candidate_total(params, [piece_meta(params, piece) for piece in f.pieces])
-
-
-def _candidate_total(params: BsParams, metas: Iterable[PieceMeta]) -> int:
+    """The (bottom, top, left) candidates of every piece's boxes."""
     total = 0
-    for meta in metas:
+    for meta in (piece_meta(params, piece) for piece in f.pieces):
         (blo, bhi), (tlo, thi), eb = meta.bottom_box, meta.top_box, meta.ell
         n_bottom = ((bhi[0] - blo[0] + 1) * (bhi[1] - blo[1] + 1)) ** params.n
         n_top = ((thi[0] - tlo[0] + 1) * (thi[1] - tlo[1] + 1)) ** params.m
@@ -429,8 +408,7 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
     reduction needs.
     """
     max_candidates = _candidate_cap()
-    metas = tuple(piece_meta(params, piece) for piece in f.pieces)
-    total = _candidate_total(params, metas)
+    total = candidate_count(params, f)
     if total > max_candidates:
         raise EnumerationTooLarge(
             f"tile enumeration needs {total} candidates, cap is {max_candidates}"
@@ -439,7 +417,8 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
     m, n = params.m, params.n
     den = color_denominator(params, f.pieces)
     runs: list[Run] = []
-    for index, (piece, meta) in enumerate(zip(f.pieces, metas)):
+    for index, piece in enumerate(f.pieces):
+        meta = piece_meta(params, piece)
         eb = meta.ell
         # over q the transport equation has integer coefficients; grid[i][j]
         # is the color (p1 + (i, j)) / q over D, one tuple for all its tiles
@@ -473,7 +452,7 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
                     runs.append((index, bottom, top, *pairs))
     # bottoms, tops and each run's lefts come in order, and right follows
     # from left: the runs are in tile order, no sort needed
-    return Tileset(params, f, tuple(runs), _metas=metas)
+    return Tileset(params, f, tuple(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +571,9 @@ def _header_values(line: str, head: str, keys: str) -> list[str]:
     return [value for _, _, value in pairs]
 
 
-def _parse_piece(params: BsParams, line: str, index: int) -> tuple[AffinePiece, PieceMeta]:
-    """The piece of the header line of piece index and its meta, after
-    checking the line's grid box against the one the piece gives."""
+def _parse_piece(params: BsParams, line: str, index: int) -> AffinePiece:
+    """The piece of the header line of piece index, after checking the
+    line's grid box against the one the piece gives."""
     square, matrix, offset, q, p1, p2 = _header_values(
         line, f"# piece {index} ", "square M b q p1 p2"
     )
@@ -604,8 +583,7 @@ def _parse_piece(params: BsParams, line: str, index: int) -> tuple[AffinePiece, 
         mat2([row.split(",") for row in _inner(matrix).split(";")]),
         vec2(b1, b2),
     )
-    meta = piece_meta(params, piece)
-    ell = meta.ell
+    ell = piece_meta(params, piece).ell
     declared = EllBounds(_parse_ivec(p1), _parse_ivec(p2), int(q))
     if declared != ell:
         raise ParseError(
@@ -613,7 +591,7 @@ def _parse_piece(params: BsParams, line: str, index: int) -> tuple[AffinePiece, 
             f" p2={_fmt_ivec(declared.p2)}, the piece gives q={ell.q}"
             f" p1={_fmt_ivec(ell.p1)} p2={_fmt_ivec(ell.p2)}"
         )
-    return piece, meta
+    return piece
 
 
 _BATCH = 1 << 16  # the characters of whole lines a file is read in at a time
@@ -646,7 +624,7 @@ def parse_tileset(source: str | TextIO) -> Tileset:
     malformed; so are colors off the grid (1/D) Z^2, a tile line whose
     (labels, left, right) is not greater than the line above's (out of
     order or repeated), and a header that disagrees with its pieces: a
-    grid box other than ell_bounds gives, or a pieces=/tiles= count
+    grid box other than piece_meta gives, or a pieces=/tiles= count
     other than the lines that follow (reported at line 2).  Lines with
     the same labels make one run, however their prefix is spelled.
 
@@ -685,12 +663,9 @@ def parse_tileset(source: str | TextIO) -> Tileset:
         m, n, n_pieces, n_tiles = map(int, counts)
         params = BsParams(m, n)
         pieces: list[AffinePiece] = []
-        metas: list[PieceMeta] = []
         # the piece headers; the line after them is the first tile line
         while (first := line()) is not None and first.startswith("#"):
-            piece, meta = _parse_piece(params, first, len(pieces))
-            pieces.append(piece)
-            metas.append(meta)
+            pieces.append(_parse_piece(params, first, len(pieces)))
         pam = PiecewiseAffineMap(tuple(pieces))
         den = color_denominator(params, pieces)
         bottoms = cache(lambda part: _parse_colors(_unlabel(part, "bottom: ")))
@@ -768,7 +743,7 @@ def parse_tileset(source: str | TextIO) -> Tileset:
             first = line()
     except (ValueError, IndexError, ParseError) as exc:
         raise ParseError(f"tileset line {i + 1}: {exc}") from None
-    ts = Tileset(params, pam, tuple(runs), _metas=tuple(metas))
+    ts = Tileset(params, pam, tuple(runs))
     if (n_pieces, n_tiles) != (len(pieces), len(ts.tiles)):
         raise ParseError(
             f"tileset line 2: header says pieces={n_pieces} tiles={n_tiles},"

@@ -35,6 +35,7 @@ from bsdomino.pam import (
 from bsdomino.rationals import IDENTITY2, IntVec2, Mat2, Vec2, as_rat
 from bsdomino.tileset import (
     EllBounds,
+    PieceMeta,
     Tile,
     TileFault,
     Tileset,
@@ -47,7 +48,6 @@ from bsdomino.tileset import (
     _unlabel,
     color_denominator,
     edge_colors,
-    piece_meta,
 )
 from bsdomino.tiling import (
     BudgetExceeded,
@@ -137,6 +137,63 @@ def reference_transport(params: BsParams, piece: AffinePiece, d: int) -> _Transp
     matrix = tuple(times(e, n) for e in piece.matrix.entries())
     offset = (times(piece.offset.x1, 1), times(piece.offset.x2, 1))
     return _Transport(d // params.m, matrix, offset)
+
+
+def _ell_bounds(params: BsParams, piece: AffinePiece) -> EllBounds:
+    """Grid box bounding every left (and right) color of the piece.
+
+    Works on the fractional-part form of the error color, interval over
+    u, v in [0,1]^2 and w in [0,1]; the same box is valid for right
+    colors because shifting lam by 1 turns left into right.
+    """
+    m, n = params.m, params.n
+    q = reference_grid_q(params, piece)
+    c = Fraction(1, n) - Fraction(1, 2)  # 1/n - 1/2 - w at w = 0
+    p1, p2 = [], []
+    for comp, b_c in enumerate((piece.offset.x1, piece.offset.x2)):
+        # the two ends of each term: -(1/n) M_cj u_j, (1/m) v_c and
+        # (1/n - 1/2 - w) b_c, over u_j, v_c, w in [0, 1]
+        ends = [(0, -entry / n) for entry in piece.matrix.row(comp)]
+        ends += [(0, Fraction(1, m)), (b_c * (c - 1), b_c * c)]
+        p1.append(math.ceil(sum(min(pair) for pair in ends) * q))
+        p2.append(math.floor(sum(max(pair) for pair in ends) * q))
+    return EllBounds((p1[0], p1[1]), (p2[0], p2[1]), q)
+
+
+def _bottom_label_box(piece: AffinePiece) -> tuple[IntVec2, IntVec2]:
+    """Inclusive per-component ranges of bottom colors over the square."""
+    sq = piece.square
+    return ((sq.c1, sq.c2), (sq.c1 + 1, sq.c2 + 1))
+
+
+def _label_range(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    # terms of balanced representations of v in [lo, hi]: floor(lo) up to
+    # floor(hi)+1, except that an integer hi is attained exactly
+    top = hi.numerator // hi.denominator if hi.denominator == 1 else math.floor(hi) + 1
+    return (math.floor(lo), top)
+
+
+def _top_label_box(piece: AffinePiece) -> tuple[IntVec2, IntVec2]:
+    """Inclusive per-component ranges of top colors over the image of the square."""
+    sq = piece.square
+    corners = [
+        Vec2(Fraction(sq.c1 + dx), Fraction(sq.c2 + dy))
+        for dx in (0, 1)
+        for dy in (0, 1)
+    ]
+    images = [reference_apply(piece, c) for c in corners]
+    lo1, hi1 = _label_range(min(v.x1 for v in images), max(v.x1 for v in images))
+    lo2, hi2 = _label_range(min(v.x2 for v in images), max(v.x2 for v in images))
+    return ((lo1, lo2), (hi1, hi2))
+
+
+def reference_piece_meta(params: BsParams, piece: AffinePiece) -> PieceMeta:
+    """tileset.piece_meta in Fractions: interval sums over the unit cube
+    for the grid box, and the images of the square's corners for the
+    top box."""
+    return PieceMeta(
+        _bottom_label_box(piece), _top_label_box(piece), _ell_bounds(params, piece)
+    )
 
 
 def reference_orbit(f: PiecewiseAffineMap, x: Vec2, max_steps: int) -> OrbitReport:
@@ -260,7 +317,7 @@ def reference_enumerate(params: BsParams, f: PiecewiseAffineMap) -> tuple[Tile, 
     den = color_denominator(params, f.pieces)
     tiles: list[Tile] = []
     for index, piece in enumerate(f.pieces):
-        meta = piece_meta(params, piece)
+        meta = reference_piece_meta(params, piece)
         eb = meta.ell
         eq = reference_transport(params, piece, eb.q)
         step = den // eb.q

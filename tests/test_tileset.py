@@ -9,7 +9,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsdomino.balrep import b_k
@@ -25,10 +25,8 @@ from bsdomino.tileset import (
     _color_lists,
     _color_range,
     _transport,
-    bottom_label_box,
     color_denominator,
     edge_colors,
-    ell_bounds,
     enumerate_tileset,
     export_lines,
     grid_q,
@@ -36,7 +34,6 @@ from bsdomino.tileset import (
     parse_tileset,
     piece_meta,
     tile_to_line,
-    top_label_box,
     verify_tileset,
 )
 from bsdomino import tileset as tileset_module
@@ -55,6 +52,7 @@ from support import (
     reference_enumerate,
     reference_export_lines,
     reference_grid_q,
+    reference_piece_meta,
     reference_tile_lines,
     reference_transport,
     reference_verify,
@@ -122,6 +120,27 @@ def test_corrupted_tile_fails():
 def test_edge_colors_outside_piece():
     with pytest.raises(OutsidePiece):
         edge_colors(P23, IDENTITY_PIECE, 0, vec2(3, 3))
+
+
+@pytest.mark.parametrize("corner", [(0, 0), (-1, -1)])
+def test_edge_colors_on_the_closed_square(corner):
+    # the square is closed: its corners and side midpoints are in it, and
+    # a point 1/7 past any side is not
+    c1, c2 = corner
+    piece = AffinePiece(UnitSquare(c1, c2), IDENTITY2, vec2(0, 0))
+    half, past = Fraction(1, 2), Fraction(1, 7)
+    on = [(c1 + dx, c2 + dy) for dx in (0, 1) for dy in (0, 1)]
+    on += [(c1 + half, c2), (c1 + 1, c2 + half), (c1 + half, c2 + 1), (c1, c2 + half)]
+    for x1, x2 in on:
+        x = vec2(x1, x2)
+        tile = edge_colors(P23, piece, Fraction(5, 3), x)
+        assert tile == reference_edge_colors(P23, piece, Fraction(5, 3), x)
+    off = [(c1 - past, c2 + half), (c1 + 1 + past, c2 + half)]
+    off += [(c1 + half, c2 - past), (c1 + half, c2 + 1 + past)]
+    for x1, x2 in off:
+        x = vec2(x1, x2)
+        with pytest.raises(OutsidePiece, match=f"^{re.escape(f'{x} is not in square {piece.square}')}$"):
+            edge_colors(P23, piece, Fraction(5, 3), x)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -203,6 +222,30 @@ def test_grid_q_and_transport_match_fraction_formulas(params, seed, times):
     assert _transport(params, piece, q * times) == reference_transport(params, piece, q * times)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    params=ALL_PARAMS,
+    seed=st.integers(0, 2**32 - 1),
+    zero_row=st.sampled_from([None, 0, 1]),
+    integral=st.booleans(),
+)
+@example(params=BsParams(2, 3), seed=7, zero_row=0, integral=True)
+@example(params=BsParams(3, 1), seed=8, zero_row=1, integral=False)
+def test_piece_meta_matches_fraction_oracle(params, seed, zero_row, integral):
+    # random_piece draws squares and offsets of both signs; a zero matrix
+    # row maps the square to one value in that component, and integer
+    # entries put every corner image on an integer, where the top box's
+    # ceiling is exact
+    piece = random_piece(Random(seed))
+    entries = [*piece.matrix.entries(), piece.offset.x1, piece.offset.x2]
+    if integral:
+        entries = [math.floor(e) for e in entries]
+    if zero_row is not None:
+        entries[2 * zero_row : 2 * zero_row + 2] = [0, 0]
+    piece = AffinePiece(piece.square, mat2([entries[0:2], entries[2:4]]), vec2(*entries[4:]))
+    assert piece_meta(params, piece) == reference_piece_meta(params, piece)
+
+
 def test_oracle_covers_every_map():
     assert {(p.m, p.n) for p, _, _, _ in MAP_PIECES} >= {(2, 3), (2, 2), (3, 2)}
     entries = [e for _, _, piece, _ in MAP_PIECES for e in piece.matrix.entries()]
@@ -279,7 +322,7 @@ def test_vertical_transfer_identity():
 
 
 def test_ell_bounds_identity_box():
-    eb = ell_bounds(P23, IDENTITY_PIECE)
+    eb = piece_meta(P23, IDENTITY_PIECE).ell
     assert eb.q == 6
     assert holds_for(eb, (0, 0))
     assert holds_for(eb, (-1, -1))
@@ -293,7 +336,7 @@ def test_ell_bounds_zero_offset_tight_in_lambda():
     # with b = 0 the error color depends only on fractional parts
     rng = Random(45)
     piece = AffinePiece(UnitSquare(0, 0), IDENTITY2, vec2(0, 0))
-    eb = ell_bounds(P23, piece)
+    eb = piece_meta(P23, piece).ell
     values = set()
     for _ in range(200):
         lam = random_rational(rng, 30, 17)
@@ -307,7 +350,7 @@ def test_ell_bounds_sampled_membership():
     for params in PARAM_GRID:
         for _ in range(30):
             piece = random_piece(rng)
-            eb = ell_bounds(params, piece)
+            eb = piece_meta(params, piece).ell
             for _ in range(40):
                 lam = random_rational(rng, 25, 19)
                 x = random_point_in(rng, piece.square)
@@ -317,12 +360,13 @@ def test_ell_bounds_sampled_membership():
 
 
 def test_label_boxes():
-    assert bottom_label_box(IDENTITY_PIECE) == ((0, 0), (1, 1))
-    assert top_label_box(IDENTITY_PIECE) == ((0, 0), (1, 1))
+    meta = piece_meta(P23, IDENTITY_PIECE)
+    assert meta.bottom_box == ((0, 0), (1, 1))
+    assert meta.top_box == ((0, 0), (1, 1))
     shifted = AffinePiece(UnitSquare(0, 0), IDENTITY2, vec2(2, 2))
-    assert top_label_box(shifted) == ((2, 2), (3, 3))
+    assert piece_meta(P23, shifted).top_box == ((2, 2), (3, 3))
     scaled = AffinePiece(UnitSquare(0, 0), IDENTITY2, vec2("1/2", 0))
-    assert top_label_box(scaled) == ((0, 0), (2, 1))
+    assert piece_meta(P23, scaled).top_box == ((0, 0), (2, 1))
 
 
 def _stored_tuples(ts: Tileset) -> list:
@@ -832,20 +876,15 @@ def test_non_utf8_byte_is_bad_input_at_its_line(tmp_path, capsys):
     assert captured.err == f"error: {got}\n"
 
 
-def test_piece_metas_derived_once_per_call(monkeypatch):
-    derived = []
-
-    def spy(params, piece):
-        derived.append(piece)
-        return piece_meta(params, piece)
-
-    monkeypatch.setattr(tileset_module, "piece_meta", spy)
+def test_tileset_derives_its_metas_one_way():
+    # one constructor: built by hand from the enumerated runs, a Tileset
+    # has the enumerated one's metas, D and tiles, and a parsed one its metas
     ts = enumerate_tileset(P23, HALF2_MAP)
-    assert derived == list(HALF2_MAP.pieces)
-    text = export_tileset(ts)
-    derived.clear()
-    again = parse_tileset(text)
-    assert derived == list(HALF2_MAP.pieces)
+    by_hand = Tileset(P23, HALF2_MAP, ts.runs)
+    assert by_hand.piece_meta == ts.piece_meta
+    assert by_hand.denominator == ts.denominator
+    assert list(by_hand.tiles) == list(ts.tiles)
+    again = parse_tileset(export_tileset(ts))
     assert again.piece_meta == ts.piece_meta == tuple(map(partial(piece_meta, P23), HALF2_MAP.pieces))
 
 
