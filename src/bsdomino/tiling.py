@@ -39,6 +39,7 @@ index cells by position.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -481,23 +482,26 @@ def search_patch(
     tile left in the cell's domain matches, each narrowed domain is
     propagated in turn, and an emptied domain means backtrack.  A
     revision against a one-tile domain is one lookup, the mask of that
-    tile's key on the shared edge (the tile read from its run, a bisect
-    of the run starts); a larger domain's support on the neighbor is
-    the union over the pairs loop, kept in a memo per relation
-    direction keyed by the domain.  A memo is emptied when it holds
-    len(cells) supports, so the memos hold at most 2 (2 + m n)
-    len(cells) supports in all.  The next cell is the unassigned one
-    with the smallest narrowed domain (canonical order breaking ties;
-    the first unassigned cell when no domain has narrowed), and its
-    tiles are tried in ascending id, one node each, so the search is
-    deterministic.  Propagation only drops tiles that no tiling
-    extending the current assignment can use, so an ExhaustedNoTiling
-    result is a complete refutation; a Found result is re-checked on
-    the row walk that gave the arcs.  A patch is refuted at 0 nodes
-    when it uses a rule between two run labels (I, or a V rule) whose
-    sides share no key over the runs; not H, whose color key sets cost
-    more than a whole 0-node refutation of escape.  The edge masks are
-    built per call, as binary planes (_edge_masks).
+    tile's key on the shared edge (the key read from the tile's run, a
+    bisect of the run starts); a larger domain's support on the
+    neighbor is the union over the pairs loop, kept in one table per
+    domain (looked up once per dequeue) by relation direction.  The
+    tables are emptied when there are len(cells) of them, so they hold
+    at most 2 (2 + m n) len(cells) supports.  A domain's size is
+    counted only when pick reads it: pick first counts the unassigned
+    cells narrowed or restored since the last pick and pushes their
+    (size, cell) entries, so the heap grows only there.  The next cell
+    is the unassigned one with the smallest domain (canonical order
+    breaking ties; the first unassigned cell when no domain has
+    narrowed), and its tiles are tried in ascending id, one node each,
+    so the search is deterministic.  Propagation only drops tiles that
+    no tiling extending the current assignment can use, so an
+    ExhaustedNoTiling result is a complete refutation; a Found result is
+    re-checked on the row walk that gave the arcs.  A patch is refuted
+    at 0 nodes when it uses a rule between two run labels (I, or a V
+    rule) whose sides share no key over the runs; not H, whose color key
+    sets cost more than a whole 0-node refutation of escape.  The edge
+    masks are built per call, as binary planes (_edge_masks).
     """
     params = tileset.params
     partners = _partners(params, patch)
@@ -518,42 +522,42 @@ def search_patch(
 
     left, right, piece, top, bottom = _edge_masks(params, runs)
     masks = (piece, bottom, top, left, right)  # in field order
-    # arcs[y]: (x, x masks, side of y's tile, pairs, memo) for every cell x to
-    # revise when domain[y] narrows; all but x shared per rule direction.
+    # arcs[y]: (x, x masks, side of y's tile, pairs, d) for every cell x to
+    # revise when domain[y] narrows; all but x shared per rule direction d.
     # pairs holds (x mask, y mask) for each key both sides share: the tiles
     # of x that a domain of y supports are the union of the x masks whose
     # y mask meets that domain
     arcs: list[list[tuple]] = [[] for _ in cells]
-    for rule, (a, b) in used:
+    for d, (rule, (a, b)) in enumerate(used):
         a_masks, b_masks = _read(rule.a_side, masks), _read(rule.b_side, masks)
         pairs = [(a_masks[key], b_masks[key]) for key in a_masks if key in b_masks]
-        to_a = (a_masks, rule.b_side, tuple(pairs), {})
-        to_b = (b_masks, rule.a_side, tuple((y, x) for x, y in pairs), {})
+        to_a = (a_masks, rule.b_side, tuple(pairs), 2 * d)
+        to_b = (b_masks, rule.a_side, tuple((y, x) for x, y in pairs), 2 * d + 1)
         for x, y in zip(a, b):
             arcs[y].append((x, *to_a))
             arcs[x].append((y, *to_b))
+    tables: dict[int, list] = {}  # domain: its support per direction d, or None
 
     ncells = len(cells)
     domain = [(1 << len(tiles)) - 1] * ncells
-    size = [len(tiles)] * ncells
+    size = [len(tiles)] * ncells  # 0 until pick counts the domain
     assigned = [False] * ncells
     trail: list[tuple[int, int, int]] = []  # (cell, old domain, old size)
     # (size, cell) entries, stale once the cell is assigned or resized;
-    # every unassigned cell always has a current entry
+    # pick gives each unassigned cell of stale a current entry first
     heap = [(len(tiles), i) for i in range(ncells)]
+    stale: set[int] = set()
 
     def narrow(x: int, dom: int) -> None:
         trail.append((x, domain[x], size[x]))
         domain[x] = dom
-        size[x] = dom.bit_count()
-        heappush(heap, (size[x], x))
+        size[x] = 0
+        stale.add(x)
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            x, dom, count = trail.pop()
-            domain[x] = dom
-            size[x] = count
-            heappush(heap, (count, x))
+            x, domain[x], size[x] = trail.pop()
+            stale.add(x)
 
     def propagate(start: int) -> bool:
         """AC-3 from a newly assigned cell; False on an emptied domain.
@@ -565,22 +569,32 @@ def search_patch(
             y = queue.popleft()
             queued.discard(y)
             dom_y = domain[y]
-            tile = tiles[dom_y.bit_length() - 1] if size[y] == 1 else None
-            for x, x_masks, y_side, pairs, memo in arcs[y]:
+            run = None
+            if dom_y & (dom_y - 1):
+                table = tables.get(dom_y)
+                if table is None:
+                    if len(tables) == ncells:
+                        tables.clear()
+                    table = tables[dom_y] = [None] * (2 * len(used))
+            else:  # one tile, tile i of run r
+                t = dom_y.bit_length() - 1
+                r = bisect_right(tiles.starts, t) - 1
+                run, i = runs[r], t - tiles.starts[r]
+            for x, x_masks, y_side, pairs, d in arcs[y]:
                 if assigned[x]:
                     continue
-                if tile is not None:
-                    support = x_masks.get(_read(y_side, tile), 0)
+                if run is not None:  # the piece, a label by index, a color by tile
+                    field, index = y_side
+                    key = run[field][i if field > 2 else index] if field else run[0]
+                    support = x_masks.get(key, 0)
                 else:
-                    support = memo.get(dom_y)
+                    support = table[d]
                     if support is None:
-                        if len(memo) == ncells:
-                            memo.clear()
                         support = 0
                         for x_mask, y_mask in pairs:
                             if y_mask & dom_y:
                                 support |= x_mask
-                        memo[dom_y] = support
+                        table[d] = support
                 dom_x = domain[x]
                 revised = dom_x & support
                 if revised != dom_x:
@@ -594,6 +608,11 @@ def search_patch(
 
     def pick() -> int:
         nonlocal heap
+        for x in stale:
+            if not assigned[x]:
+                size[x] = size[x] or domain[x].bit_count()
+                heappush(heap, (size[x], x))
+        stale.clear()
         if len(heap) > 4 * ncells:  # drop stale entries, amortized O(1)
             heap = [(size[x], x) for x in range(ncells) if not assigned[x]]
             heapify(heap)
@@ -610,7 +629,6 @@ def search_patch(
         cell, untried, mark = frame
         if not untried:
             frames.pop()
-            heappush(heap, (size[cell], cell))
             if frames:
                 parent, _, parent_mark = frames[-1]
                 undo(parent_mark)
@@ -622,8 +640,7 @@ def search_patch(
         if nodes > budget:
             return BudgetExceeded(nodes)
         assigned[cell] = True
-        if domain[cell] != tile_bit:
-            narrow(cell, tile_bit)
+        narrow(cell, tile_bit)  # on the trail even if unchanged: undo marks it stale
         if not propagate(cell):
             undo(mark)
             assigned[cell] = False

@@ -753,8 +753,9 @@ def reference_search(
     tileset: Tileset, patch: Patch, budget: int = 1_000_000
 ) -> SearchResult:
     """search_patch with every arc revision run as the plain pairs loop:
-    no one-tile lookup and no memo of supports, the edge masks built tile
-    by tile (reference_edge_masks), not by _edge_masks, and the arcs
+    no one-tile lookup and no table of supports, each size counted and
+    pushed on the heap at every narrow and undo, the edge masks built
+    tile by tile (reference_edge_masks), not by _edge_masks, and the arcs
     taken from the constraint list, cell by cell.  The same node order,
     budget count and re-check, so results must be equal, node counts and
     assignments included."""
