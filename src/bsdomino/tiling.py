@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
-from operator import add, and_, is_not, itemgetter, mul, ne
+from operator import add, and_, getitem, is_not, itemgetter, mul, ne, or_
 from typing import NamedTuple
 
 from .errors import OrbitTooShort
@@ -209,7 +209,8 @@ class Rule(NamedTuple):
     label: str
 
     def constraints(self, a, b):  # one Constraint per pair of positions
-        return map(Constraint, repeat(self.kind), a, b, repeat(self.top_pos), repeat(self.bottom_pos))
+        fields = zip(repeat(self.kind), a, b, repeat(self.top_pos), repeat(self.bottom_pos))
+        return map(tuple.__new__, repeat(Constraint), fields)  # no Python-level __new__
 
 
 @lru_cache(maxsize=16)
@@ -419,56 +420,107 @@ class BudgetExceeded:
 SearchResult = Found | ExhaustedNoTiling | BudgetExceeded
 
 
-_BIT_TABLES = [bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8)]
+class _LabelKeys(dict):
+    """{side: its keys} for the label families of runs, a side (field,
+    index) as a Rule reads it: piece (0, None), top_j (2, j - 1) and
+    bottom_k (1, k - 1), and the whole bottom (1, None) and top
+    (2, None) tuples.  A side's keys are dict.fromkeys of its key over
+    the runs, in run order, built when first read; a label within a
+    tuple is read from the side's distinct tuples, the same keys in the
+    same order, since runs share few bottoms and tops."""
+
+    def __init__(self, runs: tuple[Run, ...]):
+        super().__init__()
+        self.runs = runs
+
+    def __missing__(self, side: tuple[int, int | None]) -> dict:
+        field, index = side
+        if index is None:
+            keys = dict.fromkeys(_keys(side, self.runs))
+        else:
+            keys = dict.fromkeys(map(itemgetter(index), self[field, None]))
+        self[side] = keys
+        return keys
 
 
-def _key_masks(chunks: dict, codes: list, repeats: list[int]) -> dict:
-    """{key: bitset} for one edge family, bit t standing for tile t: the
-    tiles are chunks[code] repeated r times for each (code, r) of codes
-    and repeats, end to end, and key i of the K keys, in chunk order, is
-    numbered i.  Each byte of i is a string of one byte per tile, tile 0
-    last (a second only past 256 keys); bit b of i is one plane, one
-    translate by _BIT_TABLES[b % 8] and one int(..., 2).  A key's mask
-    is the AND of its ceil(log2 K) bits' planes or their complements."""
-    keys = dict.fromkeys(chain.from_iterable(chunks.values()))
-    bits = max(len(keys) - 1, 0).bit_length()  # ceil(log2 K)
-    texts = []
-    for shift in range(0, max(bits, 1), 8):
-        byte = {key: i >> shift & 255 for i, key in enumerate(keys)}
-        strings = {c: bytes(map(byte.__getitem__, chunk)) for c, chunk in chunks.items()}
-        texts.append(b"".join(map(mul, map(strings.__getitem__, codes), repeats))[::-1])
-    full = (1 << len(texts[0])) - 1
-    planes = [int(texts[b >> 3].translate(_BIT_TABLES[b & 7]), 2) for b in range(bits)]
+def _planes(text: bytes, width: int, bits: int) -> list[int]:
+    """Planes 0 to bits - 1 of text, a code of width bytes (little-endian)
+    per tile, tile 0 first: bit t of plane b is bit b of tile t's code.
+    Byte lane l of tile t = 8 q + r is text[t width + l], so a lane is
+    read as eight ints, int.from_bytes of every 8th tile from r, and
+    plane 8 l + c takes bit c of each of their bytes, byte q of read r
+    to bit 8 q + r."""
+    if not bits:
+        return []
+    step = 8 * width
+    ones = int.from_bytes(b"\1" * -(-len(text) // step), "little")  # 0x0101...01
+    planes = []
+    for lane in range(-(-bits // 8)):
+        reads = [int.from_bytes(text[r * width + lane :: step], "little") for r in range(8)]
+        planes += [reduce(or_, [(v >> c & ones) << r for r, v in enumerate(reads)])
+                   for c in range(min(8, bits - 8 * lane))]
+    return planes
+
+
+def _key_masks(keys: dict, planes: list[int], full: int) -> dict:
+    """{key: bitset} for one edge family, bit t standing for tile t: key
+    i of the K keys, in their order, is coded by i, bit b of i read from
+    planes[b], so its mask is the AND, within full (every tile's bit),
+    of its ceil(log2 K) bits' planes or their complements."""
     pairs = [(full ^ plane, plane) for plane in planes]  # (bit clear, bit set)
     # an AND result keeps its shorter operand's size; | 0 trims it
     return {key: reduce(and_, [pair[i >> b & 1] for b, pair in enumerate(pairs)], full) | 0
             for i, key in enumerate(keys)}
 
 
-def _edge_masks(params: BsParams, runs: tuple[Run, ...]) -> tuple:
+def _edge_masks(params: BsParams, runs: tuple[Run, ...], labels: _LabelKeys | None = None) -> tuple:
     """(left, right, piece, top, bottom): one bitset per edge key of the
     runs' tiles, bit i standing for tile i; top and bottom are lists of
-    m and n dicts.  Each of the 3 + m + n edge families is one
-    _key_masks call, binary planes: a color family (lefts, rights) has
-    one chunk per shared color list, the list itself, keyed by the list
-    object; a label family (piece, top_j, bottom_k) has one chunk per
-    key, repeated over each of its runs' length.
+    m and n dicts.  A family numbers its K keys once and codes each tile
+    by its key's index, ceil(log2 K) bits, read as planes (_planes)
+    from byte strings in tile order.  A color family (lefts, rights)
+    joins one string per shared color list object; the label families
+    (piece, top_j, bottom_k, their keys from labels) share one code per
+    run, each family's bits above the one before's, repeated over the
+    run's length.
     """
+    m, n = params.m, params.n
     lengths = [len(run[3]) for run in runs]
+    full = (1 << sum(lengths)) - 1
     families = []
     for side in (3, 4):
-        lists = [run[side] for run in runs]
+        lists = list(map(itemgetter(side), runs))
         ids = list(map(id, lists))
-        families.append(_key_masks(dict(zip(ids, lists)), ids, [1] * len(runs)))
-    # a list per label position, not a tuple per run (a freed tuple stays on a free list)
-    pieces, bottoms, tops = ([run[i] for run in runs] for i in range(3))
-    columns = [list(map(itemgetter(j), tops)) for j in range(params.m)]
-    columns += [list(map(itemgetter(k), bottoms)) for k in range(params.n)]
-    for column in [pieces, *columns]:
-        chunks = {key: (key,) for key in dict.fromkeys(column)}
-        families.append(_key_masks(chunks, column, lengths))
-    left, right, piece, *labels = families
-    return left, right, piece, labels[: params.m], labels[params.m :]
+        chunks = dict(zip(ids, lists))
+        keys = dict.fromkeys(chain.from_iterable(chunks.values()))
+        bits = max(len(keys) - 1, 0).bit_length()  # ceil(log2 K)
+        width = -(-bits // 8)
+        code = {key: i.to_bytes(width, "little") for i, key in enumerate(keys)}
+        strings = {c: b"".join(map(code.__getitem__, chunk)) for c, chunk in chunks.items()}
+        text = b"".join(map(strings.__getitem__, ids))
+        families.append(_key_masks(keys, _planes(text, width, bits), full))
+    labels = _LabelKeys(runs) if labels is None else labels
+    spans = []  # (keys, first plane, end plane) per label family
+    index = []  # per label family, {key: its index shifted to its first plane}
+    bits = 0
+    for side in ((0, None), *((2, j) for j in range(m)), *((1, k) for k in range(n))):
+        keys = labels[side]
+        end = bits + max(len(keys) - 1, 0).bit_length()
+        spans.append((keys, bits, end))
+        index.append({key: i << bits for i, key in enumerate(keys)})
+        bits = end
+    # a run's code is its piece's, its top's and its bottom's, each
+    # distinct top or bottom coded once, the sum of its labels' codes
+    codes = map(index[0].__getitem__, map(itemgetter(0), runs))
+    for field, positions in ((2, index[1 : m + 1]), (1, index[m + 1 :])):
+        code = {key: sum(map(getitem, positions, key)) for key in labels[field, None]}
+        codes = map(add, codes, map(code.__getitem__, map(itemgetter(field), runs)))
+    width = -(-bits // 8)
+    text = b"".join(map(mul, map(int.to_bytes, codes, repeat(width), repeat("little")), lengths))
+    planes = _planes(text, width, bits)
+    families += [_key_masks(keys, planes[lo:hi], full) for keys, lo, hi in spans]
+    left, right, piece, *ends = families
+    return left, right, piece, ends[:m], ends[m:]
 
 
 def search_patch(
@@ -500,8 +552,9 @@ def search_patch(
     re-checked on the row walk that gave the arcs.  A patch is refuted
     at 0 nodes when it uses a rule between two run labels (I, or a V
     rule) whose sides share no key over the runs; not H, whose color key
-    sets cost more than a whole 0-node refutation of escape.  The edge
-    masks are built per call, as binary planes (_edge_masks).
+    sets cost more than a whole 0-node refutation of escape.  The label
+    key sets are read when that check first asks for them, and the edge
+    masks, built per call and only past it, reuse them (_edge_masks).
     """
     params = tileset.params
     partners = _partners(params, patch)
@@ -512,15 +565,16 @@ def search_patch(
     used = [(rule, walk) for rule, walk in zip(_rules(params), partners) if walk[0]]
 
     # a rule of the patch between two run labels (fields 0 to 2) that no
-    # two tiles meet refutes the patch outright
+    # two tiles meet refutes the patch outright; the masks read the same keys
+    labels = _LabelKeys(runs)
     if any(
         max(rule.a_side[0], rule.b_side[0]) < 3
-        and set(_keys(rule.a_side, runs)).isdisjoint(_keys(rule.b_side, runs))
+        and labels[rule.a_side].keys().isdisjoint(labels[rule.b_side])
         for rule, _ in used
     ):
         return ExhaustedNoTiling(0)
 
-    left, right, piece, top, bottom = _edge_masks(params, runs)
+    left, right, piece, top, bottom = _edge_masks(params, runs, labels)
     masks = (piece, bottom, top, left, right)  # in field order
     # arcs[y]: (x, x masks, side of y's tile, pairs, d) for every cell x to
     # revise when domain[y] narrows; all but x shared per rule direction d.
@@ -646,7 +700,12 @@ def search_patch(
             assigned[cell] = False
             continue
         if len(frames) == ncells:
-            chosen = [tiles[dom.bit_length() - 1] for dom in domain]
+            chosen = []
+            for dom in domain:  # one tile each, tile i of run r
+                t = dom.bit_length() - 1
+                r = bisect_right(tiles.starts, t) - 1
+                run, i = runs[r], t - tiles.starts[r]
+                chosen.append((run[0], run[1], run[2], run[3][i], run[4][i]))
             if _violations(params, partners, chosen):
                 raise AssertionError("search produced an invalid assignment")
             return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)

@@ -564,7 +564,19 @@ def test_search_empty_tileset():
         assert reference_search(empty, patch) == ExhaustedNoTiling(nodes=0), texts
 
 
-def test_search_refutes_a_patch_by_any_label_rule_it_uses():
+def no_edge_masks(*args):
+    raise AssertionError("edge masks built for a patch refuted at 0 nodes")
+
+
+def test_search_refutes_escape_before_any_mask(monkeypatch):
+    # no tile's top meets a tile's bottom: the radius-2 ball is refuted
+    # on the label key sets, and none of the 254,016-tile masks is built
+    monkeypatch.setattr(tiling, "_edge_masks", no_edge_masks)
+    ts = enumerate_tileset(*load_map(str(ROOT / "maps" / "escape.map")))
+    assert search_patch(ts, build_ball_patch(ts.params, 2)) == ExhaustedNoTiling(0)
+
+
+def test_search_refutes_a_patch_by_any_label_rule_it_uses(monkeypatch):
     # a hand-made BS(2,3) tileset, one piece and one color on the sides,
     # where exactly V (1, 1), top_1 = bottom_1, has no shared label: tops
     # start with A, bottoms with B, and top_2 takes A or B
@@ -585,7 +597,10 @@ def test_search_refutes_a_patch_by_any_label_rule_it_uses():
     patch = patch_of("e", "T")
     assert ("V", 1, 1) in {(con.kind, con.top_pos, con.bottom_pos)
                            for con in constraints_for(P23, patch)}
-    assert search_patch(ts, patch) == ExhaustedNoTiling(0) == reference_search(ts, patch)
+    with monkeypatch.context() as patched:  # refuted on the label keys alone
+        patched.setattr(tiling, "_edge_masks", no_edge_masks)
+        assert search_patch(ts, patch) == ExhaustedNoTiling(0)
+    assert reference_search(ts, patch) == ExhaustedNoTiling(0)
     # {e, a T} uses V (2, 1) alone, and a three-cell row uses H and I only:
     # each is searched, not refuted at 0 nodes
     for patch, kinds in ((patch_of("e", "a T"), {("V", 2, 1)}),
@@ -1182,8 +1197,29 @@ def test_edge_masks_match_reference_on_random_runs(params, colors, labels, seed,
     assert (len(masks[0]), len(masks[1]), len(masks[2])) == (colors, colors, labels)
 
 
+@pytest.mark.parametrize("params", [P23, BsParams(3, 2)])
+def test_edge_masks_match_reference_for_every_tile_count_to_17(params):
+    # every tile count mod 8, and counts under 8, where some of a lane's
+    # eight strided reads are empty; labels drawn from 6 keys take up to
+    # 3 bits a family, so the shared label code reaches a second byte and
+    # a family straddles the byte boundary (13 bits at 17 tiles)
+    rng = Random(17)
+
+    def colors(count):
+        return [(rng.randrange(3), rng.randrange(2)) for _ in range(count)]
+
+    for count in range(18):
+        runs = []
+        while sum(len(run[3]) for run in runs) < count:
+            length = rng.randint(1, min(4, count - sum(len(run[3]) for run in runs)))
+            label = (rng.randrange(6), tuple(colors(params.n)), tuple(colors(params.m)))
+            runs.append((*label, colors(length), colors(length)))
+        runs = tuple(runs)
+        assert _edge_masks(params, runs) == reference_edge_masks(params, Tiles(runs)), count
+
+
 def test_edge_masks_of_no_runs():
-    # no tile: every family is empty, and no plane is parsed
+    # no tile: every family is empty, and no plane is read
     for params in (P23, BsParams(3, 2)):
         empty = ({}, {}, {}, [{}] * params.m, [{}] * params.n)
         assert _edge_masks(params, ()) == reference_edge_masks(params, ()) == empty
