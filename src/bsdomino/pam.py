@@ -8,7 +8,8 @@ the outer boundary of U (no square on the other side) stays closed.
 
 Each piece holds one integer form, M and b as numerators over their lcm
 d: apply computes in it and builds a state's two Fractions last, and
-orbit keys the states it has seen by their integer parts.
+orbit keys the states it has seen by their integer parts, from which it
+also finds each state's owner.
 """
 
 from __future__ import annotations
@@ -83,25 +84,25 @@ class PiecewiseAffineMap:
             raise ValueError(f"overlapping squares in partition: {squares}")
         object.__setattr__(self, "_corners", corners)
 
-    def piece_at_corner(self, c1: int, c2: int) -> int | None:
-        return self._corners.get((c1, c2))
-
 
 def locate_piece(f: PiecewiseAffineMap, x: Vec2) -> int | None:
-    """Index of the square owning x, or None when x is outside U.
+    """Index of the square owning x, or None when x is outside U."""
+    return _owner(f, parts(x))
+
+
+def _owner(f: PiecewiseAffineMap, key: tuple[int, int, int, int]) -> int | None:
+    """locate_piece for x given as parts(x), in lowest terms.
 
     The half-open owner (floor(x1), floor(x2)) wins when that square is
-    in the partition; on integer coordinates the square below/left takes
-    over only where the half-open owner is absent, which is exactly the
-    closed-outer-boundary rule.
+    in the partition; on an integer coordinate, denominator 1, the
+    square below/left takes over only where the half-open owner is
+    absent, which is exactly the closed-outer-boundary rule.
     """
-    f1 = x.x1.numerator // x.x1.denominator
-    f2 = x.x2.numerator // x.x2.denominator
-    cands1 = [f1] + ([f1 - 1] if x.x1 == f1 else [])
-    cands2 = [f2] + ([f2 - 1] if x.x2 == f2 else [])
-    for c1 in cands1:
-        for c2 in cands2:
-            idx = f.piece_at_corner(c1, c2)
+    p1, q1, p2, q2 = key
+    f1, f2 = p1 // q1, p2 // q2
+    for c1 in (f1, f1 - 1) if q1 == 1 else (f1,):
+        for c2 in (f2, f2 - 1) if q2 == 1 else (f2,):
+            idx = f._corners.get((c1, c2))
             if idx is not None:
                 return idx
     return None
@@ -145,18 +146,19 @@ class OrbitReport:
 
 def orbit(f: PiecewiseAffineMap, x: Vec2, max_steps: int) -> OrbitReport:
     """Iterate f from x until escape, an exact state repeat, or max_steps."""
-    idx = locate_piece(f, x)
+    key = parts(x)  # hashing a Fraction takes a modular inverse
+    idx = _owner(f, key)
     if idx is None:
         raise OutsideDomain(f"start point {x} is not in the domain")
     states: list[tuple[int, Vec2]] = [(idx, x)]
-    seen = {parts(x): 0}  # hashing a Fraction takes a modular inverse
+    seen = {key: 0}
     current = x
     for step in range(1, max_steps + 1):
         current = f.pieces[idx].apply(current)
         key = parts(current)
         if key in seen:
             return OrbitReport(tuple(states), CycleDetected(seen[key], step))
-        idx = locate_piece(f, current)
+        idx = _owner(f, key)
         if idx is None:
             return OrbitReport(tuple(states), EscapedAfter(step))
         states.append((idx, current))

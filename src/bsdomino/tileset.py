@@ -94,7 +94,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import EnumerationTooLarge, OutsidePiece, ParseError
 from .group import BsParams
-from .balrep import differences, parts, scaled_floors
+from .balrep import differences, parts
 from .pam import AffinePiece, PiecewiseAffineMap, UnitSquare
 from .rationals import (
     IntVec2,
@@ -150,7 +150,7 @@ def edge_colors(
     if denominator is None:
         denominator = grid_q(params, piece)
     row = RowColors(params, piece, x, piece_index, denominator)
-    return row.run(lam.numerator, lam.denominator, 1)[0]
+    return row.run([(lam.numerator, lam.denominator, 1)])[0]
 
 
 class RowColors:
@@ -158,9 +158,9 @@ class RowColors:
 
     All tiles of a row share the piece and x and differ only in lam, so
     the piece's transport coefficients over the map's D, and x and f(x)
-    as integer parts, are worked out once, here; run(a, c, count) is the
-    color kernel, in integers only.  fx, when given, must be f(x) for
-    this piece (an orbit already holds it); otherwise it is computed.
+    as integer parts, are worked out once, here; run(runs) is the color
+    kernel, in integers only.  fx, when given, must be f(x) for this
+    piece (an orbit already holds it); otherwise it is computed.
     """
 
     def __init__(
@@ -187,46 +187,58 @@ class RowColors:
         # D M / n row-major, D b / n, D / m
         self.coefs = (*eq.matrix, *(o // n for o in eq.offset), eq.top_weight)
 
-    def run(self, a: int, c: int, count: int) -> list[Tile]:
-        """Tiles at lam_k = a/c + k/m for k = 0 .. count-1, c > 0: the
-        cells g a^k of one a-row when lambda(g) = a/c.
+    def run(self, runs) -> list[Tile]:
+        """Tiles at lam_k = a/c + k/m for k = 0 .. count-1, run after run,
+        for each (a, c, count) of runs, c > 0: a run is the cells g a^k
+        of one a-row when lambda(g) = a/c.
 
-        Tile k's top colors are differences of the floors
-        floor((m lam_k + j) f(x)) = floor((m a/c + k + j) f(x)),
-        j = 0..m, so one sweep over k + j serves the row.  Its bottom
-        floors are floor((n lam_k + j) x) = floor((n a/c + t/m) x) for
-        t = n k + m j, j = 0..n, so one sweep over t (in steps of 1/m,
-        over x/m) serves them too: tile k's bottoms are the differences
-        m apart from t = n k.  The error colors are integer numerators
-        over D, as in the module docstring.
+        Every lam is put over L, the lcm of the runs' c, as lam_k =
+        s_k / (m L) with s_k = m a (L / c) + k L.  Tile k's top colors
+        are differences of the floors floor((s_k + j L) f(x) / L), j =
+        0..m, so one sweep over k + j serves a run.  Its bottom floors
+        are floor((n s_k + t L) x / (m L)) for t = n k + m j, j = 0..n,
+        so one sweep over t serves them too: tile k's bottoms are the
+        differences m apart from t = n k.  The sweeps of all the runs
+        are one comprehension per point, x or f(x); a run's x sweep is
+        n times as long as its f sweep, so tile k's x-floors start at
+        n k.  The error colors are integer numerators over D, as in the
+        module docstring.
         """
         m, n, piece = self.m, self.n, self.piece_index
         k11, k12, k21, k22, o1, o2, w = self.coefs
-        ma, mc, mn = m * a, m * c, m * n
-        floors_f = scaled_floors(self.fx, ma, c, 0, count - 1 + m)
+        big = math.lcm(*(c for _, c, _ in runs))
+        spans = [(m * a * (big // c), max(count, 0)) for a, c, count in runs]  # (s_0, count)
+        (p1, q1, p2, q2), (r1, u1, r2, u2) = self.fx, self.x_over_m
+        floors_f = [((s * p1) // (big * q1), (s * p2) // (big * q2))
+                    for s0, count in spans for s in range(s0, s0 + (count + m) * big, big)]
+        floors_x = [((s * r1) // (big * u1), (s * r2) // (big * u2))
+                    for s0, count in spans for s in range(n * s0, n * (s0 + (count + m) * big), big)]
         tops = differences(floors_f)
-        floors_x = scaled_floors(self.x_over_m, n * ma, c, 0, n * (count - 1) + mn)
         bottoms = differences(floors_x, m)
+        mn, ml = m * n, m * big
         tiles = []
-        lo = 0  # n k
-        for k in range(count):
-            f1, f2 = floors_x[lo]
-            g1, g2 = floors_f[k]
-            h1, h2 = floors_x[lo + mn]
-            i1, i2 = floors_f[k + m]
-            # 1 + n floor(lam_k - 1/2) for lam_k = (m a + k c) / (m c);
-            # floor(lam_k + 1/2) is one more
-            scale = 1 + n * ((2 * (ma + k * c) - mc) // (2 * mc))
-            tiles.append((
-                piece,
-                bottoms[lo : lo + mn : m],
-                tops[k : k + m],
-                (k11 * f1 + k12 * f2 + scale * o1 - w * g1,
-                 k21 * f1 + k22 * f2 + scale * o2 - w * g2),
-                (k11 * h1 + k12 * h2 + (scale + n) * o1 - w * i1,
-                 k21 * h1 + k22 * h2 + (scale + n) * o2 - w * i2),
-            ))
-            lo += n
+        first = 0  # the run's first f-floor, n first its first x-floor
+        for s, count in spans:
+            for k in range(first, first + count):
+                lo = n * k
+                f1, f2 = floors_x[lo]
+                g1, g2 = floors_f[k]
+                h1, h2 = floors_x[lo + mn]
+                i1, i2 = floors_f[k + m]
+                # 1 + n floor(lam_k - 1/2) for lam_k = s_k / (m L);
+                # floor(lam_k + 1/2) is one more
+                scale = 1 + n * ((2 * s - ml) // (2 * ml))
+                tiles.append((
+                    piece,
+                    bottoms[lo : lo + mn : m],
+                    tops[k : k + m],
+                    (k11 * f1 + k12 * f2 + scale * o1 - w * g1,
+                     k21 * f1 + k22 * f2 + scale * o2 - w * g2),
+                    (k11 * h1 + k12 * h2 + (scale + n) * o1 - w * i1,
+                     k21 * h1 + k22 * h2 + (scale + n) * o2 - w * i2),
+                ))
+                s += big
+            first += count + m
         return tiles
 
 

@@ -29,12 +29,12 @@ walk: constraints_for lists them, search_patch takes its arcs from
 them, and every re-check of an assignment (check_assignment, a found
 search, an orbit witness) compares each rule's keys as whole columns,
 building a Constraint only for a broken rule.  lambda steps by 1/m
-along a row, so the lambda of a row head (Patch.heads, built on first
-use, for row heads only) and one RowColors.run tile a segment;
-RowColors holds x and f(x) as integers (a witness reads f(x) from the
-orbit), so a run is integer floor divisions only.  A cell is named by
-its position in the patch: constraints, search domains and re-checks
-index cells by position.
+along a row, from the lambda of its head (Patch.heads, built on first
+use), so Patch.cover splits each level's distinct lambdas into runs,
+and one RowColors.run tiles a level: RowColors holds x and f(x) as
+integers (a witness reads f(x) from the orbit), so a run is integer
+floor divisions only.  A cell is named by its position in the patch:
+constraints, search domains and re-checks index cells by position.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ class Patch:
     each cell is a distinct group element.  rows groups the cells by
     a-row: the cells g = h a^e of one head h share (exps[:-1], stables)
     and differ in e = exps[-1], so rows maps each head to {e: position}.
-    The row walk, segments and partners, and the lambdas of the row
-    heads, heads, are built from params on first use and read by every
-    later call; they are not fields, so ==, hash and repr see params and
-    cells.
+    The row walk, segments and partners, the lambdas of the row heads,
+    heads, and the lambda cover of the levels, cover, are built from
+    params on first use and read by every later call; they are not
+    fields, so ==, hash and repr see params and cells.
     """
 
     params: BsParams
@@ -100,6 +100,37 @@ class Patch:
             for key, row in self.rows.items()
             for start, count in _consecutive(sorted(row))
         )
+
+    @cached_property
+    def cover(self) -> tuple[dict[int, tuple[tuple[int, int, int], ...]], tuple[int, ...]]:
+        """(levels, index), the lambda cover: levels maps each beta, in
+        ascending order, to the maximal runs (a, c, count) of the distinct
+        lambda = a/c + k/m, k < count, of its cells, and index[i] is cell
+        i's tile among the levels' runs laid end to end, so cells of equal
+        (beta, lambda) share one.  m lambda(h a^e) = m lambda(h) + e for a
+        head h, so a level's cells group by m lambda(h) mod 1, r/c in lowest
+        terms, and each group's integer parts split into runs of
+        consecutive ones: no tile stands for a lambda that no cell has."""
+        m = self.params.m
+        cosets: dict[tuple, dict[int, list[int]]] = {}  # (beta, r, c): {int part: cells}
+        for (head, stables), row in self.rows.items():
+            num, den = self.heads[head, stables]
+            whole, r = divmod(Fraction(m * num, den), 1)
+            coset = cosets.setdefault((-sum(stables), r.numerator, r.denominator), {})
+            for e, i in row.items():
+                coset.setdefault(whole + e, []).append(i)
+        levels: dict[int, list] = {}
+        index = [0] * len(self.cells)
+        tile = 0
+        for (beta, r, c), wholes in sorted(cosets.items()):
+            ints = sorted(wholes)
+            levels.setdefault(beta, []).extend(
+                (first * c + r, m * c, count) for first, count in _consecutive(ints))
+            for w in ints:
+                for i in wholes[w]:
+                    index[i] = tile
+                tile += 1
+        return {beta: tuple(runs) for beta, runs in levels.items()}, tuple(index)
 
     @cached_property
     def partners(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -232,21 +263,6 @@ def _read(side: tuple[int, int | None], fields):
     return fields[field] if index is None else fields[field][index]
 
 
-def _keys(side: tuple[int, int | None], items):
-    """_read(side, item) for each of items, as one map."""
-    field, index = side
-    keys = map(itemgetter(field), items)
-    return keys if index is None else map(itemgetter(index), keys)
-
-
-def _fetch(tiles, positions):
-    """tiles[i] for each of positions, in one itemgetter call; a bare
-    itemgetter returns one tile alone and takes no empty positions."""
-    if len(positions) > 1:
-        return itemgetter(*positions)(tiles)
-    return [tiles[i] for i in positions]
-
-
 class Constraint(NamedTuple):
     """One rule of _rules between two cells, a and b by position in the
     patch: kind 'H': right(a) = left(b); 'I': piece(a) = piece(b); 'V':
@@ -312,12 +328,14 @@ def _tiles_by_position(patch: Patch, assignment: TilingAssignment) -> list[Tile]
 def _violations(params: BsParams, partners: tuple[tuple, ...], tiles) -> list[Constraint]:
     """The constraints that tiles, indexed by cell position, violate, in
     the order constraints_for lists them.  Each rule compares its two
-    sides' keys over all its cells at once; only a rule that breaks is
-    walked pair by pair, building a Constraint for each broken pair."""
+    sides' keys over all its cells at once, each side one list
+    comprehension; only a rule that breaks is walked pair by pair,
+    building a Constraint for each broken pair."""
     bad: list[Constraint] = []
     for rule, (a, b) in zip(_rules(params), partners):
-        a_keys = list(_keys(rule.a_side, _fetch(tiles, a)))
-        b_keys = list(_keys(rule.b_side, _fetch(tiles, b)))
+        (f, j), (g, k) = rule.a_side, rule.b_side
+        a_keys = [tiles[i][f] for i in a] if j is None else [tiles[i][f][j] for i in a]
+        b_keys = [tiles[i][g] for i in b] if k is None else [tiles[i][g][k] for i in b]
         if a_keys != b_keys:
             bad += rule.constraints(*zip(*compress(zip(a, b), map(ne, a_keys, b_keys))))
     bad.sort(key=itemgetter(1))  # stable: by cell, then rule
@@ -347,7 +365,7 @@ def simulate_row(
     row = RowColors(params, f.pieces[piece_index], x, piece_index, den)
     # lambda(g0) + k_lo/m over the common denominator m c
     m, (a, c) = params.m, lambda_parts(params, g0)
-    return row.run(m * a + k_lo * c, m * c, k_hi - k_lo + 1)
+    return row.run([(m * a + k_lo * c, m * c, k_hi - k_lo + 1)])
 
 
 def row_top_reading(
@@ -436,7 +454,7 @@ class _LabelKeys(dict):
     def __missing__(self, side: tuple[int, int | None]) -> dict:
         field, index = side
         if index is None:
-            keys = dict.fromkeys(_keys(side, self.runs))
+            keys = dict.fromkeys(map(itemgetter(field), self.runs))
         else:
             keys = dict.fromkeys(map(itemgetter(index), self[field, None]))
         self[side] = keys
@@ -729,16 +747,16 @@ def assignment_from_orbit(
     row up applies the map once.  Cyclic orbits repeat their loop, other
     orbits must reach every level the patch spans.  report must be the
     orbit of f: the image f(x) of a state is read from it wherever it
-    holds one.  Each segment of the patch (a run of consecutive cells
-    of an a-row) is one RowColors.run from the lambda of its first cell.
+    holds one.  Each level is one RowColors.run over its runs in
+    patch.cover, one tile per distinct lambda, gathered to the cells.
     ValueError when params is not the group the patch was built in.
     """
     partners = _partners(params, patch)
     if not patch.cells:
         return TilingAssignment(())
-    betas = [-sum(stables) for _, stables in patch.rows]
-    base_level = min(betas)
-    depth = max(betas) - base_level
+    levels, index = patch.cover
+    base_level = min(levels)
+    depth = max(levels) - base_level
 
     states = report.states
 
@@ -755,9 +773,10 @@ def assignment_from_orbit(
         )
 
     den = color_denominator(params, f.pieces)
-    levels = [state_at(level) for level in range(depth + 1)]
+    ats = [state_at(beta - base_level) for beta in levels]
     colors: dict[int, RowColors] = {}  # one per distinct state
-    for at in levels:
+    made: list = []  # the levels' tiles, laid end to end
+    for at, runs in zip(ats, levels.values()):
         if at not in colors:
             piece_idx, point = states[at]
             # f(x) is the state one level up; only the last state of an
@@ -765,13 +784,8 @@ def assignment_from_orbit(
             last = at + 1 == len(states) and not isinstance(report.outcome, CycleDetected)
             fx = None if last else states[state_at(at + 1)][1]
             colors[at] = RowColors(params, f.pieces[piece_idx], point, piece_idx, den, fx)
-    tiles: list = [None] * len(patch.cells)
-    for (head, stables), start, count, positions in patch.segments:
-        colors_at = colors[levels[-sum(stables) - base_level]]
-        lam_num, lam_den = patch.heads[head, stables]
-        run = colors_at.run(lam_num + start * (lam_den // params.m), lam_den, count)
-        for i, tile in zip(positions, run):
-            tiles[i] = tile
+        made += colors[at].run(runs)
+    tiles = list(map(made.__getitem__, index))
     bad = _violations(params, partners, tiles)
     if bad:
         raise AssertionError(f"orbit assignment violates {len(bad)} constraints")

@@ -178,7 +178,7 @@ def test_edge_colors_match_fraction_oracle(data):
 
 
 def test_row_run_matches_fraction_oracle():
-    # tile k of run(a, c, count) is the tile at lam = a/c + k/m; rows
+    # tile k of run([(a, c, count)]) is the tile at lam = a/c + k/m; rows
     # start at negative and positive lam, run shorter than a phase, one
     # tile per phase and 41 tiles (the benchmark row), on every map; a
     # count of zero or below makes no tile
@@ -189,7 +189,7 @@ def test_row_run_matches_fraction_oracle():
             for a in (-rng.randint(1, 300), 0, rng.randint(1, 300)):
                 c = rng.randint(1, 60)
                 x = random_point_in(rng, piece.square, 40)
-                tiles = RowColors(params, piece, x, index, den).run(a, c, count)
+                tiles = RowColors(params, piece, x, index, den).run([(a, c, count)])
                 assert len(tiles) == max(count, 0)
                 for k, tile in enumerate(tiles):
                     lam = Fraction(a, c) + Fraction(k, m)
@@ -204,11 +204,33 @@ def test_row_run_matches_fraction_oracle_anywhere(data):
     x = Vec2(sq.c1 + _unit_offset(data.draw), sq.c2 + _unit_offset(data.draw))
     a, c = data.draw(st.integers(-300, 300)), data.draw(st.integers(1, 60))
     count = data.draw(st.integers(0, 2 * params.m + 3))
-    tiles = RowColors(params, piece, x, index, den).run(a, c, count)
+    tiles = RowColors(params, piece, x, index, den).run([(a, c, count)])
     lams = [Fraction(a, c) + Fraction(k, params.m) for k in range(count)]
     assert tiles == [
         reference_edge_colors(params, piece, lam, x, index, den) for lam in lams
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_run_of_many_runs_is_its_one_run_calls_laid_end_to_end(data):
+    # the runs of one call, each with its own c, are put over the lcm of
+    # their c and swept in one comprehension per point: the tiles are
+    # the one-run calls' laid end to end, each the formulas' tile, on
+    # BS(2,3), BS(3,2) and BS(2,2); a run of count 0 or below makes no tile
+    group = data.draw(st.sampled_from([P23, BsParams(3, 2), BsParams(2, 2)]))
+    params, index, piece, den = data.draw(
+        st.sampled_from([entry for entry in MAP_PIECES if entry[0] == group])
+    )
+    sq = piece.square
+    x = Vec2(sq.c1 + _unit_offset(data.draw), sq.c2 + _unit_offset(data.draw))
+    run = st.tuples(st.integers(-300, 300), st.integers(1, 60), st.integers(-3, 2 * params.m + 3))
+    runs = data.draw(st.lists(run, min_size=2, max_size=6, unique_by=lambda r: r[1]))
+    row = RowColors(params, piece, x, index, den)
+    tiles = row.run(runs)
+    assert tiles == [tile for one in runs for tile in row.run([one])]
+    lams = [Fraction(a, c) + Fraction(k, params.m) for a, c, count in runs for k in range(count)]
+    assert tiles == [reference_edge_colors(params, piece, lam, x, index, den) for lam in lams]
 
 
 @settings(max_examples=400, deadline=None)
@@ -385,7 +407,7 @@ def test_tiles_are_untracked_plain_tuples():
         "enumerate_tileset": _stored_tuples(ts),
         "parse_tileset": _stored_tuples(parse_tileset(export_tileset(ts))),
         "edge_colors": [edge_colors(P23, IDENTITY_PIECE, Fraction(-5, 3), x, 0, 6)],
-        "RowColors.run": RowColors(P23, IDENTITY_PIECE, x, 0, 6).run(-7, 4, 9),
+        "RowColors.run": RowColors(P23, IDENTITY_PIECE, x, 0, 6).run([(-7, 4, 9), (5, 6, 4)]),
         "simulate_row": simulate_row(
             P23, HALF2_MAP, 0, x, element_from_text(P23, "tAt"), (-5, 5)
         ),

@@ -717,24 +717,34 @@ def test_assignment_recheck_catches_corrupted_witness(monkeypatch):
     patch = build_ball_patch(params, 2)
     honest = RowColors.run
     made = []  # the tiles each run call makes
+    hit = []  # the lambda of the corrupted tile
     den = color_denominator(params, pam.pieces)
 
-    def corrupted(row, a, c, count):
-        tiles = honest(row, a, c, count)
+    def corrupted(row, runs):
+        tiles = honest(row, runs)
         made.append(len(tiles))
-        if count > 1 and len([k for k in made if k > 1]) == 1:
-            # the first tile of the first run with an I partner for it
-            # becomes the tile of the next piece, at the centre of its square
-            other = (row.piece_index + 1) % len(pam.pieces)
-            piece = pam.pieces[other]
-            y = vec2(piece.square.c1, piece.square.c2) + vec2("1/2", "1/2")
-            tiles[0] = reference_edge_colors(params, piece, Fraction(a, c), y, other, den)
+        at = 0  # the run's first tile
+        for a, c, count in runs:
+            if count > 1 and not hit:
+                # the first tile of the first run of two or more becomes the
+                # tile of the next piece, at the centre of its square, on
+                # every cell of its (beta, lambda)
+                hit.append(Fraction(a, c))
+                other = (row.piece_index + 1) % len(pam.pieces)
+                piece = pam.pieces[other]
+                y = vec2(piece.square.c1, piece.square.c2) + vec2("1/2", "1/2")
+                tiles[at] = reference_edge_colors(params, piece, hit[0], y, other, den)
+            at += count
         return tiles
 
     monkeypatch.setattr(RowColors, "run", corrupted)
     with pytest.raises(AssertionError, match="violates"):
         assignment_from_orbit(params, pam, report, patch)
-    assert sum(made) == len(patch.cells)
+    assert hit
+    # one tile per distinct (beta, lambda): on BS(2,2), lambda(g t) =
+    # lambda(g), so cells of one level share tiles
+    assert sum(made) == len({(g.beta(), lambda_val(params, g)) for g in patch.cells})
+    assert sum(made) < len(patch.cells)
 
 
 def test_assignment_orbit_too_short():
@@ -828,6 +838,28 @@ def test_witnesses_on_shared_balls_equal_witnesses_on_fresh_balls():
         fresh = assignment_from_orbit(params, pam, report, build_ball_patch(params, 4))
         assert pairs == fresh.pairs, name
     assert len(balls) == 3
+
+
+def test_witness_on_a_sparse_row_tiles_each_lambda_once(monkeypatch):
+    # the row {a^0, a^1000000} and the cell t^-1 above it: the cover
+    # splits the row at its gap, so the kernel builds one tile per
+    # distinct (beta, lambda), not the million tiles of the row's hull
+    params, pam, x = witness_map("identity-23")
+    patch = build_patch(params, [element_from_text(params, w) for w in ("", "a1000000", "T")])
+    assert patch.cover[0] == {0: ((0, 2, 1), (1000000, 2, 1)), 1: ((0, 2, 1),)}
+    honest = RowColors.run
+    made = []
+
+    def counted(row, runs):
+        tiles = honest(row, runs)
+        made.append(len(tiles))
+        return tiles
+
+    monkeypatch.setattr(RowColors, "run", counted)
+    report = orbit(pam, x, 12)
+    assert_witness_is_reference(params, pam, report, patch)
+    assert made == [2, 1]
+    assert sum(made) == len({(g.beta(), lambda_val(params, g)) for g in patch.cells})
 
 
 def test_witness_tiles_at_the_last_state():
@@ -1358,7 +1390,7 @@ def test_mixed_q_row_tiles_are_enumerated():
             x = random_point_in(rng, piece.square)
             row = RowColors(P23, piece, x, index, den)
             for lam in (random_rational(rng, 20, 15) for _ in range(3)):
-                assert row.run(lam.numerator, lam.denominator, 1)[0] in members
+                assert row.run([(lam.numerator, lam.denominator, 1)])[0] in members
 
 
 def test_mixed_q_h_rule_joins_pieces():
