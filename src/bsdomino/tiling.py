@@ -18,19 +18,18 @@ a-row at a time: build_patch refuses a cell that is not canonical, so a
 patch holds each group element once.  The cells h a^e of one head h
 form a row (an H-chain of the reduction); the patch maps each head to
 {e: position}.  The rules are written once, in _rules.  A patch keeps
-its row walk, built from its own params on first use: Patch.segments,
-the runs of consecutive cells of each row, and Patch.partners, each
-rule's cells and their partners.  Within a row the H and I partners are
-entries e + m and e + 1, and the V partners lie in the rows h a^r t^-1
-above, r < n, each canonical as it stands but for the pinch t a^0 t^-1
-(g a^s t^-1 is then one divmod away).  Every call on a patch checks its
-group first (_partners), then iterates the rules and their part of the
-walk: constraints_for lists them, search_patch takes its arcs from
-them, and every re-check of an assignment (check_assignment, a found
-search, an orbit witness) compares each rule's keys as whole columns,
-building a Constraint only for a broken rule.  lambda steps by 1/m
-along a row, from the lambda of its head (Patch.heads, built on first
-use), so Patch.cover splits each level's distinct lambdas into runs,
+its row walk, Patch.partners, each rule's cells and their partners,
+built from its own params on first use.  Within a row the H and I
+partners are entries e + m and e + 1, and the V partners lie in the
+rows h a^r t^-1 above, r < n, each canonical as it stands but for the
+pinch t a^0 t^-1 (g a^s t^-1 is then one divmod away).  Every call on
+a patch checks its group first (_partners), then iterates the rules and
+their part of the walk: constraints_for lists them, search_patch takes
+its arcs from them, and every re-check of an assignment
+(check_assignment, a found search, an orbit witness) compares each
+rule's keys as whole columns, building a Constraint only for a broken
+rule.  lambda steps by 1/m along a row, from the lambda of its head,
+so Patch.cover splits each level's distinct lambdas into runs,
 and one RowColors.run tiles a level: RowColors holds x and f(x) as
 integers (a witness reads f(x) from the orbit), so a run is integer
 floor divisions only.  A cell is named by its position in the patch:
@@ -46,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
-from operator import add, and_, getitem, is_not, itemgetter, mul, ne, or_
+from operator import add, and_, getitem, itemgetter, mul, ne, or_
 from typing import NamedTuple
 
 from .errors import OrbitTooShort
@@ -64,10 +63,9 @@ class Patch:
     each cell is a distinct group element.  rows groups the cells by
     a-row: the cells g = h a^e of one head h share (exps[:-1], stables)
     and differ in e = exps[-1], so rows maps each head to {e: position}.
-    The row walk, segments and partners, the lambdas of the row heads,
-    heads, and the lambda cover of the levels, cover, are built from
-    params on first use and read by every later call; they are not
-    fields, so ==, hash and repr see params and cells.
+    The row walk, partners, and the lambda cover of the levels, cover,
+    are built from params on first use and read by every later call;
+    they are not fields, so ==, hash and repr see params and cells.
     """
 
     params: BsParams
@@ -83,25 +81,6 @@ class Patch:
         return self.position(g) is not None
 
     @cached_property
-    def heads(self) -> dict[tuple, tuple[int, int]]:
-        """The row heads, the keys of rows, each mapped to (num, den) =
-        lambda_parts of h a^0."""
-        return {
-            (head, stables): lambda_parts(self.params, GroupElement(head + (0,), stables))
-            for head, stables in self.rows
-        }
-
-    @cached_property
-    def segments(self) -> tuple[tuple[tuple, int, int, tuple[int, ...]], ...]:
-        """(row key, first e, count, positions) for each run of
-        consecutive cells h a^e of a row, rows in the order of rows."""
-        return tuple(
-            (key, start, count, tuple(row[e] for e in range(start, start + count)))
-            for key, row in self.rows.items()
-            for start, count in _consecutive(sorted(row))
-        )
-
-    @cached_property
     def cover(self) -> tuple[dict[int, tuple[tuple[int, int, int], ...]], tuple[int, ...]]:
         """(levels, index), the lambda cover: levels maps each beta, in
         ascending order, to the maximal runs (a, c, count) of the distinct
@@ -111,10 +90,10 @@ class Patch:
         head h, so a level's cells group by m lambda(h) mod 1, r/c in lowest
         terms, and each group's integer parts split into runs of
         consecutive ones: no tile stands for a lambda that no cell has."""
-        m = self.params.m
+        params, m = self.params, self.params.m
         cosets: dict[tuple, dict[int, list[int]]] = {}  # (beta, r, c): {int part: cells}
         for (head, stables), row in self.rows.items():
-            num, den = self.heads[head, stables]
+            num, den = lambda_parts(params, GroupElement(head + (0,), stables))
             whole, r = divmod(Fraction(m * num, den), 1)
             coset = cosets.setdefault((-sum(stables), r.numerator, r.denominator), {})
             for e, i in row.items():
@@ -136,21 +115,15 @@ class Patch:
     def partners(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """(cells, partners) for each rule of _rules: the positions of the
         cells g = h a^e whose partner g a^s t^-up (s = rule.shift) is in
-        the patch and, pairwise, the partners' positions, segment by
-        segment.  With up = 0 (H, I) it is entry e + s of g's own row;
-        with up = 1 (V) it is h a^r t^-1 a^(m q) for (q, r) =
-        divmod(e + s, n), entry offset_r + m q of the row of h a^r t^-1.
+        the patch and, pairwise, the partners' positions, row by row.
+        With up = 0 (H, I) it is entry e + s of g's own row; with up = 1
+        (V) it is h a^r t^-1 a^(m q) for (q, r) = divmod(e + s, n), entry
+        offset_r + m q of the row of h a^r t^-1.
         """
         m, n = self.params.m, self.params.n
         rows = self.rows
-        # lines[up]: per segment, the position of h a^x t^-up (or None) for x
-        # from start + 1 - n to start + count + m - 1; at: each cell's entry
-        # x = e + 1 - n, so its partner g a^s t^-up is entry at + s + n - 1
-        lines: tuple[list, list] = ([], [])
-        order: list[int] = []  # every cell, segment by segment
-        at: list[int] = []
-        for (head, stables), start, count, positions in self.segments:
-            row = rows[head, stables]
+        walk = [(rule.shift, rule.up, [], []) for rule in _rules(self.params)]
+        for (head, stables), row in rows.items():
             # above[r]: (row of h a^r t^-1, its offset).  r < n is a coset
             # representative before t^-1, so h a^r t^-1 is canonical as it
             # stands (row (head + (r,), stables + (-1,)), offset 0) except
@@ -158,17 +131,18 @@ class Patch:
             above = [(rows.get((head + (r,), stables + (-1,)), {}), 0) for r in range(n)]
             if stables and stables[-1] == 1:
                 above[0] = (rows.get((head[:-1], stables[:-1]), {}), head[-1])
-            xs = range(start + 1 - n, start + count + m)
-            order += positions
-            at += range(len(lines[0]), len(lines[0]) + count)
-            lines[0].extend(map(row.get, xs))
-            lines[1].extend(above[x % n][0].get(above[x % n][1] + m * (x // n)) for x in xs)
-        walk = []
-        for rule in _rules(self.params):  # shifts s lie in [1 - n, m]
-            found = list(map(lines[rule.up].__getitem__, map(add, at, repeat(rule.shift + n - 1))))
-            keep = list(map(is_not, found, repeat(None)))
-            walk.append((tuple(compress(order, keep)), tuple(compress(found, keep))))
-        return tuple(walk)
+            for e, i in row.items():
+                for shift, up, cells, partners in walk:
+                    if up:
+                        q, r = divmod(e + shift, n)
+                        line, offset = above[r]
+                        j = line.get(offset + m * q)
+                    else:
+                        j = row.get(e + shift)
+                    if j is not None:
+                        cells.append(i)
+                        partners.append(j)
+        return tuple((tuple(cells), tuple(partners)) for _, _, cells, partners in walk)
 
 
 def build_patch(params: BsParams, elements) -> Patch:
@@ -438,27 +412,19 @@ class BudgetExceeded:
 SearchResult = Found | ExhaustedNoTiling | BudgetExceeded
 
 
-class _LabelKeys(dict):
+def _label_keys(params: BsParams, runs: tuple[Run, ...]) -> dict:
     """{side: its keys} for the label families of runs, a side (field,
     index) as a Rule reads it: piece (0, None), top_j (2, j - 1) and
     bottom_k (1, k - 1), and the whole bottom (1, None) and top
     (2, None) tuples.  A side's keys are dict.fromkeys of its key over
-    the runs, in run order, built when first read; a label within a
-    tuple is read from the side's distinct tuples, the same keys in the
-    same order, since runs share few bottoms and tops."""
-
-    def __init__(self, runs: tuple[Run, ...]):
-        super().__init__()
-        self.runs = runs
-
-    def __missing__(self, side: tuple[int, int | None]) -> dict:
-        field, index = side
-        if index is None:
-            keys = dict.fromkeys(map(itemgetter(field), self.runs))
-        else:
-            keys = dict.fromkeys(map(itemgetter(index), self[field, None]))
-        self[side] = keys
-        return keys
+    the runs, in run order; a label within a tuple is read from the
+    side's distinct tuples, the same keys in the same order, since runs
+    share few bottoms and tops."""
+    labels = {(field, None): dict.fromkeys(map(itemgetter(field), runs)) for field in (0, 1, 2)}
+    for field, count in ((2, params.m), (1, params.n)):
+        for index in range(count):
+            labels[field, index] = dict.fromkeys(map(itemgetter(index), labels[field, None]))
+    return labels
 
 
 def _planes(text: bytes, width: int, bits: int) -> list[int]:
@@ -491,7 +457,7 @@ def _key_masks(keys: dict, planes: list[int], full: int) -> dict:
             for i, key in enumerate(keys)}
 
 
-def _edge_masks(params: BsParams, runs: tuple[Run, ...], labels: _LabelKeys | None = None) -> tuple:
+def _edge_masks(params: BsParams, runs: tuple[Run, ...], labels: dict | None = None) -> tuple:
     """(left, right, piece, top, bottom): one bitset per edge key of the
     runs' tiles, bit i standing for tile i; top and bottom are lists of
     m and n dicts.  A family numbers its K keys once and codes each tile
@@ -517,7 +483,7 @@ def _edge_masks(params: BsParams, runs: tuple[Run, ...], labels: _LabelKeys | No
         strings = {c: b"".join(map(code.__getitem__, chunk)) for c, chunk in chunks.items()}
         text = b"".join(map(strings.__getitem__, ids))
         families.append(_key_masks(keys, _planes(text, width, bits), full))
-    labels = _LabelKeys(runs) if labels is None else labels
+    labels = _label_keys(params, runs) if labels is None else labels
     spans = []  # (keys, first plane, end plane) per label family
     index = []  # per label family, {key: its index shifted to its first plane}
     bits = 0
@@ -571,8 +537,8 @@ def search_patch(
     at 0 nodes when it uses a rule between two run labels (I, or a V
     rule) whose sides share no key over the runs; not H, whose color key
     sets cost more than a whole 0-node refutation of escape.  The label
-    key sets are read when that check first asks for them, and the edge
-    masks, built per call and only past it, reuse them (_edge_masks).
+    key sets are read once, before that check, and the edge masks, built
+    per call and only past it, reuse them (_edge_masks).
     """
     params = tileset.params
     partners = _partners(params, patch)
@@ -584,7 +550,7 @@ def search_patch(
 
     # a rule of the patch between two run labels (fields 0 to 2) that no
     # two tiles meet refutes the patch outright; the masks read the same keys
-    labels = _LabelKeys(runs)
+    labels = _label_keys(params, runs)
     if any(
         max(rule.a_side[0], rule.b_side[0]) < 3
         and labels[rule.a_side].keys().isdisjoint(labels[rule.b_side])

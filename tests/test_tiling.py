@@ -18,7 +18,6 @@ from bsdomino.group import (
     IDENTITY_ELEMENT,
     britton_reduce,
     element_from_text,
-    lambda_parts,
     lambda_val,
     multiply,
 )
@@ -189,12 +188,21 @@ def test_patch_rows_partition_cells(params, words, radius):
 
 @settings(max_examples=100, deadline=None)
 @given(params=ALL_PARAMS, words=st.lists(WORDS, max_size=8), radius=st.integers(0, 3))
-def test_patch_heads_hold_the_lambda_of_each_row_head(params, words, radius):
+def test_patch_cover_holds_the_beta_and_lambda_of_each_cell(params, words, radius):
     random_patch = build_patch(params, (britton_reduce(params, w) for w in words))
     for patch in (build_ball_patch(params, radius), random_patch):
-        assert patch.rows.keys() == patch.heads.keys()
-        for (head, stables), lam in patch.heads.items():
-            assert lam == lambda_parts(params, GroupElement(head + (0,), stables))
+        levels, index = patch.cover
+        assert list(levels) == sorted(levels)
+        # the levels' runs laid end to end: lambda = a/c + k/m, k < count
+        entries = [
+            (beta, Fraction(a, c) + Fraction(k, params.m))
+            for beta, runs in levels.items() for a, c, count in runs for k in range(count)
+        ]
+        assert len(index) == len(patch.cells)
+        for g, i in zip(patch.cells, index):
+            assert entries[i] == (g.beta(), lambda_val(params, g))
+        # one entry per distinct (beta, lambda): none stands for a lambda without a cell
+        assert len(entries) == len({(g.beta(), lambda_val(params, g)) for g in patch.cells})
 
 
 def test_build_patch_refuses_non_canonical_cells():
@@ -477,8 +485,8 @@ def test_search_reads_the_tiles_not_the_boxes():
 
 
 def spy_on_the_walk(monkeypatch, calls: dict) -> None:
-    """Count each build of a patch's segments, partners and heads in calls."""
-    for name in ("segments", "partners", "heads"):
+    """Count each build of a patch's partners and cover in calls."""
+    for name in ("partners", "cover"):
         build = getattr(Patch, name).func
 
         def counted(patch, name=name, build=build):
@@ -498,8 +506,8 @@ def test_search_walks_the_patch_once(monkeypatch, name, verdict):
     # refutation, arcs and re-check), two witnesses, their re-checks, the
     # constraint list and the DOT export all read it; neither the search
     # nor the DOT export builds a constraint list; only the witnesses read
-    # the lambdas of the row heads, built once for both
-    calls = {"segments": 0, "partners": 0, "heads": 0, "constraints_for": 0}
+    # the lambda cover of the levels, built once for both
+    calls = {"partners": 0, "cover": 0, "constraints_for": 0}
     spy_on_the_walk(monkeypatch, calls)
     listing = tiling.constraints_for
 
@@ -510,20 +518,20 @@ def test_search_walks_the_patch_once(monkeypatch, name, verdict):
     monkeypatch.setattr(tiling, "constraints_for", counted_listing)
     ts = compiled(name)
     patch = build_ball_patch(P23, 2)
-    assert calls == {"segments": 0, "partners": 0, "heads": 0, "constraints_for": 0}
+    assert calls == {"partners": 0, "cover": 0, "constraints_for": 0}
     assert isinstance(search_patch(ts, patch), verdict)
-    assert calls == {"segments": 1, "partners": 1, "heads": 0, "constraints_for": 0}
+    assert calls == {"partners": 1, "cover": 0, "constraints_for": 0}
     witnesses = [
         assignment_from_orbit(P23, IDENTITY_MAP, orbit(IDENTITY_MAP, vec2(*x), 10), patch)
         for x in (("1/2", "1/2"), ("1/3", "2/7"))
     ]
     assert witnesses[0] != witnesses[1]
-    assert calls == {"segments": 1, "partners": 1, "heads": 1, "constraints_for": 0}
+    assert calls == {"partners": 1, "cover": 1, "constraints_for": 0}
     for witness in witnesses:
         assert not check_assignment(P23, patch, witness)
     assert tiling.constraints_for(P23, patch)
     assert export_dot(P23, patch, witnesses[1], ts).startswith("graph patch {")
-    assert calls == {"segments": 1, "partners": 1, "heads": 1, "constraints_for": 1}
+    assert calls == {"partners": 1, "cover": 1, "constraints_for": 1}
 
 
 def test_a_wrong_group_call_leaves_the_walk_of_the_patch_alone():
@@ -540,7 +548,7 @@ def test_a_wrong_group_call_leaves_the_walk_of_the_patch_alone():
         check_assignment(P23, patch, witness)
     with pytest.raises(ValueError, match=wrong_group):
         search_patch(compiled("identity-23"), patch)
-    assert not vars(patch).keys() & {"segments", "partners", "heads"}
+    assert not vars(patch).keys() & {"partners", "cover"}
     assert assignment_from_orbit(params, pam, report, patch) == witness
     assert constraints_for(params, patch) == constraints_for(params, fresh)
     # a patch that keeps its walk is still equal to one that does not
@@ -767,7 +775,9 @@ def test_witness_recheck_catches_broken_scale_bookkeeping(monkeypatch):
     monkeypatch.setattr(tiling, "lambda_parts", skewed)
     params, pam, x = witness_map("identity-23")
     ball = build_ball_patch(params, 4)
-    assert ball.heads[(0,), (1,)] == (1, 4)
+    # the skew reached level -1 of the cover, honestly
+    # ((-3, 2, 7), (-1, 4, 5), (9, 8, 1), (2, 6, 1))
+    assert ball.cover[0][-1] == ((-5, 4, 7), (9, 8, 1), (2, 6, 1))
     with pytest.raises(AssertionError, match="^orbit assignment violates "):
         assignment_from_orbit(params, pam, orbit(pam, x, 12), ball)
     # at the origin every floor is 0, so the skewed tiles still tile
