@@ -69,9 +69,9 @@ cursor, which takes the headers and the first line of each block (the
 lines that repeat one label prefix), over D, rejecting any line out of
 place, a color off (1/D) Z^2 and headers that disagree with their
 pieces; one rule orders the tile lines: each line's key (labels, left,
-right) is greater than the line above's.  Equal blocks of a piece share
-one pair of lists, as enumerated runs do, and a block that repeats the
-one read before with its first tail is checked with one string compare.
+right) is greater than the line above's.  Each block is one run: the
+block its first tail last started, checked with one string compare, whose
+lists it then shares, as enumerated runs do, or read line by line.
 verify_tileset numbers tiles as stored and gives each tile the first
 check it fails of one chain, in integers over D: piece and edge color
 count, transport equation, label boxes, left grid box, right grid box.
@@ -611,14 +611,14 @@ _BATCH = 1 << 16  # the characters of whole lines a file is read in at a time
 
 def _reader(source: str | TextIO) -> Callable[[int], str]:
     """read(size), the next whole lines of source, the text or an open
-    file: about size characters of them (the text all at once), '' past
-    the end, each line ended by '\\n'.  Lines read without a last '\\n'
-    or with any other line boundary of str.splitlines (a CR among them)
-    are joined again, so that they are the lines str.splitlines gives."""
+    file: size characters and the rest of their line (the text at once),
+    '' past the end, each line ended by '\\n'.  Lines read without a last
+    '\\n' or with any other line boundary of str.splitlines (a CR among
+    them) are joined again, so that they are the lines str.splitlines gives."""
     texts = iter([source]) if isinstance(source, str) else None
 
     def read(size: int) -> str:
-        text = next(texts, "") if texts is not None else "".join(source.readlines(size))
+        text = next(texts, "") if texts is not None else source.read(size) + source.readline()
         if not text.endswith("\n") or not text.isascii() or any(
             c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"
         ):
@@ -637,21 +637,20 @@ def parse_tileset(source: str | TextIO) -> Tileset:
     (labels, left, right) is not greater than the line above's (out of
     order or repeated), and a header that disagrees with its pieces: a
     grid box other than piece_meta gives, or a pieces=/tiles= count
-    other than the lines that follow (reported at line 2).  Lines with
-    the same labels make one run, however their prefix is spelled.
+    other than the lines that follow (reported at line 2).
 
     source is the text or an open file, read once, forward, in whole
     lines (_reader), through one cursor: line() takes the headers and
     the first line of each block, and the error names the line taken
     last, or the block's line at fault.  A block, a line and the lines
-    after it that repeat its label prefix, has its tails read once: a
-    later block of the same piece with the same tails takes the color
-    lists read then, so the runs share lists as enumerate's do, and only
-    its first line is compared with the line above.  A block whose first
-    tail starts a block read before is first tried as that block, with
-    one string compare: that block's tails under this prefix, then a
-    line off the prefix.  A block that reaches the end of what is read
-    is read again with more text after it, so that no block is split."""
+    after it that repeat its label prefix, is one run.  It is first
+    tried, with one string compare, as the block of its piece read last
+    with its first tail: that block's tails under this prefix, then a
+    line off the prefix.  If it matches, it takes that block's lists, so
+    the runs share lists as enumerate's do, and only its first line is
+    compared with the line above; else it is read line by line.  A block
+    that reaches the end of what is read is read again with more text
+    after it, so that no block is split."""
     read = _reader(source)
     text = ""
     pos = 0  # the end of line i in text, past its newline
@@ -687,10 +686,8 @@ def parse_tileset(source: str | TextIO) -> Tileset:
         # right); the empty tuple sorts before any key
         last: tuple = ()
         runs: list[Run] = []
-        # (piece, tails) -> the (lefts, rights) read from those tails once;
         # (piece, first tail) -> (tails, (lefts, rights)) of the block read
         # last with that first tail
-        blocks: dict[tuple, tuple[list, list]] = {}
         firsts: dict[tuple[int, str], tuple] = {}
         while first is not None:
             # the block of line i, first, from start to stop; its label
@@ -712,19 +709,16 @@ def parse_tileset(source: str | TextIO) -> Tileset:
                 tails, block = known
             else:
                 # the block's lines, up to the first off its prefix: the next block's
-                tails = [first[cut:]]
+                tails, block = [first[cut:]], None
                 stop = pos
                 while text.startswith(prefix, stop):
                     end = text.find("\n", stop)
                     tails.append(text[stop + cut : end])
                     stop = end + 1
-                tails = tuple(tails)
-                block = blocks.get((labels[0], tails))
             if stop == len(text) and (more := read(max(_BATCH, len(text) - start))):
                 # the block may go on: read it again, after its first line
                 text, pos = text[start:] + more, pos - start
                 continue
-            go_on = runs and last[0] == labels  # a prefix spelled anew: the run goes on
             after = i + len(tails) - 1  # the block's last line
             if block is None:
                 lefts, rights = [], []
@@ -738,19 +732,14 @@ def parse_tileset(source: str | TextIO) -> Tileset:
                     last = key
                     lefts.append(key[1])
                     rights.append(key[2])
-                block = blocks[labels[0], tails] = (lefts, rights)
+                block = (lefts, rights)
                 firsts[labels[0], tails[0]] = (tails, block)
             elif (labels, block[0][0], block[1][0]) <= last:
                 # an equal block read before has its lines in order, so its
                 # first line alone is compared with the line above
                 raise ParseError("tile line out of order or repeated")
             last = (labels, block[0][-1], block[1][-1])
-            if go_on:
-                # in new lists: the run's own may be shared with other runs
-                *_, lefts, rights = runs[-1]
-                runs[-1] = (*labels, lefts + block[0], rights + block[1])
-            else:
-                runs.append((*labels, *block))
+            runs.append((*labels, *block))
             i, pos = after, stop
             first = line()
     except (ValueError, IndexError, ParseError) as exc:
@@ -822,8 +811,7 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
     # run shape -> the (index, reason) of its tiles at fault; the runs hold
     # the lists, so no id is reused while this call runs
     shapes: dict[tuple, list[tuple[int, str]]] = {}
-    lineno = 3 + len(metas)  # the line of the run's first tile
-    for piece, bottom, top, lefts, rights in ts.runs:
+    for (piece, bottom, top, lefts, rights), start in zip(ts.runs, ts.tiles.starts):
         # the reasons of faults before and after transport
         if not 0 <= piece < len(metas):
             before, e, after = f"unknown piece {piece}", None, None
@@ -859,7 +847,7 @@ def verify_tileset(ts: Tileset) -> list[TileFault]:
                 else:
                     continue
                 reasons.append((i, reason))
+        lineno = 3 + len(metas) + start  # the line of the run's first tile
         for i, reason in reasons:
             faults.append(TileFault(lineno + i, (piece, bottom, top, lefts[i], rights[i]), reason))
-        lineno += len(lefts)
     return faults

@@ -118,11 +118,13 @@ class Patch:
         the patch and, pairwise, the partners' positions, row by row.
         With up = 0 (H, I) it is entry e + s of g's own row; with up = 1
         (V) it is h a^r t^-1 a^(m q) for (q, r) = divmod(e + s, n), entry
-        offset_r + m q of the row of h a^r t^-1.
+        offset_r + m q of the row of h a^r t^-1.  Each distinct (s, up)
+        is walked once, and its rules share the one pair of tuples.
         """
         m, n = self.params.m, self.params.n
         rows = self.rows
-        walk = [(rule.shift, rule.up, [], []) for rule in _rules(self.params)]
+        keys = [(rule.shift, rule.up) for rule in _rules(self.params)]
+        walk = [(shift, up, [], []) for shift, up in dict.fromkeys(keys)]
         for (head, stables), row in rows.items():
             # above[r]: (row of h a^r t^-1, its offset).  r < n is a coset
             # representative before t^-1, so h a^r t^-1 is canonical as it
@@ -142,7 +144,8 @@ class Patch:
                     if j is not None:
                         cells.append(i)
                         partners.append(j)
-        return tuple((tuple(cells), tuple(partners)) for _, _, cells, partners in walk)
+        pairs = {(s, up): (tuple(cells), tuple(partners)) for s, up, cells, partners in walk}
+        return tuple(pairs[key] for key in keys)
 
 
 def build_patch(params: BsParams, elements) -> Patch:
@@ -800,14 +803,12 @@ def export_tiling_text(assignment: TilingAssignment, tileset: Tileset) -> str:
 
 
 def _tile_ids(tileset: Tileset, tiles) -> list[int | None]:
-    """Each tile's id in the tileset, None for a tile it lacks: the
-    offset of a run with the tile's labels plus the tile's position in
-    it, found by its left color (the first such run and position)."""
+    """Each tile's id in the tileset, None for a tile it lacks: the first
+    id of a run with the tile's labels (tiles.starts) plus its position
+    in it, found by its left color (the first such run and position)."""
     runs: dict = {}  # (piece, bottom, top) -> [(offset, lefts, rights)]
-    offset = 0
-    for piece, bottom, top, lefts, rights in tileset.runs:
+    for (piece, bottom, top, lefts, rights), offset in zip(tileset.runs, tileset.tiles.starts):
         runs.setdefault((piece, bottom, top), []).append((offset, lefts, rights))
-        offset += len(lefts)
 
     def tile_id(tile) -> int | None:
         piece, bottom, top, left, right = tile

@@ -715,13 +715,13 @@ def test_file_reader_in_small_batches_matches_text_reader(tmp_path, monkeypatch,
 
 
 class _CountingFile(io.StringIO):
-    """A text file that counts the reads of its lines."""
+    """A text file that counts the reads of its text."""
 
     reads = 0
 
-    def readlines(self, hint=-1):
+    def read(self, size=-1):
         self.reads += 1
-        return super().readlines(hint)
+        return super().read(size)
 
 
 def test_file_reader_reads_a_long_block_in_few_batches(monkeypatch):
@@ -1213,10 +1213,10 @@ def _bumped(tail: str) -> str:
 def test_parse_block_edits_match_per_line_oracle(edit):
     # whole runs of identity-23, many sharing their color lists, so most
     # blocks are read from an equal block before them: every run re-spelled
-    # (+0) from its line k on, so that it goes on in a second block; two
-    # runs swapped; or line k of one run replaced by line k - 1 re-spelled,
-    # or by line k - 2 re-spelled, which goes on with the run's labels but
-    # sorts before the line above.  Or a near repeat: a run whose first
+    # (+0) from its line k on, so that its lines after k are a second
+    # block, a run of its own; two runs swapped; or line k of one run
+    # replaced by line k - 1 re-spelled, or by line k - 2 re-spelled, which
+    # has the run's labels but sorts before the line above.  Or a near repeat: a run whose first
     # line repeats an earlier run's first tail (the same lists) has one
     # later tail changed (its right color moved), one line appended under
     # its prefix or its last line dropped, so that the block read before
@@ -1271,12 +1271,14 @@ def test_parse_block_edits_match_per_line_oracle(edit):
         if edit == "back":
             assert got == f"tileset line {start + k + 1}:"
         elif edit in ("later tail", "append", "drop last"):
-            # every near repeat parses, and the two equal blocks share lists
+            # every near repeat parses, and the two equal blocks read equal lists
             runs = parse_tileset(text).runs
             first, second = (runs[picked.index(r)] for r in repeats)
-            assert first[3] is second[3] and first[4] is second[4]
-    if edit == "split":  # the runs read, and the lists they share, are unchanged
-        assert parse_tileset(text).runs == sub.runs
+            assert first[3] == second[3] and first[4] == second[4]
+    if edit == "split":  # each block is its own run: the same tiles, the same export
+        again = parse_tileset(text)
+        assert tuple(again.tiles) == tuple(sub.tiles)
+        assert export_tileset(again) == export_tileset(sub)
 
 
 @pytest.mark.parametrize("batch", [None, 1, 7])
@@ -1284,7 +1286,7 @@ def test_block_after_a_near_repeat_takes_the_lists_of_its_equal(tmp_path, monkey
     # three runs of one piece with one pair of lists: A, then B with A's
     # first tail and one later tail changed, then A's tails again under
     # other labels.  The block read last with A's first tail is B's, so the
-    # third block is read in full, and then takes A's lists for A's tails
+    # third block is read in full, line by line, into lists equal to A's
     ts = enumerate_tileset(P23, IDENTITY_MAP)
     a, b, c = next(group for group in _runs_by_lists(ts.runs) if len(group) > 2)[:3]
     sub = Tileset(ts.params, ts.pam, (ts.runs[a], ts.runs[b], ts.runs[c]))
@@ -1306,7 +1308,7 @@ def test_block_after_a_near_repeat_takes_the_lists_of_its_equal(tmp_path, monkey
     first, near, again = ts_read.runs
     assert near[3][0] == first[3][0] and near[4][0] == first[4][0]
     assert near[4] != first[4]
-    assert again[3] is first[3] and again[4] is first[4]
+    assert again[3] == first[3] and again[4] == first[4]
     assert tuple(ts_read.tiles) == tuple(reference_tile_lines(lines, header, ts.denominator))
 
 
