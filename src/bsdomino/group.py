@@ -33,6 +33,7 @@ negative exponent or an uppercase letter (or both) marks an inverse run:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, repeat
@@ -55,27 +56,23 @@ class BsParams:
             raise ValueError(f"require m >= 1 and n >= 1, got ({self.m}, {self.n})")
 
 
+# a letter and its exponent, a character to skip ('e' spells the empty
+# word), or any other character
+_WORD_TOKEN = re.compile(rf"([{''.join(ALPHABET)}])(-?\d*)|[\se]|(.)", re.DOTALL)
+
+
 def _text_runs(text: str):
     """Parse the compact word syntax into runs: one ('a', exponent) per
     a-run, one ('t', +-1) per t, as each t is a stable letter."""
-    i, size = 0, len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace() or ch == "e":  # 'e' spells the empty word
-            i += 1
+    for token in _WORD_TOKEN.finditer(text):
+        ch, digits, other = token.groups()
+        if other is not None:
+            raise ParseError(f"unexpected character {other!r} (at position {token.start()})")
+        if ch is None:
             continue
-        if ch not in ALPHABET:
-            raise ParseError(f"unexpected character {ch!r} (at position {i})")
-        i += 1
-        exp = 1
-        if i < size and (text[i].isdigit() or text[i] == "-"):
-            j = i + 1 if text[i] == "-" else i
-            while j < size and text[j].isdigit():
-                j += 1
-            if j == i + 1 and text[i] == "-":
-                raise ParseError(f"dangling '-' after letter (at position {i})")
-            exp = int(text[i:j])
-            i = j
+        if digits == "-":
+            raise ParseError(f"dangling '-' after letter (at position {token.start(2)})")
+        exp = int(digits) if digits else 1
         sign = -1 if ch.isupper() or exp < 0 else 1
         if ch in "aA":
             yield ("a", sign * abs(exp))

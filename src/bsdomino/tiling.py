@@ -533,8 +533,12 @@ def search_patch(
     is the unassigned one with the smallest domain (canonical order
     breaking ties; the first unassigned cell when no domain has
     narrowed), and its tiles are tried in ascending id, one node each,
-    so the search is deterministic.  Propagation only drops tiles that
-    no tiling extending the current assignment can use, so an
+    so the search is deterministic.  A choice is a frame [cell, untried
+    tiles, trail mark] on one stack, and only its frame undoes it: back
+    at a frame (its tile failed, or the frame above ran out of tiles),
+    the loop rewinds the trail to the frame's mark and unassigns its
+    cell, then tries its next tile or drops it.  Propagation only drops
+    tiles that no tiling extending the current assignment can use, so an
     ExhaustedNoTiling result is a complete refutation; a Found result is
     re-checked on the row walk that gave the arcs.  A patch is refuted
     at 0 nodes when it uses a rule between two run labels (I, or a V
@@ -546,8 +550,6 @@ def search_patch(
     params = tileset.params
     partners = _partners(params, patch)
     cells = patch.cells
-    if not cells:
-        return Found(TilingAssignment(()), 0)
     tiles, runs = tileset.tiles, tileset.runs
     used = [(rule, walk) for rule, walk in zip(_rules(params), partners) if walk[0]]
 
@@ -594,11 +596,6 @@ def search_patch(
         domain[x] = dom
         size[x] = 0
         stale.add(x)
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            x, domain[x], size[x] = trail.pop()
-            stale.add(x)
 
     def propagate(start: int) -> bool:
         """AC-3 from a newly assigned cell; False on an emptied domain.
@@ -663,42 +660,39 @@ def search_patch(
                 return x
 
     nodes = 0
-    first = pick()
-    frames = [[first, domain[first], 0]]  # [cell, untried tiles, trail mark]
-    while frames:
-        frame = frames[-1]
-        cell, untried, mark = frame
-        if not untried:
-            frames.pop()
-            if frames:
-                parent, _, parent_mark = frames[-1]
-                undo(parent_mark)
-                assigned[parent] = False
-            continue
-        tile_bit = untried & -untried
-        frame[1] = untried ^ tile_bit
-        nodes += 1
-        if nodes > budget:
-            return BudgetExceeded(nodes)
-        assigned[cell] = True
-        narrow(cell, tile_bit)  # on the trail even if unchanged: undo marks it stale
-        if not propagate(cell):
-            undo(mark)
+    frames: list[list] = []  # [cell, untried tiles, trail mark] per choice
+    while len(frames) < ncells:
+        cell = pick()
+        frames.append([cell, domain[cell], len(trail)])
+        while frames:
+            cell, untried, mark = frame = frames[-1]
+            while len(trail) > mark:
+                x, domain[x], size[x] = trail.pop()
+                stale.add(x)
             assigned[cell] = False
-            continue
-        if len(frames) == ncells:
-            chosen = []
-            for dom in domain:  # one tile each, tile i of run r
-                t = dom.bit_length() - 1
-                r = bisect_right(tiles.starts, t) - 1
-                run, i = runs[r], t - tiles.starts[r]
-                chosen.append((run[0], run[1], run[2], run[3][i], run[4][i]))
-            if _violations(params, partners, chosen):
-                raise AssertionError("search produced an invalid assignment")
-            return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)
-        nxt = pick()
-        frames.append([nxt, domain[nxt], len(trail)])
-    return ExhaustedNoTiling(nodes)
+            if not untried:
+                frames.pop()
+                continue
+            tile_bit = untried & -untried
+            frame[1] = untried ^ tile_bit
+            nodes += 1
+            if nodes > budget:
+                return BudgetExceeded(nodes)
+            assigned[cell] = True
+            narrow(cell, tile_bit)  # on the trail even if unchanged: a rewind marks it stale
+            if propagate(cell):
+                break
+        else:
+            return ExhaustedNoTiling(nodes)
+    chosen = []
+    for dom in domain:  # one tile each, tile i of run r
+        t = dom.bit_length() - 1
+        r = bisect_right(tiles.starts, t) - 1
+        run, i = runs[r], t - tiles.starts[r]
+        chosen.append((run[0], run[1], run[2], run[3][i], run[4][i]))
+    if _violations(params, partners, chosen):
+        raise AssertionError("search produced an invalid assignment")
+    return Found(TilingAssignment(tuple(zip(cells, chosen))), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +715,9 @@ def assignment_from_orbit(
     ValueError when params is not the group the patch was built in.
     """
     partners = _partners(params, patch)
-    if not patch.cells:
-        return TilingAssignment(())
     levels, index = patch.cover
-    base_level = min(levels)
-    depth = max(levels) - base_level
+    base_level = min(levels, default=0)
+    depth = max(levels, default=0) - base_level
 
     states = report.states
 

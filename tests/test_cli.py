@@ -61,6 +61,9 @@ def test_phi_parse_error(capsys):
     assert main(["phi", "--mn", "2,3", "a?b"]) == 3
     err = capsys.readouterr().err
     assert "position" in err
+    # a superscript digit is no exponent: a parse error, not int()'s
+    assert main(["phi", "--mn", "2,3", "a²"]) == 3
+    assert capsys.readouterr().err == "error: unexpected character '²' (at position 1)\n"
 
 
 def test_bad_mn(capsys):

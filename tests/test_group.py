@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -57,10 +58,17 @@ def test_parse_word_rejects_garbage():
         ("a b", "unexpected character 'b' (at position 2)"),
         ("ax", "unexpected character 'x' (at position 1)"),
         ("a-", "dangling '-' after letter (at position 1)"),
+        # superscripts pass str.isdigit but are no exponent digits
+        ("a²", "unexpected character '²' (at position 1)"),
+        ("t¹", "unexpected character '¹' (at position 1)"),
+        ("a1²", "unexpected character '²' (at position 2)"),
+        ("a-²", "dangling '-' after letter (at position 1)"),
     ]:
         with pytest.raises(ParseError) as info:
             text_runs(text)
         assert str(info.value) == message
+        with pytest.raises(ParseError, match=re.escape(message)):
+            element_from_text(BsParams(2, 3), text)
     with pytest.raises(TypeError):
         beta(("a", "t"))
 

@@ -31,7 +31,7 @@ from bsdomino.pam import (
     load_map,
     orbit,
 )
-from bsdomino.rationals import IDENTITY2, mat2, vec2
+from bsdomino.rationals import IDENTITY2, Mat2, Vec2, mat2, vec2
 from bsdomino.tileset import (
     RowColors,
     Tiles,
@@ -1087,6 +1087,80 @@ def test_search_backtracks_on_mortal_map():
         assert not check_assignment(ts.params, patch, result.assignment)
 
 
+# the six committed maps; a conjugate of a map has the same dynamics, so
+# every verdict on it must agree with the map's own
+COMMITTED_MAPS = {
+    "identity-23": "maps/identity-23.map",
+    "escape": "maps/escape.map",
+    "rotation-22": "maps/rotation-22.map",
+    "shift3-23": "maps/shift3-23.map",
+    "half2-23": "perfbench/maps/half2-23.map",
+    "rotation-32": "perfbench/maps/rotation-32.map",
+}
+
+
+def translated(f, v):
+    """f'(x) = f(x - v) + v: each square moved by v, b' = b + v - M v."""
+    d = vec2(*v)
+    return PiecewiseAffineMap(tuple(
+        AffinePiece(
+            UnitSquare(p.square.c1 + v[0], p.square.c2 + v[1]),
+            p.matrix,
+            p.offset + d - p.matrix.apply(d),
+        )
+        for p in f.pieces
+    ))
+
+
+def swapped(f):
+    """f'(x) = P f(P x) for P swapping the coordinates: each square
+    mirrored in the diagonal, M' = P M P, b' = P b."""
+    return PiecewiseAffineMap(tuple(
+        AffinePiece(
+            UnitSquare(p.square.c2, p.square.c1),
+            Mat2(p.matrix.a22, p.matrix.a21, p.matrix.a12, p.matrix.a11),
+            Vec2(p.offset.x2, p.offset.x1),
+        )
+        for p in f.pieces
+    ))
+
+
+@pytest.mark.parametrize("name, v, top", [
+    ("identity-23", (5, -2), 2),
+    ("identity-23", (-3, 4), 2),
+    ("escape", (5, -2), 2),
+    ("escape", (-3, 4), 2),
+    ("shift3-23", (5, -2), 1),
+])
+def test_translated_map_searches_alike(name, v, top):
+    # with M = I a translation keeps b, so the tiles keep their colors
+    # and ids: the search takes the same nodes to the same tiling
+    params, f = load_map(str(ROOT / COMMITTED_MAPS[name]))
+    assert all(p.matrix == IDENTITY2 for p in f.pieces)
+    ts, moved = enumerate_tileset(params, f), enumerate_tileset(params, translated(f, v))
+    assert len(moved.tiles) == len(ts.tiles)
+    for radius in range(top + 1):
+        patch = build_ball_patch(params, radius)
+        result, again = search_patch(ts, patch), search_patch(moved, patch)
+        assert type(again) is type(result) and again.nodes == result.nodes, radius
+        if isinstance(result, Found):
+            text = export_tiling_text(result.assignment, ts)
+            assert export_tiling_text(again.assignment, moved) == text, radius
+
+
+@pytest.mark.parametrize("name", COMMITTED_MAPS)
+def test_swapped_map_has_the_same_verdicts(name):
+    # the swap keeps the tile count and every verdict; node counts may
+    # differ (shift3-23 at radius 1: 11,605 swapped against 23,525)
+    params, f = load_map(str(ROOT / COMMITTED_MAPS[name]))
+    ts, mirrored = enumerate_tileset(params, f), enumerate_tileset(params, swapped(f))
+    assert len(mirrored.tiles) == len(ts.tiles)
+    for radius in range(2 if name == "shift3-23" else 3):
+        patch = build_ball_patch(params, radius)
+        result, again = search_patch(ts, patch), search_patch(mirrored, patch)
+        assert type(again) is type(result), radius
+
+
 @pytest.mark.parametrize("name", ["identity-23", "rotation-22", "rotation-32", "half2-23"])
 def test_search_matches_reference_on_balls(name):
     # the one-tile lookup and the tables of supports change no result:
@@ -1152,6 +1226,20 @@ def test_search_refuses_a_patch_of_another_group():
         check_assignment(P23, empty, TilingAssignment(()))
     with pytest.raises(ValueError, match=wrong_group):
         export_dot(P23, empty)
+
+
+def test_patch_with_no_cells_in_its_own_group():
+    # every kernel takes its general path: nothing to choose, tile or check
+    ts = compiled("identity-23")
+    empty = build_patch(P23, [])
+    none = TilingAssignment(())
+    assert search_patch(ts, empty) == Found(none, 0)
+    assert reference_search(ts, empty) == Found(none, 0)
+    report = orbit(IDENTITY_MAP, vec2("1/2", "1/2"), 10)
+    assert assignment_from_orbit(P23, IDENTITY_MAP, report, empty) == none
+    assert check_assignment(P23, empty, none) == []
+    assert constraints_for(P23, empty) == ()
+    assert export_dot(P23, empty) == "graph patch {\n  node [shape=box];\n}\n"
 
 
 def edge_masks(params, tiles):
