@@ -72,7 +72,10 @@ def _text_runs(text: str):
             continue
         if digits == "-":
             raise ParseError(f"dangling '-' after letter (at position {token.start(2)})")
-        exp = int(digits) if digits else 1
+        try:
+            exp = int(digits) if digits else 1
+        except ValueError:  # past Python's limit on integer string digits
+            raise ParseError(f"exponent too long (at position {token.start(2)})") from None
         sign = -1 if ch.isupper() or exp < 0 else 1
         if ch in "aA":
             yield ("a", sign * abs(exp))

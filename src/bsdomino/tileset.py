@@ -56,8 +56,9 @@ A Tileset stores runs in tile order, not a tuple per tile: a run
 (piece, bottom, top, lefts, rights) holds the tiles (piece, bottom, top,
 lefts[i], rights[i]), and tile id k is the k-th of them laid end to end.
 A run's right - left is one vector b over q; enumerate makes one pair of
-lists per piece and b (the grid colors left with left + b on the grid
-box, and those rights), shared by every run with that b.  A tile file is
+lists per grid box and b (the grid colors left with left + b on the grid
+box, and those rights), shared by every run with that grid box and b,
+of any piece, and one row of runs per bottom term.  A tile file is
 the title, the m= n= pieces= tiles= header, one header per piece, then
 the runs as stored, one line per tile, each color as its reduced p/q:
 tile k is on line 3 + pieces + k.  One writer, export_lines, yields the
@@ -70,8 +71,9 @@ lines that repeat one label prefix), over D, rejecting any line out of
 place, a color off (1/D) Z^2 and headers that disagree with their
 pieces; one rule orders the tile lines: each line's key (labels, left,
 right) is greater than the line above's.  Each block is one run: the
-block its first tail last started, checked with one string compare, whose
-lists it then shares, as enumerated runs do, or read line by line.
+block its first tail last started in a piece of its grid box, checked
+with one string compare, whose lists it then shares, as enumerated runs
+do, or read line by line.
 verify_tileset numbers tiles as stored and gives each tile the first
 check it fails of one chain, in integers over D: piece and edge color
 count, transport equation, label boxes, left grid box, right grid box.
@@ -397,18 +399,39 @@ def candidate_count(params: BsParams, f: PiecewiseAffineMap) -> int:
     return total
 
 
-def _color_lists(grid: list[list[IntVec2]], b1: int, b2: int):
-    """(lefts, rights): the grid colors left, row by row, for which
-    right = left + (b1, b2) is on the grid too, and those rights.  A
-    shift wider than the grid leaves no pair, and two empty lists."""
-    w1, w2 = len(grid) - 1, len(grid[0]) - 1
-    if abs(b1) > w1 or abs(b2) > w2:
-        return [], []
-    rows = range(max(0, -b1), min(w1, w1 - b1) + 1)
-    lo, hi = max(0, -b2), min(w2, w2 - b2) + 1
-    lefts = list(chain.from_iterable(grid[i][lo:hi] for i in rows))
-    rights = list(chain.from_iterable(grid[i + b1][lo + b2 : hi + b2] for i in rows))
-    return lefts, rights
+def _labels(box: tuple[IntVec2, IntVec2], count: int):
+    """(colors, s1, s2) for every tuple of count colors in box, in
+    product order, with the sums of their first and second components."""
+    colors = _color_range(box)
+    sums = (map(sum, product(coordinates, repeat=count)) for coordinates in zip(*colors))
+    return zip(product(colors, repeat=count), *sums)
+
+
+def _grid_lists(ell: EllBounds, denominator: int) -> Callable[[int, int], tuple]:
+    """lists(b1, b2): (lefts, rights), the colors of the grid box ell
+    over denominator left, row by row, for which right = left + (b1, b2)
+    is on the grid too, and those rights; a shift wider than the grid
+    leaves no pair, and two empty lists.  grid[i][j] is the color
+    (p1 + (i, j)) / q, one tuple for all its tiles.  Each shift's pair
+    is made once, a rectangle cut from the rows sliced to one column
+    range, and each range's slices once for every shift."""
+    step = denominator // ell.q
+    (p11, p12), (p21, p22) = ell.p1, ell.p2
+    w1, w2 = p21 - p11, p22 - p12
+    grid = [[((p11 + i) * step, (p12 + j) * step) for j in range(w2 + 1)] for i in range(w1 + 1)]
+    columns = cache(lambda lo, hi: [row[lo:hi] for row in grid])
+
+    @cache
+    def lists(b1: int, b2: int) -> tuple[list, list]:
+        if abs(b1) > w1 or abs(b2) > w2:
+            return [], []
+        lo, hi = max(0, -b2), min(w2, w2 - b2) + 1
+        first, stop = max(0, -b1), min(w1, w1 - b1) + 1
+        lefts = list(chain.from_iterable(columns(lo, hi)[first:stop]))
+        rights = list(chain.from_iterable(columns(lo + b2, hi + b2)[first + b1 : stop + b1]))
+        return lefts, rights
+
+    return lists
 
 
 def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
@@ -418,6 +441,14 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
     The set over-approximates the tiles realizable from actual (lam, x)
     pairs but contains every one of them, which is the direction the
     reduction needs.
+
+    The run of (bottom, top) has right - left = b over q, the bottom's
+    transport term u minus the top's t.  Its lists depend only on the
+    grid box and b, so each distinct grid box keeps one pair of lists
+    per b, shared by every piece with that box; a bottom's runs depend
+    only on u, so each distinct u of a piece makes one row of (top,
+    lefts, rights), from each distinct t once, and every bottom with
+    that u takes the row.
     """
     max_candidates = _candidate_cap()
     total = candidate_count(params, f)
@@ -429,39 +460,28 @@ def enumerate_tileset(params: BsParams, f: PiecewiseAffineMap) -> Tileset:
     m, n = params.m, params.n
     den = color_denominator(params, f.pieces)
     runs: list[Run] = []
+    grids = cache(lambda ell: _grid_lists(ell, den))  # one per grid box
     for index, piece in enumerate(f.pieces):
         meta = piece_meta(params, piece)
         eb = meta.ell
-        # over q the transport equation has integer coefficients; grid[i][j]
-        # is the color (p1 + (i, j)) / q over D, one tuple for all its tiles
+        lists = grids(eb)
+        # over q the transport equation has integer coefficients
         eq = _transport(params, piece, eb.q)
-        step = den // eb.q
-        (p11, p12), (p21, p22) = eb.p1, eb.p2
-        grid = [
-            [((p11 + i) * step, (p12 + j) * step) for j in range(p22 - p12 + 1)]
-            for i in range(p21 - p11 + 1)
-        ]
-        # the run of (bottom, top) has right - left = b over q, the bottom's
-        # term minus the top's; its tiles are the pairs of b's color lists
         k11, k12, k21, k22 = eq.matrix
         o1, o2 = eq.offset
         w = eq.top_weight
-        weighted_tops = [
-            (top, w * sum(c1 for c1, _ in top), w * sum(c2 for _, c2 in top))
-            for top in product(_color_range(meta.top_box), repeat=m)
-        ]
-        by_rhs: dict[IntVec2, tuple[list, list]] = {}
-        for bottom in product(_color_range(meta.bottom_box), repeat=n):
-            s1 = sum(c1 for c1, _ in bottom)
-            s2 = sum(c2 for _, c2 in bottom)
+        tops = [(top, w * s1, w * s2) for top, s1, s2 in _labels(meta.top_box, m)]
+        terms = dict.fromkeys((t1, t2) for _, t1, t2 in tops)
+        rows: dict[IntVec2, list] = {}  # u -> [(top, lefts, rights)], one per run
+        for bottom, s1, s2 in _labels(meta.bottom_box, n):
             u1, u2 = k11 * s1 + k12 * s2 + o1, k21 * s1 + k22 * s2 + o2
-            for top, t1, t2 in weighted_tops:
-                b = (u1 - t1, u2 - t2)
-                pairs = by_rhs.get(b)
-                if pairs is None:
-                    pairs = by_rhs[b] = _color_lists(grid, *b)
-                if pairs[0]:
-                    runs.append((index, bottom, top, *pairs))
+            row = rows.get((u1, u2))
+            if row is None:
+                pairs = {(t1, t2): lists(u1 - t1, u2 - t2) for t1, t2 in terms}
+                row = rows[u1, u2] = [
+                    (top, *pair) for top, t1, t2 in tops if (pair := pairs[t1, t2])[0]
+                ]
+            runs += [(index, bottom, top, lefts, rights) for top, lefts, rights in row]
     # bottoms, tops and each run's lefts come in order, and right follows
     # from left: the runs are in tile order, no sort needed
     return Tileset(params, f, tuple(runs))
@@ -644,13 +664,13 @@ def parse_tileset(source: str | TextIO) -> Tileset:
     the first line of each block, and the error names the line taken
     last, or the block's line at fault.  A block, a line and the lines
     after it that repeat its label prefix, is one run.  It is first
-    tried, with one string compare, as the block of its piece read last
-    with its first tail: that block's tails under this prefix, then a
-    line off the prefix.  If it matches, it takes that block's lists, so
-    the runs share lists as enumerate's do, and only its first line is
-    compared with the line above; else it is read line by line.  A block
-    that reaches the end of what is read is read again with more text
-    after it, so that no block is split."""
+    tried, with one string compare, as the block read last with its
+    first tail by a piece of its grid box: that block's tails under this
+    prefix, then a line off the prefix.  If it matches, it takes that
+    block's lists, so the runs share lists as enumerate's do, and only
+    its first line is compared with the line above; else it is read
+    line by line.  A block that reaches the end of what is read is read
+    again with more text after it, so that no block is split."""
     read = _reader(source)
     text = ""
     pos = 0  # the end of line i in text, past its newline
@@ -686,9 +706,10 @@ def parse_tileset(source: str | TextIO) -> Tileset:
         # right); the empty tuple sorts before any key
         last: tuple = ()
         runs: list[Run] = []
-        # (piece, first tail) -> (tails, (lefts, rights)) of the block read
-        # last with that first tail
-        firsts: dict[tuple[int, str], tuple] = {}
+        # (grid box, first tail) -> (tails, (lefts, rights)) of the block
+        # read last with that first tail by a piece of that grid box
+        boxes = {index: piece_meta(params, piece).ell for index, piece in enumerate(pieces)}
+        firsts: dict[tuple, tuple] = {}
         while first is not None:
             # the block of line i, first, from start to stop; its label
             # prefix, up to and including the first ' | l: ', is read once
@@ -700,7 +721,7 @@ def parse_tileset(source: str | TextIO) -> Tileset:
                 raise ParseError(f"expected a tile line, got {first!r}") from None
             prefix = first[:cut]
             labels = (int(head), bottoms(bottom_text), tops(top_text))
-            known = firsts.get((labels[0], first[cut:]))
+            known = firsts.get((boxes.get(labels[0]), first[cut:]))
             if (
                 known
                 and text.startswith(whole := prefix + f"\n{prefix}".join(known[0]) + "\n", start)
@@ -733,7 +754,7 @@ def parse_tileset(source: str | TextIO) -> Tileset:
                     lefts.append(key[1])
                     rights.append(key[2])
                 block = (lefts, rights)
-                firsts[labels[0], tails[0]] = (tails, block)
+                firsts[boxes.get(labels[0]), tails[0]] = (tails, block)
             elif (labels, block[0][0], block[1][0]) <= last:
                 # an equal block read before has its lines in order, so its
                 # first line alone is compared with the line above

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
-from operator import add, and_, getitem, itemgetter, mul, ne, or_
+from operator import add, and_, itemgetter, mul, ne, or_
 from typing import NamedTuple
 
 from .errors import OrbitTooShort
@@ -460,7 +460,9 @@ def _key_masks(keys: dict, planes: list[int], full: int) -> dict:
             for i, key in enumerate(keys)}
 
 
-def _edge_masks(params: BsParams, runs: tuple[Run, ...], labels: dict | None = None) -> tuple:
+def _edge_masks(
+    params: BsParams, runs: tuple[Run, ...], sides: set, labels: dict | None = None
+) -> tuple:
     """(left, right, piece, top, bottom): one bitset per edge key of the
     runs' tiles, bit i standing for tile i; top and bottom are lists of
     m and n dicts.  A family numbers its K keys once and codes each tile
@@ -469,14 +471,17 @@ def _edge_masks(params: BsParams, runs: tuple[Run, ...], labels: dict | None = N
     joins one string per shared color list object; the label families
     (piece, top_j, bottom_k, their keys from labels) share one code per
     run, each family's bits above the one before's, repeated over the
-    run's length.
+    run's length.  Only the families of sides, Rule sides (field, index),
+    are built, and the others are left empty: no side, no plane.
     """
     m, n = params.m, params.n
     lengths = [len(run[3]) for run in runs]
     full = (1 << sum(lengths)) - 1
-    families = []
-    for side in (3, 4):
-        lists = list(map(itemgetter(side), runs))
+    families = {}
+    for side in ((3, None), (4, None)):
+        if side not in sides:
+            continue
+        lists = list(map(itemgetter(side[0]), runs))
         ids = list(map(id, lists))
         chunks = dict(zip(ids, lists))
         keys = dict.fromkeys(chain.from_iterable(chunks.values()))
@@ -485,29 +490,37 @@ def _edge_masks(params: BsParams, runs: tuple[Run, ...], labels: dict | None = N
         code = {key: i.to_bytes(width, "little") for i, key in enumerate(keys)}
         strings = {c: b"".join(map(code.__getitem__, chunk)) for c, chunk in chunks.items()}
         text = b"".join(map(strings.__getitem__, ids))
-        families.append(_key_masks(keys, _planes(text, width, bits), full))
-    labels = _label_keys(params, runs) if labels is None else labels
-    spans = []  # (keys, first plane, end plane) per label family
-    index = []  # per label family, {key: its index shifted to its first plane}
-    bits = 0
-    for side in ((0, None), *((2, j) for j in range(m)), *((1, k) for k in range(n))):
-        keys = labels[side]
-        end = bits + max(len(keys) - 1, 0).bit_length()
-        spans.append((keys, bits, end))
-        index.append({key: i << bits for i, key in enumerate(keys)})
-        bits = end
-    # a run's code is its piece's, its top's and its bottom's, each
-    # distinct top or bottom coded once, the sum of its labels' codes
-    codes = map(index[0].__getitem__, map(itemgetter(0), runs))
-    for field, positions in ((2, index[1 : m + 1]), (1, index[m + 1 :])):
-        code = {key: sum(map(getitem, positions, key)) for key in labels[field, None]}
-        codes = map(add, codes, map(code.__getitem__, map(itemgetter(field), runs)))
-    width = -(-bits // 8)
-    text = b"".join(map(mul, map(int.to_bytes, codes, repeat(width), repeat("little")), lengths))
-    planes = _planes(text, width, bits)
-    families += [_key_masks(keys, planes[lo:hi], full) for keys, lo, hi in spans]
-    left, right, piece, *ends = families
-    return left, right, piece, ends[:m], ends[m:]
+        families[side] = _key_masks(keys, _planes(text, width, bits), full)
+    label_sides = [(0, None), *((2, j) for j in range(m)), *((1, k) for k in range(n))]
+    label_sides = [side for side in label_sides if side in sides]
+    if label_sides:
+        labels = _label_keys(params, runs) if labels is None else labels
+        spans = []  # (side, keys, first plane, end plane) per label family
+        index = {}  # per label family, {key: its index shifted to its first plane}
+        bits = 0
+        for side in label_sides:
+            keys = labels[side]
+            end = bits + max(len(keys) - 1, 0).bit_length()
+            spans.append((side, keys, bits, end))
+            index[side] = {key: i << bits for i, key in enumerate(keys)}
+            bits = end
+        # a run's code is its piece's, its top's and its bottom's, each
+        # distinct top or bottom coded once, the sum of its labels' codes
+        pieces = index.get((0, None))
+        codes = map(pieces.__getitem__, map(itemgetter(0), runs)) if pieces else repeat(0)
+        for field in (2, 1):
+            code = {key: sum(index[field, j][label] for j, label in enumerate(key)
+                             if (field, j) in index) for key in labels[field, None]}
+            codes = map(add, codes, map(code.__getitem__, map(itemgetter(field), runs)))
+        width = -(-bits // 8)
+        encoded = map(int.to_bytes, codes, repeat(width), repeat("little"))
+        text = b"".join(map(mul, encoded, lengths))
+        planes = _planes(text, width, bits)
+        for side, keys, lo, hi in spans:
+            families[side] = _key_masks(keys, planes[lo:hi], full)
+    left, right, piece = (families.get((field, None), {}) for field in (3, 4, 0))
+    return (left, right, piece, [families.get((2, j), {}) for j in range(m)],
+            [families.get((1, k), {}) for k in range(n)])
 
 
 def search_patch(
@@ -545,7 +558,8 @@ def search_patch(
     rule) whose sides share no key over the runs; not H, whose color key
     sets cost more than a whole 0-node refutation of escape.  The label
     key sets are read once, before that check, and the edge masks, built
-    per call and only past it, reuse them (_edge_masks).
+    per call and only past it, reuse them (_edge_masks); only the families
+    that the used rules read are built, none for a patch with no pair.
     """
     params = tileset.params
     partners = _partners(params, patch)
@@ -563,7 +577,8 @@ def search_patch(
     ):
         return ExhaustedNoTiling(0)
 
-    left, right, piece, top, bottom = _edge_masks(params, runs, labels)
+    sides = {side for rule, _ in used for side in (rule.a_side, rule.b_side)}
+    left, right, piece, top, bottom = _edge_masks(params, runs, sides, labels)
     masks = (piece, bottom, top, left, right)  # in field order
     # arcs[y]: (x, x masks, side of y's tile, pairs, d) for every cell x to
     # revise when domain[y] narrows; all but x shared per rule direction d.

@@ -63,6 +63,8 @@ def test_parse_word_rejects_garbage():
         ("t¹", "unexpected character '¹' (at position 1)"),
         ("a1²", "unexpected character '²' (at position 2)"),
         ("a-²", "dangling '-' after letter (at position 1)"),
+        # more digits than int() reads
+        ("a" + "1" * 5000, "exponent too long (at position 1)"),
     ]:
         with pytest.raises(ParseError) as info:
             text_runs(text)

@@ -22,8 +22,9 @@ from bsdomino.tileset import (
     RowColors,
     Tiles,
     Tileset,
-    _color_lists,
+    EllBounds,
     _color_range,
+    _grid_lists,
     _transport,
     color_denominator,
     edge_colors,
@@ -521,10 +522,46 @@ def test_enumerate_matches_reference_beyond_the_grid(data):
     assert tuple(enumerate_tileset(params, pam).tiles) == reference_enumerate(params, pam)
 
 
+# the signs of diag(+-s, +-s), and the zero matrix
+SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    case=st.sampled_from(OVERHANG_CASES),
+    signs=st.lists(st.sampled_from(SIGNS), min_size=2, max_size=3),
+    squares=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=3, unique=True),
+)
+# pieces 0 and 2 share a grid box, and piece 1 between them has its own
+@example(case=(2, 3, 1), signs=[(1, 1), (-1, 1), (1, 1)], squares=[(0, 0), (2, -1), (-3, 3)])
+# and piece 1's blocks start with the same tails as theirs: M = 0, -I, 0
+@example(case=(2, 3, 1), signs=[(0, 0), (-1, -1), (0, 0)], squares=[(0, 0), (1, 0), (2, 0)])
+def test_enumerate_shares_lists_per_grid_box_and_shift(case, signs, squares):
+    # the grid box of x -> diag(+-s, +-s) x depends only on the signs, so
+    # pieces on distinct squares with equal signs share one
+    m, n, s = case
+    params = BsParams(m, n)
+    pam = PiecewiseAffineMap(tuple(
+        AffinePiece(UnitSquare(*square), mat2([[s1 * s, 0], [0, s2 * s]]), vec2(0, 0))
+        for (s1, s2), square in zip(signs, squares)
+    ))
+    ts = enumerate_tileset(params, pam)
+    assert tuple(ts.tiles) == reference_enumerate(params, pam)
+    # one pair of list objects per grid box and right - left
+    shifts = {
+        (ts.piece_meta[piece].ell, (rights[0][0] - lefts[0][0], rights[0][1] - lefts[0][1]))
+        for piece, _, _, lefts, rights in ts.runs
+    }
+    assert len({(id(run[3]), id(run[4])) for run in ts.runs}) == len(shifts)
+    again = parse_tileset(export_tileset(ts))
+    assert again.runs == ts.runs
+    assert _list_groups(again.runs) == _list_groups(ts.runs)
+
+
 def test_color_lists_pair_each_left_with_its_right():
     # a 3 x 4 grid holding its own indices; shifts up to two past its
     # widths make slice bounds that would count from the end of a row
-    grid = [[(i, j) for j in range(4)] for i in range(3)]
+    lists = _grid_lists(EllBounds((0, 0), (2, 3), 1), 1)
     for b1 in range(-4, 5):
         for b2 in range(-5, 6):
             lefts = [
@@ -532,7 +569,7 @@ def test_color_lists_pair_each_left_with_its_right():
                 if 0 <= i + b1 < 3 and 0 <= j + b2 < 4
             ]
             rights = [(i + b1, j + b2) for i, j in lefts]
-            assert _color_lists(grid, b1, b2) == (lefts, rights)
+            assert lists(b1, b2) == (lefts, rights)
 
 
 def test_export_round_trip():

@@ -584,6 +584,28 @@ def test_search_refutes_escape_before_any_mask(monkeypatch):
     assert search_patch(ts, build_ball_patch(ts.params, 2)) == ExhaustedNoTiling(0)
 
 
+def test_search_builds_only_the_masks_its_rules_read(monkeypatch):
+    # the one-cell escape ball uses no rule: none of the 254,016-tile masks
+    # is built, and its one cell takes the first tile at one node
+    calls = []
+    for name in ("_key_masks", "_planes"):
+        def spy(*args, real=getattr(tiling, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(tiling, name, spy)
+    ts = compiled("escape")
+    ball = build_ball_patch(ts.params, 0)
+    result = search_patch(ts, ball)
+    assert calls == []
+    assert isinstance(result, Found) and result.nodes == 1
+    assert result.assignment.pairs == ((ball.cells[0], ts.tiles[0]),)
+    # a row of three cells reads H and I: the left, right and piece masks
+    ts = compiled("identity-23")
+    row = build_patch(P23, [element_from_text(P23, text) for text in ("e", "a", "a2")])
+    assert search_patch(ts, row) == reference_search(ts, row)
+    assert calls.count("_key_masks") == 3
+
+
 def test_search_refutes_a_patch_by_any_label_rule_it_uses(monkeypatch):
     # a hand-made BS(2,3) tileset, one piece and one color on the sides,
     # where exactly V (1, 1), top_1 = bottom_1, has no shared label: tops
@@ -1242,15 +1264,46 @@ def test_patch_with_no_cells_in_its_own_group():
     assert export_dot(P23, empty) == "graph patch {\n  node [shape=box];\n}\n"
 
 
+def every_side(params):
+    """Every Rule side of BS(m, n): left, right, piece, each top_j and
+    each bottom_k."""
+    return {(3, None), (4, None), (0, None),
+            *((2, j) for j in range(params.m)), *((1, k) for k in range(params.n))}
+
+
 def edge_masks(params, tiles):
-    return _edge_masks(params, runs_of(tiles))
+    return _edge_masks(params, runs_of(tiles), every_side(params))
 
 
 # escape is the one committed map with more than 256 color keys a side (324)
 @pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q", "shift3-23", "escape"])
 def test_edge_masks_match_reference(name):
     ts = compiled(name)
-    assert _edge_masks(ts.params, ts.runs) == reference_edge_masks(ts.params, ts.tiles)
+    masks = _edge_masks(ts.params, ts.runs, every_side(ts.params))
+    assert masks == reference_edge_masks(ts.params, ts.tiles)
+
+
+def by_side(params, masks):
+    """_edge_masks's families keyed by their Rule sides."""
+    left, right, piece, top, bottom = masks
+    return {(3, None): left, (4, None): right, (0, None): piece,
+            **{(2, j): top[j] for j in range(params.m)},
+            **{(1, k): bottom[k] for k in range(params.n)}}
+
+
+@pytest.mark.parametrize("name", ["identity-23", "rotation-32", "mixed-q"])
+def test_edge_masks_build_only_the_sides_given(name):
+    # no side, each side alone and random halves: the given families are
+    # those of the full build, and every other family is empty
+    ts = compiled(name)
+    params = ts.params
+    every = sorted(every_side(params), key=str)
+    full = by_side(params, _edge_masks(params, ts.runs, set(every)))
+    rng = Random(3)
+    halves = [set(rng.sample(every, len(every) // 2)) for _ in range(4)]
+    for sides in [set(), *({side} for side in every), *halves]:
+        masks = by_side(params, _edge_masks(params, ts.runs, sides))
+        assert masks == {side: full[side] if side in sides else {} for side in every}
 
 
 def random_runs(rng, params, colors, labels):
@@ -1322,7 +1375,7 @@ def test_edge_masks_match_reference_on_random_runs(params, colors, labels, seed,
         tiles = list(Tiles(runs))
         rng.shuffle(tiles)
         runs = tuple((*head, [left], [right]) for *head, left, right in tiles)
-    masks = _edge_masks(params, runs)
+    masks = _edge_masks(params, runs, every_side(params))
     assert masks == reference_edge_masks(params, Tiles(runs))
     assert (len(masks[0]), len(masks[1]), len(masks[2])) == (colors, colors, labels)
 
@@ -1345,14 +1398,15 @@ def test_edge_masks_match_reference_for_every_tile_count_to_17(params):
             label = (rng.randrange(6), tuple(colors(params.n)), tuple(colors(params.m)))
             runs.append((*label, colors(length), colors(length)))
         runs = tuple(runs)
-        assert _edge_masks(params, runs) == reference_edge_masks(params, Tiles(runs)), count
+        masks = _edge_masks(params, runs, every_side(params))
+        assert masks == reference_edge_masks(params, Tiles(runs)), count
 
 
 def test_edge_masks_of_no_runs():
     # no tile: every family is empty, and no plane is read
     for params in (P23, BsParams(3, 2)):
         empty = ({}, {}, {}, [{}] * params.m, [{}] * params.n)
-        assert _edge_masks(params, ()) == reference_edge_masks(params, ()) == empty
+        assert _edge_masks(params, (), every_side(params)) == reference_edge_masks(params, ()) == empty
 
 
 def test_edge_masks_take_each_list_object_as_it_is():
@@ -1365,7 +1419,7 @@ def test_edge_masks_take_each_list_object_as_it_is():
         (1, bottom, top, lefts, [(5, 5), (1, 0)]),
         (0, bottom, ((1, 1),) * 2, list(lefts), [(1, 0), (2, 0)]),
     )
-    masks = _edge_masks(P23, runs)
+    masks = _edge_masks(P23, runs, every_side(P23))
     assert masks == reference_edge_masks(P23, Tiles(runs))
     assert masks[0] == {(0, 0): 0b010101, (1, 0): 0b101010}
     assert masks[1] == {(1, 0): 0b011001, (2, 0): 0b100010, (5, 5): 0b000100}
