@@ -204,8 +204,9 @@ def _consecutive(values: list[int]):
 class Rule(NamedTuple):
     """Cell g and its partner g a^shift t^-up agree on a_side's key of
     g's tile and b_side's of the partner's.  A side, (field, label index
-    or None), reads a tile, a run and the edge masks alike, in their
-    field order (piece, bottom, top, left(s), right(s))."""
+    or None), reads a tile and a run alike, in their field order (piece,
+    bottom, top, left(s), right(s)), and names an edge family: the edge
+    masks are keyed by side (_edge_masks)."""
 
     kind: str
     top_pos: int
@@ -232,12 +233,6 @@ def _rules(params: BsParams) -> tuple[Rule, ...]:
         *(Rule("V", j, k, j - k, 1, (2, j - 1), (1, k - 1), f"V {j}->{k}")
           for j in range(1, m + 1) for k in range(1, n + 1)),
     )
-
-
-def _read(side: tuple[int, int | None], fields):
-    """side's key of fields: a tile, a run's labels or the edge masks."""
-    field, index = side
-    return fields[field] if index is None else fields[field][index]
 
 
 class Constraint(NamedTuple):
@@ -460,24 +455,20 @@ def _key_masks(keys: dict, planes: list[int], full: int) -> dict:
             for i, key in enumerate(keys)}
 
 
-def _edge_masks(
-    params: BsParams, runs: tuple[Run, ...], sides: set, labels: dict | None = None
-) -> tuple:
-    """(left, right, piece, top, bottom): one bitset per edge key of the
-    runs' tiles, bit i standing for tile i; top and bottom are lists of
-    m and n dicts.  A family numbers its K keys once and codes each tile
-    by its key's index, ceil(log2 K) bits, read as planes (_planes)
-    from byte strings in tile order.  A color family (lefts, rights)
-    joins one string per shared color list object; the label families
-    (piece, top_j, bottom_k, their keys from labels) share one code per
-    run, each family's bits above the one before's, repeated over the
-    run's length.  Only the families of sides, Rule sides (field, index),
-    are built, and the others are left empty: no side, no plane.
+def _edge_masks(runs: tuple[Run, ...], sides: set, labels: dict) -> dict:
+    """{side: {key: bitset}} for each Rule side (field, index) in sides:
+    one bitset per edge key of the runs' tiles, bit i standing for tile
+    i.  A family numbers its K keys once and codes each tile by its
+    key's index, ceil(log2 K) bits, read as planes (_planes) from byte
+    strings in tile order.  A color family (lefts, rights) joins one
+    string per shared color list object; the label families (piece,
+    top_j, bottom_k, their keys from labels, _label_keys) share one code
+    per run, each family's bits above the one before's, repeated over
+    the run's length.  No other family is built: no side, no plane.
     """
-    m, n = params.m, params.n
     lengths = [len(run[3]) for run in runs]
     full = (1 << sum(lengths)) - 1
-    families = {}
+    masks = {}
     for side in ((3, None), (4, None)):
         if side not in sides:
             continue
@@ -490,11 +481,9 @@ def _edge_masks(
         code = {key: i.to_bytes(width, "little") for i, key in enumerate(keys)}
         strings = {c: b"".join(map(code.__getitem__, chunk)) for c, chunk in chunks.items()}
         text = b"".join(map(strings.__getitem__, ids))
-        families[side] = _key_masks(keys, _planes(text, width, bits), full)
-    label_sides = [(0, None), *((2, j) for j in range(m)), *((1, k) for k in range(n))]
-    label_sides = [side for side in label_sides if side in sides]
+        masks[side] = _key_masks(keys, _planes(text, width, bits), full)
+    label_sides = [side for side in labels if side in sides]  # piece, top_j, bottom_k
     if label_sides:
-        labels = _label_keys(params, runs) if labels is None else labels
         spans = []  # (side, keys, first plane, end plane) per label family
         index = {}  # per label family, {key: its index shifted to its first plane}
         bits = 0
@@ -517,10 +506,8 @@ def _edge_masks(
         text = b"".join(map(mul, encoded, lengths))
         planes = _planes(text, width, bits)
         for side, keys, lo, hi in spans:
-            families[side] = _key_masks(keys, planes[lo:hi], full)
-    left, right, piece = (families.get((field, None), {}) for field in (3, 4, 0))
-    return (left, right, piece, [families.get((2, j), {}) for j in range(m)],
-            [families.get((1, k), {}) for k in range(n)])
+            masks[side] = _key_masks(keys, planes[lo:hi], full)
+    return masks
 
 
 def search_patch(
@@ -559,7 +546,8 @@ def search_patch(
     sets cost more than a whole 0-node refutation of escape.  The label
     key sets are read once, before that check, and the edge masks, built
     per call and only past it, reuse them (_edge_masks); only the families
-    that the used rules read are built, none for a patch with no pair.
+    of the used rules' sides are built, none for a patch with no pair,
+    and each arc reads its two families by side.
     """
     params = tileset.params
     partners = _partners(params, patch)
@@ -578,8 +566,7 @@ def search_patch(
         return ExhaustedNoTiling(0)
 
     sides = {side for rule, _ in used for side in (rule.a_side, rule.b_side)}
-    left, right, piece, top, bottom = _edge_masks(params, runs, sides, labels)
-    masks = (piece, bottom, top, left, right)  # in field order
+    masks = _edge_masks(runs, sides, labels)
     # arcs[y]: (x, x masks, side of y's tile, pairs, d) for every cell x to
     # revise when domain[y] narrows; all but x shared per rule direction d.
     # pairs holds (x mask, y mask) for each key both sides share: the tiles
@@ -587,7 +574,7 @@ def search_patch(
     # y mask meets that domain
     arcs: list[list[tuple]] = [[] for _ in cells]
     for d, (rule, (a, b)) in enumerate(used):
-        a_masks, b_masks = _read(rule.a_side, masks), _read(rule.b_side, masks)
+        a_masks, b_masks = masks[rule.a_side], masks[rule.b_side]
         pairs = [(a_masks[key], b_masks[key]) for key in a_masks if key in b_masks]
         to_a = (a_masks, rule.b_side, tuple(pairs), 2 * d)
         to_b = (b_masks, rule.a_side, tuple((y, x) for x, y in pairs), 2 * d + 1)

@@ -450,7 +450,7 @@ def test_malformed_cap_env_is_bad_input(tmp_path, capsys, identity_map, monkeypa
 
 
 # the export sha256 of every committed map: the five perfbench/expected.json
-# pins, and shift3-23
+# pins, shift3-23 and kari-23
 EXPORT_PINS = {
     entry["path"]: entry["sha256"]
     for entry in json.loads((MAPS.parent / "perfbench" / "expected.json").read_text())[
@@ -459,6 +459,9 @@ EXPORT_PINS = {
 }
 EXPORT_PINS["maps/shift3-23.map"] = (
     "045e6cb4a184d3f9701c708450bd651e9fa753c7b50547b927882f226eeaaf4e"
+)
+EXPORT_PINS["maps/kari-23.map"] = (
+    "f402ca2f7916d1fceb693914e470cafad6412785f9619c675d794d780752d191"
 )
 
 

@@ -670,6 +670,7 @@ RUN_COUNTS = {
     "identity-23": 900,
     "rotation-22": 1_024,
     "shift3-23": 2_880,
+    "kari-23": 3_480,
     "escape": 1_024,
     "half2-23": 2_048,
     "rotation-32": 3_600,

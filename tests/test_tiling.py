@@ -7,7 +7,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsdomino import balrep, group, tiling
@@ -49,6 +49,8 @@ from bsdomino.tiling import (
     Patch,
     TilingAssignment,
     _edge_masks,
+    _label_keys,
+    _tile_ids,
     assignment_from_orbit,
     build_ball_patch,
     build_patch,
@@ -1067,8 +1069,8 @@ def compiled(name):
         return enumerate_tileset(P23, ESCAPE_MAP)
     if name == "mixed-q":
         return enumerate_tileset(P23, MIXED_Q_MAP)
-    if name == "shift3-23":
-        return enumerate_tileset(*load_map(str(ROOT / "maps" / "shift3-23.map")))
+    if name in ("shift3-23", "kari-23"):
+        return enumerate_tileset(*load_map(str(ROOT / "maps" / f"{name}.map")))
     if name in ("rotation-32", "half2-23"):
         path = ROOT / "perfbench" / "maps" / f"{name}.map"
         return enumerate_tileset(*load_map(str(path)))
@@ -1109,13 +1111,37 @@ def test_search_backtracks_on_mortal_map():
         assert not check_assignment(ts.params, patch, result.assignment)
 
 
-# the six committed maps; a conjugate of a map has the same dynamics, so
+def test_search_and_witness_on_kari_map():
+    # Kari's map scaled by 2 on BS(2,3), x2 fixed: x1 -> 2 x1 on the
+    # square [1, 2] x [0, 1], x1 -> 2/3 x1 on the two squares to its
+    # right.  These pin the compile, the search on the balls of radius 1
+    # to 4 and a 20-step orbit witness; they do not decide whether the
+    # map tiles the group
+    ts = compiled("kari-23")
+    params, f = ts.params, ts.pam
+    assert len(ts.tiles) == 184_800
+    for radius, nodes in ((1, 5), (2, 39), (3, 86), (4, 185)):
+        patch = build_ball_patch(params, radius)
+        result = search_patch(ts, patch)
+        assert isinstance(result, Found) and result.nodes == nodes, radius
+        assert not check_assignment(params, patch, result.assignment)
+    report = orbit(f, vec2("3/2", "1/2"), 20)
+    assert report.outcome == AliveUpTo(steps=20) and len(report.states) == 21
+    ball = build_ball_patch(params, 5)
+    witness = assignment_from_orbit(params, f, report, ball)
+    assert len(witness.pairs) == 200
+    assert not check_assignment(params, ball, witness)
+    assert None not in _tile_ids(ts, [tile for _, tile in witness.pairs])
+
+
+# the seven committed maps; a conjugate of a map has the same dynamics, so
 # every verdict on it must agree with the map's own
 COMMITTED_MAPS = {
     "identity-23": "maps/identity-23.map",
     "escape": "maps/escape.map",
     "rotation-22": "maps/rotation-22.map",
     "shift3-23": "maps/shift3-23.map",
+    "kari-23": "maps/kari-23.map",
     "half2-23": "perfbench/maps/half2-23.map",
     "rotation-32": "perfbench/maps/rotation-32.map",
 }
@@ -1147,19 +1173,14 @@ def swapped(f):
     ))
 
 
-@pytest.mark.parametrize("name, v, top", [
-    ("identity-23", (5, -2), 2),
-    ("identity-23", (-3, 4), 2),
-    ("escape", (5, -2), 2),
-    ("escape", (-3, 4), 2),
-    ("shift3-23", (5, -2), 1),
-])
-def test_translated_map_searches_alike(name, v, top):
-    # with M = I a translation keeps b, so the tiles keep their colors
-    # and ids: the search takes the same nodes to the same tiling
-    params, f = load_map(str(ROOT / COMMITTED_MAPS[name]))
+def assert_translated_map_searches_alike(name, v, top):
+    """With M = I a translation by an integer vector v keeps b, so the
+    tiles keep their colors and ids: on each ball up to radius top the
+    search takes the same nodes to the same tiling."""
+    ts = compiled(name)
+    params, f = ts.params, ts.pam
     assert all(p.matrix == IDENTITY2 for p in f.pieces)
-    ts, moved = enumerate_tileset(params, f), enumerate_tileset(params, translated(f, v))
+    moved = enumerate_tileset(params, translated(f, v))
     assert len(moved.tiles) == len(ts.tiles)
     for radius in range(top + 1):
         patch = build_ball_patch(params, radius)
@@ -1168,6 +1189,48 @@ def test_translated_map_searches_alike(name, v, top):
         if isinstance(result, Found):
             text = export_tiling_text(result.assignment, ts)
             assert export_tiling_text(again.assignment, moved) == text, radius
+
+
+@pytest.mark.parametrize("name, v, top", [
+    ("identity-23", (5, -2), 2),
+    ("identity-23", (-3, 4), 2),
+    ("escape", (5, -2), 2),
+    ("escape", (-3, 4), 2),
+    ("shift3-23", (5, -2), 1),
+])
+def test_translated_map_searches_alike(name, v, top):
+    assert_translated_map_searches_alike(name, v, top)
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(["identity-23", "escape"]),
+       v=st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+def test_randomly_translated_map_searches_alike(name, v):
+    assert_translated_map_searches_alike(name, v, 3)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    name=st.sampled_from(["rotation-22", "rotation-32", "half2-23", "kari-23"]),
+    v=st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    swap=st.booleans(),
+)
+@example(name="kari-23", v=(1, 0), swap=False)
+@example(name="kari-23", v=(0, 0), swap=True)
+def test_moved_map_with_m_not_i_has_the_same_verdicts(name, v, swap):
+    # with M != I a translation changes b and the colors, and the swap
+    # mirrors them: the tile count and the node counts may change (kari-23
+    # at radius 2: 39 nodes, 15 moved by (1, 0), 33 swapped), the verdict
+    # on each ball may not
+    ts = compiled(name)
+    params, f = ts.params, ts.pam
+    assert any(p.matrix != IDENTITY2 for p in f.pieces)
+    moved = translated(swapped(f) if swap else f, v)
+    conjugate = enumerate_tileset(params, moved)
+    for radius in range(4):
+        patch = build_ball_patch(params, radius)
+        result, again = search_patch(ts, patch), search_patch(conjugate, patch)
+        assert type(again) is type(result), radius
 
 
 @pytest.mark.parametrize("name", COMMITTED_MAPS)
@@ -1271,39 +1334,66 @@ def every_side(params):
             *((2, j) for j in range(params.m)), *((1, k) for k in range(params.n))}
 
 
+def masks_of(params, runs, sides=None):
+    """_edge_masks of runs for sides (every side by default), their label
+    keys read as search_patch reads them."""
+    sides = every_side(params) if sides is None else sides
+    return _edge_masks(runs, sides, _label_keys(params, runs))
+
+
 def edge_masks(params, tiles):
-    return _edge_masks(params, runs_of(tiles), every_side(params))
-
-
-# escape is the one committed map with more than 256 color keys a side (324)
-@pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q", "shift3-23", "escape"])
-def test_edge_masks_match_reference(name):
-    ts = compiled(name)
-    masks = _edge_masks(ts.params, ts.runs, every_side(ts.params))
-    assert masks == reference_edge_masks(ts.params, ts.tiles)
+    return masks_of(params, runs_of(tiles))
 
 
 def by_side(params, masks):
-    """_edge_masks's families keyed by their Rule sides."""
+    """reference_edge_masks's (left, right, piece, top, bottom) families
+    keyed by their Rule sides, as _edge_masks keys them."""
     left, right, piece, top, bottom = masks
     return {(3, None): left, (4, None): right, (0, None): piece,
             **{(2, j): top[j] for j in range(params.m)},
             **{(1, k): bottom[k] for k in range(params.n)}}
 
 
+# escape is the one committed map with more than 256 color keys a side (324)
+@pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q", "shift3-23", "escape"])
+def test_edge_masks_match_reference(name):
+    ts = compiled(name)
+    masks = masks_of(ts.params, ts.runs)
+    assert masks == by_side(ts.params, reference_edge_masks(ts.params, ts.tiles))
+
+
 @pytest.mark.parametrize("name", ["identity-23", "rotation-32", "mixed-q"])
 def test_edge_masks_build_only_the_sides_given(name):
     # no side, each side alone and random halves: the given families are
-    # those of the full build, and every other family is empty
+    # those of the full build, and no other family is there
     ts = compiled(name)
     params = ts.params
     every = sorted(every_side(params), key=str)
-    full = by_side(params, _edge_masks(params, ts.runs, set(every)))
+    full = masks_of(params, ts.runs, set(every))
     rng = Random(3)
     halves = [set(rng.sample(every, len(every) // 2)) for _ in range(4)]
     for sides in [set(), *({side} for side in every), *halves]:
-        masks = by_side(params, _edge_masks(params, ts.runs, sides))
-        assert masks == {side: full[side] if side in sides else {} for side in every}
+        masks = masks_of(params, ts.runs, sides)
+        assert masks == {side: full[side] for side in sides}
+
+
+def test_search_reads_the_masks_of_its_rules_sides(monkeypatch):
+    # the masks come keyed by the sides of the rules the patch uses:
+    # {e, T} uses V (1, 1) and V (2, 2), top_j and bottom_k by 0-based
+    # index; the row {e, a, a2} uses H (right, left) and I (piece)
+    built = []
+
+    def spy(*args, real=tiling._edge_masks):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(tiling, "_edge_masks", spy)
+    ts = compiled("identity-23")
+    for texts, sides in ((["e", "T"], {(1, 0), (1, 1), (2, 0), (2, 1)}),
+                         (["e", "a", "a2"], {(0, None), (3, None), (4, None)})):
+        patch = build_patch(P23, [element_from_text(P23, text) for text in texts])
+        assert isinstance(search_patch(ts, patch), Found)
+        assert set(built.pop()) == sides, texts
 
 
 def random_runs(rng, params, colors, labels):
@@ -1375,9 +1465,10 @@ def test_edge_masks_match_reference_on_random_runs(params, colors, labels, seed,
         tiles = list(Tiles(runs))
         rng.shuffle(tiles)
         runs = tuple((*head, [left], [right]) for *head, left, right in tiles)
-    masks = _edge_masks(params, runs, every_side(params))
-    assert masks == reference_edge_masks(params, Tiles(runs))
-    assert (len(masks[0]), len(masks[1]), len(masks[2])) == (colors, colors, labels)
+    masks = masks_of(params, runs)
+    assert masks == by_side(params, reference_edge_masks(params, Tiles(runs)))
+    assert (len(masks[3, None]), len(masks[4, None]), len(masks[0, None])) == (
+        colors, colors, labels)
 
 
 @pytest.mark.parametrize("params", [P23, BsParams(3, 2)])
@@ -1398,15 +1489,15 @@ def test_edge_masks_match_reference_for_every_tile_count_to_17(params):
             label = (rng.randrange(6), tuple(colors(params.n)), tuple(colors(params.m)))
             runs.append((*label, colors(length), colors(length)))
         runs = tuple(runs)
-        masks = _edge_masks(params, runs, every_side(params))
-        assert masks == reference_edge_masks(params, Tiles(runs)), count
+        masks = masks_of(params, runs)
+        assert masks == by_side(params, reference_edge_masks(params, Tiles(runs))), count
 
 
 def test_edge_masks_of_no_runs():
     # no tile: every family is empty, and no plane is read
     for params in (P23, BsParams(3, 2)):
-        empty = ({}, {}, {}, [{}] * params.m, [{}] * params.n)
-        assert _edge_masks(params, (), every_side(params)) == reference_edge_masks(params, ()) == empty
+        empty = {side: {} for side in every_side(params)}
+        assert masks_of(params, ()) == by_side(params, reference_edge_masks(params, ())) == empty
 
 
 def test_edge_masks_take_each_list_object_as_it_is():
@@ -1419,10 +1510,10 @@ def test_edge_masks_take_each_list_object_as_it_is():
         (1, bottom, top, lefts, [(5, 5), (1, 0)]),
         (0, bottom, ((1, 1),) * 2, list(lefts), [(1, 0), (2, 0)]),
     )
-    masks = _edge_masks(P23, runs, every_side(P23))
-    assert masks == reference_edge_masks(P23, Tiles(runs))
-    assert masks[0] == {(0, 0): 0b010101, (1, 0): 0b101010}
-    assert masks[1] == {(1, 0): 0b011001, (2, 0): 0b100010, (5, 5): 0b000100}
+    masks = masks_of(P23, runs)
+    assert masks == by_side(P23, reference_edge_masks(P23, Tiles(runs)))
+    assert masks[3, None] == {(0, 0): 0b010101, (1, 0): 0b101010}
+    assert masks[4, None] == {(1, 0): 0b011001, (2, 0): 0b100010, (5, 5): 0b000100}
 
 
 @pytest.mark.parametrize("name", ["identity-23", "rotation-22", "mixed-q"])
@@ -1435,19 +1526,20 @@ def test_edge_masks_match_reference_in_any_order(name):
         rng = Random(seed)
         tiles = list(related_tiles(rng, name, rng.randint(1, 12)))
         rng.shuffle(tiles)
-        assert edge_masks(params, tuple(tiles)) == reference_edge_masks(params, tiles)
+        reference = by_side(params, reference_edge_masks(params, tiles))
+        assert edge_masks(params, tuple(tiles)) == reference
     tiles = list(full.tiles)
     Random(7).shuffle(tiles)
     labels = [tile[:3] for tile in tiles]
     assert sum(a != b for a, b in zip(labels, labels[1:])) > len(tiles) // 2
-    assert edge_masks(params, tuple(tiles)) == reference_edge_masks(params, tiles)
+    assert edge_masks(params, tuple(tiles)) == by_side(params, reference_edge_masks(params, tiles))
 
 
 def test_edge_masks_one_tile():
     tile = compiled("identity-23").tiles[7]
     masks = edge_masks(P23, (tile,))
-    assert masks == reference_edge_masks(P23, (tile,))
-    assert masks[2] == {tile[0]: 1}  # piece
+    assert masks == by_side(P23, reference_edge_masks(P23, (tile,)))
+    assert masks[0, None] == {tile[0]: 1}  # piece
 
 
 @lru_cache(maxsize=None)
